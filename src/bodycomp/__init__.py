@@ -26,6 +26,7 @@ from .errors import (
     GeometryMismatchError,
     HeaderError,
     LabelVocabularyError,
+    NonFiniteHUError,
     TruncatedPayloadError,
     UndefinedRatioError,
     UnitStateError,

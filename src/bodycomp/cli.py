@@ -87,6 +87,7 @@ def _read_labels(path) -> LabelVolume:
 
 
 def _write_csv(path, columns, rows) -> None:
+    rows = list(rows)  # format every cell before the file is opened
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
@@ -130,11 +131,20 @@ def _load_manifest(path) -> list[dict]:
     return rows
 
 
+def _check_subject_id(subject_id: str) -> str:
+    """Reject an id that would not name a file directly inside ``--out``."""
+    if subject_id in ("", ".", "..") or any(c in subject_id for c in "/\\\0"):
+        raise BodycompError(f"subject_id {subject_id!r} is not a valid file name")
+    return subject_id
+
+
 def _measure_one(entry: dict, policy: MergePolicy, cohort: dict):
     ct = _read_ct(entry["ct"])
+    subject_id = _check_subject_id(
+        entry["subject_id"] or ct.subject_id or Path(entry["ct"]).stem
+    )
     tissue = _read_labels(entry["tissue"])
     vertebrae = _read_labels(entry["vertebrae"])
-    subject_id = entry["subject_id"] or ct.subject_id or Path(entry["ct"]).stem
     record = cohort.get(subject_id)
     if record is None:
         record = SubjectRecord(subject_id=subject_id, age_years=0.0)
@@ -189,10 +199,11 @@ def cmd_measure(args) -> int:
         seen.add(r.subject_id)
 
     results.sort(key=lambda r: r.subject_id)
+    rows = [_result_row(r) for r in results]
     for result in results:
         doc = json.dumps(result.to_dict(), sort_keys=True, indent=2)
         (out_dir / f"{result.subject_id}.json").write_text(doc + "\n", encoding="utf-8")
-    _write_csv(out_dir / "results.csv", RESULTS_CSV_COLUMNS, map(_result_row, results))
+    _write_csv(out_dir / "results.csv", RESULTS_CSV_COLUMNS, rows)
 
     for message in failures:
         print(f"measure: {message}", file=sys.stderr)

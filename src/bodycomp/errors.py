@@ -25,6 +25,10 @@ class EmptyRegionError(BodycompError):
     """A measurement region contains no voxels of the requested tissue."""
 
 
+class NonFiniteHUError(BodycompError):
+    """A measurement met a NaN or infinite HU value (e.g. an overflowing rescale)."""
+
+
 class UndefinedRatioError(BodycompError):
     """VAT/SAT ratio requested while the SAT measure is zero."""
 

@@ -7,6 +7,19 @@ against ground truth per label and per region (L3 slice, T12-L4 range,
 all slices), and ``aggregate_cases`` rolls per-case results into an
 EvalReport with both per-volume and per-slice Dice aggregations.
 
+``evaluate_case`` reads each label volume once, into a joint table: for
+every slice, the number of voxels with each (ground-truth class,
+predicted class) pair, where the classes are background or any other
+name, skeletal muscle, SAT, VAT and muscular fat. Every per-label,
+per-region number is a sum over that table (Taha & Hanbury 2015): Dice
+per volume and per slice, the degenerate counts, the ground-truth and
+predicted areas and volumes, and the VAT/SAT ratios. The merge policy is
+applied to the table by adding the muscular-fat row and column into the
+target class; muscular fat itself is compared on the unmerged table.
+Areas, volumes and ratios turn those counts into measures with the same
+helpers ``measures`` uses. Only the muscle densities read HU, through
+``measures.muscle_density`` on the L3 slice and the T12-L4 slab.
+
 Muscle-density errors are normalized to the -29..+150 HU range of normal
 muscle density, so 1.79 HU of error reads as 1.00%.
 """
@@ -25,6 +38,7 @@ from .errors import (
     GeometryMismatchError,
     VertebraNotFoundError,
 )
+from .measures import muscle_density, tissue_measure_from_counts, vat_sat_ratio_from_counts
 from .model import (
     MUSCULAR_FAT,
     SAT,
@@ -33,15 +47,10 @@ from .model import (
     LabelVolume,
     MergePolicy,
     VoxelVolume,
-    apply_merge_policy,
+    merge_target,
     require_same_geometry,
+    require_tissue_vocabulary,
     vertebra_label,
-)
-from .measures import (
-    muscle_density,
-    tissue_area_2d,
-    tissue_volume_3d,
-    vat_sat_ratio,
 )
 from .regions import (
     AllSlices,
@@ -102,6 +111,26 @@ def dice(a: np.ndarray, b: np.ndarray) -> DiceResult:
     return DiceResult(2.0 * inter / (na + nb), False)
 
 
+def _mrae_terms(truth: Sequence[float], pred: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """MRAE's included terms, and the mask of excluded pairs.
+
+    A pair with both values zero contributes a 0 term; a pair with zero
+    ground truth but a nonzero prediction is excluded.
+    """
+    t = np.asarray(truth, dtype=float)
+    p = np.asarray(pred, dtype=float)
+    if t.shape != p.shape:
+        raise ValueError(f"length mismatch: {t.shape} vs {p.shape}")
+    if t.size == 0:
+        raise ValueError("mrae requires at least one pair")
+    excluded = (t == 0) & (p != 0)
+    t, p = t[~excluded], p[~excluded]
+    terms = np.zeros_like(t)
+    ok = t != 0
+    terms[ok] = np.abs(t[ok] - p[ok]) / np.abs(t[ok])
+    return terms, excluded
+
+
 def mrae(truth: Sequence[float], pred: Sequence[float], strict: bool = False) -> MraeResult:
     """Mean of |truth_i - pred_i| / |truth_i| over paired values.
 
@@ -110,26 +139,14 @@ def mrae(truth: Sequence[float], pred: Sequence[float], strict: bool = False) ->
     with ``strict=True`` they raise instead. The value is NaN when every
     term was excluded.
     """
-    t = np.asarray(truth, dtype=float)
-    p = np.asarray(pred, dtype=float)
-    if t.shape != p.shape:
-        raise ValueError(f"length mismatch: {t.shape} vs {p.shape}")
-    if t.size == 0:
-        raise ValueError("mrae requires at least one pair")
-    zero_truth = t == 0
-    undefined = zero_truth & (p != 0)
-    if strict and undefined.any():
-        idx = int(np.flatnonzero(undefined)[0])
+    terms, excluded = _mrae_terms(truth, pred)
+    if strict and excluded.any():
+        idx = int(np.flatnonzero(excluded)[0])
         raise ZeroDivisionError(f"ground truth is zero at index {idx}")
-    include = ~undefined
-    terms = np.zeros_like(t)
-    ok = include & ~zero_truth
-    terms[ok] = np.abs(t[ok] - p[ok]) / np.abs(t[ok])
-    n_included = int(np.count_nonzero(include))
-    skipped = int(t.size - n_included)
-    if n_included == 0:
+    skipped = int(np.count_nonzero(excluded))
+    if terms.size == 0:
         return MraeResult(float("nan"), skipped)
-    return MraeResult(float(terms[include].mean()), skipped)
+    return MraeResult(float(terms.mean()), skipped)
 
 
 def r_squared(obs: Sequence[float], pred: Sequence[float]) -> float:
@@ -293,14 +310,89 @@ def _normalize_regions(regions) -> tuple[str, ...]:
     return tuple(dict.fromkeys(canon))
 
 
-def _per_slice_dices(a: np.ndarray, b: np.ndarray) -> tuple[tuple[float, ...], int]:
-    values = []
-    degenerate = 0
-    for k in range(a.shape[0]):
-        d = dice(a[k], b[k])
-        values.append(d.value)
-        degenerate += int(d.degenerate)
-    return tuple(values), degenerate
+# Joint-table classes: 0 is background or any other name, then EVAL_LABELS.
+_N_CLASSES = len(EVAL_LABELS) + 1
+
+
+def _class_of(label_name: str) -> int:
+    return EVAL_LABELS.index(label_name) + 1
+
+
+def _one_hot(classes: np.ndarray) -> np.ndarray:
+    return np.eye(_N_CLASSES, dtype=np.int64)[classes]
+
+
+def _code_classes(mask: LabelVolume) -> np.ndarray:
+    """Joint-table class of each of the 256 codes."""
+    classes = np.zeros(256, dtype=np.intp)
+    for code, name in mask.label_map.items():
+        if name in EVAL_LABELS:
+            classes[code] = _class_of(name)
+    return classes
+
+
+def _policy_classes(policy: MergePolicy) -> np.ndarray:
+    """Class each class is counted under once ``policy`` is applied."""
+    classes = np.arange(_N_CLASSES)
+    target = merge_target(policy)
+    if target is not None:
+        classes[_class_of(MUSCULAR_FAT)] = _class_of(target)
+    return classes
+
+
+def _joint_table(gt: LabelVolume, pred: LabelVolume) -> np.ndarray:
+    """Per-slice counts of (gt class, pred class) voxel pairs, ``[nz, C, C]``.
+
+    Each slice is counted over code pairs ``gt * k + pred`` and the small
+    ``k × k`` count table is then folded to classes, so no per-voxel class
+    lookup and no volume-sized temporary is made.
+    """
+    # every code present in a volume is in its label map, or is 0
+    k = max(0, *gt.label_map, *pred.label_map) + 1
+    dtype = np.uint8 if k * k <= 256 else np.uint16
+    gt_fold = _one_hot(_code_classes(gt)[:k]).T
+    pred_fold = _one_hot(_code_classes(pred)[:k])
+    table = np.empty((gt.nz, _N_CLASSES, _N_CLASSES), dtype=np.int64)
+    index = np.empty(gt.codes.shape[1:], dtype=dtype)
+    for z in range(gt.nz):
+        np.multiply(gt.codes[z], k, out=index, dtype=dtype)
+        index += pred.codes[z]
+        # bincount is slowest on long runs of one bin: count the
+        # background pair (index 0) by difference instead
+        counts = np.bincount(index[index != 0], minlength=k * k)
+        counts[0] = index.size - counts.sum()
+        table[z] = gt_fold @ counts.reshape(k, k) @ pred_fold
+    return table
+
+
+class _SliceCounts(NamedTuple):
+    """Per-slice voxel counts of one label: both, ground truth, prediction."""
+
+    inter: np.ndarray
+    truth: np.ndarray
+    pred: np.ndarray
+
+
+def _label_counts(table: np.ndarray, label_name: str) -> _SliceCounts:
+    c = _class_of(label_name)
+    return _SliceCounts(table[:, c, c], table[:, c, :].sum(axis=1), table[:, :, c].sum(axis=1))
+
+
+def _pair_result(counts: _SliceCounts, geometry, region) -> PairResult:
+    sl = region_slice(region, geometry.nz)
+    inter, truth, pred = counts.inter[sl], counts.truth[sl], counts.pred[sl]
+    total = truth + pred
+    slice_dices = np.ones(total.shape)
+    np.divide(2.0 * inter, total, out=slice_dices, where=total > 0)
+    n = int(total.sum())
+    return PairResult(
+        dice=2.0 * int(inter.sum()) / n if n else 1.0,
+        degenerate=n == 0,
+        slice_dices=tuple(slice_dices.tolist()),
+        degenerate_slices=int(np.count_nonzero(total == 0)),
+        truth_quantity=tissue_measure_from_counts(truth, geometry, region),
+        pred_quantity=tissue_measure_from_counts(pred, geometry, region),
+    )
 
 
 def evaluate_case(
@@ -334,134 +426,102 @@ def evaluate_case(
                 f"regions {needed} require a vertebrae volume"
             )
 
-    region_2d = None
-    region_3d = None
-    region_objs: dict[str, object] = {}
+    # the L3 slice and the T12-L4 range are picked once and serve both the
+    # requested regions and the metric-error table
+    found: dict[str, object] = {"all": AllSlices()}
+    missing: dict[str, VertebraNotFoundError] = {}
+    if vertebrae is not None:
+        try:
+            found["l3"] = SingleSlice(largest_label_slice(vertebrae, vertebra_label("L3")))
+        except VertebraNotFoundError as exc:
+            missing["l3"] = exc
+        try:
+            found["t12_l4"] = region_t12_l4(vertebrae)
+        except VertebraNotFoundError as exc:
+            missing["t12_l4"] = exc
     for name in wanted:
-        if name == "l3":
-            region_2d = largest_label_slice(vertebrae, vertebra_label("L3"))
-            region_objs[name] = SingleSlice(region_2d)
-        elif name == "t12_l4":
-            rng = region_t12_l4(vertebrae)
-            region_3d = (rng.z_lo, rng.z_hi)
-            region_objs[name] = rng
-        else:
-            region_objs[name] = AllSlices()
+        if name in missing:
+            raise missing[name]
+    region_objs = {name: found[name] for name in wanted}
 
-    gt_merged = apply_merge_policy(gt, policy)
-    pred_merged = apply_merge_policy(pred, policy)
+    require_tissue_vocabulary(gt)
+    require_tissue_vocabulary(pred)
+    table = _joint_table(gt, pred)
+    merge = _one_hot(_policy_classes(policy))
+    merged = merge.T @ table @ merge
 
     pairs: dict[tuple[str, str], PairResult] = {}
     for label in EVAL_LABELS:
-        g_src = gt if label == MUSCULAR_FAT else gt_merged
-        p_src = pred if label == MUSCULAR_FAT else pred_merged
-        g_bin = g_src.binary(label)
-        p_bin = p_src.binary(label)
+        counts = _label_counts(table if label == MUSCULAR_FAT else merged, label)
         for name, region in region_objs.items():
-            sl = region_slice(region, gt.nz)
-            d = dice(g_bin[sl], p_bin[sl])
-            slice_dices, degenerate_slices = _per_slice_dices(g_bin[sl], p_bin[sl])
-            if name == "l3":
-                tq = tissue_area_2d(g_src, label, region.z)
-                pq = tissue_area_2d(p_src, label, region.z)
-            else:
-                tq = tissue_volume_3d(g_src, label, region)
-                pq = tissue_volume_3d(p_src, label, region)
-            pairs[(label, name)] = PairResult(
-                dice=d.value,
-                degenerate=d.degenerate,
-                slice_dices=slice_dices,
-                degenerate_slices=degenerate_slices,
-                truth_quantity=tq,
-                pred_quantity=pq,
-            )
+            pairs[(label, name)] = _pair_result(counts, gt, region)
 
     metric_errors: dict[str, float | None] = {}
     if vertebrae is not None:
-        metric_errors = _metric_errors(gt_merged, pred_merged, hu, vertebrae)
+        # without all three levels the metric table is unavailable; the
+        # Dice rows of the requested regions stand on their own
+        metric_errors = (
+            dict.fromkeys(METRIC_ERROR_NAMES)
+            if missing
+            else _metric_errors(gt, pred, merged, hu, policy, found["l3"], found["t12_l4"])
+        )
 
+    l3, t12_l4 = region_objs.get("l3"), region_objs.get("t12_l4")
     return CaseEvaluation(
         subject_id=gt.subject_id or pred.subject_id,
         policy=policy,
         pairs=pairs,
         metric_errors=metric_errors,
-        region_2d=region_2d,
-        region_3d=region_3d,
+        region_2d=l3.z if l3 is not None else None,
+        region_3d=(t12_l4.z_lo, t12_l4.z_hi) if t12_l4 is not None else None,
     )
 
 
-def _metric_errors(gt_merged, pred_merged, hu, vertebrae) -> dict[str, float | None]:
+def _metric_errors(gt, pred, merged, hu, policy, r2d, r3d) -> dict[str, float | None]:
     """Percentage errors of predicted vs ground-truth measurements.
 
     Density errors are normalized to the 179-HU range; the others are
     relative differences against the ground-truth value. SMI error equals
     the 2D area error because height cancels in the ratio.
     """
-    errors: dict[str, float | None] = {name: None for name in METRIC_ERROR_NAMES}
-    try:
-        l3 = largest_label_slice(vertebrae, vertebra_label("L3"))
-        r3d = region_t12_l4(vertebrae)
-    except VertebraNotFoundError:
-        # vertebra volume lacks the required levels: the dice table for
-        # the requested regions stands on its own, the metric table is
-        # simply unavailable
-        return errors
-    r2d = SingleSlice(l3)
-    sep = MergePolicy.SEPARATE  # inputs are already merged
+    errors: dict[str, float | None] = dict.fromkeys(METRIC_ERROR_NAMES)
+    muscle, sat, vat = (_label_counts(merged, n) for n in (SKELETAL_MUSCLE, SAT, VAT))
 
-    def attempt(name, fn):
-        try:
-            errors[name] = fn()
-        except BodycompError:
-            errors[name] = None
-        except ZeroDivisionError:
-            errors[name] = None
+    def density_error(region):
+        return muscle_density_error_pct(
+            abs(muscle_density(hu, pred, region, policy) - muscle_density(hu, gt, region, policy))
+        )
 
+    def ratio_error(region):
+        sl = region_slice(region, gt.nz)
+        return metric_pct_difference(
+            vat_sat_ratio_from_counts(vat.truth[sl], sat.truth[sl], gt, region),
+            vat_sat_ratio_from_counts(vat.pred[sl], sat.pred[sl], gt, region),
+        )
+
+    def muscle_error(region):
+        sl = region_slice(region, gt.nz)
+        return metric_pct_difference(
+            tissue_measure_from_counts(muscle.truth[sl], gt, region),
+            tissue_measure_from_counts(muscle.pred[sl], gt, region),
+        )
+
+    attempts = [
+        ("vat_sat_ratio_2d", ratio_error, r2d),
+        ("vat_sat_ratio_3d", ratio_error, r3d),
+        ("muscle_area_2d", muscle_error, r2d),
+        ("muscle_volume_3d", muscle_error, r3d),
+    ]
     if hu is not None:
-        attempt(
-            "muscle_density_2d",
-            lambda: muscle_density_error_pct(
-                abs(
-                    muscle_density(hu, pred_merged, r2d, sep)
-                    - muscle_density(hu, gt_merged, r2d, sep)
-                )
-            ),
-        )
-        attempt(
-            "muscle_density_3d",
-            lambda: muscle_density_error_pct(
-                abs(
-                    muscle_density(hu, pred_merged, r3d, sep)
-                    - muscle_density(hu, gt_merged, r3d, sep)
-                )
-            ),
-        )
-    attempt(
-        "vat_sat_ratio_2d",
-        lambda: metric_pct_difference(
-            vat_sat_ratio(gt_merged, r2d, sep), vat_sat_ratio(pred_merged, r2d, sep)
-        ),
-    )
-    attempt(
-        "vat_sat_ratio_3d",
-        lambda: metric_pct_difference(
-            vat_sat_ratio(gt_merged, r3d, sep), vat_sat_ratio(pred_merged, r3d, sep)
-        ),
-    )
-    attempt(
-        "muscle_area_2d",
-        lambda: metric_pct_difference(
-            tissue_area_2d(gt_merged, SKELETAL_MUSCLE, l3),
-            tissue_area_2d(pred_merged, SKELETAL_MUSCLE, l3),
-        ),
-    )
-    attempt(
-        "muscle_volume_3d",
-        lambda: metric_pct_difference(
-            tissue_volume_3d(gt_merged, SKELETAL_MUSCLE, r3d),
-            tissue_volume_3d(pred_merged, SKELETAL_MUSCLE, r3d),
-        ),
-    )
+        attempts += [
+            ("muscle_density_2d", density_error, r2d),
+            ("muscle_density_3d", density_error, r3d),
+        ]
+    for name, fn, region in attempts:
+        try:
+            errors[name] = fn(region)
+        except (BodycompError, ZeroDivisionError):
+            errors[name] = None
     # SMI = area / height²; height cancels in the relative error
     errors["smi_2d"] = errors["muscle_area_2d"]
     return errors
@@ -491,14 +551,7 @@ def aggregate_cases(cases: Sequence[CaseEvaluation]) -> EvalReport:
         slice_mean, slice_sd = _mean_sd(all_slice_dices)
         truth_q = [p.truth_quantity for p in present]
         pred_q = [p.pred_quantity for p in present]
-        m = mrae(truth_q, pred_q)
-        # same inclusion rule as mrae: both-zero terms contribute 0,
-        # zero-truth/nonzero-pred terms are excluded
-        rel_errors = [
-            0.0 if t == 0 else abs(t - q) / abs(t)
-            for t, q in zip(truth_q, pred_q)
-            if not (t == 0 and q != 0)
-        ]
+        terms, excluded = _mrae_terms(truth_q, pred_q)
         r2 = None
         if len(present) >= 2:
             try:
@@ -516,9 +569,9 @@ def aggregate_cases(cases: Sequence[CaseEvaluation]) -> EvalReport:
                 dice_slice_sd=slice_sd,
                 degenerate_cases=sum(p.degenerate for p in present),
                 degenerate_slices=sum(p.degenerate_slices for p in present),
-                mrae=None if np.isnan(m.value) else m.value,
-                mrae_sd=_mean_sd(rel_errors)[1] if not np.isnan(m.value) else None,
-                mrae_skipped=m.skipped,
+                mrae=float(terms.mean()) if terms.size else None,
+                mrae_sd=float(terms.std()) if terms.size else None,
+                mrae_skipped=int(np.count_nonzero(excluded)),
                 r_squared=r2,
             )
         )

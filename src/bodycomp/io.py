@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -239,9 +240,14 @@ def read_cohort_csv(path) -> list[SubjectRecord]:
 
 
 def format_number(x: float, sig: int = 6) -> str:
-    """Render a number with 6 significant digits for CSV output."""
+    """Render a number with 6 significant digits for CSV output.
+
+    A NaN or infinite value raises ValueError: no CSV cell reads ``nan``.
+    """
     if x is None:
         return ""
     if isinstance(x, (int, np.integer)):
         return str(int(x))
+    if not math.isfinite(x):
+        raise ValueError(f"refusing to write the non-finite number {x!r}")
     return f"{x:.{sig}g}"

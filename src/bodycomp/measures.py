@@ -1,16 +1,20 @@
 """The four body-composition metrics in 2D and 3D.
 
-All measurements run on the merged mask: the muscular-fat policy is
-applied before anything is counted. Areas are cm² (pixel area sx*sy/100),
-volumes cm³ (voxel volume sx*sy*sz/1000), densities are mean HU.
+All measurements count tissue after the muscular-fat policy is applied.
+The policy is applied as a selection of codes (``policy_codes``): the
+target tissue's codes plus the muscular-fat codes, read over the
+measured region only, never as a merged copy of the volume. Areas are
+cm² (pixel area sx*sy/100), volumes cm³ (voxel volume sx*sy*sz/1000),
+densities are mean HU.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyRegionError, UndefinedRatioError
+from .errors import EmptyRegionError, NonFiniteHUError, UndefinedRatioError
 from .model import (
+    MUSCULAR_FAT,
     SAT,
     SKELETAL_MUSCLE,
     VAT,
@@ -19,9 +23,11 @@ from .model import (
     MergePolicy,
     SubjectRecord,
     VoxelVolume,
-    apply_merge_policy,
+    merge_target,
     require_hu,
     require_same_geometry,
+    require_tissue_vocabulary,
+    select_codes,
     vertebra_label,
 )
 from .regions import (
@@ -35,14 +41,30 @@ from .regions import (
 )
 
 
-def _binary_in(mask: LabelVolume, label_name: str, sl: slice) -> np.ndarray:
-    # binarize only the region slab; full-volume scans are wasteful on
-    # CT-sized grids
+def policy_codes(mask: LabelVolume, label_name: str, policy: MergePolicy) -> list[int]:
+    """Codes of ``mask`` that count as ``label_name`` once ``policy`` is applied.
+
+    This is the merge as a selection: the target tissue gains the
+    muscular-fat codes and muscular fat keeps none, so no merged copy of
+    the volume is made. ``SEPARATE`` leaves the label's own codes.
+    """
+    target = merge_target(policy)
+    if target is None:
+        return mask.codes_for(label_name)
+    require_tissue_vocabulary(mask)
+    if label_name == MUSCULAR_FAT:
+        return []
     codes = mask.codes_for(label_name)
-    region_codes = mask.codes[sl]
-    if len(codes) == 1:
-        return region_codes == codes[0]
-    return np.isin(region_codes, codes)
+    if label_name == target:
+        codes += mask.codes_for(MUSCULAR_FAT)
+    return codes
+
+
+def _counts(
+    mask: LabelVolume, label_name: str, region: MeasurementRegion, policy: MergePolicy
+) -> np.ndarray:
+    codes = policy_codes(mask, label_name, policy)
+    return mask.slice_counts(codes, region_slice(region, mask.nz))
 
 
 def muscle_density(
@@ -51,23 +73,24 @@ def muscle_density(
     region: MeasurementRegion,
     policy: MergePolicy = MergePolicy.MUSCLE,
 ) -> float:
-    """Mean HU over skeletal-muscle voxels (post-policy) within the region."""
+    """Mean HU over skeletal-muscle voxels (post-policy) within the region.
+
+    A NaN or infinite HU value among those voxels raises NonFiniteHUError.
+    """
     require_hu(hu)
     require_same_geometry(hu, mask)
-    merged = apply_merge_policy(mask, policy)
+    require_tissue_vocabulary(mask)
     sl = region_slice(region, mask.nz)
-    selected = _binary_in(merged, SKELETAL_MUSCLE, sl)
+    selected = select_codes(mask.codes[sl], policy_codes(mask, SKELETAL_MUSCLE, policy))
     vals = hu.values[sl][selected]
     if vals.size == 0:
         raise EmptyRegionError("no skeletal-muscle voxels in the requested region")
-    return float(vals.mean(dtype=np.float64))
-
-
-def tissue_area_2d(mask: LabelVolume, label_name: str, slice_z: int) -> float:
-    """Cross-sectional area of a label on one slice, in cm²."""
-    sl = region_slice(SingleSlice(slice_z), mask.nz)
-    count = np.count_nonzero(_binary_in(mask, label_name, sl))
-    return count * mask.pixel_area_cm2
+    # a float64 sum of float32 values cannot overflow: only a non-finite
+    # voxel makes the mean non-finite
+    density = float(vals.mean(dtype=np.float64))
+    if not np.isfinite(density):
+        raise NonFiniteHUError("NaN or infinite HU among the skeletal-muscle voxels")
+    return density
 
 
 def slice_thickness_mm(geometry) -> np.ndarray:
@@ -90,28 +113,56 @@ def slice_thickness_mm(geometry) -> np.ndarray:
     return thickness
 
 
-def tissue_volume_3d(
-    mask: LabelVolume, label_name: str, region: SliceRange | AllSlices
+def tissue_measure_from_counts(
+    counts: np.ndarray, geometry, region: MeasurementRegion
 ) -> float:
-    """Volume of a label over a slice range, in cm³.
+    """Area (single slice, cm²) or volume (cm³) from per-slice voxel counts.
 
-    Uniform spacing: voxel count times sx*sy*sz/1000. With per-slice z
+    ``counts`` holds one count per slice of ``region``. Uniform spacing
+    gives count times sx*sy/100 or sx*sy*sz/1000; with per-slice z
     positions each slice contributes its local thickness instead.
     """
-    sl = region_slice(region, mask.nz)
-    binary = _binary_in(mask, label_name, sl)
-    if mask.z_positions_mm is None:
-        return int(np.count_nonzero(binary)) * mask.voxel_volume_cm3
-    counts = np.count_nonzero(binary.reshape(binary.shape[0], -1), axis=1)
-    sx, sy, _ = mask.spacing_mm
-    thickness = slice_thickness_mm(mask)[sl]
+    if isinstance(region, SingleSlice):
+        return int(counts[0]) * geometry.pixel_area_cm2
+    if geometry.z_positions_mm is None:
+        return int(counts.sum()) * geometry.voxel_volume_cm3
+    sx, sy, _ = geometry.spacing_mm
+    thickness = slice_thickness_mm(geometry)[region_slice(region, geometry.nz)]
     return float(np.sum(counts * thickness) * sx * sy / 1000.0)
 
 
-def _tissue_measure(mask: LabelVolume, label_name: str, region: MeasurementRegion):
-    if isinstance(region, SingleSlice):
-        return tissue_area_2d(mask, label_name, region.z)
-    return tissue_volume_3d(mask, label_name, region)
+def tissue_area_2d(
+    mask: LabelVolume,
+    label_name: str,
+    slice_z: int,
+    policy: MergePolicy = MergePolicy.SEPARATE,
+) -> float:
+    """Cross-sectional area of a label (post-policy) on one slice, in cm²."""
+    region = SingleSlice(slice_z)
+    return tissue_measure_from_counts(_counts(mask, label_name, region, policy), mask, region)
+
+
+def tissue_volume_3d(
+    mask: LabelVolume,
+    label_name: str,
+    region: SliceRange | AllSlices,
+    policy: MergePolicy = MergePolicy.SEPARATE,
+) -> float:
+    """Volume of a label (post-policy) over a slice range, in cm³."""
+    return tissue_measure_from_counts(_counts(mask, label_name, region, policy), mask, region)
+
+
+def vat_sat_ratio_from_counts(
+    vat_counts: np.ndarray, sat_counts: np.ndarray, geometry, region: MeasurementRegion
+) -> float:
+    """VAT measure over SAT measure, from per-slice counts of ``region``.
+
+    A zero SAT measure raises UndefinedRatioError; zero VAT yields 0.0.
+    """
+    sat = tissue_measure_from_counts(sat_counts, geometry, region)
+    if sat == 0:
+        raise UndefinedRatioError("SAT measure is zero in the requested region")
+    return tissue_measure_from_counts(vat_counts, geometry, region) / sat
 
 
 def vat_sat_ratio(
@@ -124,12 +175,9 @@ def vat_sat_ratio(
     Uses areas for a single-slice region and volumes otherwise. A zero
     SAT measure raises UndefinedRatioError; zero VAT yields 0.0.
     """
-    merged = apply_merge_policy(mask, policy)
-    sat = _tissue_measure(merged, SAT, region)
-    if sat == 0:
-        raise UndefinedRatioError("SAT measure is zero in the requested region")
-    vat = _tissue_measure(merged, VAT, region)
-    return vat / sat
+    require_tissue_vocabulary(mask)
+    vat, sat = (_counts(mask, n, region, policy) for n in (VAT, SAT))
+    return vat_sat_ratio_from_counts(vat, sat, mask, region)
 
 
 def smi(area_cm2: float, height_m: float) -> float:
@@ -160,21 +208,19 @@ def measure_subject(
     region_2d = SingleSlice(l3)
     region_3d = region_t12_l4(vertebra_mask)
 
-    merged = apply_merge_policy(tissue_mask, policy)
-    # pass SEPARATE below: the mask is already merged, avoid re-merging
-    done = MergePolicy.SEPARATE
-    area_2d = tissue_area_2d(merged, SKELETAL_MUSCLE, l3)
+    require_tissue_vocabulary(tissue_mask)
+    area_2d = tissue_area_2d(tissue_mask, SKELETAL_MUSCLE, l3, policy)
     result = BodyCompResult(
         subject_id=subject.subject_id,
         policy=policy,
         region_2d=l3,
         region_3d=(region_3d.z_lo, region_3d.z_hi),
-        muscle_density_2d=muscle_density(hu, merged, region_2d, done),
-        muscle_density_3d=muscle_density(hu, merged, region_3d, done),
-        vat_sat_ratio_2d=vat_sat_ratio(merged, region_2d, done),
-        vat_sat_ratio_3d=vat_sat_ratio(merged, region_3d, done),
+        muscle_density_2d=muscle_density(hu, tissue_mask, region_2d, policy),
+        muscle_density_3d=muscle_density(hu, tissue_mask, region_3d, policy),
+        vat_sat_ratio_2d=vat_sat_ratio(tissue_mask, region_2d, policy),
+        vat_sat_ratio_3d=vat_sat_ratio(tissue_mask, region_3d, policy),
         muscle_area_2d=area_2d,
-        muscle_volume_3d=tissue_volume_3d(merged, SKELETAL_MUSCLE, region_3d),
+        muscle_volume_3d=tissue_volume_3d(tissue_mask, SKELETAL_MUSCLE, region_3d, policy),
         smi_2d=smi(area_2d, subject.height_m) if subject.height_m is not None else None,
     )
     return result

@@ -116,6 +116,11 @@ class VoxelVolume:
     def __post_init__(self):
         values = np.asarray(self.values)
         _validate_grid(values.shape, self.spacing_mm, self.z_positions_mm)
+        if not (np.isfinite(self.rescale_slope) and np.isfinite(self.rescale_intercept)):
+            raise ValueError(
+                f"rescale slope and intercept must be finite, got "
+                f"{self.rescale_slope} and {self.rescale_intercept}"
+            )
         if self.unit_state is UnitState.RAW:
             if not np.issubdtype(values.dtype, np.integer):
                 raise ValueError("raw volumes must hold integer values")
@@ -150,6 +155,17 @@ class VoxelVolume:
     def voxel_volume_cm3(self) -> float:
         sx, sy, sz = self.spacing_mm
         return sx * sy * sz / 1000.0
+
+
+def select_codes(codes: np.ndarray, wanted: list[int]) -> np.ndarray:
+    """Boolean mask of the entries of ``codes`` equal to one of ``wanted``."""
+    # an OR of equalities is several times faster than np.isin on uint8
+    if not wanted:
+        return np.zeros(codes.shape, dtype=bool)
+    selected = codes == wanted[0]
+    for code in wanted[1:]:
+        selected |= codes == code
+    return selected
 
 
 @dataclass(frozen=True)
@@ -228,10 +244,16 @@ class LabelVolume:
 
     def binary(self, label_name: str) -> np.ndarray:
         """Boolean mask of voxels carrying ``label_name``."""
-        codes = self.codes_for(label_name)
-        if len(codes) == 1:
-            return self.codes == codes[0]
-        return np.isin(self.codes, codes)
+        return select_codes(self.codes, self.codes_for(label_name))
+
+    def slice_counts(self, codes: list[int], sl: slice = slice(None)) -> np.ndarray:
+        """Number of voxels with a code in ``codes`` on each slice of ``sl``."""
+        # one plane at a time: no slab-sized mask, and a whole-plane
+        # count_nonzero is several times faster than one along an axis
+        return np.array(
+            [np.count_nonzero(select_codes(plane, codes)) for plane in self.codes[sl]],
+            dtype=np.intp,
+        )
 
 
 @dataclass(frozen=True)
@@ -350,6 +372,11 @@ _POLICY_TARGET = {
 }
 
 
+def merge_target(policy: MergePolicy) -> str | None:
+    """Tissue name that absorbs muscular fat under ``policy``; None for SEPARATE."""
+    return _POLICY_TARGET.get(policy)
+
+
 def apply_merge_policy(mask: LabelVolume, policy: MergePolicy) -> LabelVolume:
     """Relabel muscular-fat voxels according to ``policy``.
 
@@ -361,7 +388,7 @@ def apply_merge_policy(mask: LabelVolume, policy: MergePolicy) -> LabelVolume:
     if policy is MergePolicy.SEPARATE:
         return mask
     mf_codes = mask.codes_for(MUSCULAR_FAT)
-    target = min(mask.codes_for(_POLICY_TARGET[policy]))
+    target = min(mask.codes_for(merge_target(policy)))
     lut = np.arange(256, dtype=np.uint8)
     lut[mf_codes] = target
     return replace(mask, codes=lut[mask.codes])

@@ -58,9 +58,7 @@ def region_slice(region: MeasurementRegion, nz: int) -> slice:
 
 def label_area_per_slice(mask: LabelVolume, label_name: str) -> np.ndarray:
     """Per-slice area of a label in cm² (count times sx*sy/100)."""
-    binary = mask.binary(label_name)
-    counts = np.count_nonzero(binary.reshape(mask.nz, -1), axis=1)
-    return counts * mask.pixel_area_cm2
+    return mask.slice_counts(mask.codes_for(label_name)) * mask.pixel_area_cm2
 
 
 def largest_label_slice(mask: LabelVolume, label_name: str) -> int:

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -122,6 +123,53 @@ def test_measure_batch_partial_failure(tmp_path, capsys):
     assert [r["subject_id"] for r in rows] == ["a1", "a3"]
     err = capsys.readouterr().err
     assert "a2_ct" in err and "1 of 3 inputs failed" in err
+
+
+@pytest.mark.parametrize(
+    "manifest_id, header_id",
+    [("../x", None), ("a/b", None), ("", "../x")],
+)
+def test_measure_rejects_ids_outside_out(tmp_path, capsys, manifest_id, header_id):
+    # the id comes from the manifest, or from the CT header when the
+    # manifest leaves it blank
+    rows = []
+    for sid in ("good", "bad"):
+        ph, paths = write_phantom(tmp_path, sid=sid, nx=24, ny=24, nz=10)
+        if sid == "bad" and header_id is not None:
+            write_volume(replace(ph.ct, subject_id=header_id), paths["ct"])
+        row_id = manifest_id if sid == "bad" else sid
+        rows.append(f"{sid}_ct.bcv,{sid}_tissue.bcv,{sid}_vertebrae.bcv,{row_id}")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("ct,tissue,vertebrae,subject_id\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "deep" / "out"
+    code = main(["measure", "--manifest", str(manifest), "--out", str(out)])
+    assert code == 1
+    assert [r["subject_id"] for r in read_csv(out / "results.csv")] == ["good"]
+    assert sorted(p.name for p in out.iterdir()) == ["good.json", "results.csv"]
+    assert list((tmp_path / "deep").iterdir()) == [out]
+    err = capsys.readouterr().err
+    assert "bad_ct.bcv" in err and "not a valid file name" in err
+
+
+@pytest.mark.parametrize("slope", [1e36, 1e39])
+def test_measure_rejects_rescale_overflowing_float32(tmp_path, capsys, slope):
+    # finite in float64, so the header loads; HU is float32, where
+    # slope * raw (or the slope itself) overflows to inf
+    rows = []
+    for sid in ("good", "bad"):
+        ph, paths = write_phantom(tmp_path, sid=sid, nx=24, ny=24, nz=10)
+        if sid == "bad":
+            write_volume(replace(ph.ct, rescale_slope=slope), paths["ct"])
+        rows.append(f"{sid}_ct.bcv,{sid}_tissue.bcv,{sid}_vertebrae.bcv,{sid}")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("ct,tissue,vertebrae,subject_id\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    code = main(["measure", "--manifest", str(manifest), "--out", str(out)])
+    assert code == 1
+    assert [r["subject_id"] for r in read_csv(out / "results.csv")] == ["good"]
+    assert sorted(p.name for p in out.iterdir()) == ["good.json", "results.csv"]
+    err = capsys.readouterr().err
+    assert "bad_ct.bcv" in err and "infinite HU" in err and "1 of 2 inputs failed" in err
 
 
 def test_measure_policy_changes_muscle_metrics(tmp_path):

@@ -1,25 +1,44 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bodycomp import (
+    AllSlices,
+    BodycompError,
     ConstantInputError,
     GeometryMismatchError,
+    LabelVolume,
     MergePolicy,
+    SingleSlice,
     VertebraNotFoundError,
+    VoxelVolume,
     aggregate_cases,
     apply_merge_policy,
     build_phantom,
     dice,
     evaluate_case,
     evaluate_masks,
+    largest_label_slice,
     metric_pct_difference,
     mrae,
+    muscle_density,
     muscle_density_error_pct,
     pearson_r,
     r_squared,
+    region_t12_l4,
+    tissue_area_2d,
+    tissue_volume_3d,
     to_hu,
+    vat_sat_ratio,
+    vertebra_label,
 )
-from conftest import make_tissue, random_tissue_codes
+from bodycomp.cli import _eval_row
+from bodycomp.evaluation import METRIC_ERROR_NAMES, CaseEvaluation, PairResult
+from bodycomp.regions import region_slice
+from conftest import VERT_MAP, make_tissue, random_tissue_codes
 
 
 # ---- independent reference implementations -------------------------------
@@ -403,6 +422,19 @@ def test_aggregate_r_squared_over_cases(rng):
     assert row.r_squared is not None and row.r_squared <= 1.0
 
 
+def test_non_finite_hu_leaves_density_errors_blank():
+    hu, tissue, vertebrae = _phantom_inputs(nx=32, ny=32, nz=12)
+    values = np.array(hu.values)
+    values[tissue.codes == 1] = np.inf
+    hu = replace(hu, values=values)
+    case = evaluate_case(tissue, tissue, hu, vertebrae)
+    assert case.metric_errors["muscle_density_2d"] is None
+    assert case.metric_errors["muscle_density_3d"] is None
+    assert case.metric_errors["muscle_area_2d"] == 0.0
+    text = aggregate_cases([case]).to_json()
+    assert "NaN" not in text and "Infinity" not in text
+
+
 def test_report_round_trips_to_json():
     hu, tissue, vertebrae = _phantom_inputs(nx=32, ny=32, nz=12)
     report = evaluate_masks(tissue, tissue, hu, vertebrae)
@@ -410,3 +442,165 @@ def test_report_round_trips_to_json():
     assert doc["case_count"] == 1
     assert len(doc["rows"]) == 4 * 3
     assert report.to_json().startswith("{")
+
+
+# ---- joint label table vs the per-label binarization loop ------------------
+
+def _evaluate_case_oracle(gt, pred, hu, vertebrae, policy, regions):
+    """Per-label × per-region ``binary()`` + ``dice()`` loop over merged copies.
+
+    This is how ``evaluate_case`` worked before it read one joint table;
+    regions are given by their canonical names.
+    """
+    region_objs = {}
+    for name in regions:
+        if name == "l3":
+            region_objs[name] = SingleSlice(largest_label_slice(vertebrae, vertebra_label("L3")))
+        elif name == "t12_l4":
+            region_objs[name] = region_t12_l4(vertebrae)
+        else:
+            region_objs[name] = AllSlices()
+    gt_merged = apply_merge_policy(gt, policy)
+    pred_merged = apply_merge_policy(pred, policy)
+    pairs = {}
+    for label in ("skeletal_muscle", "sat", "vat", "muscular_fat"):
+        g_src = gt if label == "muscular_fat" else gt_merged
+        p_src = pred if label == "muscular_fat" else pred_merged
+        g_bin = g_src.binary(label)
+        p_bin = p_src.binary(label)
+        for name, region in region_objs.items():
+            sl = region_slice(region, gt.nz)
+            d = dice(g_bin[sl], p_bin[sl])
+            per_slice = [dice(g, p) for g, p in zip(g_bin[sl], p_bin[sl])]
+            if name == "l3":
+                tq = tissue_area_2d(g_src, label, region.z)
+                pq = tissue_area_2d(p_src, label, region.z)
+            else:
+                tq = tissue_volume_3d(g_src, label, region)
+                pq = tissue_volume_3d(p_src, label, region)
+            pairs[(label, name)] = PairResult(
+                dice=d.value,
+                degenerate=d.degenerate,
+                slice_dices=tuple(s.value for s in per_slice),
+                degenerate_slices=sum(s.degenerate for s in per_slice),
+                truth_quantity=tq,
+                pred_quantity=pq,
+            )
+    metric_errors = {}
+    if vertebrae is not None:
+        metric_errors = _metric_errors_oracle(gt_merged, pred_merged, hu, vertebrae)
+    l3, t12_l4 = region_objs.get("l3"), region_objs.get("t12_l4")
+    return CaseEvaluation(
+        subject_id=gt.subject_id or pred.subject_id,
+        policy=policy,
+        pairs=pairs,
+        metric_errors=metric_errors,
+        region_2d=l3.z if l3 is not None else None,
+        region_3d=(t12_l4.z_lo, t12_l4.z_hi) if t12_l4 is not None else None,
+    )
+
+
+def _metric_errors_oracle(gt_merged, pred_merged, hu, vertebrae):
+    errors = dict.fromkeys(METRIC_ERROR_NAMES)
+    try:
+        l3 = largest_label_slice(vertebrae, vertebra_label("L3"))
+        r3d = region_t12_l4(vertebrae)
+    except VertebraNotFoundError:
+        return errors
+    r2d = SingleSlice(l3)
+    sep = MergePolicy.SEPARATE  # inputs are already merged
+
+    def attempt(name, fn):
+        try:
+            errors[name] = fn()
+        except (BodycompError, ZeroDivisionError):
+            errors[name] = None
+
+    for name, region in (("muscle_density_2d", r2d), ("muscle_density_3d", r3d)):
+        if hu is not None:
+            attempt(name, lambda: muscle_density_error_pct(abs(
+                muscle_density(hu, pred_merged, region, sep)
+                - muscle_density(hu, gt_merged, region, sep)
+            )))
+    for name, region in (("vat_sat_ratio_2d", r2d), ("vat_sat_ratio_3d", r3d)):
+        attempt(name, lambda: metric_pct_difference(
+            vat_sat_ratio(gt_merged, region, sep), vat_sat_ratio(pred_merged, region, sep)
+        ))
+    attempt("muscle_area_2d", lambda: metric_pct_difference(
+        tissue_area_2d(gt_merged, "skeletal_muscle", l3),
+        tissue_area_2d(pred_merged, "skeletal_muscle", l3),
+    ))
+    attempt("muscle_volume_3d", lambda: metric_pct_difference(
+        tissue_volume_3d(gt_merged, "skeletal_muscle", r3d),
+        tissue_volume_3d(pred_merged, "skeletal_muscle", r3d),
+    ))
+    errors["smi_2d"] = errors["muscle_area_2d"]
+    return errors
+
+
+def _random_label_map(rng, max_code):
+    """Every tissue name on one or two codes, maybe a code named "bone"."""
+    names = ["skeletal_muscle", "sat", "vat", "muscular_fat"]
+    names += [n for n in names if rng.random() < 0.3]
+    if rng.random() < 0.5:
+        names.append("bone")
+    codes = rng.choice(np.arange(1, max_code + 1), size=len(names), replace=False)
+    label_map = {int(c): n for c, n in zip(codes, names)}
+    if rng.random() < 0.5:
+        label_map[0] = "background"
+    return label_map
+
+
+def _random_labels(rng, label_map, shape, geometry):
+    codes = rng.choice([0, *label_map], size=shape).astype(np.uint8)
+    return LabelVolume(codes=codes, label_map=label_map, **geometry)
+
+
+@st.composite
+def evaluation_inputs(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    policy = draw(st.sampled_from(list(MergePolicy)))
+    # codes above 16 make the gt*k+pred index need 16 bits
+    max_code = draw(st.sampled_from([9, 15, 40, 255]))
+    with_vertebrae = draw(st.booleans())
+    cases = []
+    for _ in range(draw(st.integers(1, 3))):
+        shape = tuple(int(n) for n in rng.integers(1, 7, size=3))
+        geometry = {"spacing_mm": tuple(rng.uniform(0.3, 3.0, size=3))}
+        if rng.random() < 0.5:
+            steps = rng.uniform(0.5, 4.0, size=shape[0]) * rng.choice([-1, 1])
+            geometry["z_positions_mm"] = tuple(np.cumsum(steps))
+        gt = _random_labels(rng, _random_label_map(rng, max_code), shape, geometry)
+        pred = _random_labels(rng, _random_label_map(rng, max_code), shape, geometry)
+        # slices empty on both sides
+        empty = rng.random(shape[0]) < 0.3
+        gt = replace(gt, codes=np.where(empty[:, None, None], 0, gt.codes))
+        pred = replace(pred, codes=np.where(empty[:, None, None], 0, pred.codes))
+        hu = vertebrae = None
+        regions = ["all"]
+        if with_vertebrae:
+            vert_codes = rng.choice(4, size=shape, p=[0.4, 0.2, 0.2, 0.2]).astype(np.uint8)
+            vertebrae = LabelVolume(codes=vert_codes, label_map=VERT_MAP, **geometry)
+            if all(np.any(vert_codes == c) for c in (1, 2, 3)):
+                regions = ["l3", "t12_l4", "all"]
+            raw = rng.integers(-300, 400, size=shape).astype(np.int16)
+            unit = rng.choice(["hu", "raw", "none"], p=[0.7, 0.15, 0.15])
+            if unit != "none":
+                ct = VoxelVolume(values=raw, rescale_slope=float(rng.choice([1.0, 0.7])), **geometry)
+                hu = to_hu(ct) if unit == "hu" else ct
+        cases.append((gt, pred, hu, vertebrae, policy, regions))
+    return cases
+
+
+@settings(max_examples=300, deadline=None)
+@given(evaluation_inputs())
+def test_joint_table_matches_binarization_loop(cases):
+    got = [evaluate_case(*case) for case in cases]
+    want = [_evaluate_case_oracle(*case) for case in cases]
+    for g, w in zip(got, want):
+        assert g.pairs == w.pairs
+        assert g.metric_errors == w.metric_errors
+        assert (g.region_2d, g.region_3d) == (w.region_2d, w.region_3d)
+    got_report, want_report = aggregate_cases(got), aggregate_cases(want)
+    assert got_report.to_json() == want_report.to_json()
+    assert list(map(_eval_row, got_report.rows)) == list(map(_eval_row, want_report.rows))

@@ -22,6 +22,7 @@ from bodycomp import (
     to_hu,
     write_volume,
 )
+from bodycomp.io import format_number
 from conftest import make_ct, make_tissue, make_vertebrae, random_tissue_codes
 
 
@@ -171,6 +172,23 @@ def test_header_invariant_violation(tmp_path):
     _patch_header(path, z_positions_mm=[0.0])  # wrong length for nz=2
     with pytest.raises(HeaderError):
         read_volume(path)
+
+
+@pytest.mark.parametrize("key", ["rescale_slope", "rescale_intercept"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_rescale_is_header_error(tmp_path, key, value):
+    path = tmp_path / "ct.bcv"
+    write_volume(make_ct(np.zeros((2, 2, 2))), path)
+    _patch_header(path, **{key: value})  # json writes NaN / Infinity literals
+    with pytest.raises(HeaderError, match="finite"):
+        read_volume(path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), np.float32("nan")])
+def test_format_number_refuses_non_finite(value):
+    with pytest.raises(ValueError):
+        format_number(value)
+    assert format_number(1234567.0) == "1.23457e+06"
 
 
 def test_garbage_header_json(tmp_path):

@@ -5,6 +5,7 @@ from bodycomp import (
     AllSlices,
     EmptyRegionError,
     MergePolicy,
+    NonFiniteHUError,
     SingleSlice,
     SliceRange,
     SubjectRecord,
@@ -67,6 +68,43 @@ def test_density_within_hu_bounds(rng):
         d = muscle_density(hu, mask, AllSlices(), MergePolicy.SEPARATE)
         selected = hu_vals[codes == 1]
         assert selected.min() - 1e-5 <= d <= selected.max() + 1e-5
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_density_rejects_non_finite_hu(bad):
+    hu = make_hu([[[10.0, bad, 30.0]]])
+    mask = make_tissue([[[1, 1, 0]]])
+    with pytest.raises(NonFiniteHUError):
+        muscle_density(hu, mask, AllSlices())
+    # a non-finite voxel outside the muscle does not matter
+    assert muscle_density(hu, make_tissue([[[1, 0, 1]]]), AllSlices()) == 20.0
+
+
+@pytest.mark.parametrize("policy", list(MergePolicy))
+def test_policy_selection_matches_merged_copy(rng, policy):
+    # the merge applied as a code selection counts what the merged copy
+    # counts, also when a tissue has several codes
+    label_map = {0: "background", 1: "skeletal_muscle", 2: "sat", 3: "vat",
+                 4: "muscular_fat", 7: "skeletal_muscle", 9: "muscular_fat", 12: "bone"}
+    codes = rng.choice([0, 1, 2, 3, 4, 7, 9, 12], size=(6, 5, 7)).astype(np.uint8)
+    mask = make_tissue(codes, spacing=(0.9, 1.1, 3.0), z=(0, 2, 5, 6, 9, 13), label_map=label_map)
+    merged = apply_merge_policy(mask, policy)
+    hu = make_hu(rng.uniform(-200, 200, size=codes.shape), spacing=(0.9, 1.1, 3.0), z=mask.z_positions_mm)
+    for label in ("skeletal_muscle", "sat", "vat", "muscular_fat"):
+        for z in range(6):
+            assert tissue_area_2d(mask, label, z, policy) == tissue_area_2d(merged, label, z)
+        region = SliceRange(1, 4)
+        assert tissue_volume_3d(mask, label, region, policy) == tissue_volume_3d(merged, label, region)
+    sep = MergePolicy.SEPARATE
+    for region in (SingleSlice(2), SliceRange(0, 5)):
+        assert muscle_density(hu, mask, region, policy) == muscle_density(hu, merged, region, sep)
+        try:
+            expected = vat_sat_ratio(merged, region, sep)
+        except UndefinedRatioError:
+            with pytest.raises(UndefinedRatioError):
+                vat_sat_ratio(mask, region, policy)
+        else:
+            assert vat_sat_ratio(mask, region, policy) == expected
 
 
 def test_area_zero_voxels():

@@ -145,6 +145,9 @@ def test_volumes_are_immutable():
             z_positions_mm=(0.0, 2.0, 2.0),
         ),
         dict(values=np.zeros((2, 2, 2), dtype=np.float32), spacing_mm=(1, 1, 1)),
+        dict(values=np.zeros((2, 2, 2), dtype=np.int16), spacing_mm=(1, 1, 1), rescale_slope=float("nan")),
+        dict(values=np.zeros((2, 2, 2), dtype=np.int16), spacing_mm=(1, 1, 1), rescale_slope=float("inf")),
+        dict(values=np.zeros((2, 2, 2), dtype=np.int16), spacing_mm=(1, 1, 1), rescale_intercept=float("-inf")),
     ],
 )
 def test_voxel_volume_invariants(kwargs):
