@@ -31,7 +31,8 @@ from .evaluation import (
     EVAL_CSV_COLUMNS,
     EvalReport,
     _normalize_regions,
-    evaluate_masks,
+    aggregate_cases,
+    evaluate_case,
 )
 from .io import format_number, read_cohort_csv, read_volume, write_volume
 from .measures import measure_subject
@@ -138,6 +139,15 @@ def _check_subject_id(subject_id: str) -> str:
     return subject_id
 
 
+def _first_duplicate(ids):
+    seen = set()
+    for subject_id in ids:
+        if subject_id in seen:
+            return subject_id
+        seen.add(subject_id)
+    return None
+
+
 def _measure_one(entry: dict, policy: MergePolicy, cohort: dict):
     ct = _read_ct(entry["ct"])
     subject_id = _check_subject_id(
@@ -159,6 +169,13 @@ def cmd_measure(args) -> int:
 
     if args.manifest:
         entries = _load_manifest(args.manifest)
+        duplicate = _first_duplicate(e["subject_id"] for e in entries if e["subject_id"])
+        if duplicate is not None:
+            print(
+                f"measure: duplicate subject_id {duplicate!r} in {args.manifest}",
+                file=sys.stderr,
+            )
+            return 2
     else:
         if not (args.ct and args.tissue and args.vertebrae):
             print("measure: need --ct/--tissue/--vertebrae or --manifest", file=sys.stderr)
@@ -191,12 +208,11 @@ def cmd_measure(args) -> int:
     results = [r for r, _ in outcomes if r is not None]
     failures = [msg for _, msg in outcomes if msg is not None]
 
-    seen = set()
-    for r in results:
-        if r.subject_id in seen:
-            print(f"measure: duplicate subject_id {r.subject_id!r}", file=sys.stderr)
-            return 2
-        seen.add(r.subject_id)
+    # ids taken from .bcv headers are known only now
+    duplicate = _first_duplicate(r.subject_id for r in results)
+    if duplicate is not None:
+        print(f"measure: duplicate subject_id {duplicate!r}", file=sys.stderr)
+        return 2
 
     results.sort(key=lambda r: r.subject_id)
     rows = [_result_row(r) for r in results]
@@ -247,7 +263,10 @@ def cmd_evaluate(args) -> int:
     hu = to_hu(_read_ct(args.ct))
     vertebrae = _read_labels(args.vertebrae) if args.vertebrae else None
 
-    report: EvalReport = evaluate_masks(gt, pred, hu, vertebrae, policy, regions)
+    case = evaluate_case(gt, pred, hu, vertebrae, policy, regions)
+    for metric, reason in case.blank_reasons.items():
+        print(f"evaluate: {metric} error left blank: {reason}", file=sys.stderr)
+    report: EvalReport = aggregate_cases([case])
 
     (out_dir / "eval.json").write_text(report.to_json() + "\n", encoding="utf-8")
     _write_csv(out_dir / "eval.csv", EVAL_CSV_COLUMNS, map(_eval_row, report.rows))
@@ -290,22 +309,13 @@ def cmd_cohort(args) -> int:
 
     results = []
     for path in sorted(results_dir.glob("*.json")):
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        results.append(
-            BodyCompResult(
-                subject_id=doc["subject_id"],
-                policy=_POLICIES[doc["policy"]],
-                region_2d=doc["region_2d"],
-                region_3d=tuple(doc["region_3d"]),
-                muscle_density_2d=doc["muscle_density_2d"],
-                muscle_density_3d=doc["muscle_density_3d"],
-                vat_sat_ratio_2d=doc["vat_sat_ratio_2d"],
-                vat_sat_ratio_3d=doc["vat_sat_ratio_3d"],
-                muscle_area_2d=doc["muscle_area_2d"],
-                muscle_volume_3d=doc["muscle_volume_3d"],
-                smi_2d=doc["smi_2d"],
-            )
-        )
+        try:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            results.append(BodyCompResult.from_dict(doc))
+        except (ValueError, RecursionError) as exc:
+            # a RecursionError is JSON nested too deep to decode
+            print(f"cohort: {path}: {exc}", file=sys.stderr)
+            return 1
     if not results:
         print(f"cohort: no result JSON files in {results_dir}", file=sys.stderr)
         return 2

@@ -27,7 +27,7 @@ muscle density, so 1.79 HU of error reads as 1.00%.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -218,6 +218,8 @@ class CaseEvaluation:
     metric_errors: dict[str, float | None]
     region_2d: int | None = None
     region_3d: tuple[int, int] | None = None
+    # metric -> why its error was left blank, for metrics that were attempted
+    blank_reasons: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -457,14 +459,16 @@ def evaluate_case(
             pairs[(label, name)] = _pair_result(counts, gt, region)
 
     metric_errors: dict[str, float | None] = {}
+    blank_reasons: dict[str, str] = {}
     if vertebrae is not None:
         # without all three levels the metric table is unavailable; the
         # Dice rows of the requested regions stand on their own
-        metric_errors = (
-            dict.fromkeys(METRIC_ERROR_NAMES)
-            if missing
-            else _metric_errors(gt, pred, merged, hu, policy, found["l3"], found["t12_l4"])
-        )
+        if missing:
+            metric_errors = dict.fromkeys(METRIC_ERROR_NAMES)
+        else:
+            metric_errors, blank_reasons = _metric_errors(
+                gt, pred, merged, hu, policy, found["l3"], found["t12_l4"]
+            )
 
     l3, t12_l4 = region_objs.get("l3"), region_objs.get("t12_l4")
     return CaseEvaluation(
@@ -474,17 +478,20 @@ def evaluate_case(
         metric_errors=metric_errors,
         region_2d=l3.z if l3 is not None else None,
         region_3d=(t12_l4.z_lo, t12_l4.z_hi) if t12_l4 is not None else None,
+        blank_reasons=blank_reasons,
     )
 
 
-def _metric_errors(gt, pred, merged, hu, policy, r2d, r3d) -> dict[str, float | None]:
+def _metric_errors(gt, pred, merged, hu, policy, r2d, r3d):
     """Percentage errors of predicted vs ground-truth measurements.
 
     Density errors are normalized to the 179-HU range; the others are
     relative differences against the ground-truth value. SMI error equals
-    the 2D area error because height cancels in the ratio.
+    the 2D area error because height cancels in the ratio. Returns the
+    errors and, for each attempted metric left blank, the reason.
     """
     errors: dict[str, float | None] = dict.fromkeys(METRIC_ERROR_NAMES)
+    reasons: dict[str, str] = {}
     muscle, sat, vat = (_label_counts(merged, n) for n in (SKELETAL_MUSCLE, SAT, VAT))
 
     def density_error(region):
@@ -520,11 +527,13 @@ def _metric_errors(gt, pred, merged, hu, policy, r2d, r3d) -> dict[str, float | 
     for name, fn, region in attempts:
         try:
             errors[name] = fn(region)
-        except (BodycompError, ZeroDivisionError):
-            errors[name] = None
+        except (BodycompError, ZeroDivisionError) as exc:
+            reasons[name] = str(exc) or type(exc).__name__
     # SMI = area / height²; height cancels in the relative error
     errors["smi_2d"] = errors["muscle_area_2d"]
-    return errors
+    if "muscle_area_2d" in reasons:
+        reasons["smi_2d"] = reasons["muscle_area_2d"]
+    return errors, reasons
 
 
 def _mean_sd(values: Sequence[float]) -> tuple[float, float]:

@@ -106,8 +106,19 @@ def _require(header: dict, key: str):
     return header[key]
 
 
+def _require_str(header: dict, key: str, path) -> str:
+    value = _require(header, key)
+    if not isinstance(value, str):
+        raise HeaderError(f"{path}: {key} must be a string, got {value!r}")
+    return value
+
+
 def read_volume(path) -> VoxelVolume | LabelVolume:
-    """Read a `.bcv` file; raw CT volumes load with ``unit_state=Raw``."""
+    """Read a `.bcv` file; raw CT volumes load with ``unit_state=Raw``.
+
+    A malformed file raises a ``VolumeFormatError`` subclass, whatever
+    its bytes.
+    """
     data = Path(path).read_bytes()
     if len(data) >= 4 and data[:4] != MAGIC:
         raise BadMagicError(f"{path}: not a BCV1 file")
@@ -118,15 +129,16 @@ def read_volume(path) -> VoxelVolume | LabelVolume:
         raise TruncatedPayloadError(f"{path}: header truncated")
     try:
         header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and over-long integers
         raise HeaderError(f"{path}: header is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise HeaderError(f"{path}: header must be a JSON object")
 
-    kind = _require(header, "kind")
+    kind = _require_str(header, "kind", path)
     if kind not in _KIND_DTYPE:
         raise UnknownKindError(f"{path}: unknown kind {kind!r}")
-    dtype_name = _require(header, "dtype")
+    dtype_name = _require_str(header, "dtype", path)
     if dtype_name not in _DTYPES:
         raise UnknownDtypeError(f"{path}: unknown dtype {dtype_name!r}")
     if dtype_name != _KIND_DTYPE[kind]:
@@ -161,6 +173,8 @@ def read_volume(path) -> VoxelVolume | LabelVolume:
 
     z_positions = header.get("z_positions_mm")
     subject_id = header.get("subject_id")
+    if subject_id is not None and not isinstance(subject_id, str):
+        raise HeaderError(f"{path}: subject_id must be a string, got {subject_id!r}")
     try:
         if kind == "ct":
             return VoxelVolume(
@@ -173,6 +187,8 @@ def read_volume(path) -> VoxelVolume | LabelVolume:
                 subject_id=subject_id,
             )
         label_map = _require(header, "label_map")
+        if not isinstance(label_map, dict):
+            raise HeaderError(f"{path}: label_map must be a JSON object, got {label_map!r}")
         return LabelVolume(
             codes=values,
             label_map={int(c): str(n) for c, n in label_map.items()},
@@ -180,7 +196,7 @@ def read_volume(path) -> VoxelVolume | LabelVolume:
             z_positions_mm=tuple(z_positions) if z_positions is not None else None,
             subject_id=subject_id,
         )
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise HeaderError(f"{path}: header violates volume invariants: {exc}") from exc
 
 

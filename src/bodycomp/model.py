@@ -11,7 +11,8 @@ so instances can be shared read-only across parallel workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Mapping
 
@@ -318,6 +319,55 @@ class BodyCompResult:
             "smi_2d": self.smi_2d,
         }
 
+    @classmethod
+    def from_dict(cls, doc) -> BodyCompResult:
+        """Rebuild a result from its ``to_dict`` form.
+
+        Raises ValueError naming the missing keys or the first bad one.
+        """
+        if not isinstance(doc, dict):
+            raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+        names = [f.name for f in fields(cls)]
+        missing = [name for name in names if name not in doc]
+        if missing:
+            raise ValueError(f"missing keys {missing}")
+
+        def bad(key: str, what: str) -> ValueError:
+            return ValueError(f"key {key!r} must be {what}, got {doc[key]!r}")
+
+        policies = {p.value: p for p in MergePolicy}
+        if not isinstance(doc["subject_id"], str):
+            raise bad("subject_id", "a string")
+        if not isinstance(doc["policy"], str) or doc["policy"] not in policies:
+            raise bad("policy", f"one of {sorted(policies)}")
+        if not _is_int(doc["region_2d"]):
+            raise bad("region_2d", "an integer")
+        region_3d = doc["region_3d"]
+        if not (
+            isinstance(region_3d, list) and len(region_3d) == 2 and all(map(_is_int, region_3d))
+        ):
+            raise bad("region_3d", "a list of two integers")
+        metrics = names[names.index("region_3d") + 1 :]
+        for key in metrics:
+            if not (_is_finite_number(doc[key]) or (key == "smi_2d" and doc[key] is None)):
+                raise bad(key, "a finite number")
+        return cls(
+            subject_id=doc["subject_id"],
+            policy=policies[doc["policy"]],
+            region_2d=doc["region_2d"],
+            region_3d=tuple(region_3d),
+            **{key: doc[key] for key in metrics},
+        )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    # NaN fails the comparison; so do infinities and ints beyond float range
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
 
 def same_geometry(a, b) -> bool:
     """True when two volumes share dims, spacing, and z positions."""
@@ -350,9 +400,12 @@ def to_hu(vol: VoxelVolume) -> VoxelVolume:
     """
     if vol.unit_state is not UnitState.RAW:
         raise UnitStateError("volume is already in HU")
-    # ufunc-mediated cast; plain astype is much slower on some builds
-    hu = np.multiply(vol.values, np.float32(vol.rescale_slope), dtype=np.float32)
-    hu += np.float32(vol.rescale_intercept)
+    # ufunc-mediated cast; plain astype is much slower on some builds. A
+    # rescale that overflows float32 yields inf HU without a warning: the
+    # measures that read HU raise NonFiniteHUError on it
+    with np.errstate(over="ignore", invalid="ignore"):
+        hu = np.multiply(vol.values, np.float32(vol.rescale_slope), dtype=np.float32)
+        hu += np.float32(vol.rescale_intercept)
     return replace(vol, values=hu, unit_state=UnitState.HU)
 
 

@@ -3,11 +3,19 @@
 ``dilate_sat_to_skin`` grows the SAT label into the skin rim: one pass of
 a 5x5 square dilation per axial slice, adding only pixels that are still
 background and brighter than -800 HU (the body/air boundary). Existing
-labels are never overwritten.
+labels are never overwritten. The square is separable (van Herk 1992;
+Gil & Werman 1993), so the dilation is an OR of shifted views: by ±1 and
+±2 rows, then by ±1 and ±2 columns.
 
 ``muscular_fat_candidates`` marks fat inside a region of interest: pixels
 with HU in [-220, -50], kept only when their 8-connected in-plane
-component has at least 7 pixels (more than six).
+component has at least 7 pixels (more than six). Each slice is labelled
+on a compacted grid of its candidates: their rows and columns in order,
+with every run of empty rows or columns between them shrunk to one, which
+keeps 8-adjacency exactly. Candidates are a small share of a slice, so the
+grid is far smaller than the slice, and component sizes are counted over
+the candidates alone. It is the one function here that needs scipy, and
+imports it when called.
 """
 
 from __future__ import annotations
@@ -15,7 +23,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
-from scipy import ndimage
 
 from .model import (
     BACKGROUND,
@@ -25,6 +32,7 @@ from .model import (
     VoxelVolume,
     require_hu,
     require_same_geometry,
+    select_codes,
 )
 
 SKIN_HU_THRESHOLD = -800.0
@@ -33,8 +41,31 @@ SAT_DILATION_SIZE = 5
 MF_HU_RANGE = (-220.0, -50.0)
 MF_MIN_PIXELS = 7
 
-_SQUARE_5 = np.ones((SAT_DILATION_SIZE, SAT_DILATION_SIZE), dtype=bool)
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
+
+
+def _dilate_square(plane: np.ndarray, radius: int) -> np.ndarray:
+    """Dilation of a 2-D boolean plane by a (2*radius+1)-wide square."""
+    rows = plane.copy()
+    for d in range(1, radius + 1):
+        rows[d:] |= plane[:-d]
+        rows[:-d] |= plane[d:]
+    grown = rows.copy()
+    for d in range(1, radius + 1):
+        grown[:, d:] |= rows[:, :-d]
+        grown[:, :-d] |= rows[:, d:]
+    return grown
+
+
+def _compact(coords: np.ndarray) -> np.ndarray:
+    """Renumber coordinates along one axis: occupied ones keep their order,
+    and each run of empty ones between them shrinks to a single one.
+
+    Two pixels are 8-adjacent iff their rows and their columns each differ
+    by at most one, which this renumbering preserves.
+    """
+    used, inverse = np.unique(coords, return_inverse=True)
+    return np.cumsum(np.minimum(np.diff(used, prepend=used[0]), 2))[inverse]
 
 
 def dilate_sat_to_skin(mask: LabelVolume, hu: VoxelVolume) -> LabelVolume:
@@ -46,17 +77,16 @@ def dilate_sat_to_skin(mask: LabelVolume, hu: VoxelVolume) -> LabelVolume:
     """
     require_hu(hu)
     require_same_geometry(mask, hu)
-    sat_code = min(mask.codes_for(SAT))
-    sat_all = mask.binary(SAT)
+    sat_codes = mask.codes_for(SAT)
     out = mask.codes.copy()
     for k in range(mask.nz):
-        sat = sat_all[k]
+        sat = select_codes(mask.codes[k], sat_codes)
         if not sat.any():
             continue
-        grown = ndimage.binary_dilation(sat, structure=_SQUARE_5)
-        add = grown & (mask.codes[k] == 0) & (hu.values[k] > SKIN_HU_THRESHOLD)
-        if add.any():
-            out[k][add] = sat_code
+        add = _dilate_square(sat, SAT_DILATION_SIZE // 2)
+        add &= mask.codes[k] == 0
+        add &= hu.values[k] > SKIN_HU_THRESHOLD
+        out[k][add] = sat_codes[0]
     return replace(mask, codes=out)
 
 
@@ -72,24 +102,30 @@ def muscular_fat_candidates(
     nonzero voxels of ``roi_mask``, label 8-connected components, and
     retain components of at least ``min_pixels`` pixels.
     """
+    from scipy import ndimage  # only this kernel needs scipy
+
     require_hu(hu)
     require_same_geometry(hu, roi_mask)
     lo, hi = hu_range
-    roi = roi_mask.codes != 0
     out = np.zeros(hu.values.shape, dtype=np.uint8)
+    out_planes = out.reshape(hu.nz, -1)
+    nx = hu.values.shape[2]
+    candidates = np.empty(hu.values.shape[1:], dtype=bool)
+    scratch = np.empty_like(candidates)
     for k in range(hu.nz):
-        candidates = roi[k] & (hu.values[k] >= lo) & (hu.values[k] <= hi)
-        if not candidates.any():
+        np.greater_equal(hu.values[k], lo, out=candidates)
+        candidates &= np.less_equal(hu.values[k], hi, out=scratch)
+        candidates &= np.not_equal(roi_mask.codes[k], 0, out=scratch)
+        flat = np.flatnonzero(candidates)
+        if not flat.size:
             continue
-        labeled, n = ndimage.label(candidates, structure=_EIGHT_CONNECTED)
-        if n == 0:
-            continue
-        # count only foreground pixels; full-slice bincount is slow on
-        # some numpy builds
-        sizes = np.bincount(labeled[candidates], minlength=n + 1)
-        keep = sizes >= min_pixels
-        keep[0] = False
-        out[k][keep[labeled]] = 1
+        ys, xs = np.divmod(flat, nx)
+        ys, xs = _compact(ys), _compact(xs)
+        grid = np.zeros((ys[-1] + 1, xs.max() + 1), dtype=bool)
+        grid[ys, xs] = True
+        labeled, _ = ndimage.label(grid, structure=_EIGHT_CONNECTED)
+        ids = labeled[ys, xs]
+        out_planes[k, flat[np.bincount(ids)[ids] >= min_pixels]] = 1
     return LabelVolume(
         codes=out,
         label_map={0: BACKGROUND, 1: MUSCULAR_FAT},

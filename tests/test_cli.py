@@ -1,11 +1,17 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bodycomp
 from bodycomp import (
+    BodyCompResult,
     MergePolicy,
     SubjectRecord,
     build_phantom,
@@ -17,6 +23,21 @@ from bodycomp import (
 )
 from bodycomp.cli import main
 from conftest import make_tissue, make_vertebrae
+
+
+_RESULT = {
+    "subject_id": "a",
+    "policy": "muscle",
+    "region_2d": 5,
+    "region_3d": [2, 9],
+    "muscle_density_2d": 40.5,
+    "muscle_density_3d": 39.0,
+    "vat_sat_ratio_2d": 0.8,
+    "vat_sat_ratio_3d": 0.9,
+    "muscle_area_2d": 150.0,
+    "muscle_volume_3d": 1350,
+    "smi_2d": 51.9,
+}
 
 
 def write_phantom(tmp_path, sid="p1", **kw):
@@ -363,6 +384,68 @@ def test_cohort_command_writes_reports(tmp_path):
     by_pair = {(r["metric_a"], r["metric_b"]): r for r in corr}
     linear = by_pair[("muscle_area_2d", "muscle_volume_3d")]
     assert float(linear["r"]) == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "doc, reason",
+    [
+        ({"subject_id": "a"}, "missing keys ['policy'"),
+        ([1, 2], "expected a JSON object, got list"),
+        ({**_RESULT, "policy": "fat"}, "key 'policy' must be one of"),
+        ({**_RESULT, "region_3d": [2]}, "key 'region_3d' must be a list of two integers"),
+        ({**_RESULT, "muscle_area_2d": "10"}, "key 'muscle_area_2d' must be a finite number"),
+        ({**_RESULT, "smi_2d": float("nan")}, "key 'smi_2d' must be a finite number"),
+        ("[" * 100000, "maximum recursion depth"),
+        ('{"subject_id": ', "Expecting value"),
+    ],
+)
+def test_cohort_reports_malformed_result_json(tmp_path, capsys, doc, reason):
+    results_dir = tmp_path / "results"
+    results_dir.mkdir()
+    (results_dir / "a.json").write_text(json.dumps(_RESULT))
+    bad = results_dir / "b.json"
+    bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    demo = tmp_path / "demo.csv"
+    demo.write_text("subject_id,age_years,sex,race,height_m\na,60,Female,W,1.7\n")
+    code = main(
+        ["cohort", "--results", str(results_dir), "--demographics", str(demo),
+         "--out", str(tmp_path / "out")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cohort: {bad}: ") and reason in err
+    assert "Traceback" not in err
+
+
+def test_result_json_round_trips_through_from_dict():
+    result = BodyCompResult.from_dict(_RESULT)
+    assert result.to_dict() == _RESULT
+    assert BodyCompResult.from_dict({**_RESULT, "smi_2d": None}).smi_2d is None
+
+
+def test_measure_rejects_duplicate_manifest_ids_before_reading(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("bodycomp.cli._measure_one", lambda *a: calls.append(a))
+    rows = []
+    for sid in ("a1", "a2", "a3"):
+        write_phantom(tmp_path, sid=sid, nx=24, ny=24, nz=10)
+        row_id = "a1" if sid == "a3" else sid
+        rows.append(f"{sid}_ct.bcv,{sid}_tissue.bcv,{sid}_vertebrae.bcv,{row_id}")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("ct,tissue,vertebrae,subject_id\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    code = main(["measure", "--manifest", str(manifest), "--out", str(out), "--jobs", "2"])
+    assert code == 2
+    assert calls == []
+    assert "duplicate subject_id 'a1'" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    src = Path(bodycomp.__file__).parent.parent
+    code = "import sys, bodycomp.cli; sys.exit('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_numbers_use_six_significant_digits(tmp_path):

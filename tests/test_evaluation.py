@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -34,8 +35,9 @@ from bodycomp import (
     to_hu,
     vat_sat_ratio,
     vertebra_label,
+    write_volume,
 )
-from bodycomp.cli import _eval_row
+from bodycomp.cli import _eval_row, main
 from bodycomp.evaluation import METRIC_ERROR_NAMES, CaseEvaluation, PairResult
 from bodycomp.regions import region_slice
 from conftest import VERT_MAP, make_tissue, random_tissue_codes
@@ -422,7 +424,7 @@ def test_aggregate_r_squared_over_cases(rng):
     assert row.r_squared is not None and row.r_squared <= 1.0
 
 
-def test_non_finite_hu_leaves_density_errors_blank():
+def test_non_finite_hu_leaves_density_errors_blank(tmp_path, capsys):
     hu, tissue, vertebrae = _phantom_inputs(nx=32, ny=32, nz=12)
     values = np.array(hu.values)
     values[tissue.codes == 1] = np.inf
@@ -431,8 +433,31 @@ def test_non_finite_hu_leaves_density_errors_blank():
     assert case.metric_errors["muscle_density_2d"] is None
     assert case.metric_errors["muscle_density_3d"] is None
     assert case.metric_errors["muscle_area_2d"] == 0.0
+    assert sorted(case.blank_reasons) == ["muscle_density_2d", "muscle_density_3d"]
     text = aggregate_cases([case]).to_json()
     assert "NaN" not in text and "Infinity" not in text
+
+    # through the CLI: a rescale that overflows float32 HU is reported on
+    # stderr, once per blank metric, and numpy warns about nothing
+    ph = build_phantom(nx=32, ny=32, nz=12)
+    paths = {}
+    for name, vol in (
+        ("ct", replace(ph.ct, rescale_slope=1e36)),
+        ("tissue", ph.tissue),
+        ("vertebrae", ph.vertebrae),
+    ):
+        paths[name] = tmp_path / f"{name}.bcv"
+        write_volume(vol, paths[name])
+    argv = ["evaluate", "--gt", str(paths["tissue"]), "--pred", str(paths["tissue"]),
+            "--ct", str(paths["ct"]), "--vertebrae", str(paths["vertebrae"]),
+            "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"evaluate: {name} error left blank: NaN or infinite HU among the skeletal-muscle voxels"
+        for name in ("muscle_density_2d", "muscle_density_3d")
+    ]
 
 
 def test_report_round_trips_to_json():

@@ -10,6 +10,7 @@ from bodycomp import (
     BadMagicError,
     CohortError,
     HeaderError,
+    LabelVolume,
     Sex,
     TruncatedPayloadError,
     UnknownDtypeError,
@@ -199,6 +200,97 @@ def test_garbage_header_json(tmp_path):
     path.write_bytes(data[:12] + raw + data[12 + header_len :])
     with pytest.raises(HeaderError):
         read_volume(path)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"label_map": [1, 2]},
+        {"label_map": "sat"},
+        {"kind": ["tissue_labels"]},
+        {"dtype": {"u8": 1}},
+        {"subject_id": 5},
+        {"subject_id": ["a"]},
+        {"spacing_mm": [1.0, 1.0, 10**400]},
+    ],
+)
+def test_malformed_header_values_are_header_errors(tmp_path, changes):
+    path = _valid_file(tmp_path)
+    _patch_header(path, **changes)
+    with pytest.raises(HeaderError):
+        read_volume(path)
+
+
+def test_over_long_header_integer_is_header_error(tmp_path):
+    path = _valid_file(tmp_path)
+    data = path.read_bytes()
+    raw = b'{"kind": ' + b"9" * 5000 + b"}"
+    path.write_bytes(data[:4] + struct.pack("<Q", len(raw)) + raw)
+    with pytest.raises(HeaderError):
+        read_volume(path)
+
+
+def _load_or_format_error(path):
+    """read_volume either returns a volume or raises a VolumeFormatError."""
+    try:
+        vol = read_volume(path)
+    except VolumeFormatError:
+        return
+    assert isinstance(vol, (VoxelVolume, LabelVolume))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    ),
+    max_leaves=8,
+)
+_HEADER_KEYS = (
+    "kind", "dtype", "dims", "spacing_mm", "z_positions_mm", "subject_id",
+    "label_map", "rescale_slope", "rescale_intercept",
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.binary(max_size=64) | st.binary(max_size=64).map(lambda b: b"BCV1" + b))
+def test_fuzz_arbitrary_bytes(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "v.bcv"
+    path.write_bytes(data)
+    _load_or_format_error(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["ct", "tissue"]),
+    edits=st.dictionaries(st.sampled_from(_HEADER_KEYS), _JSON | st.just(None), max_size=3),
+    cut=st.integers(0, 8),
+    flip=st.none() | st.tuples(st.integers(0, 10**6), st.integers(1, 255)),
+)
+def test_fuzz_mutated_valid_files(tmp_path_factory, kind, edits, cut, flip):
+    path = tmp_path_factory.mktemp("fuzz") / "v.bcv"
+    if kind == "ct":
+        vol = make_ct(np.arange(8).reshape(2, 2, 2))
+    else:
+        vol = make_tissue(np.ones((2, 2, 2)))
+    write_volume(vol, path)
+    data = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", data[4:12])
+    header = json.loads(data[12 : 12 + header_len])
+    for key, value in edits.items():
+        if value is None:
+            header.pop(key, None)
+        else:
+            header[key] = value
+    raw = json.dumps(header).encode()
+    data = bytearray(data[:4] + struct.pack("<Q", len(raw)) + raw + data[12 + header_len :])
+    if cut:
+        del data[-cut:]
+    if flip is not None:
+        at, bits = flip
+        data[at % len(data)] ^= bits
+    path.write_bytes(bytes(data))
+    _load_or_format_error(path)
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,7 +12,7 @@ from conftest import make_ct, make_hu, make_tissue, random_tissue_codes
 
 # ---- brute-force references -------------------------------------------------
 
-def dilate_oracle_added(codes_slice, hu_slice):
+def dilate_oracle_added(codes_slice, hu_slice, sat_codes=(2,)):
     """Pixels that must be added: background, HU > -800, Chebyshev
     distance <= 2 from an existing SAT pixel (built from the definition
     by stamping 5x5 windows around each SAT pixel)."""
@@ -20,7 +20,7 @@ def dilate_oracle_added(codes_slice, hu_slice):
     near_sat = set()
     for y in range(ny):
         for x in range(nx):
-            if codes_slice[y, x] == 2:
+            if codes_slice[y, x] in sat_codes:
                 for dy in range(-2, 3):
                     for dx in range(-2, 3):
                         yy, xx = y + dy, x + dx
@@ -140,6 +140,48 @@ def test_dilation_matches_brute_force(rng):
         assert np.all(out.codes[codes == 2] == 2)
 
 
+def test_dilation_matches_brute_force_on_stacks(rng):
+    # taller stacks than above; with slices that hold no SAT at all
+    for _ in range(10):
+        shape = (int(rng.integers(6, 10)), int(rng.integers(4, 12)), int(rng.integers(4, 12)))
+        codes = random_tissue_codes(rng, shape, p_zero=0.6)
+        codes[rng.random(shape[0]) < 0.3] = 0
+        hu_vals = rng.uniform(-1100, 200, size=shape).astype(np.float32)
+        out = dilate_sat_to_skin(make_tissue(codes), make_hu(hu_vals))
+        for k in range(shape[0]):
+            got = set(map(tuple, np.argwhere((out.codes[k] == 2) & (codes[k] == 0))))
+            assert got == dilate_oracle_added(codes[k], hu_vals[k])
+        assert np.array_equal(out.codes[codes != 0], codes[codes != 0])
+
+
+def test_dilation_does_not_leak_along_z():
+    # SAT on slice 3 only; the slices above and below are open background
+    # and fat-free, so any z-connectivity would add pixels there
+    codes = np.zeros((7, 9, 9), dtype=np.uint8)
+    codes[3, 4, 4] = 2
+    codes[2, 0, 0] = 3  # VAT on the slice below: not SAT, never grown
+    hu_vals = np.full(codes.shape, -100.0, dtype=np.float32)
+    out = dilate_sat_to_skin(make_tissue(codes), make_hu(hu_vals))
+    changed = np.argwhere(out.codes != codes)
+    assert set(changed[:, 0]) == {3}
+    assert len(changed) == 24
+
+
+def test_dilation_with_two_sat_codes_adds_the_lowest(rng):
+    label_map = {0: "background", 1: "skeletal_muscle", 3: "vat", 5: "sat", 7: "sat"}
+    for _ in range(10):
+        shape = (6, int(rng.integers(4, 12)), int(rng.integers(4, 12)))
+        codes = rng.choice(np.array([1, 3, 5, 7], dtype=np.uint8), size=shape)
+        codes[rng.random(shape) < 0.6] = 0
+        hu_vals = rng.uniform(-1100, 200, size=shape).astype(np.float32)
+        out = dilate_sat_to_skin(make_tissue(codes, label_map=label_map), make_hu(hu_vals))
+        added = (out.codes != codes)
+        assert np.all(out.codes[added] == 5)
+        for k in range(shape[0]):
+            got = set(map(tuple, np.argwhere(added[k])))
+            assert got == dilate_oracle_added(codes[k], hu_vals[k], sat_codes=(5, 7))
+
+
 # ---- muscular_fat_candidates ---------------------------------------------------
 
 def _roi_all(shape):
@@ -202,6 +244,62 @@ def test_mf_matches_brute_force(rng):
         retained = out.codes == 1
         assert np.all(hu_vals[retained] >= -220.0)
         assert np.all(hu_vals[retained] <= -50.0)
+
+
+def _fat_slice(rng, ny, nx):
+    """HU for one slice whose candidates sit on borders, corners, a single
+    row or a single column, at random, or nowhere."""
+    hu = np.full((ny, nx), 50.0, dtype=np.float32)
+    kind = rng.integers(0, 6)
+    if kind == 0:  # empty
+        return hu
+    if kind == 1:  # one row: the first, the last, or inside
+        y = rng.choice([0, ny - 1, int(rng.integers(0, ny))])
+        x0 = int(rng.integers(0, nx))
+        hu[y, x0 : x0 + int(rng.integers(1, nx + 1))] = -100.0
+    elif kind == 2:  # one column
+        x = rng.choice([0, nx - 1, int(rng.integers(0, nx))])
+        y0 = int(rng.integers(0, ny))
+        hu[y0 : y0 + int(rng.integers(1, ny + 1)), x] = -100.0
+    elif kind == 3:  # blocks in the corners
+        for ys in (slice(0, 3), slice(ny - 3, ny)):
+            for xs in (slice(0, 3), slice(nx - 3, nx)):
+                if rng.random() < 0.6:
+                    hu[ys, xs] = -100.0
+    else:  # scattered, border rows and columns included
+        fat = rng.random((ny, nx)) < 0.45
+        hu[fat] = rng.uniform(-220, -50, size=int(fat.sum())).astype(np.float32)
+    return hu
+
+
+def test_mf_matches_brute_force_on_stacks(rng):
+    for _ in range(15):
+        nz, ny, nx = int(rng.integers(6, 10)), int(rng.integers(5, 13)), int(rng.integers(5, 13))
+        hu_vals = np.stack([_fat_slice(rng, ny, nx) for _ in range(nz)])
+        roi_codes = (rng.random((nz, ny, nx)) < 0.9).astype(np.uint8)
+        out = muscular_fat_candidates(make_hu(hu_vals), make_tissue(roi_codes))
+        for k in range(nz):
+            got = set(map(tuple, np.argwhere(out.codes[k] == 1)))
+            assert got == mf_oracle(hu_vals[k], roi_codes[k].astype(bool))
+
+
+def test_mf_components_do_not_join_along_z():
+    # four pixels on each of two adjacent slices: eight in 3-D, four per slice
+    hu_vals = np.full((6, 5, 5), 50.0, dtype=np.float32)
+    hu_vals[2:4, 1:3, 1:3] = -100.0
+    out = muscular_fat_candidates(make_hu(hu_vals), _roi_all((6, 5, 5)))
+    assert np.count_nonzero(out.codes) == 0
+
+
+def test_mf_single_row_and_column_at_the_edges():
+    hu_vals = np.full((6, 8, 9), 50.0, dtype=np.float32)
+    hu_vals[0, 7, 2:9] = -100.0  # last row, up to the right edge
+    hu_vals[1, 0:8, 0] = -100.0  # first column, full height
+    hu_vals[2, 0, 0:6] = -100.0  # first row, six pixels: dropped
+    hu_vals[4, 0, 8] = hu_vals[4, 7, 0] = -100.0  # two lone corners: dropped
+    out = muscular_fat_candidates(make_hu(hu_vals), _roi_all((6, 8, 9)))
+    assert [int(np.count_nonzero(out.codes[k])) for k in range(6)] == [7, 8, 0, 0, 0, 0]
+    assert np.all(out.codes[0, 7, 2:9] == 1) and np.all(out.codes[1, :, 0] == 1)
 
 
 def test_mf_geometry_mismatch():
