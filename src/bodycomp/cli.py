@@ -23,13 +23,15 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
+from enum import Enum
 from pathlib import Path
 
-from .cohort import GROUP_BY_CHOICES, correlation_matrix, group_stats
+from .cohort import GROUP_BY_CHOICES, CorrelationEntry, correlation_matrix, group_stats
 from .errors import BodycompError
 from .evaluation import (
-    EVAL_CSV_COLUMNS,
     EvalReport,
+    EvalRow,
     _normalize_regions,
     aggregate_cases,
     evaluate_case,
@@ -48,21 +50,6 @@ from .model import (
 from .postprocess import dilate_sat_to_skin, muscular_fat_candidates
 from .regions import label_area_per_slice, largest_label_slice
 
-RESULTS_CSV_COLUMNS = (
-    "subject_id",
-    "policy",
-    "region_2d",
-    "region_3d_lo",
-    "region_3d_hi",
-    "muscle_density_2d_hu",
-    "muscle_density_3d_hu",
-    "vat_sat_ratio_2d",
-    "vat_sat_ratio_3d",
-    "muscle_area_2d_cm2",
-    "muscle_volume_3d_cm3",
-    "smi_2d_cm2_m2",
-)
-
 _POLICIES = {p.value: p for p in MergePolicy}
 
 
@@ -71,6 +58,16 @@ def _default_jobs() -> int:
         return max(1, int(os.environ.get("BODYCOMP_JOBS", "1")))
     except ValueError:
         return 1
+
+
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return jobs
 
 
 def _read_ct(path) -> VoxelVolume:
@@ -95,21 +92,30 @@ def _write_csv(path, columns, rows) -> None:
         writer.writerows(rows)
 
 
-def _result_row(result) -> list[str]:
-    return [
-        result.subject_id,
-        result.policy.value,
-        str(result.region_2d),
-        str(result.region_3d[0]),
-        str(result.region_3d[1]),
-        format_number(result.muscle_density_2d),
-        format_number(result.muscle_density_3d),
-        format_number(result.vat_sat_ratio_2d),
-        format_number(result.vat_sat_ratio_3d),
-        format_number(result.muscle_area_2d),
-        format_number(result.muscle_volume_3d),
-        format_number(result.smi_2d) if result.smi_2d is not None else "",
-    ]
+def _csv_columns(cls) -> tuple[str, ...]:
+    """CSV header of a dataclass: one column per field, or per part of a
+    tuple field, suffixed with the field's unit when it has one."""
+    columns = []
+    for f in fields(cls):
+        suffixes = f.metadata.get("parts", (f.metadata.get("unit", ""),))
+        columns += [f"{f.name}_{suffix}" if suffix else f.name for suffix in suffixes]
+    return tuple(columns)
+
+
+def _csv_row(obj) -> list[str]:
+    """CSV cells of a dataclass, in ``_csv_columns`` order: strings as
+    they are, enums by value, numbers by ``format_number`` (None blank)."""
+    cells = []
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        for part in value if isinstance(value, tuple) else (value,):
+            part = part.value if isinstance(part, Enum) else part
+            cells.append(part if isinstance(part, str) else format_number(part))
+    return cells
+
+
+RESULTS_CSV_COLUMNS = _csv_columns(BodyCompResult)
+EVAL_CSV_COLUMNS = _csv_columns(EvalRow)
 
 
 def _load_manifest(path) -> list[dict]:
@@ -215,7 +221,7 @@ def cmd_measure(args) -> int:
         return 2
 
     results.sort(key=lambda r: r.subject_id)
-    rows = [_result_row(r) for r in results]
+    rows = [_csv_row(r) for r in results]
     for result in results:
         doc = json.dumps(result.to_dict(), sort_keys=True, indent=2)
         (out_dir / f"{result.subject_id}.json").write_text(doc + "\n", encoding="utf-8")
@@ -227,24 +233,6 @@ def cmd_measure(args) -> int:
         print(f"measure: {len(failures)} of {len(entries)} inputs failed", file=sys.stderr)
         return 1
     return 0
-
-
-def _eval_row(row) -> list[str]:
-    return [
-        row.label,
-        row.region,
-        str(row.cases),
-        format_number(row.dice_mean),
-        format_number(row.dice_sd),
-        format_number(row.dice_slice_mean),
-        format_number(row.dice_slice_sd),
-        str(row.degenerate_cases),
-        str(row.degenerate_slices),
-        format_number(row.mrae) if row.mrae is not None else "",
-        format_number(row.mrae_sd) if row.mrae_sd is not None else "",
-        str(row.mrae_skipped),
-        format_number(row.r_squared) if row.r_squared is not None else "",
-    ]
 
 
 def cmd_evaluate(args) -> int:
@@ -269,7 +257,7 @@ def cmd_evaluate(args) -> int:
     report: EvalReport = aggregate_cases([case])
 
     (out_dir / "eval.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    _write_csv(out_dir / "eval.csv", EVAL_CSV_COLUMNS, map(_eval_row, report.rows))
+    _write_csv(out_dir / "eval.csv", EVAL_CSV_COLUMNS, map(_csv_row, report.rows))
     return 0
 
 
@@ -331,11 +319,9 @@ def cmd_cohort(args) -> int:
     _write_csv(out_dir / "group_stats.csv", ("group", "metric", "count", "mean", "sd"), group_rows)
 
     entries = correlation_matrix(results)
-    corr_rows = [
-        [e.metric_a, e.metric_b, format_number(e.r) if e.r is not None else "", str(e.n)]
-        for e in entries
-    ]
-    _write_csv(out_dir / "correlations.csv", ("metric_a", "metric_b", "r", "n"), corr_rows)
+    _write_csv(
+        out_dir / "correlations.csv", _csv_columns(CorrelationEntry), map(_csv_row, entries)
+    )
     return 0
 
 
@@ -354,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--cohort", help="demographics CSV (enables SMI)")
     m.add_argument("--policy", choices=sorted(_POLICIES), default="muscle")
     m.add_argument("--out", default="out")
-    m.add_argument("--jobs", type=int, default=_default_jobs())
+    m.add_argument("--jobs", type=_jobs, default=_default_jobs())
     m.set_defaults(func=cmd_measure)
 
     e = sub.add_parser("evaluate", help="evaluate predicted masks against ground truth")

@@ -16,17 +16,7 @@ import numpy as np
 
 from .errors import BodycompError, ConstantInputError
 from .evaluation import pearson_r
-from .model import BodyCompResult, SubjectRecord
-
-METRIC_FIELDS = (
-    "muscle_density_2d",
-    "muscle_density_3d",
-    "vat_sat_ratio_2d",
-    "vat_sat_ratio_3d",
-    "muscle_area_2d",
-    "muscle_volume_3d",
-    "smi_2d",
-)
+from .model import METRIC_FIELDS, BodyCompResult, SubjectRecord
 
 GROUP_BY_CHOICES = ("age_bin", "sex", "race")
 
@@ -147,10 +137,6 @@ class GroupStat:
     flagged: bool  # group size below the configured minimum
 
 
-def _metric_value(result: BodyCompResult, metric: str):
-    return getattr(result, metric)
-
-
 def group_stats(
     results: Sequence[BodyCompResult],
     records: Iterable[SubjectRecord] | Mapping[str, SubjectRecord],
@@ -196,11 +182,7 @@ def group_stats(
         members = grouped[group]
         flagged = len(members) < min_group_size
         for metric in METRIC_FIELDS:
-            vals = [
-                _metric_value(r, metric)
-                for r in members
-                if _metric_value(r, metric) is not None
-            ]
+            vals = [getattr(r, metric) for r in members if getattr(r, metric) is not None]
             if not vals:
                 continue
             # sort before summing so the stats are exactly permutation
@@ -253,8 +235,7 @@ def correlation_matrix(
             raise ValueError(f"unknown metric pair ({a!r}, {b!r})")
         xs, ys = [], []
         for result in results:
-            va = _metric_value(result, a)
-            vb = _metric_value(result, b)
+            va, vb = getattr(result, a), getattr(result, b)
             if va is None or vb is None:
                 continue
             xs.append(va)

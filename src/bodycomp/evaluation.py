@@ -9,16 +9,17 @@ EvalReport with both per-volume and per-slice Dice aggregations.
 
 ``evaluate_case`` reads each label volume once, into a joint table: for
 every slice, the number of voxels with each (ground-truth class,
-predicted class) pair, where the classes are background or any other
-name, skeletal muscle, SAT, VAT and muscular fat. Every per-label,
+predicted class) pair, over the class-table classes of ``measures``
+(background or any other name, then the four tissues). Every per-label,
 per-region number is a sum over that table (Taha & Hanbury 2015): Dice
-per volume and per slice, the degenerate counts, the ground-truth and
-predicted areas and volumes, and the VAT/SAT ratios. The merge policy is
-applied to the table by adding the muscular-fat row and column into the
-target class; muscular fat itself is compared on the unmerged table.
-Areas, volumes and ratios turn those counts into measures with the same
-helpers ``measures`` uses. Only the muscle densities read HU, through
-``measures.muscle_density`` on the L3 slice and the T12-L4 slab.
+per volume and per slice, the degenerate counts, and the ground-truth
+and predicted areas and volumes. The merge policy is applied by folding
+rows and columns with ``measures.policy_classes``, the fold ``measure``
+uses; muscular fat itself is compared on the unmerged table. The
+metric-error table reads the merged table's ground-truth and predicted
+marginals, which are the two masks' policy-applied class tables, through
+``measures.MaskMetrics``, so both sides are measured as ``measure``
+measures them; only the muscle densities read HU.
 
 Muscle-density errors are normalized to the -29..+150 HU range of normal
 muscle density, so 1.79 HU of error reads as 1.00%.
@@ -38,27 +39,25 @@ from .errors import (
     GeometryMismatchError,
     VertebraNotFoundError,
 )
-from .measures import muscle_density, tissue_measure_from_counts, vat_sat_ratio_from_counts
+from .measures import (
+    N_CLASSES,
+    MaskMetrics,
+    code_classes,
+    policy_classes,
+    tissue_class,
+    tissue_measure_from_counts,
+)
 from .model import (
+    METRIC_FIELDS,
     MUSCULAR_FAT,
-    SAT,
-    SKELETAL_MUSCLE,
-    VAT,
+    TISSUE_NAMES,
     LabelVolume,
     MergePolicy,
     VoxelVolume,
-    merge_target,
     require_same_geometry,
     require_tissue_vocabulary,
-    vertebra_label,
 )
-from .regions import (
-    AllSlices,
-    SingleSlice,
-    largest_label_slice,
-    region_slice,
-    region_t12_l4,
-)
+from .regions import AllSlices, measurement_regions, region_slice
 
 # Normal muscle density spans -29 to +150 HU; errors are reported as a
 # percentage of this 179-HU width.
@@ -66,17 +65,7 @@ MUSCLE_DENSITY_RANGE_HU = (-29.0, 150.0)
 _DENSITY_RANGE_WIDTH = MUSCLE_DENSITY_RANGE_HU[1] - MUSCLE_DENSITY_RANGE_HU[0]
 
 REGION_NAMES = ("l3", "t12_l4", "all")
-EVAL_LABELS = (SKELETAL_MUSCLE, SAT, VAT, MUSCULAR_FAT)
-
-METRIC_ERROR_NAMES = (
-    "muscle_density_2d",
-    "muscle_density_3d",
-    "vat_sat_ratio_2d",
-    "vat_sat_ratio_3d",
-    "muscle_area_2d",
-    "muscle_volume_3d",
-    "smi_2d",
-)
+METRIC_ERROR_NAMES = METRIC_FIELDS
 
 
 class DiceResult(NamedTuple):
@@ -278,23 +267,6 @@ class EvalReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
 
 
-EVAL_CSV_COLUMNS = (
-    "label",
-    "region",
-    "cases",
-    "dice_mean",
-    "dice_sd",
-    "dice_slice_mean",
-    "dice_slice_sd",
-    "degenerate_cases",
-    "degenerate_slices",
-    "mrae",
-    "mrae_sd",
-    "mrae_skipped",
-    "r_squared",
-)
-
-
 def _normalize_regions(regions) -> tuple[str, ...]:
     if regions is None:
         return REGION_NAMES
@@ -312,34 +284,8 @@ def _normalize_regions(regions) -> tuple[str, ...]:
     return tuple(dict.fromkeys(canon))
 
 
-# Joint-table classes: 0 is background or any other name, then EVAL_LABELS.
-_N_CLASSES = len(EVAL_LABELS) + 1
-
-
-def _class_of(label_name: str) -> int:
-    return EVAL_LABELS.index(label_name) + 1
-
-
 def _one_hot(classes: np.ndarray) -> np.ndarray:
-    return np.eye(_N_CLASSES, dtype=np.int64)[classes]
-
-
-def _code_classes(mask: LabelVolume) -> np.ndarray:
-    """Joint-table class of each of the 256 codes."""
-    classes = np.zeros(256, dtype=np.intp)
-    for code, name in mask.label_map.items():
-        if name in EVAL_LABELS:
-            classes[code] = _class_of(name)
-    return classes
-
-
-def _policy_classes(policy: MergePolicy) -> np.ndarray:
-    """Class each class is counted under once ``policy`` is applied."""
-    classes = np.arange(_N_CLASSES)
-    target = merge_target(policy)
-    if target is not None:
-        classes[_class_of(MUSCULAR_FAT)] = _class_of(target)
-    return classes
+    return np.eye(N_CLASSES, dtype=np.int64)[classes]
 
 
 def _joint_table(gt: LabelVolume, pred: LabelVolume) -> np.ndarray:
@@ -352,9 +298,9 @@ def _joint_table(gt: LabelVolume, pred: LabelVolume) -> np.ndarray:
     # every code present in a volume is in its label map, or is 0
     k = max(0, *gt.label_map, *pred.label_map) + 1
     dtype = np.uint8 if k * k <= 256 else np.uint16
-    gt_fold = _one_hot(_code_classes(gt)[:k]).T
-    pred_fold = _one_hot(_code_classes(pred)[:k])
-    table = np.empty((gt.nz, _N_CLASSES, _N_CLASSES), dtype=np.int64)
+    gt_fold = _one_hot(code_classes(gt)[:k]).T
+    pred_fold = _one_hot(code_classes(pred)[:k])
+    table = np.empty((gt.nz, N_CLASSES, N_CLASSES), dtype=np.int64)
     index = np.empty(gt.codes.shape[1:], dtype=dtype)
     for z in range(gt.nz):
         np.multiply(gt.codes[z], k, out=index, dtype=dtype)
@@ -376,7 +322,7 @@ class _SliceCounts(NamedTuple):
 
 
 def _label_counts(table: np.ndarray, label_name: str) -> _SliceCounts:
-    c = _class_of(label_name)
+    c = tissue_class(label_name)
     return _SliceCounts(table[:, c, c], table[:, c, :].sum(axis=1), table[:, :, c].sum(axis=1))
 
 
@@ -431,44 +377,40 @@ def evaluate_case(
     # the L3 slice and the T12-L4 range are picked once and serve both the
     # requested regions and the metric-error table
     found: dict[str, object] = {"all": AllSlices()}
-    missing: dict[str, VertebraNotFoundError] = {}
+    missing: dict[str, str] = {}
     if vertebrae is not None:
-        try:
-            found["l3"] = SingleSlice(largest_label_slice(vertebrae, vertebra_label("L3")))
-        except VertebraNotFoundError as exc:
-            missing["l3"] = exc
-        try:
-            found["t12_l4"] = region_t12_l4(vertebrae)
-        except VertebraNotFoundError as exc:
-            missing["t12_l4"] = exc
+        picked, missing = measurement_regions(vertebrae)
+        found.update(picked)
     for name in wanted:
         if name in missing:
-            raise missing[name]
+            raise VertebraNotFoundError(missing[name])
     region_objs = {name: found[name] for name in wanted}
 
     require_tissue_vocabulary(gt)
     require_tissue_vocabulary(pred)
     table = _joint_table(gt, pred)
-    merge = _one_hot(_policy_classes(policy))
+    merge = _one_hot(policy_classes(policy))
     merged = merge.T @ table @ merge
 
     pairs: dict[tuple[str, str], PairResult] = {}
-    for label in EVAL_LABELS:
+    for label in TISSUE_NAMES:
         counts = _label_counts(table if label == MUSCULAR_FAT else merged, label)
         for name, region in region_objs.items():
             pairs[(label, name)] = _pair_result(counts, gt, region)
 
     metric_errors: dict[str, float | None] = {}
     blank_reasons: dict[str, str] = {}
-    if vertebrae is not None:
+    if vertebrae is not None and missing:
         # without all three levels the metric table is unavailable; the
         # Dice rows of the requested regions stand on their own
-        if missing:
-            metric_errors = dict.fromkeys(METRIC_ERROR_NAMES)
-        else:
-            metric_errors, blank_reasons = _metric_errors(
-                gt, pred, merged, hu, policy, found["l3"], found["t12_l4"]
-            )
+        metric_errors = dict.fromkeys(METRIC_ERROR_NAMES)
+        blank_reasons = dict.fromkeys(METRIC_ERROR_NAMES, next(iter(missing.values())))
+    elif vertebrae is not None:
+        metric_errors, blank_reasons = _metric_errors(
+            MaskMetrics(gt, policy, merged.sum(axis=2), found),
+            MaskMetrics(pred, policy, merged.sum(axis=1), found),
+            hu,
+        )
 
     l3, t12_l4 = region_objs.get("l3"), region_objs.get("t12_l4")
     return CaseEvaluation(
@@ -482,57 +424,28 @@ def evaluate_case(
     )
 
 
-def _metric_errors(gt, pred, merged, hu, policy, r2d, r3d):
+def _metric_errors(truth: MaskMetrics, predicted: MaskMetrics, hu):
     """Percentage errors of predicted vs ground-truth measurements.
 
-    Density errors are normalized to the 179-HU range; the others are
-    relative differences against the ground-truth value. SMI error equals
-    the 2D area error because height cancels in the ratio. Returns the
-    errors and, for each attempted metric left blank, the reason.
+    Density errors are normalized to the 179-HU range and are attempted
+    only with a CT; the others are relative differences against the
+    ground-truth value. SMI is measured at a height of 1 m, since the
+    height cancels in its relative error. Returns the errors and, for
+    each attempted metric left blank, the reason.
     """
     errors: dict[str, float | None] = dict.fromkeys(METRIC_ERROR_NAMES)
     reasons: dict[str, str] = {}
-    muscle, sat, vat = (_label_counts(merged, n) for n in (SKELETAL_MUSCLE, SAT, VAT))
-
-    def density_error(region):
-        return muscle_density_error_pct(
-            abs(muscle_density(hu, pred, region, policy) - muscle_density(hu, gt, region, policy))
-        )
-
-    def ratio_error(region):
-        sl = region_slice(region, gt.nz)
-        return metric_pct_difference(
-            vat_sat_ratio_from_counts(vat.truth[sl], sat.truth[sl], gt, region),
-            vat_sat_ratio_from_counts(vat.pred[sl], sat.pred[sl], gt, region),
-        )
-
-    def muscle_error(region):
-        sl = region_slice(region, gt.nz)
-        return metric_pct_difference(
-            tissue_measure_from_counts(muscle.truth[sl], gt, region),
-            tissue_measure_from_counts(muscle.pred[sl], gt, region),
-        )
-
-    attempts = [
-        ("vat_sat_ratio_2d", ratio_error, r2d),
-        ("vat_sat_ratio_3d", ratio_error, r3d),
-        ("muscle_area_2d", muscle_error, r2d),
-        ("muscle_volume_3d", muscle_error, r3d),
-    ]
-    if hu is not None:
-        attempts += [
-            ("muscle_density_2d", density_error, r2d),
-            ("muscle_density_3d", density_error, r3d),
-        ]
-    for name, fn, region in attempts:
+    for name in METRIC_ERROR_NAMES:
+        density = name.startswith("muscle_density")
+        if density and hu is None:
+            continue
         try:
-            errors[name] = fn(region)
+            t, p = truth.metric(name, hu, 1.0), predicted.metric(name, hu, 1.0)
+            errors[name] = (
+                muscle_density_error_pct(abs(p - t)) if density else metric_pct_difference(t, p)
+            )
         except (BodycompError, ZeroDivisionError) as exc:
             reasons[name] = str(exc) or type(exc).__name__
-    # SMI = area / height²; height cancels in the relative error
-    errors["smi_2d"] = errors["muscle_area_2d"]
-    if "muscle_area_2d" in reasons:
-        reasons["smi_2d"] = reasons["muscle_area_2d"]
     return errors, reasons
 
 

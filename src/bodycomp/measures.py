@@ -1,22 +1,41 @@
 """The four body-composition metrics in 2D and 3D.
 
-All measurements count tissue after the muscular-fat policy is applied.
-The policy is applied as a selection of codes (``policy_codes``): the
-target tissue's codes plus the muscular-fat codes, read over the
-measured region only, never as a merged copy of the volume. Areas are
-cm² (pixel area sx*sy/100), volumes cm³ (voxel volume sx*sy*sz/1000),
-densities are mean HU.
+Every count-based measure reads one representation, the per-slice class
+table: the number of voxels of each class on each slice, where column 0
+is background or any other name and columns 1-4 are ``TISSUE_NAMES``.
+The muscular-fat policy is one fold over those classes
+(``policy_classes``): muscular fat is counted under the policy's target
+tissue and nothing else moves. Counting a mask's codes under their
+folded classes (``code_classes``) gives the policy-applied table
+directly, and the same folded classes give the codes whose HU the muscle
+density averages, so no merged copy of a volume is made.
+
+``measure_subject`` counts the tissue mask once, over the T12-L4 range
+together with the L3 slice, and reads every area, volume and VAT/SAT
+ratio from that table through ``MaskMetrics``; ``evaluation`` reads the
+ground-truth and predicted marginals of its joint table through the same
+class. Areas are cm² (pixel area sx*sy/100), volumes cm³ (voxel volume
+sx*sy*sz/1000), densities are mean HU.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .errors import EmptyRegionError, NonFiniteHUError, UndefinedRatioError
+from .errors import (
+    EmptyRegionError,
+    NonFiniteHUError,
+    UndefinedRatioError,
+    VertebraNotFoundError,
+)
 from .model import (
+    METRIC_FIELDS,
     MUSCULAR_FAT,
     SAT,
     SKELETAL_MUSCLE,
+    TISSUE_NAMES,
     VAT,
     BodyCompResult,
     LabelVolume,
@@ -28,43 +47,63 @@ from .model import (
     require_same_geometry,
     require_tissue_vocabulary,
     select_codes,
-    vertebra_label,
 )
 from .regions import (
     AllSlices,
     MeasurementRegion,
     SingleSlice,
     SliceRange,
-    largest_label_slice,
+    measurement_regions,
     region_slice,
-    region_t12_l4,
 )
 
+# Class-table columns: background or any other name, then TISSUE_NAMES.
+N_CLASSES = len(TISSUE_NAMES) + 1
 
-def policy_codes(mask: LabelVolume, label_name: str, policy: MergePolicy) -> list[int]:
-    """Codes of ``mask`` that count as ``label_name`` once ``policy`` is applied.
 
-    This is the merge as a selection: the target tissue gains the
-    muscular-fat codes and muscular fat keeps none, so no merged copy of
-    the volume is made. ``SEPARATE`` leaves the label's own codes.
+def tissue_class(label_name: str) -> int:
+    """Class-table column of a tissue name."""
+    return TISSUE_NAMES.index(label_name) + 1
+
+
+def policy_classes(policy: MergePolicy) -> np.ndarray:
+    """Class each class is counted under once ``policy`` is applied.
+
+    This is the one place a merge policy turns into counts: muscular fat
+    moves to the policy's target tissue; under ``SEPARATE`` nothing moves.
     """
+    classes = np.arange(N_CLASSES)
     target = merge_target(policy)
-    if target is None:
-        return mask.codes_for(label_name)
-    require_tissue_vocabulary(mask)
-    if label_name == MUSCULAR_FAT:
-        return []
-    codes = mask.codes_for(label_name)
-    if label_name == target:
-        codes += mask.codes_for(MUSCULAR_FAT)
-    return codes
+    if target is not None:
+        classes[tissue_class(MUSCULAR_FAT)] = tissue_class(target)
+    return classes
 
 
-def _counts(
-    mask: LabelVolume, label_name: str, region: MeasurementRegion, policy: MergePolicy
+def code_classes(mask: LabelVolume, policy: MergePolicy = MergePolicy.SEPARATE) -> np.ndarray:
+    """Class each of the 256 codes of ``mask`` is counted under once ``policy`` is applied."""
+    classes = np.zeros(256, dtype=np.intp)
+    for code, name in mask.label_map.items():
+        if name in TISSUE_NAMES:
+            classes[code] = tissue_class(name)
+    return policy_classes(policy)[classes]
+
+
+def _codes_of(classes: np.ndarray, column: int) -> list[int]:
+    return np.flatnonzero(classes == column).tolist()
+
+
+def class_table(
+    mask: LabelVolume, sl: slice = slice(None), policy: MergePolicy = MergePolicy.SEPARATE
 ) -> np.ndarray:
-    codes = policy_codes(mask, label_name, policy)
-    return mask.slice_counts(codes, region_slice(region, mask.nz))
+    """Per-slice class counts on the slices of ``sl`` once ``policy`` is applied.
+
+    Returns ``[slices, N_CLASSES]`` int64 counts; each slice's codes are
+    read once.
+    """
+    classes = code_classes(mask, policy)
+    tissues = mask.slice_counts([_codes_of(classes, c) for c in range(1, N_CLASSES)], sl)
+    other = mask.codes[0].size - tissues.sum(axis=1)
+    return np.column_stack([other, tissues])
 
 
 def muscle_density(
@@ -81,8 +120,8 @@ def muscle_density(
     require_same_geometry(hu, mask)
     require_tissue_vocabulary(mask)
     sl = region_slice(region, mask.nz)
-    selected = select_codes(mask.codes[sl], policy_codes(mask, SKELETAL_MUSCLE, policy))
-    vals = hu.values[sl][selected]
+    muscle = _codes_of(code_classes(mask, policy), tissue_class(SKELETAL_MUSCLE))
+    vals = hu.values[sl][select_codes(mask.codes[sl], muscle)]
     if vals.size == 0:
         raise EmptyRegionError("no skeletal-muscle voxels in the requested region")
     # a float64 sum of float32 values cannot overflow: only a non-finite
@@ -131,6 +170,18 @@ def tissue_measure_from_counts(
     return float(np.sum(counts * thickness) * sx * sy / 1000.0)
 
 
+def _tissue_counts(
+    mask: LabelVolume, label_name: str, region: MeasurementRegion, policy: MergePolicy
+) -> np.ndarray:
+    """Per-slice voxel counts of ``label_name`` over ``region`` once ``policy`` is applied."""
+    if merge_target(policy) is not None:
+        require_tissue_vocabulary(mask)
+    codes = mask.codes_for(label_name)
+    if label_name in TISSUE_NAMES:  # a policy moves no other name
+        codes = _codes_of(code_classes(mask, policy), tissue_class(label_name))
+    return mask.slice_counts([codes], region_slice(region, mask.nz))[:, 0]
+
+
 def tissue_area_2d(
     mask: LabelVolume,
     label_name: str,
@@ -139,7 +190,9 @@ def tissue_area_2d(
 ) -> float:
     """Cross-sectional area of a label (post-policy) on one slice, in cm²."""
     region = SingleSlice(slice_z)
-    return tissue_measure_from_counts(_counts(mask, label_name, region, policy), mask, region)
+    return tissue_measure_from_counts(
+        _tissue_counts(mask, label_name, region, policy), mask, region
+    )
 
 
 def tissue_volume_3d(
@@ -149,20 +202,20 @@ def tissue_volume_3d(
     policy: MergePolicy = MergePolicy.SEPARATE,
 ) -> float:
     """Volume of a label (post-policy) over a slice range, in cm³."""
-    return tissue_measure_from_counts(_counts(mask, label_name, region, policy), mask, region)
+    return tissue_measure_from_counts(
+        _tissue_counts(mask, label_name, region, policy), mask, region
+    )
 
 
-def vat_sat_ratio_from_counts(
-    vat_counts: np.ndarray, sat_counts: np.ndarray, geometry, region: MeasurementRegion
-) -> float:
-    """VAT measure over SAT measure, from per-slice counts of ``region``.
+def vat_sat_ratio_from_counts(counts: np.ndarray, geometry, region: MeasurementRegion) -> float:
+    """VAT measure over SAT measure, from the class-table rows of ``region``.
 
     A zero SAT measure raises UndefinedRatioError; zero VAT yields 0.0.
     """
-    sat = tissue_measure_from_counts(sat_counts, geometry, region)
+    sat = tissue_measure_from_counts(counts[:, tissue_class(SAT)], geometry, region)
     if sat == 0:
         raise UndefinedRatioError("SAT measure is zero in the requested region")
-    return tissue_measure_from_counts(vat_counts, geometry, region) / sat
+    return tissue_measure_from_counts(counts[:, tissue_class(VAT)], geometry, region) / sat
 
 
 def vat_sat_ratio(
@@ -176,8 +229,8 @@ def vat_sat_ratio(
     SAT measure raises UndefinedRatioError; zero VAT yields 0.0.
     """
     require_tissue_vocabulary(mask)
-    vat, sat = (_counts(mask, n, region, policy) for n in (VAT, SAT))
-    return vat_sat_ratio_from_counts(vat, sat, mask, region)
+    counts = class_table(mask, region_slice(region, mask.nz), policy)
+    return vat_sat_ratio_from_counts(counts, mask, region)
 
 
 def smi(area_cm2: float, height_m: float) -> float:
@@ -185,6 +238,37 @@ def smi(area_cm2: float, height_m: float) -> float:
     if not height_m > 0:
         raise ValueError(f"height_m must be > 0, got {height_m}")
     return area_cm2 / (height_m * height_m)
+
+
+@dataclass(frozen=True)
+class MaskMetrics:
+    """The ``BodyCompResult`` metrics of one tissue mask under one policy.
+
+    ``counts`` is the mask's policy-applied class table, ``[nz,
+    N_CLASSES]``, counted at least on the slices of ``regions`` (``"l3"``
+    and ``"t12_l4"``, as from ``measurement_regions``). A metric whose
+    name ends in ``_2d`` is read on the L3 slice, one ending in ``_3d``
+    over the T12-L4 range.
+    """
+
+    mask: LabelVolume
+    policy: MergePolicy
+    counts: np.ndarray
+    regions: dict[str, MeasurementRegion]
+
+    def metric(self, name: str, hu: VoxelVolume | None, height_m: float | None) -> float | None:
+        """Metric ``name``; the density reads ``hu``, SMI is None without a height."""
+        region = self.regions["l3" if name.endswith("_2d") else "t12_l4"]
+        if name.startswith("muscle_density"):
+            return muscle_density(hu, self.mask, region, self.policy)
+        counts = self.counts[region_slice(region, self.mask.nz)]
+        if name.startswith("vat_sat_ratio"):
+            return vat_sat_ratio_from_counts(counts, self.mask, region)
+        muscle = counts[:, tissue_class(SKELETAL_MUSCLE)]
+        measure = tissue_measure_from_counts(muscle, self.mask, region)
+        if name.startswith("smi"):
+            return smi(measure, height_m) if height_m is not None else None
+        return measure
 
 
 def measure_subject(
@@ -203,24 +287,22 @@ def measure_subject(
     require_hu(hu)
     require_same_geometry(hu, tissue_mask)
     require_same_geometry(hu, vertebra_mask)
-
-    l3 = largest_label_slice(vertebra_mask, vertebra_label("L3"))
-    region_2d = SingleSlice(l3)
-    region_3d = region_t12_l4(vertebra_mask)
-
+    regions, missing = measurement_regions(vertebra_mask)
+    if missing:
+        raise VertebraNotFoundError(next(iter(missing.values())))
     require_tissue_vocabulary(tissue_mask)
-    area_2d = tissue_area_2d(tissue_mask, SKELETAL_MUSCLE, l3, policy)
-    result = BodyCompResult(
+
+    l3, t12_l4 = regions["l3"], regions["t12_l4"]
+    # one count over the range together with the L3 slice; rows outside
+    # stay 0 and are never read
+    counted = slice(min(l3.z, t12_l4.z_lo), max(l3.z, t12_l4.z_hi) + 1)
+    counts = np.zeros((tissue_mask.nz, N_CLASSES), dtype=np.int64)
+    counts[counted] = class_table(tissue_mask, counted, policy)
+    metrics = MaskMetrics(tissue_mask, policy, counts, regions)
+    return BodyCompResult(
         subject_id=subject.subject_id,
         policy=policy,
-        region_2d=l3,
-        region_3d=(region_3d.z_lo, region_3d.z_hi),
-        muscle_density_2d=muscle_density(hu, tissue_mask, region_2d, policy),
-        muscle_density_3d=muscle_density(hu, tissue_mask, region_3d, policy),
-        vat_sat_ratio_2d=vat_sat_ratio(tissue_mask, region_2d, policy),
-        vat_sat_ratio_3d=vat_sat_ratio(tissue_mask, region_3d, policy),
-        muscle_area_2d=area_2d,
-        muscle_volume_3d=tissue_volume_3d(tissue_mask, SKELETAL_MUSCLE, region_3d, policy),
-        smi_2d=smi(area_2d, subject.height_m) if subject.height_m is not None else None,
+        region_2d=l3.z,
+        region_3d=(t12_l4.z_lo, t12_l4.z_hi),
+        **{name: metrics.metric(name, hu, subject.height_m) for name in METRIC_FIELDS},
     )
-    return result

@@ -12,7 +12,7 @@ so instances can be shared read-only across parallel workers.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Mapping
 
@@ -247,14 +247,21 @@ class LabelVolume:
         """Boolean mask of voxels carrying ``label_name``."""
         return select_codes(self.codes, self.codes_for(label_name))
 
-    def slice_counts(self, codes: list[int], sl: slice = slice(None)) -> np.ndarray:
-        """Number of voxels with a code in ``codes`` on each slice of ``sl``."""
-        # one plane at a time: no slab-sized mask, and a whole-plane
-        # count_nonzero is several times faster than one along an axis
-        return np.array(
-            [np.count_nonzero(select_codes(plane, codes)) for plane in self.codes[sl]],
-            dtype=np.intp,
-        )
+    def slice_counts(self, code_sets: list[list[int]], sl: slice = slice(None)) -> np.ndarray:
+        """Voxels with a code in each of ``code_sets`` on each slice of ``sl``.
+
+        Returns ``[slices, len(code_sets)]`` counts; an empty set counts 0.
+        """
+        planes = self.codes[sl]
+        counts = np.zeros((len(planes), len(code_sets)), dtype=np.int64)
+        wanted = [(k, codes) for k, codes in enumerate(code_sets) if codes]
+        # one plane at a time, every set counted while the plane is in
+        # cache: no slab-sized mask, and a whole-plane count_nonzero is
+        # several times faster than one along an axis
+        for z, plane in enumerate(planes):
+            for k, codes in wanted:
+                counts[z, k] = np.count_nonzero(select_codes(plane, codes))
+        return counts
 
 
 @dataclass(frozen=True)
@@ -286,14 +293,16 @@ class BodyCompResult:
     subject_id: str
     policy: MergePolicy
     region_2d: int
-    region_3d: tuple[int, int]
-    muscle_density_2d: float
-    muscle_density_3d: float
-    vat_sat_ratio_2d: float
-    vat_sat_ratio_3d: float
-    muscle_area_2d: float
-    muscle_volume_3d: float
-    smi_2d: float | None = None
+    # written to CSV as one column per part
+    region_3d: tuple[int, int] = field(metadata={"parts": ("lo", "hi")})
+    # the metrics carry the unit their CSV column is suffixed with
+    muscle_density_2d: float = field(metadata={"unit": "hu"})
+    muscle_density_3d: float = field(metadata={"unit": "hu"})
+    vat_sat_ratio_2d: float = field(metadata={"unit": ""})
+    vat_sat_ratio_3d: float = field(metadata={"unit": ""})
+    muscle_area_2d: float = field(metadata={"unit": "cm2"})
+    muscle_volume_3d: float = field(metadata={"unit": "cm3"})
+    smi_2d: float | None = field(default=None, metadata={"unit": "cm2_m2"})
 
     def __post_init__(self):
         z_lo, z_hi = self.region_3d
@@ -305,19 +314,10 @@ class BodyCompResult:
             raise ValueError("VAT/SAT ratios must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "subject_id": self.subject_id,
-            "policy": self.policy.value,
-            "region_2d": self.region_2d,
-            "region_3d": list(self.region_3d),
-            "muscle_density_2d": self.muscle_density_2d,
-            "muscle_density_3d": self.muscle_density_3d,
-            "vat_sat_ratio_2d": self.vat_sat_ratio_2d,
-            "vat_sat_ratio_3d": self.vat_sat_ratio_3d,
-            "muscle_area_2d": self.muscle_area_2d,
-            "muscle_volume_3d": self.muscle_volume_3d,
-            "smi_2d": self.smi_2d,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["policy"] = self.policy.value
+        doc["region_3d"] = list(self.region_3d)
+        return doc
 
     @classmethod
     def from_dict(cls, doc) -> BodyCompResult:
@@ -327,8 +327,7 @@ class BodyCompResult:
         """
         if not isinstance(doc, dict):
             raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
-        names = [f.name for f in fields(cls)]
-        missing = [name for name in names if name not in doc]
+        missing = [f.name for f in fields(cls) if f.name not in doc]
         if missing:
             raise ValueError(f"missing keys {missing}")
 
@@ -347,17 +346,23 @@ class BodyCompResult:
             isinstance(region_3d, list) and len(region_3d) == 2 and all(map(_is_int, region_3d))
         ):
             raise bad("region_3d", "a list of two integers")
-        metrics = names[names.index("region_3d") + 1 :]
-        for key in metrics:
-            if not (_is_finite_number(doc[key]) or (key == "smi_2d" and doc[key] is None)):
-                raise bad(key, "a finite number")
+        for f in fields(cls):
+            value = doc[f.name]
+            if "unit" in f.metadata and not (
+                _is_finite_number(value) or (value is None and f.default is None)
+            ):
+                raise bad(f.name, "a finite number")
         return cls(
             subject_id=doc["subject_id"],
             policy=policies[doc["policy"]],
             region_2d=doc["region_2d"],
             region_3d=tuple(region_3d),
-            **{key: doc[key] for key in metrics},
+            **{name: doc[name] for name in METRIC_FIELDS},
         )
+
+
+# The seven metrics, in the order of the fields
+METRIC_FIELDS = tuple(f.name for f in fields(BodyCompResult) if "unit" in f.metadata)
 
 
 def _is_int(value) -> bool:

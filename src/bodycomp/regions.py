@@ -58,7 +58,7 @@ def region_slice(region: MeasurementRegion, nz: int) -> slice:
 
 def label_area_per_slice(mask: LabelVolume, label_name: str) -> np.ndarray:
     """Per-slice area of a label in cm² (count times sx*sy/100)."""
-    return mask.slice_counts(mask.codes_for(label_name)) * mask.pixel_area_cm2
+    return mask.slice_counts([mask.codes_for(label_name)])[:, 0] * mask.pixel_area_cm2
 
 
 def largest_label_slice(mask: LabelVolume, label_name: str) -> int:
@@ -86,6 +86,30 @@ def region_t12_l4(vertebrae: LabelVolume) -> SliceRange:
     l4 = largest_label_slice(vertebrae, vertebra_label("L4"))
     lo, hi = min(t12, l4), max(t12, l4)
     return SliceRange(lo, hi, degenerate=(lo == hi))
+
+
+def measurement_regions(
+    vertebrae: LabelVolume,
+) -> tuple[dict[str, MeasurementRegion], dict[str, str]]:
+    """The largest-L3 slice (``"l3"``) and the T12-L4 range (``"t12_l4"``).
+
+    Each region is picked once. A region whose vertebra level is missing
+    is left out of the first dict, and the second gives, under the same
+    name, the message of its VertebraNotFoundError.
+    """
+    # messages, not the exceptions: a stored exception's traceback would
+    # keep this frame, and the callers' volumes, alive until a gc pass
+    found: dict[str, MeasurementRegion] = {}
+    missing: dict[str, str] = {}
+    try:
+        found["l3"] = SingleSlice(largest_label_slice(vertebrae, vertebra_label("L3")))
+    except VertebraNotFoundError as exc:
+        missing["l3"] = str(exc)
+    try:
+        found["t12_l4"] = region_t12_l4(vertebrae)
+    except VertebraNotFoundError as exc:
+        missing["t12_l4"] = str(exc)
+    return found, missing
 
 
 def slice_positions_mm(geometry) -> np.ndarray:

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -508,8 +509,87 @@ def test_jobs_default_comes_from_environment(tmp_path, monkeypatch):
         ["measure", "--ct", "a", "--tissue", "b", "--vertebrae", "c"]
     )
     assert args.jobs == 3
-    monkeypatch.setenv("BODYCOMP_JOBS", "not-a-number")
-    args = build_parser().parse_args(
-        ["measure", "--ct", "a", "--tissue", "b", "--vertebrae", "c"]
+    for value in ("not-a-number", "0", "-2"):
+        monkeypatch.setenv("BODYCOMP_JOBS", value)
+        args = build_parser().parse_args(
+            ["measure", "--ct", "a", "--tissue", "b", "--vertebrae", "c"]
+        )
+        assert args.jobs == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+def test_measure_rejects_a_bad_jobs_value(tmp_path, capsys, jobs):
+    ph, paths = write_phantom(tmp_path, sid="p1", nx=16, ny=16, nz=8)
+    argv = ["measure", "--ct", str(paths["ct"]), "--tissue", str(paths["tissue"]),
+            "--vertebrae", str(paths["vertebrae"]), "--out", str(tmp_path / "out"),
+            "--jobs", jobs]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument --jobs: must be an integer >= 1, got '{jobs}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_reports_why_a_missing_level_blanks_every_metric(tmp_path, capsys):
+    ph, paths = write_phantom(tmp_path, sid="p1", nx=32, ny=32, nz=12)
+    codes = np.asarray(ph.vertebrae.codes).copy()
+    codes[codes == 3] = 0  # no L4
+    write_volume(replace(ph.vertebrae, codes=codes), paths["vertebrae"])
+    out = tmp_path / "eval"
+    code = main(
+        [
+            "evaluate",
+            "--gt", str(paths["tissue"]),
+            "--pred", str(paths["tissue"]),
+            "--ct", str(paths["ct"]),
+            "--vertebrae", str(paths["vertebrae"]),
+            "--regions", "all",
+            "--out", str(out),
+        ]
     )
-    assert args.jobs == 1
+    assert code == 0
+    assert json.loads((out / "eval.json").read_text())["metric_errors"] == []
+    assert capsys.readouterr().err.splitlines() == [
+        f"evaluate: {name} error left blank: label 'vertebrae_L4' has no voxels in volume"
+        for name in bodycomp.METRIC_FIELDS
+    ]
+
+
+def _readme_schema(name):
+    """The column list README "CSV schemas" gives for ``name``, as a header line."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### CSV schemas")[1].split("\n## ")[0]
+    columns = re.search(rf"- `{re.escape(name)}`:[^`]*`([^`]*)`", section).group(1)
+    return ",".join(c.strip() for c in columns.split(",")) + "\n"
+
+
+def test_csv_headers_match_the_readme(tmp_path):
+    headers = {
+        "results.csv": "subject_id,policy,region_2d,region_3d_lo,region_3d_hi,"
+        "muscle_density_2d_hu,muscle_density_3d_hu,vat_sat_ratio_2d,vat_sat_ratio_3d,"
+        "muscle_area_2d_cm2,muscle_volume_3d_cm3,smi_2d_cm2_m2\n",
+        "eval.csv": "label,region,cases,dice_mean,dice_sd,dice_slice_mean,dice_slice_sd,"
+        "degenerate_cases,degenerate_slices,mrae,mrae_sd,mrae_skipped,r_squared\n",
+        "correlations.csv": "metric_a,metric_b,r,n\n",
+    }
+    rows = ["ct,tissue,vertebrae,subject_id"]
+    demo = ["subject_id,age_years,sex,race,height_m"]
+    for sid, nz in (("p1", 12), ("p2", 14)):
+        ph, paths = write_phantom(tmp_path, sid=sid, nx=24, ny=24, nz=nz)
+        rows.append(f"{paths['ct'].name},{paths['tissue'].name},{paths['vertebrae'].name},{sid}")
+        demo.append(f"{sid},40,Male,White,1.70")
+    (tmp_path / "manifest.csv").write_text("\n".join(rows) + "\n")
+    (tmp_path / "demo.csv").write_text("\n".join(demo) + "\n")
+    out = tmp_path / "out"
+    assert main(["measure", "--manifest", str(tmp_path / "manifest.csv"),
+                 "--cohort", str(tmp_path / "demo.csv"), "--out", str(out / "m")]) == 0
+    assert main(["evaluate", "--gt", str(paths["tissue"]), "--pred", str(paths["tissue"]),
+                 "--ct", str(paths["ct"]), "--vertebrae", str(paths["vertebrae"]),
+                 "--out", str(out / "e")]) == 0
+    assert main(["cohort", "--results", str(out / "m"), "--demographics",
+                 str(tmp_path / "demo.csv"), "--min-group", "1", "--out", str(out / "c")]) == 0
+    for name, path in (("results.csv", out / "m"), ("eval.csv", out / "e"),
+                       ("correlations.csv", out / "c")):
+        first = (path / name).read_bytes().split(b"\n")[0] + b"\n"
+        assert first == headers[name].encode()
+        assert _readme_schema(name) == headers[name]

@@ -37,7 +37,7 @@ from bodycomp import (
     vertebra_label,
     write_volume,
 )
-from bodycomp.cli import _eval_row, main
+from bodycomp.cli import _csv_row, main
 from bodycomp.evaluation import METRIC_ERROR_NAMES, CaseEvaluation, PairResult
 from bodycomp.regions import region_slice
 from conftest import VERT_MAP, make_tissue, random_tissue_codes
@@ -628,4 +628,4 @@ def test_joint_table_matches_binarization_loop(cases):
         assert (g.region_2d, g.region_3d) == (w.region_2d, w.region_3d)
     got_report, want_report = aggregate_cases(got), aggregate_cases(want)
     assert got_report.to_json() == want_report.to_json()
-    assert list(map(_eval_row, got_report.rows)) == list(map(_eval_row, want_report.rows))
+    assert list(map(_csv_row, got_report.rows)) == list(map(_csv_row, want_report.rows))

@@ -1,9 +1,17 @@
+import gc
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bodycomp import (
     AllSlices,
+    BodyCompResult,
     EmptyRegionError,
+    LabelVolume,
     MergePolicy,
     NonFiniteHUError,
     SingleSlice,
@@ -11,6 +19,7 @@ from bodycomp import (
     SubjectRecord,
     UndefinedRatioError,
     UnitStateError,
+    VertebraNotFoundError,
     apply_merge_policy,
     build_phantom,
     measure_subject,
@@ -19,9 +28,12 @@ from bodycomp import (
     tissue_area_2d,
     tissue_volume_3d,
     to_hu,
+    largest_label_slice,
+    region_t12_l4,
     vat_sat_ratio,
+    vertebra_label,
 )
-from conftest import make_ct, make_hu, make_tissue, random_tissue_codes
+from conftest import VERT_MAP, make_ct, make_hu, make_tissue, random_tissue_codes
 
 
 def test_density_constant_muscle():
@@ -258,6 +270,29 @@ def test_measure_subject_zero_sat_errors(subject):
         measure_subject(to_hu(ph.ct), mask, ph.vertebrae, subject)
 
 
+def test_missing_level_error_keeps_no_volume_alive(subject):
+    # a batch keeps going after a subject without L3: the error must not
+    # hold that subject's volumes in a reference cycle until a gc pass
+    ph = build_phantom(nx=24, ny=24, nz=10)
+    codes = np.asarray(ph.vertebrae.codes).copy()
+    codes[codes == 2] = 0
+    vertebrae = replace(ph.vertebrae, codes=codes)
+    hu = to_hu(ph.ct)
+    alive = weakref.ref(hu)
+    gc.disable()
+    try:
+        try:
+            measure_subject(hu, ph.tissue, vertebrae, subject)
+        except VertebraNotFoundError as exc:
+            assert str(exc) == "label 'vertebrae_L3' has no voxels in volume"
+        else:
+            pytest.fail("a missing L3 level must raise")
+        del hu
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
 def test_spacing_scale_invariance(subject):
     ph1 = build_phantom(nx=40, ny=40, nz=16, spacing_mm=(1.0, 1.0, 2.0))
     ph2 = build_phantom(nx=40, ny=40, nz=16, spacing_mm=(2.0, 2.0, 4.0))
@@ -278,3 +313,79 @@ def test_merged_muscle_area_dominates_separate(rng):
             assert tissue_area_2d(merged, "skeletal_muscle", k) >= tissue_area_2d(
                 mask, "skeletal_muscle", k
             )
+
+
+# ---- measure_subject vs the per-metric public helpers ---------------------
+
+def _measure_subject_reference(hu, tissue, vertebrae, subject, policy):
+    """``apply_merge_policy`` once, then one public helper per metric.
+
+    Metrics are taken in field order, so the first one that fails gives
+    the error ``measure_subject`` must raise.
+    """
+    l3 = largest_label_slice(vertebrae, vertebra_label("L3"))
+    r2d, r3d = SingleSlice(l3), region_t12_l4(vertebrae)
+    merged = apply_merge_policy(tissue, policy)
+    sep = MergePolicy.SEPARATE
+    area = lambda: tissue_area_2d(merged, "skeletal_muscle", l3, sep)  # noqa: E731
+    metrics = {
+        "muscle_density_2d": lambda: muscle_density(hu, merged, r2d, sep),
+        "muscle_density_3d": lambda: muscle_density(hu, merged, r3d, sep),
+        "vat_sat_ratio_2d": lambda: vat_sat_ratio(merged, r2d, sep),
+        "vat_sat_ratio_3d": lambda: vat_sat_ratio(merged, r3d, sep),
+        "muscle_area_2d": area,
+        "muscle_volume_3d": lambda: tissue_volume_3d(merged, "skeletal_muscle", r3d, sep),
+        "smi_2d": lambda: None if subject.height_m is None else smi(area(), subject.height_m),
+    }
+    return BodyCompResult(
+        subject_id=subject.subject_id,
+        policy=policy,
+        region_2d=l3,
+        region_3d=(r3d.z_lo, r3d.z_hi),
+        **{name: fn() for name, fn in metrics.items()},
+    )
+
+
+# two codes per tissue and a code for a name outside the tissue vocabulary
+_NON_CANONICAL_MAP = {0: "background", 1: "skeletal_muscle", 2: "sat", 3: "vat",
+                      4: "muscular_fat", 7: "skeletal_muscle", 8: "sat", 9: "muscular_fat",
+                      11: "vat", 12: "bone"}
+
+
+@st.composite
+def subject_inputs(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nz = draw(st.integers(1, 8))
+    shape = (nz, int(rng.integers(3, 7)), int(rng.integers(3, 7)))
+    # any three peak slices: the L3 slice may fall outside the T12-L4
+    # range, and T12 and L4 may share a slice (a degenerate range)
+    t12, l3, l4 = (draw(st.integers(0, nz - 1)) for _ in range(3))
+    geometry = {"spacing_mm": tuple(rng.uniform(0.3, 3.0, size=3))}
+    if draw(st.booleans()):
+        steps = rng.uniform(0.5, 4.0, size=nz) * rng.choice([-1, 1])
+        geometry["z_positions_mm"] = tuple(np.cumsum(steps))
+    label_map = _NON_CANONICAL_MAP if draw(st.booleans()) else {
+        0: "background", 1: "skeletal_muscle", 2: "sat", 3: "vat", 4: "muscular_fat"}
+    codes = rng.choice(list(label_map), size=shape).astype(np.uint8)
+    tissue = LabelVolume(codes=codes, label_map=label_map, **geometry)
+    vert = np.zeros(shape, dtype=np.uint8)
+    for column, (code, z) in enumerate(((1, t12), (2, l3), (3, l4))):
+        vert[z, 0, column] = code
+    vertebrae = LabelVolume(codes=vert, label_map=VERT_MAP, **geometry)
+    hu = make_hu(rng.uniform(-200, 200, size=shape), geometry["spacing_mm"],
+                 geometry.get("z_positions_mm"))
+    height = draw(st.sampled_from([None, 1.0, 1.73]))
+    subject = SubjectRecord("s", 50.0, height_m=height)
+    return hu, tissue, vertebrae, subject, draw(st.sampled_from(list(MergePolicy)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(subject_inputs())
+def test_measure_subject_matches_per_metric_reference(inputs):
+    try:
+        want = _measure_subject_reference(*inputs)
+    except (EmptyRegionError, UndefinedRatioError) as exc:
+        with pytest.raises(type(exc), match=str(exc)):
+            measure_subject(*inputs)
+        return
+    assert measure_subject(*inputs) == want
