@@ -2,9 +2,9 @@
 Measuring body composition on a synthetic phantom
 ==================================================
 
-Builds a phantom volume with exactly known tissue geometry, converts the
-raw CT counts to Hounsfield Units, and measures all four metrics on the
-vertebra-defined regions.
+Builds a phantom volume with exactly known tissue geometry and measures
+all four metrics on the vertebra-defined regions, straight from the raw CT
+counts: the measures convert to Hounsfield Units only the voxels they read.
 """
 
 import numpy as np
@@ -14,7 +14,6 @@ from bodycomp import (
     SubjectRecord,
     build_phantom,
     measure_subject,
-    to_hu,
 )
 
 # The phantom stacks a muscle ring, an SAT ring, a central VAT disk, and
@@ -25,15 +24,17 @@ print("volume dims (nx, ny, nz):", phantom.ct.dims)
 print("vertebra peaks: T12 =", phantom.t12_slice, " L3 =", phantom.l3_slice,
       " L4 =", phantom.l4_slice)
 
-# Raw scanner counts become HU through the rescale slope/intercept.
-hu = to_hu(phantom.ct)
-print("raw value range:", int(phantom.ct.values.min()), "..", int(phantom.ct.values.max()))
-print("HU range:", float(hu.values.min()), "..", float(hu.values.max()))
+# Raw scanner counts become HU through the rescale slope/intercept. The
+# measures take the CT as read; to_hu is needed only for a full HU array.
+ct = phantom.ct
+print("raw value range:", int(ct.values.min()), "..", int(ct.values.max()))
+print(f"raw {ct.values[0, 0, 0]} at the corner is {float(ct.hu_at((0, 0, 0)))} HU "
+      f"(slope {ct.rescale_slope}, intercept {ct.rescale_intercept})")
 
 # Height enables the skeletal muscle index (area / height^2).
 subject = SubjectRecord("demo-01", age_years=62.0, height_m=1.68)
 
-result = measure_subject(hu, phantom.tissue, phantom.vertebrae, subject)
+result = measure_subject(ct, phantom.tissue, phantom.vertebrae, subject)
 print()
 print("2D measurements on the largest-L3 slice (index", result.region_2d, "):")
 print(f"  muscle density : {result.muscle_density_2d:8.2f} HU")
@@ -49,7 +50,7 @@ print(f"  muscle volume  : {result.muscle_volume_3d:8.2f} cm^3")
 # muscular fat separate shrinks the muscle compartment and raises its
 # mean density (the fat streaks sit well below muscle HU).
 separate = measure_subject(
-    hu, phantom.tissue, phantom.vertebrae, subject, MergePolicy.SEPARATE
+    ct, phantom.tissue, phantom.vertebrae, subject, MergePolicy.SEPARATE
 )
 print()
 print("policy comparison on the L3 slice:")

@@ -44,7 +44,6 @@ from .model import (
     MergePolicy,
     SubjectRecord,
     VoxelVolume,
-    to_hu,
     vertebra_label,
 )
 from .postprocess import dilate_sat_to_skin, muscular_fat_candidates
@@ -164,8 +163,7 @@ def _measure_one(entry: dict, policy: MergePolicy, cohort: dict):
     record = cohort.get(subject_id)
     if record is None:
         record = SubjectRecord(subject_id=subject_id, age_years=0.0)
-    hu = to_hu(ct)
-    return measure_subject(hu, tissue, vertebrae, record, policy)
+    return measure_subject(ct, tissue, vertebrae, record, policy)
 
 
 def cmd_measure(args) -> int:
@@ -248,10 +246,10 @@ def cmd_evaluate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     gt = _read_labels(args.gt)
     pred = _read_labels(args.pred)
-    hu = to_hu(_read_ct(args.ct))
+    ct = _read_ct(args.ct)
     vertebrae = _read_labels(args.vertebrae) if args.vertebrae else None
 
-    case = evaluate_case(gt, pred, hu, vertebrae, policy, regions)
+    case = evaluate_case(gt, pred, ct, vertebrae, policy, regions)
     for metric, reason in case.blank_reasons.items():
         print(f"evaluate: {metric} error left blank: {reason}", file=sys.stderr)
     report: EvalReport = aggregate_cases([case])
@@ -271,12 +269,12 @@ def cmd_select_slice(args) -> int:
 
 
 def cmd_postprocess(args) -> int:
-    hu = to_hu(_read_ct(args.ct))
+    ct = _read_ct(args.ct)
     mask = _read_labels(args.mask)
     if args.mode == "sat-skin":
-        out = dilate_sat_to_skin(mask, hu)
+        out = dilate_sat_to_skin(mask, ct)
     else:
-        out = muscular_fat_candidates(hu, mask)
+        out = muscular_fat_candidates(ct, mask)
     write_volume(out, args.out)
     return 0
 

@@ -346,7 +346,7 @@ def _pair_result(counts: _SliceCounts, geometry, region) -> PairResult:
 def evaluate_case(
     gt: LabelVolume,
     pred: LabelVolume,
-    hu: VoxelVolume | None = None,
+    ct: VoxelVolume | None = None,
     vertebrae: LabelVolume | None = None,
     policy: MergePolicy = MergePolicy.MUSCLE,
     regions: Iterable[str] | None = None,
@@ -356,11 +356,12 @@ def evaluate_case(
     Muscle, SAT, and VAT are compared after the merge policy is applied to
     both volumes; muscular fat is always compared in its separate form.
     Without a vertebrae volume only the all-slices region is evaluated and
-    the metric-error table is skipped.
+    the metric-error table is skipped. ``ct`` is raw or HU, as read, and
+    only the muscle densities read it.
     """
     require_same_geometry(gt, pred)
-    if hu is not None:
-        require_same_geometry(gt, hu)
+    if ct is not None:
+        require_same_geometry(gt, ct)
     if vertebrae is not None:
         require_same_geometry(gt, vertebrae)
 
@@ -409,7 +410,7 @@ def evaluate_case(
         metric_errors, blank_reasons = _metric_errors(
             MaskMetrics(gt, policy, merged.sum(axis=2), found),
             MaskMetrics(pred, policy, merged.sum(axis=1), found),
-            hu,
+            ct,
         )
 
     l3, t12_l4 = region_objs.get("l3"), region_objs.get("t12_l4")
@@ -424,7 +425,7 @@ def evaluate_case(
     )
 
 
-def _metric_errors(truth: MaskMetrics, predicted: MaskMetrics, hu):
+def _metric_errors(truth: MaskMetrics, predicted: MaskMetrics, ct):
     """Percentage errors of predicted vs ground-truth measurements.
 
     Density errors are normalized to the 179-HU range and are attempted
@@ -437,10 +438,10 @@ def _metric_errors(truth: MaskMetrics, predicted: MaskMetrics, hu):
     reasons: dict[str, str] = {}
     for name in METRIC_ERROR_NAMES:
         density = name.startswith("muscle_density")
-        if density and hu is None:
+        if density and ct is None:
             continue
         try:
-            t, p = truth.metric(name, hu, 1.0), predicted.metric(name, hu, 1.0)
+            t, p = truth.metric(name, ct, 1.0), predicted.metric(name, ct, 1.0)
             errors[name] = (
                 muscle_density_error_pct(abs(p - t)) if density else metric_pct_difference(t, p)
             )
@@ -525,12 +526,12 @@ def aggregate_cases(cases: Sequence[CaseEvaluation]) -> EvalReport:
 def evaluate_masks(
     gt: LabelVolume,
     pred: LabelVolume,
-    hu: VoxelVolume | None = None,
+    ct: VoxelVolume | None = None,
     vertebrae: LabelVolume | None = None,
     policy: MergePolicy = MergePolicy.MUSCLE,
     regions: Iterable[str] | None = None,
 ) -> EvalReport:
     """Evaluate one ground-truth/prediction pair and report it."""
     return aggregate_cases(
-        [evaluate_case(gt, pred, hu, vertebrae, policy, regions)]
+        [evaluate_case(gt, pred, ct, vertebrae, policy, regions)]
     )

@@ -29,8 +29,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -86,17 +86,19 @@ def write_volume(vol: VoxelVolume | LabelVolume, path) -> None:
         header["dtype"] = "i16"
         header["rescale_slope"] = vol.rescale_slope
         header["rescale_intercept"] = vol.rescale_intercept
-        payload = vol.values.astype("<i2", copy=False).tobytes()
+        payload = vol.values.astype("<i2", copy=False)
     else:
         header["kind"] = _label_kind(vol)
         header["dtype"] = "u8"
         header["label_map"] = {str(c): n for c, n in vol.label_map.items()}
-        payload = vol.codes.tobytes()
+        payload = vol.codes
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
+        # the frozen array is C-contiguous: its own buffer is written, no
+        # bytes copy of the volume
         fh.write(payload)
 
 
@@ -117,58 +119,68 @@ def read_volume(path) -> VoxelVolume | LabelVolume:
     """Read a `.bcv` file; raw CT volumes load with ``unit_state=Raw``.
 
     A malformed file raises a ``VolumeFormatError`` subclass, whatever
-    its bytes.
+    its bytes. The payload size is checked against the file size before
+    the payload is read, and the payload is read straight into the array,
+    with no bytes copy and no mapping of the file.
     """
-    data = Path(path).read_bytes()
-    if len(data) >= 4 and data[:4] != MAGIC:
-        raise BadMagicError(f"{path}: not a BCV1 file")
-    if len(data) < 12:
-        raise TruncatedPayloadError(f"{path}: file shorter than the fixed 12-byte prefix")
-    (header_len,) = struct.unpack("<Q", data[4:12])
-    if len(data) < 12 + header_len:
-        raise TruncatedPayloadError(f"{path}: header truncated")
-    try:
-        header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers bad UTF-8, bad JSON and over-long integers
-        raise HeaderError(f"{path}: header is not valid UTF-8 JSON: {exc}") from exc
-    if not isinstance(header, dict):
-        raise HeaderError(f"{path}: header must be a JSON object")
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(12)
+        if len(prefix) >= 4 and prefix[:4] != MAGIC:
+            raise BadMagicError(f"{path}: not a BCV1 file")
+        if len(prefix) < 12:
+            raise TruncatedPayloadError(f"{path}: file shorter than the fixed 12-byte prefix")
+        (header_len,) = struct.unpack("<Q", prefix[4:12])
+        if size < 12 + header_len:
+            raise TruncatedPayloadError(f"{path}: header truncated")
+        header_bytes = fh.read(header_len)
+        try:
+            header = json.loads(header_bytes.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad UTF-8, bad JSON and over-long integers
+            raise HeaderError(f"{path}: header is not valid UTF-8 JSON: {exc}") from exc
+        if not isinstance(header, dict):
+            raise HeaderError(f"{path}: header must be a JSON object")
 
-    kind = _require_str(header, "kind", path)
-    if kind not in _KIND_DTYPE:
-        raise UnknownKindError(f"{path}: unknown kind {kind!r}")
-    dtype_name = _require_str(header, "dtype", path)
-    if dtype_name not in _DTYPES:
-        raise UnknownDtypeError(f"{path}: unknown dtype {dtype_name!r}")
-    if dtype_name != _KIND_DTYPE[kind]:
-        raise HeaderError(
-            f"{path}: kind {kind!r} requires dtype {_KIND_DTYPE[kind]!r}, "
-            f"got {dtype_name!r}"
-        )
+        kind = _require_str(header, "kind", path)
+        if kind not in _KIND_DTYPE:
+            raise UnknownKindError(f"{path}: unknown kind {kind!r}")
+        dtype_name = _require_str(header, "dtype", path)
+        if dtype_name not in _DTYPES:
+            raise UnknownDtypeError(f"{path}: unknown dtype {dtype_name!r}")
+        if dtype_name != _KIND_DTYPE[kind]:
+            raise HeaderError(
+                f"{path}: kind {kind!r} requires dtype {_KIND_DTYPE[kind]!r}, "
+                f"got {dtype_name!r}"
+            )
 
-    dims = _require(header, "dims")
-    if (
-        not isinstance(dims, list)
-        or len(dims) != 3
-        or any(not isinstance(n, int) or n < 1 for n in dims)
-    ):
-        raise HeaderError(f"{path}: dims must be three positive integers, got {dims}")
-    nx, ny, nz = dims
-    spacing = _require(header, "spacing_mm")
+        dims = _require(header, "dims")
+        if (
+            not isinstance(dims, list)
+            or len(dims) != 3
+            or any(not isinstance(n, int) or n < 1 for n in dims)
+        ):
+            raise HeaderError(f"{path}: dims must be three positive integers, got {dims}")
+        nx, ny, nz = dims
+        spacing = _require(header, "spacing_mm")
 
-    dtype = _DTYPES[dtype_name]
-    expected = nx * ny * nz * dtype.itemsize
-    actual = len(data) - 12 - header_len
-    if actual < expected:
-        raise TruncatedPayloadError(
-            f"{path}: payload has {actual} bytes, dims imply {expected}"
-        )
-    if actual > expected:
-        raise HeaderError(
-            f"{path}: payload has {actual} bytes, dims imply {expected}"
-        )
-    values = np.frombuffer(data, dtype=dtype, count=nx * ny * nz, offset=12 + header_len)
+        dtype = _DTYPES[dtype_name]
+        count = nx * ny * nz
+        expected = count * dtype.itemsize
+        actual = size - 12 - header_len
+        if actual < expected:
+            raise TruncatedPayloadError(
+                f"{path}: payload has {actual} bytes, dims imply {expected}"
+            )
+        if actual > expected:
+            raise HeaderError(
+                f"{path}: payload has {actual} bytes, dims imply {expected}"
+            )
+        values = np.fromfile(fh, dtype=dtype, count=count)
+        if values.size < count:  # the file shrank after the size check
+            raise TruncatedPayloadError(
+                f"{path}: payload has {values.nbytes} bytes, dims imply {expected}"
+            )
     values = values.reshape(nz, ny, nx)
 
     z_positions = header.get("z_positions_mm")

@@ -43,7 +43,6 @@ from .model import (
     SubjectRecord,
     VoxelVolume,
     merge_target,
-    require_hu,
     require_same_geometry,
     require_tissue_vocabulary,
     select_codes,
@@ -59,6 +58,9 @@ from .regions import (
 
 # Class-table columns: background or any other name, then TISSUE_NAMES.
 N_CLASSES = len(TISSUE_NAMES) + 1
+
+# Voxels of the CT the muscle density reads at a time (whole slices).
+DENSITY_CHUNK_VOXELS = 1 << 20
 
 
 def tissue_class(label_name: str) -> int:
@@ -107,21 +109,27 @@ def class_table(
 
 
 def muscle_density(
-    hu: VoxelVolume,
+    ct: VoxelVolume,
     mask: LabelVolume,
     region: MeasurementRegion,
     policy: MergePolicy = MergePolicy.MUSCLE,
 ) -> float:
     """Mean HU over skeletal-muscle voxels (post-policy) within the region.
 
-    A NaN or infinite HU value among those voxels raises NonFiniteHUError.
+    ``ct`` is raw or HU; only the muscle voxels are converted. A NaN or
+    infinite HU value among those voxels raises NonFiniteHUError.
     """
-    require_hu(hu)
-    require_same_geometry(hu, mask)
+    require_same_geometry(ct, mask)
     require_tissue_vocabulary(mask)
     sl = region_slice(region, mask.nz)
     muscle = _codes_of(code_classes(mask, policy), tissue_class(SKELETAL_MUSCLE))
-    vals = hu.values[sl][select_codes(mask.codes[sl], muscle)]
+    # gathered a chunk of slices at a time: no slab-sized mask, and few
+    # steps on a small volume. The chunks concatenate in the order of a
+    # slab-wide boolean index, so the float64 mean is that of the same
+    # float32 array
+    step = max(1, DENSITY_CHUNK_VOXELS // mask.codes[0].size)
+    chunks = [slice(z, min(z + step, sl.stop)) for z in range(sl.start, sl.stop, step)]
+    vals = np.concatenate([ct.hu_at(c, where=select_codes(mask.codes[c], muscle)) for c in chunks])
     if vals.size == 0:
         raise EmptyRegionError("no skeletal-muscle voxels in the requested region")
     # a float64 sum of float32 values cannot overflow: only a non-finite
@@ -256,11 +264,11 @@ class MaskMetrics:
     counts: np.ndarray
     regions: dict[str, MeasurementRegion]
 
-    def metric(self, name: str, hu: VoxelVolume | None, height_m: float | None) -> float | None:
-        """Metric ``name``; the density reads ``hu``, SMI is None without a height."""
+    def metric(self, name: str, ct: VoxelVolume | None, height_m: float | None) -> float | None:
+        """Metric ``name``; the density reads ``ct``, SMI is None without a height."""
         region = self.regions["l3" if name.endswith("_2d") else "t12_l4"]
         if name.startswith("muscle_density"):
-            return muscle_density(hu, self.mask, region, self.policy)
+            return muscle_density(ct, self.mask, region, self.policy)
         counts = self.counts[region_slice(region, self.mask.nz)]
         if name.startswith("vat_sat_ratio"):
             return vat_sat_ratio_from_counts(counts, self.mask, region)
@@ -272,7 +280,7 @@ class MaskMetrics:
 
 
 def measure_subject(
-    hu: VoxelVolume,
+    ct: VoxelVolume,
     tissue_mask: LabelVolume,
     vertebra_mask: LabelVolume,
     subject: SubjectRecord,
@@ -282,11 +290,10 @@ def measure_subject(
 
     2D metrics are measured on the largest-L3 slice, 3D metrics over the
     T12-L4 range. SMI is omitted when the subject's height is unknown;
-    no 3D SMI is computed.
+    no 3D SMI is computed. ``ct`` is raw or HU, as read.
     """
-    require_hu(hu)
-    require_same_geometry(hu, tissue_mask)
-    require_same_geometry(hu, vertebra_mask)
+    require_same_geometry(ct, tissue_mask)
+    require_same_geometry(ct, vertebra_mask)
     regions, missing = measurement_regions(vertebra_mask)
     if missing:
         raise VertebraNotFoundError(next(iter(missing.values())))
@@ -304,5 +311,5 @@ def measure_subject(
         policy=policy,
         region_2d=l3.z,
         region_3d=(t12_l4.z_lo, t12_l4.z_hi),
-        **{name: metrics.metric(name, hu, subject.height_m) for name in METRIC_FIELDS},
+        **{name: metrics.metric(name, ct, subject.height_m) for name in METRIC_FIELDS},
     )

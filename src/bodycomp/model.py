@@ -125,7 +125,12 @@ class VoxelVolume:
         if self.unit_state is UnitState.RAW:
             if not np.issubdtype(values.dtype, np.integer):
                 raise ValueError("raw volumes must hold integer values")
-            if values.size and (values.min() < -32768 or values.max() > 32767):
+            # an int16 array holds no value outside the range: skip the scan
+            if (
+                values.dtype != np.int16
+                and values.size
+                and (values.min() < -32768 or values.max() > 32767)
+            ):
                 raise ValueError("raw values exceed the signed 16-bit range")
             values = values.astype(np.int16, copy=False)
         else:
@@ -136,6 +141,28 @@ class VoxelVolume:
             object.__setattr__(
                 self, "z_positions_mm", tuple(float(z) for z in self.z_positions_mm)
             )
+
+    def hu_at(self, index, where: np.ndarray | None = None) -> np.ndarray:
+        """Float32 HU of ``values[index]``, or of ``values[index][where]``.
+
+        An HU volume returns its stored values. A raw volume applies its
+        rescale to the indexed voxels only, with the arithmetic of
+        ``to_hu``, so each value is bit-identical to the converted
+        volume's. A rescale that overflows float32 yields inf HU without
+        a warning: the measures that read HU raise NonFiniteHUError on it.
+        """
+        values = self.values[index]
+        if where is not None:
+            # a boolean mask of the indexed view; also several times faster
+            # than one index that mixes an integer and a boolean array
+            values = values[where]
+        if self.unit_state is UnitState.HU:
+            return values
+        # ufunc-mediated cast; plain astype is much slower on some builds
+        with np.errstate(over="ignore", invalid="ignore"):
+            hu = np.multiply(values, np.float32(self.rescale_slope), dtype=np.float32)
+            hu += np.float32(self.rescale_intercept)
+        return hu
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -188,7 +215,8 @@ class LabelVolume:
         _validate_grid(codes.shape, self.spacing_mm, self.z_positions_mm)
         if not np.issubdtype(codes.dtype, np.integer):
             raise ValueError("label codes must be integers")
-        if codes.size and (codes.min() < 0 or codes.max() > 255):
+        # a uint8 array holds no code outside the range: skip the scan
+        if codes.dtype != np.uint8 and codes.size and (codes.min() < 0 or codes.max() > 255):
             raise ValueError("label codes exceed the unsigned 8-bit range")
         codes = codes.astype(np.uint8, copy=False)
         label_map = {int(k): str(v) for k, v in dict(self.label_map).items()}
@@ -391,27 +419,18 @@ def require_same_geometry(a, b) -> None:
         )
 
 
-def require_hu(vol: VoxelVolume) -> None:
-    if vol.unit_state is not UnitState.HU:
-        raise UnitStateError("operation requires an HU-converted volume")
-
-
 def to_hu(vol: VoxelVolume) -> VoxelVolume:
     """Convert raw CT counts to Hounsfield Units.
 
     Applies ``hu = rescale_slope * raw + rescale_intercept`` voxelwise;
     geometry and rescale metadata are unchanged. Converting an already-HU
-    volume raises (no double conversion).
+    volume raises (no double conversion). The measures and kernels take
+    the CT as read and convert only the voxels they read
+    (``VoxelVolume.hu_at``); this is for callers that want the whole array.
     """
     if vol.unit_state is not UnitState.RAW:
         raise UnitStateError("volume is already in HU")
-    # ufunc-mediated cast; plain astype is much slower on some builds. A
-    # rescale that overflows float32 yields inf HU without a warning: the
-    # measures that read HU raise NonFiniteHUError on it
-    with np.errstate(over="ignore", invalid="ignore"):
-        hu = np.multiply(vol.values, np.float32(vol.rescale_slope), dtype=np.float32)
-        hu += np.float32(vol.rescale_intercept)
-    return replace(vol, values=hu, unit_state=UnitState.HU)
+    return replace(vol, values=vol.hu_at(...), unit_state=UnitState.HU)
 
 
 def require_tissue_vocabulary(mask: LabelVolume) -> None:

@@ -112,20 +112,31 @@ def build_phantom(
     tissue_codes = np.broadcast_to(labels_slice, (nz, ny, nx)).copy()
 
     # vertebra markers: squares close to the posterior body wall whose
-    # side length peaks at the designated slice
+    # side length peaks at the designated slice. A marker that would share
+    # a pixel with an earlier level's moves beside it by the widest side
+    # (6 px), right or left, where it fits in the image, so every level
+    # keeps its whole profile; with no such place it is drawn over them
     vert_codes = np.zeros((nz, ny, nx), dtype=np.uint8)
     marker_y = int(cy + scale * 0.40)
+
+    def square(k: int, peak: int, shift: int) -> tuple[int, slice, slice]:
+        half = (3, 2, 1)[abs(k - peak)]
+        ys = slice(max(0, marker_y - half), min(ny, marker_y + half))
+        xs = slice(max(0, int(cx) + shift - half), min(nx, int(cx) + shift + half))
+        return k, ys, xs
+
+    def free(shift: int, peak: int, marked: range) -> bool:
+        fits = shift == 0 or 0 <= int(cx) + shift - 3 <= nx - 6
+        return fits and not any(vert_codes[square(k, peak, shift)].any() for k in marked)
+
     for code, peak in ((1, t12), (2, l3), (3, l4)):
-        for k in range(nz):
-            dist = abs(k - peak)
-            if dist > 2:
-                continue
-            half = (3, 2, 1)[dist]
-            y0, y1 = max(0, marker_y - half), min(ny, marker_y + half)
-            x0, x1 = max(0, int(cx) - half), min(nx, int(cx) + half)
-            vert_codes[k, y0:y1, x0:x1] = code
-            raw[k, y0:y1, x0:x1] = raw_bone
-            tissue_codes[k, y0:y1, x0:x1] = 0
+        marked = range(max(0, peak - 2), min(nz, peak + 3))
+        shift = next((s for s in (0, 6, -6, 12, -12) if free(s, peak, marked)), 0)
+        for k in marked:
+            at = square(k, peak, shift)
+            vert_codes[at] = code
+            raw[at] = raw_bone
+            tissue_codes[at] = 0
 
     ct = VoxelVolume(
         values=raw,

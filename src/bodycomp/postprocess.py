@@ -30,7 +30,6 @@ from .model import (
     SAT,
     LabelVolume,
     VoxelVolume,
-    require_hu,
     require_same_geometry,
     select_codes,
 )
@@ -68,15 +67,15 @@ def _compact(coords: np.ndarray) -> np.ndarray:
     return np.cumsum(np.minimum(np.diff(used, prepend=used[0]), 2))[inverse]
 
 
-def dilate_sat_to_skin(mask: LabelVolume, hu: VoxelVolume) -> LabelVolume:
+def dilate_sat_to_skin(mask: LabelVolume, ct: VoxelVolume) -> LabelVolume:
     """Grow SAT into adjacent unlabeled skin pixels, slice by slice.
 
     A pixel is added iff it lies in the 5x5 dilation of the slice's SAT
     mask, is currently background, and has HU above -800. The output SAT
-    is a superset of the input SAT; no other label changes.
+    is a superset of the input SAT; no other label changes. ``ct`` is raw
+    or HU; only the slices with SAT are converted.
     """
-    require_hu(hu)
-    require_same_geometry(mask, hu)
+    require_same_geometry(mask, ct)
     sat_codes = mask.codes_for(SAT)
     out = mask.codes.copy()
     for k in range(mask.nz):
@@ -85,13 +84,13 @@ def dilate_sat_to_skin(mask: LabelVolume, hu: VoxelVolume) -> LabelVolume:
             continue
         add = _dilate_square(sat, SAT_DILATION_SIZE // 2)
         add &= mask.codes[k] == 0
-        add &= hu.values[k] > SKIN_HU_THRESHOLD
+        add &= ct.hu_at(k) > SKIN_HU_THRESHOLD
         out[k][add] = sat_codes[0]
     return replace(mask, codes=out)
 
 
 def muscular_fat_candidates(
-    hu: VoxelVolume,
+    ct: VoxelVolume,
     roi_mask: LabelVolume,
     hu_range: tuple[float, float] = MF_HU_RANGE,
     min_pixels: int = MF_MIN_PIXELS,
@@ -100,21 +99,22 @@ def muscular_fat_candidates(
 
     Per axial slice: threshold HU to ``hu_range`` (inclusive) within the
     nonzero voxels of ``roi_mask``, label 8-connected components, and
-    retain components of at least ``min_pixels`` pixels.
+    retain components of at least ``min_pixels`` pixels. ``ct`` is raw or
+    HU; it is converted one slice at a time.
     """
     from scipy import ndimage  # only this kernel needs scipy
 
-    require_hu(hu)
-    require_same_geometry(hu, roi_mask)
+    require_same_geometry(ct, roi_mask)
     lo, hi = hu_range
-    out = np.zeros(hu.values.shape, dtype=np.uint8)
-    out_planes = out.reshape(hu.nz, -1)
-    nx = hu.values.shape[2]
-    candidates = np.empty(hu.values.shape[1:], dtype=bool)
+    out = np.zeros(ct.values.shape, dtype=np.uint8)
+    out_planes = out.reshape(ct.nz, -1)
+    nx = ct.values.shape[2]
+    candidates = np.empty(ct.values.shape[1:], dtype=bool)
     scratch = np.empty_like(candidates)
-    for k in range(hu.nz):
-        np.greater_equal(hu.values[k], lo, out=candidates)
-        candidates &= np.less_equal(hu.values[k], hi, out=scratch)
+    for k in range(ct.nz):
+        hu = ct.hu_at(k)
+        np.greater_equal(hu, lo, out=candidates)
+        candidates &= np.less_equal(hu, hi, out=scratch)
         candidates &= np.not_equal(roi_mask.codes[k], 0, out=scratch)
         flat = np.flatnonzero(candidates)
         if not flat.size:
@@ -129,7 +129,7 @@ def muscular_fat_candidates(
     return LabelVolume(
         codes=out,
         label_map={0: BACKGROUND, 1: MUSCULAR_FAT},
-        spacing_mm=hu.spacing_mm,
-        z_positions_mm=hu.z_positions_mm,
+        spacing_mm=ct.spacing_mm,
+        z_positions_mm=ct.z_positions_mm,
         subject_id=roi_mask.subject_id,
     )

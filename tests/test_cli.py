@@ -85,6 +85,24 @@ def test_measure_single_triple(tmp_path, subject):
     assert doc["muscle_volume_3d"] == expected.muscle_volume_3d
 
 
+def test_measure_degenerate_t12_l4_range(tmp_path):
+    _, paths = write_phantom(tmp_path, sid="p1", nx=40, ny=40, nz=16, vertebra_slices=(9, 4, 9))
+    out = tmp_path / "out"
+    code = main(
+        [
+            "measure",
+            "--ct", str(paths["ct"]),
+            "--tissue", str(paths["tissue"]),
+            "--vertebrae", str(paths["vertebrae"]),
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    row = read_csv(out / "results.csv")[0]
+    assert row["region_3d_lo"] == row["region_3d_hi"] == "9"
+    assert row["region_2d"] == "4"
+
+
 def test_measure_with_cohort_enables_smi(tmp_path):
     ph, paths = write_phantom(tmp_path, sid="p1", nx=32, ny=32, nz=12)
     cohort = tmp_path / "cohort.csv"

@@ -1,5 +1,7 @@
 import json
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +74,28 @@ def test_write_is_deterministic(tmp_path, rng):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_write_sends_the_array_buffer_without_a_copy(tmp_path):
+    codes = np.arange(32 * 64 * 64).reshape(32, 64, 64)
+    for vol in (make_tissue(codes % 5), make_ct(codes % 4001 - 2000, slope=0.5)):
+        path = tmp_path / "v.bcv"
+        tracemalloc.start()
+        try:
+            write_volume(vol, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the bytes a copy of the payload would have held
+        payload = (
+            vol.codes.tobytes()
+            if isinstance(vol, LabelVolume)
+            else vol.values.astype("<i2").tobytes()
+        )
+        assert peak < len(payload) / 8
+        data = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", data[4:12])
+        assert data[12 + header_len :] == payload
+
+
 def test_payload_size_and_file_size(tmp_path):
     mask = make_tissue(np.zeros((1, 2, 2)))  # 2x2x1 u8 -> 4 payload bytes
     path = tmp_path / "m.bcv"
@@ -113,6 +137,16 @@ def test_bad_magic(tmp_path):
 def test_truncated_payload(tmp_path):
     path = _valid_file(tmp_path)
     path.write_bytes(path.read_bytes()[:-3])
+    with pytest.raises(TruncatedPayloadError):
+        read_volume(path)
+
+
+def test_payload_cut_after_the_size_check(tmp_path, monkeypatch):
+    # the file shrinks between the size check and the payload read
+    path = _valid_file(tmp_path)
+    full = os.stat(path)
+    path.write_bytes(path.read_bytes()[:-3])
+    monkeypatch.setattr(os, "fstat", lambda fd: full)
     with pytest.raises(TruncatedPayloadError):
         read_volume(path)
 

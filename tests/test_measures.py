@@ -18,7 +18,6 @@ from bodycomp import (
     SliceRange,
     SubjectRecord,
     UndefinedRatioError,
-    UnitStateError,
     VertebraNotFoundError,
     apply_merge_policy,
     build_phantom,
@@ -55,11 +54,12 @@ def test_density_empty_region():
         muscle_density(hu, mask, AllSlices())
 
 
-def test_density_requires_hu_units():
-    ct = make_ct(np.zeros((1, 1, 1)))
-    mask = make_tissue([[[1]]])
-    with pytest.raises(UnitStateError):
-        muscle_density(ct, mask, AllSlices())
+def test_density_of_a_raw_ct_is_that_of_its_hu():
+    ct = make_ct([[[1000, 1101, 7, -3]]], slope=0.7, intercept=-1024.3)
+    mask = make_tissue([[[1, 1, 0, 1]]])
+    density = muscle_density(ct, mask, AllSlices())
+    assert density == muscle_density(to_hu(ct), mask, AllSlices())
+    assert density == pytest.approx((0.7 * (1000 + 1101 - 3) - 3 * 1024.3) / 3, rel=1e-6)
 
 
 def test_density_respects_policy():

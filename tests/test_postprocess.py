@@ -3,9 +3,9 @@ import pytest
 
 from bodycomp import (
     GeometryMismatchError,
-    UnitStateError,
     dilate_sat_to_skin,
     muscular_fat_candidates,
+    to_hu,
 )
 from conftest import make_ct, make_hu, make_tissue, random_tissue_codes
 
@@ -111,9 +111,15 @@ def test_dilation_threshold_is_strict():
     assert np.count_nonzero(out.codes) == 1
 
 
-def test_dilation_requires_hu():
-    with pytest.raises(UnitStateError):
-        dilate_sat_to_skin(make_tissue(np.zeros((1, 2, 2))), make_ct(np.zeros((1, 2, 2))))
+def test_dilation_of_a_raw_ct_is_that_of_its_hu():
+    codes = np.zeros((1, 3, 3), dtype=np.uint8)
+    codes[0, 1, 1] = 2
+    # slope 1, intercept -1024: raw 224 is exactly -800 HU (excluded), 225 is above
+    raw = np.array([[[224, 225, 224], [225, 0, 1000], [0, 224, 225]]])
+    ct = make_ct(raw)
+    out = dilate_sat_to_skin(make_tissue(codes), ct)
+    assert np.array_equal(out.codes, dilate_sat_to_skin(make_tissue(codes), to_hu(ct)).codes)
+    assert np.array_equal(out.codes[0] == 2, (raw[0] > 224) | (codes[0] == 2))
 
 
 def test_dilation_geometry_mismatch():

@@ -5,11 +5,13 @@ from bodycomp import (
     LabelVocabularyError,
     SliceRange,
     VertebraNotFoundError,
+    build_phantom,
     label_area_per_slice,
     largest_label_slice,
     region_t12_l4,
     sample_slices_by_interval,
     slice_distance_cm,
+    vertebra_label,
 )
 from conftest import make_tissue, make_vertebrae
 
@@ -124,6 +126,32 @@ def test_region_contains_l3_peak_on_ordered_phantoms(rng):
         vol = vert_volume_with_areas(areas)
         region = region_t12_l4(vol)
         assert region.z_lo <= largest_label_slice(vol, "vertebrae_L3") <= region.z_hi
+
+
+@pytest.mark.parametrize("slices", [(9, 4, 9), (9, 8, 9), (6, 5, 4), (12, 8, 3)])
+def test_phantom_markers_that_would_overlap_keep_every_level(slices):
+    ph = build_phantom(nx=40, ny=40, nz=16, vertebra_slices=slices)
+    vert = ph.vertebrae
+    for level, peak in zip(("T12", "L3", "L4"), slices):
+        # the full square profile: 6x6 at the peak, 4x4 and 2x2 beside it
+        expected = np.zeros(vert.nz)
+        for dist, side in ((2, 2), (1, 4), (0, 6)):
+            expected[[peak - dist, peak + dist]] = side * side
+        pixels = vert.slice_counts([vert.codes_for(vertebra_label(level))])[:, 0]
+        assert np.array_equal(pixels, expected)
+        assert largest_label_slice(vert, vertebra_label(level)) == peak
+    lo, hi = sorted((slices[0], slices[2]))
+    assert region_t12_l4(vert) == SliceRange(lo, hi, degenerate=lo == hi)
+    # a marker replaces tissue and CT with bone wherever it is drawn
+    assert not np.any(ph.tissue.codes[vert.codes != 0])
+    assert np.all(ph.ct.values[vert.codes != 0] == ph.ct.values[vert.codes != 0].max())
+
+
+def test_phantom_marker_with_no_room_beside_stays_in_place():
+    # 14 px leave no room for a second 6 px marker beside the first
+    ph = build_phantom(nx=14, ny=14, nz=8, vertebra_slices=(4, 2, 4))
+    columns = np.flatnonzero(ph.vertebrae.codes.any(axis=(0, 1)))
+    assert columns.min() >= 6 - 3 and columns.max() < 6 + 3
 
 
 def test_slice_distance_same_slice():
