@@ -53,7 +53,7 @@ from .evaluation import (
     pearson_r,
     r_squared,
 )
-from .io import read_cohort_csv, read_volume, write_volume
+from .io import VolumeHeader, read_cohort_csv, read_header, read_volume, write_volume
 from .measures import (
     measure_subject,
     muscle_density,
@@ -65,6 +65,7 @@ from .measures import (
 from .model import (
     BACKGROUND,
     BodyCompResult,
+    Geometry,
     LabelVolume,
     MUSCULAR_FAT,
     MergePolicy,
@@ -94,8 +95,10 @@ from .regions import (
     MeasurementRegion,
     SingleSlice,
     SliceRange,
+    VertebraRegions,
     label_area_per_slice,
     largest_label_slice,
+    measurement_regions,
     region_t12_l4,
     sample_slices_by_interval,
     slice_distance_cm,

@@ -28,7 +28,7 @@ from enum import Enum
 from pathlib import Path
 
 from .cohort import GROUP_BY_CHOICES, CorrelationEntry, correlation_matrix, group_stats
-from .errors import BodycompError
+from .errors import BodycompError, VertebraNotFoundError
 from .evaluation import (
     EvalReport,
     EvalRow,
@@ -36,18 +36,33 @@ from .evaluation import (
     aggregate_cases,
     evaluate_case,
 )
-from .io import format_number, read_cohort_csv, read_volume, write_volume
+from .io import (
+    VolumeHeader,
+    format_number,
+    read_code_counts,
+    read_cohort_csv,
+    read_header,
+    read_volume,
+    write_volume,
+)
 from .measures import measure_subject
 from .model import (
     BodyCompResult,
+    Geometry,
     LabelVolume,
     MergePolicy,
     SubjectRecord,
     VoxelVolume,
+    require_same_geometry,
     vertebra_label,
 )
 from .postprocess import dilate_sat_to_skin, muscular_fat_candidates
-from .regions import label_area_per_slice, largest_label_slice
+from .regions import (
+    VertebraRegions,
+    label_area_per_slice,
+    largest_label_slice,
+    regions_from_counts,
+)
 
 _POLICIES = {p.value: p for p in MergePolicy}
 
@@ -69,18 +84,38 @@ def _jobs(text: str) -> int:
     return jobs
 
 
-def _read_ct(path) -> VoxelVolume:
-    vol = read_volume(path)
-    if not isinstance(vol, VoxelVolume):
-        raise BodycompError(f"{path}: expected a CT volume, got labels")
+def _check_kind(path, is_ct: bool, want_ct: bool) -> None:
+    if is_ct != want_ct:
+        wanted, got = ("a CT volume", "labels") if want_ct else ("a label volume", "CT")
+        raise BodycompError(f"{path}: expected {wanted}, got {got}")
+
+
+def _read_ct(path, z: slice | None = None) -> VoxelVolume:
+    vol = read_volume(path, z)
+    _check_kind(path, isinstance(vol, VoxelVolume), True)
     return vol
 
 
-def _read_labels(path) -> LabelVolume:
-    vol = read_volume(path)
-    if not isinstance(vol, LabelVolume):
-        raise BodycompError(f"{path}: expected a label volume, got CT")
+def _read_labels(path, z: slice | None = None) -> LabelVolume:
+    vol = read_volume(path, z)
+    _check_kind(path, isinstance(vol, VoxelVolume), False)
     return vol
+
+
+def _read_header(path, ct: bool, geometry: Geometry | None = None) -> VolumeHeader:
+    """The header of a CT (``ct``) or label file, checked against ``geometry``."""
+    head = read_header(path)
+    _check_kind(path, head.kind == "ct", ct)
+    if geometry is not None:
+        require_same_geometry(head.geometry, geometry)
+    return head
+
+
+def _read_regions(path) -> VertebraRegions:
+    """The regions of a vertebra file, read a chunk of slices at a time."""
+    _read_header(path, ct=False)
+    head, counts = read_code_counts(path)
+    return regions_from_counts(counts, head.label_map, head.geometry)
 
 
 def _write_csv(path, columns, rows) -> None:
@@ -153,17 +188,35 @@ def _first_duplicate(ids):
     return None
 
 
-def _measure_one(entry: dict, policy: MergePolicy, cohort: dict):
-    ct = _read_ct(entry["ct"])
-    subject_id = _check_subject_id(
-        entry["subject_id"] or ct.subject_id or Path(entry["ct"]).stem
-    )
-    tissue = _read_labels(entry["tissue"])
-    vertebrae = _read_labels(entry["vertebrae"])
+def _subject_id(entry: dict) -> str:
+    """The subject's id, from its CT header unless the manifest gives one."""
+    head = _read_header(entry["ct"], ct=True)
+    return _check_subject_id(entry["subject_id"] or head.subject_id or Path(entry["ct"]).stem)
+
+
+def _attempt(fn, entry: dict, *args):
+    """``fn(entry, *args)`` and no message, or None and why it failed."""
+    try:
+        return fn(entry, *args), None
+    except (BodycompError, OSError, ValueError) as exc:
+        return None, f"{entry['ct']}: {exc}"
+
+
+def _measure_one(entry: dict, subject_id: str, policy: MergePolicy, cohort: dict):
+    """Measure one subject, reading of its CT and tissue mask only the counted slab."""
+    # the regions come first: the vertebra mask is scanned, never held
+    picked = _read_regions(entry["vertebrae"])
+    _read_header(entry["ct"], True, picked.geometry)
+    _read_header(entry["tissue"], False, picked.geometry)
+    if picked.missing:
+        raise VertebraNotFoundError(next(iter(picked.missing.values())))
+    slab = picked.counted_slab()
+    ct = _read_ct(entry["ct"], slab)
+    tissue = _read_labels(entry["tissue"], slab)
     record = cohort.get(subject_id)
     if record is None:
         record = SubjectRecord(subject_id=subject_id, age_years=0.0)
-    return measure_subject(ct, tissue, vertebrae, record, policy)
+    return measure_subject(ct, tissue, picked, record, policy)
 
 
 def cmd_measure(args) -> int:
@@ -197,26 +250,29 @@ def cmd_measure(args) -> int:
     if args.cohort:
         cohort = {r.subject_id: r for r in read_cohort_csv(args.cohort)}
 
-    def work(entry):
-        try:
-            return _measure_one(entry, policy, cohort), None
-        except (BodycompError, OSError, ValueError) as exc:
-            return None, f"{entry['ct']}: {exc}"
-
-    if args.jobs > 1 and len(entries) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(work, entries))
-    else:
-        outcomes = [work(e) for e in entries]
-
-    results = [r for r, _ in outcomes if r is not None]
-    failures = [msg for _, msg in outcomes if msg is not None]
-
-    # ids taken from .bcv headers are known only now
-    duplicate = _first_duplicate(r.subject_id for r in results)
+    # every CT header is read before any payload: an id taken from a
+    # header is then checked like a manifest id, and a header that fails
+    # is the failure of its subject alone
+    ids = [_attempt(_subject_id, entry) for entry in entries]
+    duplicate = _first_duplicate(sid for sid, _ in ids if sid is not None)
     if duplicate is not None:
         print(f"measure: duplicate subject_id {duplicate!r}", file=sys.stderr)
         return 2
+
+    def work(entry, named):
+        subject_id, failure = named
+        if subject_id is None:
+            return None, failure
+        return _attempt(_measure_one, entry, subject_id, policy, cohort)
+
+    if args.jobs > 1 and len(entries) > 1:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            outcomes = list(pool.map(work, entries, ids))
+    else:
+        outcomes = [work(e, named) for e, named in zip(entries, ids)]
+
+    results = [r for r, _ in outcomes if r is not None]
+    failures = [msg for _, msg in outcomes if msg is not None]
 
     results.sort(key=lambda r: r.subject_id)
     rows = [_csv_row(r) for r in results]
@@ -246,10 +302,15 @@ def cmd_evaluate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     gt = _read_labels(args.gt)
     pred = _read_labels(args.pred)
-    ct = _read_ct(args.ct)
-    vertebrae = _read_labels(args.vertebrae) if args.vertebrae else None
+    picked = _read_regions(args.vertebrae) if args.vertebrae else None
+    # only the densities read the CT, and only on the counted slab: with
+    # every vertebra level found that slab is read, else no payload at all
+    _read_header(args.ct, True, gt.geometry)
+    ct = None
+    if picked is not None and not picked.missing:
+        ct = _read_ct(args.ct, picked.counted_slab())
 
-    case = evaluate_case(gt, pred, ct, vertebrae, policy, regions)
+    case = evaluate_case(gt, pred, ct, picked, policy, regions)
     for metric, reason in case.blank_reasons.items():
         print(f"evaluate: {metric} error left blank: {reason}", file=sys.stderr)
     report: EvalReport = aggregate_cases([case])

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -43,6 +44,7 @@ from .measures import (
     N_CLASSES,
     MaskMetrics,
     code_classes,
+    gather_muscle_hu,
     policy_classes,
     tissue_class,
     tissue_measure_from_counts,
@@ -56,8 +58,9 @@ from .model import (
     VoxelVolume,
     require_same_geometry,
     require_tissue_vocabulary,
+    slab_start,
 )
-from .regions import AllSlices, measurement_regions, region_slice
+from .regions import AllSlices, VertebraRegions, measurement_regions, region_slice
 
 # Normal muscle density spans -29 to +150 HU; errors are reported as a
 # percentage of this 179-HU width.
@@ -347,7 +350,7 @@ def evaluate_case(
     gt: LabelVolume,
     pred: LabelVolume,
     ct: VoxelVolume | None = None,
-    vertebrae: LabelVolume | None = None,
+    vertebrae: LabelVolume | VertebraRegions | None = None,
     policy: MergePolicy = MergePolicy.MUSCLE,
     regions: Iterable[str] | None = None,
 ) -> CaseEvaluation:
@@ -356,17 +359,21 @@ def evaluate_case(
     Muscle, SAT, and VAT are compared after the merge policy is applied to
     both volumes; muscular fat is always compared in its separate form.
     Without a vertebrae volume only the all-slices region is evaluated and
-    the metric-error table is skipped. ``ct`` is raw or HU, as read, and
-    only the muscle densities read it.
+    the metric-error table is skipped; ``vertebrae`` may also be the
+    regions already picked from one (``measurement_regions``). ``ct`` is
+    raw or HU, as read, and only the muscle densities read it: with every
+    vertebra level found it may hold just the counted slab
+    (``VertebraRegions.counted_slab``).
     """
     require_same_geometry(gt, pred)
-    if ct is not None:
-        require_same_geometry(gt, ct)
-    if vertebrae is not None:
-        require_same_geometry(gt, vertebrae)
+    picked = vertebrae
+    if isinstance(vertebrae, LabelVolume):
+        picked = measurement_regions(vertebrae)
+    if picked is not None:
+        require_same_geometry(gt, picked.geometry)
 
     wanted = _normalize_regions(regions)
-    if vertebrae is None:
+    if picked is None:
         if regions is None:
             wanted = ("all",)
         elif any(r != "all" for r in wanted):
@@ -379,9 +386,14 @@ def evaluate_case(
     # requested regions and the metric-error table
     found: dict[str, object] = {"all": AllSlices()}
     missing: dict[str, str] = {}
-    if vertebrae is not None:
-        picked, missing = measurement_regions(vertebrae)
-        found.update(picked)
+    if picked is not None:
+        found.update(picked.found)
+        missing = picked.missing
+    z0 = 0  # the first slice that ct holds
+    if ct is not None and picked is not None and not missing:
+        z0 = slab_start(ct, gt.geometry, picked.counted_slab())
+    elif ct is not None:
+        require_same_geometry(gt, ct)
     for name in wanted:
         if name in missing:
             raise VertebraNotFoundError(missing[name])
@@ -401,16 +413,21 @@ def evaluate_case(
 
     metric_errors: dict[str, float | None] = {}
     blank_reasons: dict[str, str] = {}
-    if vertebrae is not None and missing:
+    if picked is not None and missing:
         # without all three levels the metric table is unavailable; the
         # Dice rows of the requested regions stand on their own
         metric_errors = dict.fromkeys(METRIC_ERROR_NAMES)
         blank_reasons = dict.fromkeys(METRIC_ERROR_NAMES, next(iter(missing.values())))
-    elif vertebrae is not None:
+    elif picked is not None:
+
+        def side(mask: LabelVolume, counts: np.ndarray) -> MaskMetrics:
+            muscle_hu = None
+            if ct is not None:
+                muscle_hu = partial(gather_muscle_hu, ct, mask, policy=policy, z0=z0)
+            return MaskMetrics(mask.geometry, counts, found, muscle_hu)
+
         metric_errors, blank_reasons = _metric_errors(
-            MaskMetrics(gt, policy, merged.sum(axis=2), found),
-            MaskMetrics(pred, policy, merged.sum(axis=1), found),
-            ct,
+            side(gt, merged.sum(axis=2)), side(pred, merged.sum(axis=1))
         )
 
     l3, t12_l4 = region_objs.get("l3"), region_objs.get("t12_l4")
@@ -425,12 +442,12 @@ def evaluate_case(
     )
 
 
-def _metric_errors(truth: MaskMetrics, predicted: MaskMetrics, ct):
+def _metric_errors(truth: MaskMetrics, predicted: MaskMetrics):
     """Percentage errors of predicted vs ground-truth measurements.
 
     Density errors are normalized to the 179-HU range and are attempted
-    only with a CT; the others are relative differences against the
-    ground-truth value. SMI is measured at a height of 1 m, since the
+    only with a CT (``muscle_hu``); the others are relative differences
+    against the ground-truth value. SMI is measured at a height of 1 m, since the
     height cancels in its relative error. Returns the errors and, for
     each attempted metric left blank, the reason.
     """
@@ -438,10 +455,10 @@ def _metric_errors(truth: MaskMetrics, predicted: MaskMetrics, ct):
     reasons: dict[str, str] = {}
     for name in METRIC_ERROR_NAMES:
         density = name.startswith("muscle_density")
-        if density and ct is None:
+        if density and truth.muscle_hu is None:
             continue
         try:
-            t, p = truth.metric(name, ct, 1.0), predicted.metric(name, ct, 1.0)
+            t, p = truth.metric(name, 1.0), predicted.metric(name, 1.0)
             errors[name] = (
                 muscle_density_error_pct(abs(p - t)) if density else metric_pct_difference(t, p)
             )
@@ -527,7 +544,7 @@ def evaluate_masks(
     gt: LabelVolume,
     pred: LabelVolume,
     ct: VoxelVolume | None = None,
-    vertebrae: LabelVolume | None = None,
+    vertebrae: LabelVolume | VertebraRegions | None = None,
     policy: MergePolicy = MergePolicy.MUSCLE,
     regions: Iterable[str] | None = None,
 ) -> EvalReport:

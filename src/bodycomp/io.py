@@ -31,6 +31,7 @@ import json
 import math
 import os
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,14 +46,21 @@ from .errors import (
 )
 from .model import (
     VERTEBRA_PREFIX,
+    Geometry,
     LabelVolume,
     Sex,
     SubjectRecord,
     UnitState,
     VoxelVolume,
+    code_counts,
+    unmapped_codes,
 )
 
 MAGIC = b"BCV1"
+
+# Payload bytes a chunked scan reads at a time (whole slices): the label
+# codes outside a slab read, and the per-slice code counts
+SCAN_CHUNK_BYTES = 1 << 22
 
 _DTYPES = {"i16": np.dtype("<i2"), "u8": np.dtype("u1")}
 _KIND_DTYPE = {"ct": "i16", "tissue_labels": "u8", "vertebra_labels": "u8"}
@@ -115,101 +123,209 @@ def _require_str(header: dict, key: str, path) -> str:
     return value
 
 
-def read_volume(path) -> VoxelVolume | LabelVolume:
+@dataclass(frozen=True)
+class VolumeHeader:
+    """The header of a `.bcv` file, checked against the file's size.
+
+    ``fields`` is the header's JSON object; the payload starts at byte
+    ``payload_offset``. ``label_map`` is None for a CT.
+    """
+
+    path: str
+    kind: str
+    dtype: np.dtype
+    geometry: Geometry
+    subject_id: str | None
+    payload_offset: int
+    fields: dict
+    label_map: dict[int, str] | None
+
+
+def _parse_header(fh, path) -> VolumeHeader:
+    size = os.fstat(fh.fileno()).st_size
+    prefix = fh.read(12)
+    if len(prefix) >= 4 and prefix[:4] != MAGIC:
+        raise BadMagicError(f"{path}: not a BCV1 file")
+    if len(prefix) < 12:
+        raise TruncatedPayloadError(f"{path}: file shorter than the fixed 12-byte prefix")
+    (header_len,) = struct.unpack("<Q", prefix[4:12])
+    if size < 12 + header_len:
+        raise TruncatedPayloadError(f"{path}: header truncated")
+    header_bytes = fh.read(header_len)
+    try:
+        header = json.loads(header_bytes.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and over-long integers
+        raise HeaderError(f"{path}: header is not valid UTF-8 JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise HeaderError(f"{path}: header must be a JSON object")
+
+    kind = _require_str(header, "kind", path)
+    if kind not in _KIND_DTYPE:
+        raise UnknownKindError(f"{path}: unknown kind {kind!r}")
+    dtype_name = _require_str(header, "dtype", path)
+    if dtype_name not in _DTYPES:
+        raise UnknownDtypeError(f"{path}: unknown dtype {dtype_name!r}")
+    if dtype_name != _KIND_DTYPE[kind]:
+        raise HeaderError(
+            f"{path}: kind {kind!r} requires dtype {_KIND_DTYPE[kind]!r}, "
+            f"got {dtype_name!r}"
+        )
+
+    dims = _require(header, "dims")
+    if (
+        not isinstance(dims, list)
+        or len(dims) != 3
+        or any(not isinstance(n, int) or n < 1 for n in dims)
+    ):
+        raise HeaderError(f"{path}: dims must be three positive integers, got {dims}")
+    nx, ny, nz = dims
+    spacing = _require(header, "spacing_mm")
+
+    dtype = _DTYPES[dtype_name]
+    expected = nx * ny * nz * dtype.itemsize
+    actual = size - 12 - header_len
+    if actual < expected:
+        raise TruncatedPayloadError(f"{path}: payload has {actual} bytes, dims imply {expected}")
+    if actual > expected:
+        raise HeaderError(f"{path}: payload has {actual} bytes, dims imply {expected}")
+
+    subject_id = header.get("subject_id")
+    if subject_id is not None and not isinstance(subject_id, str):
+        raise HeaderError(f"{path}: subject_id must be a string, got {subject_id!r}")
+    z_positions = header.get("z_positions_mm")
+    label_map = None
+    if kind != "ct":
+        label_map = _require(header, "label_map")
+        if not isinstance(label_map, dict):
+            raise HeaderError(f"{path}: label_map must be a JSON object, got {label_map!r}")
+    try:
+        geometry = Geometry(
+            tuple(dims), tuple(spacing), tuple(z_positions) if z_positions is not None else None
+        )
+        if label_map is not None:
+            label_map = {int(c): str(n) for c, n in label_map.items()}
+            if any(not 0 <= k <= 255 for k in label_map):
+                raise ValueError("label_map codes must fit in unsigned 8 bits")
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise HeaderError(f"{path}: header violates volume invariants: {exc}") from exc
+    return VolumeHeader(
+        str(path), kind, dtype, geometry, subject_id, 12 + header_len, header, label_map
+    )
+
+
+def read_header(path) -> VolumeHeader:
+    """Read and check a `.bcv` file's header without its payload.
+
+    Every header check of ``read_volume`` runs, the payload size against
+    the file size included; a malformed file raises a
+    ``VolumeFormatError`` subclass.
+    """
+    with open(path, "rb") as fh:
+        return _parse_header(fh, path)
+
+
+def _read_planes(fh, head: VolumeHeader, lo: int, hi: int) -> np.ndarray:
+    """Slices ``lo`` to ``hi`` of the payload, read straight into an array."""
+    nx, ny, _ = head.geometry.dims
+    count = (hi - lo) * nx * ny
+    fh.seek(head.payload_offset + lo * nx * ny * head.dtype.itemsize)
+    values = np.fromfile(fh, dtype=head.dtype, count=count)
+    if values.size < count:  # the file shrank after the size check
+        raise TruncatedPayloadError(
+            f"{head.path}: payload ends {count - values.size} voxels short of slice {hi}"
+        )
+    return values.reshape(hi - lo, ny, nx)
+
+
+def _chunks(fh, head: VolumeHeader, lo: int, hi: int):
+    """Slices ``lo`` to ``hi`` of the payload, a bounded chunk of whole slices at a time."""
+    nx, ny, _ = head.geometry.dims
+    step = max(1, SCAN_CHUNK_BYTES // (nx * ny * head.dtype.itemsize))
+    for k in range(lo, hi, step):
+        yield _read_planes(fh, head, k, min(k + step, hi))
+
+
+def _unmapped_error(path, unmapped: list[int]) -> HeaderError:
+    return HeaderError(
+        f"{path}: header violates volume invariants: "
+        f"codes {unmapped} present in volume but not in label_map"
+    )
+
+
+def read_code_counts(path) -> tuple[VolumeHeader, np.ndarray]:
+    """A label file's header and the voxels of each code on each slice.
+
+    The counts are ``code_counts`` of the payload, ``[nz, 256]``, taken
+    a bounded chunk of slices at a time: the volume is never held whole.
+    Every check of ``read_volume`` runs, the label map covering every code
+    present included.
+    """
+    with open(path, "rb") as fh:
+        head = _parse_header(fh, path)
+        if head.label_map is None:
+            raise HeaderError(f"{path}: kind {head.kind!r} holds no label codes")
+        counts = np.concatenate(
+            [code_counts(planes) for planes in _chunks(fh, head, 0, head.geometry.nz)]
+        )
+    present = np.flatnonzero(counts[:, 1:].any(axis=0)) + 1
+    unmapped = [int(c) for c in present if c not in head.label_map]
+    if unmapped:
+        raise _unmapped_error(path, unmapped)
+    return head, counts
+
+
+def read_volume(path, z: slice | None = None) -> VoxelVolume | LabelVolume:
     """Read a `.bcv` file; raw CT volumes load with ``unit_state=Raw``.
 
     A malformed file raises a ``VolumeFormatError`` subclass, whatever
     its bytes. The payload size is checked against the file size before
     the payload is read, and the payload is read straight into the array,
     with no bytes copy and no mapping of the file.
+
+    With ``z``, a ``slice(lo, hi)`` of the slices, only those slices are
+    read, into a volume of their geometry (``Geometry.slab``). Every
+    header check still runs, and a label volume must still map every
+    code of the slices outside ``z``: those are scanned a bounded chunk
+    at a time. A CT needs no scan.
     """
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        prefix = fh.read(12)
-        if len(prefix) >= 4 and prefix[:4] != MAGIC:
-            raise BadMagicError(f"{path}: not a BCV1 file")
-        if len(prefix) < 12:
-            raise TruncatedPayloadError(f"{path}: file shorter than the fixed 12-byte prefix")
-        (header_len,) = struct.unpack("<Q", prefix[4:12])
-        if size < 12 + header_len:
-            raise TruncatedPayloadError(f"{path}: header truncated")
-        header_bytes = fh.read(header_len)
+        head = _parse_header(fh, path)
+        whole = z is None or (z.start, z.stop) == (0, head.geometry.nz)
+        geometry = head.geometry if z is None else head.geometry.slab(z)
+        z = slice(0, head.geometry.nz) if z is None else z
+        values = _read_planes(fh, head, z.start, z.stop)
+        fields = head.fields
         try:
-            header = json.loads(header_bytes.decode("utf-8"))
-        except (ValueError, RecursionError) as exc:
-            # ValueError covers bad UTF-8, bad JSON and over-long integers
-            raise HeaderError(f"{path}: header is not valid UTF-8 JSON: {exc}") from exc
-        if not isinstance(header, dict):
-            raise HeaderError(f"{path}: header must be a JSON object")
-
-        kind = _require_str(header, "kind", path)
-        if kind not in _KIND_DTYPE:
-            raise UnknownKindError(f"{path}: unknown kind {kind!r}")
-        dtype_name = _require_str(header, "dtype", path)
-        if dtype_name not in _DTYPES:
-            raise UnknownDtypeError(f"{path}: unknown dtype {dtype_name!r}")
-        if dtype_name != _KIND_DTYPE[kind]:
-            raise HeaderError(
-                f"{path}: kind {kind!r} requires dtype {_KIND_DTYPE[kind]!r}, "
-                f"got {dtype_name!r}"
+            if head.kind == "ct":
+                return VoxelVolume(
+                    values=values,
+                    spacing_mm=geometry.spacing_mm,
+                    rescale_slope=float(_require(fields, "rescale_slope")),
+                    rescale_intercept=float(_require(fields, "rescale_intercept")),
+                    unit_state=UnitState.RAW,
+                    z_positions_mm=geometry.z_positions_mm,
+                    subject_id=head.subject_id,
+                )
+            if not whole:
+                # the slices outside z, a chunk at a time, with the fast
+                # path of the maximum code
+                outside = set()
+                for lo, hi in ((0, z.start), (z.stop, head.geometry.nz)):
+                    for planes in _chunks(fh, head, lo, hi):
+                        outside.update(unmapped_codes(planes, head.label_map))
+                if outside:
+                    unmapped = {*outside, *unmapped_codes(values, head.label_map)}
+                    raise _unmapped_error(path, sorted(unmapped))
+            return LabelVolume(
+                codes=values,
+                label_map=head.label_map,
+                spacing_mm=geometry.spacing_mm,
+                z_positions_mm=geometry.z_positions_mm,
+                subject_id=head.subject_id,
             )
-
-        dims = _require(header, "dims")
-        if (
-            not isinstance(dims, list)
-            or len(dims) != 3
-            or any(not isinstance(n, int) or n < 1 for n in dims)
-        ):
-            raise HeaderError(f"{path}: dims must be three positive integers, got {dims}")
-        nx, ny, nz = dims
-        spacing = _require(header, "spacing_mm")
-
-        dtype = _DTYPES[dtype_name]
-        count = nx * ny * nz
-        expected = count * dtype.itemsize
-        actual = size - 12 - header_len
-        if actual < expected:
-            raise TruncatedPayloadError(
-                f"{path}: payload has {actual} bytes, dims imply {expected}"
-            )
-        if actual > expected:
-            raise HeaderError(
-                f"{path}: payload has {actual} bytes, dims imply {expected}"
-            )
-        values = np.fromfile(fh, dtype=dtype, count=count)
-        if values.size < count:  # the file shrank after the size check
-            raise TruncatedPayloadError(
-                f"{path}: payload has {values.nbytes} bytes, dims imply {expected}"
-            )
-    values = values.reshape(nz, ny, nx)
-
-    z_positions = header.get("z_positions_mm")
-    subject_id = header.get("subject_id")
-    if subject_id is not None and not isinstance(subject_id, str):
-        raise HeaderError(f"{path}: subject_id must be a string, got {subject_id!r}")
-    try:
-        if kind == "ct":
-            return VoxelVolume(
-                values=values,
-                spacing_mm=tuple(spacing),
-                rescale_slope=float(_require(header, "rescale_slope")),
-                rescale_intercept=float(_require(header, "rescale_intercept")),
-                unit_state=UnitState.RAW,
-                z_positions_mm=tuple(z_positions) if z_positions is not None else None,
-                subject_id=subject_id,
-            )
-        label_map = _require(header, "label_map")
-        if not isinstance(label_map, dict):
-            raise HeaderError(f"{path}: label_map must be a JSON object, got {label_map!r}")
-        return LabelVolume(
-            codes=values,
-            label_map={int(c): str(n) for c, n in label_map.items()},
-            spacing_mm=tuple(spacing),
-            z_positions_mm=tuple(z_positions) if z_positions is not None else None,
-            subject_id=subject_id,
-        )
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise HeaderError(f"{path}: header violates volume invariants: {exc}") from exc
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise HeaderError(f"{path}: header violates volume invariants: {exc}") from exc
 
 
 def read_cohort_csv(path) -> list[SubjectRecord]:

@@ -10,17 +10,20 @@ folded classes (``code_classes``) gives the policy-applied table
 directly, and the same folded classes give the codes whose HU the muscle
 density averages, so no merged copy of a volume is made.
 
-``measure_subject`` counts the tissue mask once, over the T12-L4 range
-together with the L3 slice, and reads every area, volume and VAT/SAT
-ratio from that table through ``MaskMetrics``; ``evaluation`` reads the
-ground-truth and predicted marginals of its joint table through the same
-class. Areas are cm² (pixel area sx*sy/100), volumes cm³ (voxel volume
+``measure_subject`` reads the tissue mask once, over the T12-L4 range
+together with the L3 slice: each plane's class selections are counted,
+and the muscle selection also gathers the CT's muscle voxels there. It
+reads every metric from that pass through ``MaskMetrics``; the tissue
+mask and CT may hold only that slab of the volume. ``evaluation`` reads
+the ground-truth and predicted marginals of its joint table through the
+same class. Areas are cm² (pixel area sx*sy/100), volumes cm³ (voxel volume
 sx*sy*sz/1000), densities are mean HU.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -38,6 +41,7 @@ from .model import (
     TISSUE_NAMES,
     VAT,
     BodyCompResult,
+    Geometry,
     LabelVolume,
     MergePolicy,
     SubjectRecord,
@@ -46,12 +50,14 @@ from .model import (
     require_same_geometry,
     require_tissue_vocabulary,
     select_codes,
+    slab_start,
 )
 from .regions import (
     AllSlices,
     MeasurementRegion,
     SingleSlice,
     SliceRange,
+    VertebraRegions,
     measurement_regions,
     region_slice,
 )
@@ -94,6 +100,35 @@ def _codes_of(classes: np.ndarray, column: int) -> list[int]:
     return np.flatnonzero(classes == column).tolist()
 
 
+def _count_slab(
+    codes: np.ndarray, classes: np.ndarray, ct_values: np.ndarray | None = None, gathered=()
+) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """Per-slice class counts of the planes ``codes``, gathering CT muscle voxels.
+
+    ``classes`` gives each code's class. Each plane's codes are read once:
+    every class's selection is counted, and on the planes whose index is
+    in ``gathered`` the skeletal-muscle selection also picks that plane's
+    voxels of ``ct_values`` (planes aligned with ``codes``). Returns the
+    ``[planes, N_CLASSES]`` int64 counts and the gathered values by plane.
+    """
+    counts = np.zeros((len(codes), N_CLASSES), dtype=np.int64)
+    sets = [(c, _codes_of(classes, c)) for c in range(1, N_CLASSES)]
+    sets = [(c, wanted) for c, wanted in sets if wanted]
+    muscle = tissue_class(SKELETAL_MUSCLE)
+    gathered_values = {}
+    # one plane at a time, every class counted while the plane is in
+    # cache: no slab-sized mask, and a whole-plane count_nonzero is
+    # several times faster than one along an axis
+    for z, plane in enumerate(codes):
+        for c, wanted in sets:
+            selected = select_codes(plane, wanted)
+            counts[z, c] = np.count_nonzero(selected)
+            if c == muscle and z in gathered:
+                gathered_values[z] = ct_values[z][selected]
+    counts[:, 0] = codes[0].size - counts.sum(axis=1)
+    return counts, gathered_values
+
+
 def class_table(
     mask: LabelVolume, sl: slice = slice(None), policy: MergePolicy = MergePolicy.SEPARATE
 ) -> np.ndarray:
@@ -102,10 +137,38 @@ def class_table(
     Returns ``[slices, N_CLASSES]`` int64 counts; each slice's codes are
     read once.
     """
-    classes = code_classes(mask, policy)
-    tissues = mask.slice_counts([_codes_of(classes, c) for c in range(1, N_CLASSES)], sl)
-    other = mask.codes[0].size - tissues.sum(axis=1)
-    return np.column_stack([other, tissues])
+    return _count_slab(mask.codes[sl], code_classes(mask, policy))[0]
+
+
+def gather_muscle_hu(
+    ct: VoxelVolume, mask: LabelVolume, region: MeasurementRegion, policy: MergePolicy, z0: int = 0
+) -> np.ndarray:
+    """Float32 HU of the post-policy muscle voxels of ``mask`` in ``region``.
+
+    ``ct`` holds the slices of ``mask`` from ``z0`` on. The voxels are
+    gathered a chunk of slices at a time (no slab-sized mask, and few
+    steps on a small volume), in slab order, and converted at once.
+    """
+    sl = region_slice(region, mask.nz)
+    muscle = _codes_of(code_classes(mask, policy), tissue_class(SKELETAL_MUSCLE))
+    step = max(1, DENSITY_CHUNK_VOXELS // mask.codes[0].size)
+    chunks = [slice(z, min(z + step, sl.stop)) for z in range(sl.start, sl.stop, step)]
+    raw = [
+        ct.values[c.start - z0 : c.stop - z0][select_codes(mask.codes[c], muscle)] for c in chunks
+    ]
+    return ct.hu_of(np.concatenate(raw))
+
+
+def _mean_hu(hu: np.ndarray) -> float:
+    """Mean of muscle HU values, as float64 over the float32 values."""
+    if hu.size == 0:
+        raise EmptyRegionError("no skeletal-muscle voxels in the requested region")
+    # a float64 sum of float32 values cannot overflow: only a non-finite
+    # voxel makes the mean non-finite
+    density = float(hu.mean(dtype=np.float64))
+    if not np.isfinite(density):
+        raise NonFiniteHUError("NaN or infinite HU among the skeletal-muscle voxels")
+    return density
 
 
 def muscle_density(
@@ -121,23 +184,7 @@ def muscle_density(
     """
     require_same_geometry(ct, mask)
     require_tissue_vocabulary(mask)
-    sl = region_slice(region, mask.nz)
-    muscle = _codes_of(code_classes(mask, policy), tissue_class(SKELETAL_MUSCLE))
-    # gathered a chunk of slices at a time: no slab-sized mask, and few
-    # steps on a small volume. The chunks concatenate in the order of a
-    # slab-wide boolean index, so the float64 mean is that of the same
-    # float32 array
-    step = max(1, DENSITY_CHUNK_VOXELS // mask.codes[0].size)
-    chunks = [slice(z, min(z + step, sl.stop)) for z in range(sl.start, sl.stop, step)]
-    vals = np.concatenate([ct.hu_at(c, where=select_codes(mask.codes[c], muscle)) for c in chunks])
-    if vals.size == 0:
-        raise EmptyRegionError("no skeletal-muscle voxels in the requested region")
-    # a float64 sum of float32 values cannot overflow: only a non-finite
-    # voxel makes the mean non-finite
-    density = float(vals.mean(dtype=np.float64))
-    if not np.isfinite(density):
-        raise NonFiniteHUError("NaN or infinite HU among the skeletal-muscle voxels")
-    return density
+    return _mean_hu(gather_muscle_hu(ct, mask, region, policy))
 
 
 def slice_thickness_mm(geometry) -> np.ndarray:
@@ -187,7 +234,8 @@ def _tissue_counts(
     codes = mask.codes_for(label_name)
     if label_name in TISSUE_NAMES:  # a policy moves no other name
         codes = _codes_of(code_classes(mask, policy), tissue_class(label_name))
-    return mask.slice_counts([codes], region_slice(region, mask.nz))[:, 0]
+    planes = mask.codes[region_slice(region, mask.nz)]
+    return np.array([np.count_nonzero(select_codes(plane, codes)) for plane in planes])
 
 
 def tissue_area_2d(
@@ -253,27 +301,30 @@ class MaskMetrics:
     """The ``BodyCompResult`` metrics of one tissue mask under one policy.
 
     ``counts`` is the mask's policy-applied class table, ``[nz,
-    N_CLASSES]``, counted at least on the slices of ``regions`` (``"l3"``
-    and ``"t12_l4"``, as from ``measurement_regions``). A metric whose
-    name ends in ``_2d`` is read on the L3 slice, one ending in ``_3d``
-    over the T12-L4 range.
+    N_CLASSES]`` over the slices of ``geometry`` (the whole volume's),
+    counted at least on the slices of ``regions`` (``"l3"`` and
+    ``"t12_l4"``, as from ``measurement_regions``). ``muscle_hu`` gives,
+    for either region, the float32 HU of the mask's post-policy muscle
+    voxels there; it is None without a CT. A metric whose name
+    ends in ``_2d`` is read on the L3 slice, one ending in ``_3d`` over
+    the T12-L4 range.
     """
 
-    mask: LabelVolume
-    policy: MergePolicy
+    geometry: Geometry
     counts: np.ndarray
     regions: dict[str, MeasurementRegion]
+    muscle_hu: Callable[[MeasurementRegion], np.ndarray] | None = None
 
-    def metric(self, name: str, ct: VoxelVolume | None, height_m: float | None) -> float | None:
-        """Metric ``name``; the density reads ``ct``, SMI is None without a height."""
+    def metric(self, name: str, height_m: float | None) -> float | None:
+        """Metric ``name``; SMI is None without a height."""
         region = self.regions["l3" if name.endswith("_2d") else "t12_l4"]
         if name.startswith("muscle_density"):
-            return muscle_density(ct, self.mask, region, self.policy)
-        counts = self.counts[region_slice(region, self.mask.nz)]
+            return _mean_hu(self.muscle_hu(region))
+        counts = self.counts[region_slice(region, self.geometry.nz)]
         if name.startswith("vat_sat_ratio"):
-            return vat_sat_ratio_from_counts(counts, self.mask, region)
+            return vat_sat_ratio_from_counts(counts, self.geometry, region)
         muscle = counts[:, tissue_class(SKELETAL_MUSCLE)]
-        measure = tissue_measure_from_counts(muscle, self.mask, region)
+        measure = tissue_measure_from_counts(muscle, self.geometry, region)
         if name.startswith("smi"):
             return smi(measure, height_m) if height_m is not None else None
         return measure
@@ -282,7 +333,7 @@ class MaskMetrics:
 def measure_subject(
     ct: VoxelVolume,
     tissue_mask: LabelVolume,
-    vertebra_mask: LabelVolume,
+    vertebra_mask: LabelVolume | VertebraRegions,
     subject: SubjectRecord,
     policy: MergePolicy = MergePolicy.MUSCLE,
 ) -> BodyCompResult:
@@ -291,25 +342,52 @@ def measure_subject(
     2D metrics are measured on the largest-L3 slice, 3D metrics over the
     T12-L4 range. SMI is omitted when the subject's height is unknown;
     no 3D SMI is computed. ``ct`` is raw or HU, as read.
+
+    ``vertebra_mask`` is the vertebra label volume, or the regions already
+    picked from it by ``measurement_regions``. ``ct`` and ``tissue_mask``
+    hold every slice of it, or only its counted slab
+    (``VertebraRegions.counted_slab``), as ``read_volume(path, z=...)``
+    reads it; the metrics are the same either way.
     """
     require_same_geometry(ct, tissue_mask)
-    require_same_geometry(ct, vertebra_mask)
-    regions, missing = measurement_regions(vertebra_mask)
-    if missing:
-        raise VertebraNotFoundError(next(iter(missing.values())))
+    if isinstance(vertebra_mask, VertebraRegions):
+        picked = vertebra_mask
+    else:
+        require_same_geometry(ct, vertebra_mask)
+        picked = measurement_regions(vertebra_mask)
+    if picked.missing:
+        raise VertebraNotFoundError(next(iter(picked.missing.values())))
     require_tissue_vocabulary(tissue_mask)
 
+    regions = picked.found
     l3, t12_l4 = regions["l3"], regions["t12_l4"]
-    # one count over the range together with the L3 slice; rows outside
+    # one pass over the range together with the L3 slice counts every
+    # class and gathers the muscle voxels of both regions; rows outside
     # stay 0 and are never read
-    counted = slice(min(l3.z, t12_l4.z_lo), max(l3.z, t12_l4.z_hi) + 1)
-    counts = np.zeros((tissue_mask.nz, N_CLASSES), dtype=np.int64)
-    counts[counted] = class_table(tissue_mask, counted, policy)
-    metrics = MaskMetrics(tissue_mask, policy, counts, regions)
+    counted = picked.counted_slab()
+    z0 = slab_start(ct, picked.geometry, counted)
+    rows = slice(counted.start - z0, counted.stop - z0)
+    in_range = range(t12_l4.z_lo - counted.start, t12_l4.z_hi + 1 - counted.start)
+    l3_row = l3.z - counted.start
+    table, muscle_raw = _count_slab(
+        tissue_mask.codes[rows],
+        code_classes(tissue_mask, policy),
+        ct.values[rows],
+        {*in_range, l3_row},
+    )
+    counts = np.zeros((picked.geometry.nz, N_CLASSES), dtype=np.int64)
+    counts[counted] = table
+    # the range's values in slab order, converted at once: the float64
+    # means are those of the float32 arrays muscle_density builds
+    muscle_hu = {
+        l3: ct.hu_of(muscle_raw[l3_row]),
+        t12_l4: ct.hu_of(np.concatenate([muscle_raw.pop(z) for z in in_range])),
+    }
+    metrics = MaskMetrics(picked.geometry, counts, regions, muscle_hu.__getitem__)
     return BodyCompResult(
         subject_id=subject.subject_id,
         policy=policy,
         region_2d=l3.z,
         region_3d=(t12_l4.z_lo, t12_l4.z_hi),
-        **{name: metrics.metric(name, ct, subject.height_m) for name in METRIC_FIELDS},
+        **{name: metrics.metric(name, subject.height_m) for name in METRIC_FIELDS},
     )

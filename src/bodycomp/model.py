@@ -98,6 +98,52 @@ def _validate_grid(shape, spacing_mm, z_positions_mm):
 
 
 @dataclass(frozen=True)
+class Geometry:
+    """The grid of a volume without its voxels: what ``same_geometry`` compares.
+
+    A `.bcv` header and the regions picked from a vertebra mask carry the
+    geometry of a whole volume when only some of its slices are read.
+    """
+
+    dims: tuple[int, int, int]
+    spacing_mm: tuple[float, float, float]
+    z_positions_mm: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        _validate_grid(tuple(self.dims)[::-1], self.spacing_mm, self.z_positions_mm)
+        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
+        object.__setattr__(self, "spacing_mm", tuple(float(s) for s in self.spacing_mm))
+        if self.z_positions_mm is not None:
+            object.__setattr__(
+                self, "z_positions_mm", tuple(float(z) for z in self.z_positions_mm)
+            )
+
+    @property
+    def nz(self) -> int:
+        return self.dims[2]
+
+    @property
+    def pixel_area_cm2(self) -> float:
+        sx, sy, _ = self.spacing_mm
+        return sx * sy / 100.0
+
+    @property
+    def voxel_volume_cm3(self) -> float:
+        sx, sy, sz = self.spacing_mm
+        return sx * sy * sz / 1000.0
+
+    def slab(self, sl: slice) -> Geometry:
+        """Geometry of the slices ``sl`` (a ``slice(lo, hi)`` inside the volume)."""
+        nx, ny, nz = self.dims
+        if not 0 <= sl.start < sl.stop <= nz or sl.step not in (None, 1):
+            raise IndexError(f"slab {sl} is not a slice range inside [0, {nz})")
+        z = self.z_positions_mm
+        return Geometry(
+            (nx, ny, sl.stop - sl.start), self.spacing_mm, z[sl] if z is not None else None
+        )
+
+
+@dataclass(frozen=True)
 class VoxelVolume:
     """A 3-D scalar grid: raw CT counts or converted Hounsfield Units.
 
@@ -146,16 +192,24 @@ class VoxelVolume:
         """Float32 HU of ``values[index]``, or of ``values[index][where]``.
 
         An HU volume returns its stored values. A raw volume applies its
-        rescale to the indexed voxels only, with the arithmetic of
-        ``to_hu``, so each value is bit-identical to the converted
-        volume's. A rescale that overflows float32 yields inf HU without
-        a warning: the measures that read HU raise NonFiniteHUError on it.
+        rescale to the indexed voxels only (``hu_of``).
         """
         values = self.values[index]
         if where is not None:
             # a boolean mask of the indexed view; also several times faster
             # than one index that mixes an integer and a boolean array
             values = values[where]
+        return self.hu_of(values)
+
+    def hu_of(self, values: np.ndarray) -> np.ndarray:
+        """Float32 HU of ``values`` taken from this volume's ``values``.
+
+        An HU volume's values are returned as they are. Raw values get the
+        rescale with the arithmetic of ``to_hu``, so each one is
+        bit-identical to the converted volume's. A rescale that overflows
+        float32 yields inf HU without a warning: the measures that read HU
+        raise NonFiniteHUError on it.
+        """
         if self.unit_state is UnitState.HU:
             return values
         # ufunc-mediated cast; plain astype is much slower on some builds
@@ -163,6 +217,10 @@ class VoxelVolume:
             hu = np.multiply(values, np.float32(self.rescale_slope), dtype=np.float32)
             hu += np.float32(self.rescale_intercept)
         return hu
+
+    @property
+    def geometry(self) -> Geometry:
+        return Geometry(self.dims, self.spacing_mm, self.z_positions_mm)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -196,6 +254,40 @@ def select_codes(codes: np.ndarray, wanted: list[int]) -> np.ndarray:
     return selected
 
 
+def code_counts(planes: np.ndarray) -> np.ndarray:
+    """Voxels of each code on each of ``planes`` (uint8, ``[n, ny, nx]``).
+
+    Returns ``[n, 256]`` int64 counts: one ``bincount`` of each plane's
+    nonzero codes, code 0 by difference. On a mostly-zero mask, such as
+    vertebra labels, each plane's count reads only its few marked voxels.
+    """
+    counts = np.zeros((len(planes), 256), dtype=np.int64)
+    for z, plane in enumerate(planes):
+        counts[z] = np.bincount(plane[plane != 0], minlength=256)
+    counts[:, 0] = planes[0].size - counts.sum(axis=1)
+    return counts
+
+
+def codes_for(label_map: Mapping[int, str], label_name: str) -> list[int]:
+    """All codes ``label_map`` maps to ``label_name``; raises if the name is unknown."""
+    found = sorted(c for c, n in label_map.items() if n == label_name)
+    if not found:
+        raise LabelVocabularyError(f"label {label_name!r} not in label map")
+    return found
+
+
+def unmapped_codes(codes: np.ndarray, label_map: Mapping[int, str]) -> list[int]:
+    """Sorted nonzero codes of ``codes`` (uint8) that ``label_map`` lacks."""
+    mapped = np.zeros(256, dtype=bool)
+    mapped[0] = True
+    mapped[list(label_map)] = True
+    # fast path: when every code up to the observed maximum is mapped, no
+    # per-voxel membership scan is needed
+    if mapped[: int(codes.max(initial=0)) + 1].all():
+        return []
+    return np.flatnonzero(np.bincount(codes[~mapped[codes]], minlength=256)).tolist()
+
+
 @dataclass(frozen=True)
 class LabelVolume:
     """A 3-D unsigned 8-bit label grid plus its code-to-name map.
@@ -222,18 +314,9 @@ class LabelVolume:
         label_map = {int(k): str(v) for k, v in dict(self.label_map).items()}
         if any(not 0 <= k <= 255 for k in label_map):
             raise ValueError("label_map codes must fit in unsigned 8 bits")
-        mapped = np.zeros(256, dtype=bool)
-        mapped[0] = True
-        mapped[list(label_map)] = True
-        # fast path: when every code up to the observed maximum is mapped,
-        # no per-voxel membership scan is needed
-        if not mapped[: int(codes.max(initial=0)) + 1].all():
-            ok = mapped[codes]
-            if not ok.all():
-                missing = sorted(int(c) for c in set(codes[~ok].ravel().tolist()))
-                raise ValueError(
-                    f"codes {missing} present in volume but not in label_map"
-                )
+        unmapped = unmapped_codes(codes, label_map)
+        if unmapped:
+            raise ValueError(f"codes {unmapped} present in volume but not in label_map")
         object.__setattr__(self, "codes", _freeze(codes))
         object.__setattr__(self, "label_map", label_map)
         object.__setattr__(self, "spacing_mm", tuple(float(s) for s in self.spacing_mm))
@@ -261,12 +344,13 @@ class LabelVolume:
         sx, sy, sz = self.spacing_mm
         return sx * sy * sz / 1000.0
 
+    @property
+    def geometry(self) -> Geometry:
+        return Geometry(self.dims, self.spacing_mm, self.z_positions_mm)
+
     def codes_for(self, label_name: str) -> list[int]:
         """All codes mapping to ``label_name``; raises if the name is unknown."""
-        found = sorted(c for c, n in self.label_map.items() if n == label_name)
-        if not found:
-            raise LabelVocabularyError(f"label {label_name!r} not in label map")
-        return found
+        return codes_for(self.label_map, label_name)
 
     def has_name(self, label_name: str) -> bool:
         return label_name in self.label_map.values()
@@ -274,22 +358,6 @@ class LabelVolume:
     def binary(self, label_name: str) -> np.ndarray:
         """Boolean mask of voxels carrying ``label_name``."""
         return select_codes(self.codes, self.codes_for(label_name))
-
-    def slice_counts(self, code_sets: list[list[int]], sl: slice = slice(None)) -> np.ndarray:
-        """Voxels with a code in each of ``code_sets`` on each slice of ``sl``.
-
-        Returns ``[slices, len(code_sets)]`` counts; an empty set counts 0.
-        """
-        planes = self.codes[sl]
-        counts = np.zeros((len(planes), len(code_sets)), dtype=np.int64)
-        wanted = [(k, codes) for k, codes in enumerate(code_sets) if codes]
-        # one plane at a time, every set counted while the plane is in
-        # cache: no slab-sized mask, and a whole-plane count_nonzero is
-        # several times faster than one along an axis
-        for z, plane in enumerate(planes):
-            for k, codes in wanted:
-                counts[z, k] = np.count_nonzero(select_codes(plane, codes))
-        return counts
 
 
 @dataclass(frozen=True)
@@ -417,6 +485,20 @@ def require_same_geometry(a, b) -> None:
             f"geometry mismatch: dims {a.dims} spacing {a.spacing_mm} vs "
             f"dims {b.dims} spacing {b.spacing_mm}"
         )
+
+
+def slab_start(volume, geometry: Geometry, slab: slice) -> int:
+    """Index, in ``geometry``'s slices, of the first slice ``volume`` holds.
+
+    ``volume`` holds either every slice of ``geometry`` (0) or only the
+    slices of ``slab`` (``slab.start``), as ``read_volume(path, z=slab)``
+    reads them. Anything else raises GeometryMismatchError.
+    """
+    if volume.nz != geometry.nz and volume.nz == slab.stop - slab.start:
+        require_same_geometry(volume, geometry.slab(slab))
+        return slab.start
+    require_same_geometry(volume, geometry)
+    return 0
 
 
 def to_hu(vol: VoxelVolume) -> VoxelVolume:

@@ -61,7 +61,9 @@ def build_phantom(
     places T12 near the top and L4 near the bottom with L3 between them.
     Raw counts encode HU through the given rescale parameters; the
     defaults (slope 1) reproduce the tissue HU values exactly, while a
-    non-integral slope quantizes them to the nearest raw count.
+    non-integral slope quantizes them to the nearest raw count. Every
+    level keeps its whole marker profile: an image too small to place a
+    marker clear of the others raises ValueError naming its level.
     """
     if vertebra_slices is None:
         t12 = max(0, int(round(nz * 0.80)))
@@ -113,30 +115,40 @@ def build_phantom(
 
     # vertebra markers: squares close to the posterior body wall whose
     # side length peaks at the designated slice. A marker that would share
-    # a pixel with an earlier level's moves beside it by the widest side
-    # (6 px), right or left, where it fits in the image, so every level
-    # keeps its whole profile; with no such place it is drawn over them
+    # a pixel with an earlier level's moves by the widest side (6 px):
+    # beside it, right or left, where that fits in the image, else 6 px up
+    # or down, so every level keeps its whole profile; with no such place
+    # the phantom cannot be built
     vert_codes = np.zeros((nz, ny, nx), dtype=np.uint8)
-    marker_y = int(cy + scale * 0.40)
+    marker_y, marker_x = int(cy + scale * 0.40), int(cx)
 
-    def square(k: int, peak: int, shift: int) -> tuple[int, slice, slice]:
+    def square(k: int, peak: int, at: tuple[int, int]) -> tuple[int, slice, slice]:
         half = (3, 2, 1)[abs(k - peak)]
-        ys = slice(max(0, marker_y - half), min(ny, marker_y + half))
-        xs = slice(max(0, int(cx) + shift - half), min(nx, int(cx) + shift + half))
-        return k, ys, xs
+        y, x = marker_y + at[0], marker_x + at[1]
+        ys = slice(max(0, y - half), min(ny, y + half))
+        return k, ys, slice(max(0, x - half), min(nx, x + half))
 
-    def free(shift: int, peak: int, marked: range) -> bool:
-        fits = shift == 0 or 0 <= int(cx) + shift - 3 <= nx - 6
-        return fits and not any(vert_codes[square(k, peak, shift)].any() for k in marked)
+    def free(at: tuple[int, int], peak: int, marked: range) -> bool:
+        fits = all(
+            shift == 0 or 0 <= centre + shift - 3 <= size - 6
+            for shift, centre, size in zip(at, (marker_y, marker_x), (ny, nx))
+        )
+        return fits and not any(vert_codes[square(k, peak, at)].any() for k in marked)
 
+    places = [(dy, dx) for dy in (0, -6, 6) for dx in (0, 6, -6, 12, -12)]
     for code, peak in ((1, t12), (2, l3), (3, l4)):
         marked = range(max(0, peak - 2), min(nz, peak + 3))
-        shift = next((s for s in (0, 6, -6, 12, -12) if free(s, peak, marked)), 0)
+        at = next((place for place in places if free(place, peak, marked)), None)
+        if at is None:
+            raise ValueError(
+                f"no room for the {VERTEBRA_CODES[code]} marker on a {nx}x{ny} image "
+                f"beside the markers already drawn"
+            )
         for k in marked:
-            at = square(k, peak, shift)
-            vert_codes[at] = code
-            raw[at] = raw_bone
-            tissue_codes[at] = 0
+            voxels = square(k, peak, at)
+            vert_codes[voxels] = code
+            raw[voxels] = raw_bone
+            tissue_codes[voxels] = 0
 
     ct = VoxelVolume(
         values=raw,

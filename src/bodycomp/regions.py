@@ -8,11 +8,12 @@ endpoints inclusive. Ties in per-slice area break to the lowest index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from .errors import LabelVocabularyError, VertebraNotFoundError
-from .model import LabelVolume, vertebra_label
+from .model import Geometry, LabelVolume, code_counts, codes_for, vertebra_label
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,19 @@ def region_slice(region: MeasurementRegion, nz: int) -> slice:
 
 def label_area_per_slice(mask: LabelVolume, label_name: str) -> np.ndarray:
     """Per-slice area of a label in cm² (count times sx*sy/100)."""
-    return mask.slice_counts([mask.codes_for(label_name)])[:, 0] * mask.pixel_area_cm2
+    counts = code_counts(mask.codes)[:, mask.codes_for(label_name)].sum(axis=1)
+    return counts * mask.pixel_area_cm2
+
+
+def _largest_slice(counts: np.ndarray, label_map: Mapping[int, str], label_name: str) -> int:
+    """Lowest slice of the largest count of ``label_name``, from ``code_counts``."""
+    try:
+        voxels = counts[:, codes_for(label_map, label_name)].sum(axis=1)
+    except LabelVocabularyError:
+        raise VertebraNotFoundError(f"label {label_name!r} absent from volume") from None
+    if not voxels.any():
+        raise VertebraNotFoundError(f"label {label_name!r} has no voxels in volume")
+    return int(np.argmax(voxels))
 
 
 def largest_label_slice(mask: LabelVolume, label_name: str) -> int:
@@ -67,13 +80,14 @@ def largest_label_slice(mask: LabelVolume, label_name: str) -> int:
     Ties break to the lowest index. Raises VertebraNotFoundError when the
     label has no voxels anywhere (or is absent from the label map).
     """
-    try:
-        areas = label_area_per_slice(mask, label_name)
-    except LabelVocabularyError:
-        raise VertebraNotFoundError(f"label {label_name!r} absent from volume") from None
-    if not areas.any():
-        raise VertebraNotFoundError(f"label {label_name!r} has no voxels in volume")
-    return int(np.argmax(areas))
+    return _largest_slice(code_counts(mask.codes), mask.label_map, label_name)
+
+
+def _t12_l4(counts: np.ndarray, label_map: Mapping[int, str]) -> SliceRange:
+    t12 = _largest_slice(counts, label_map, vertebra_label("T12"))
+    l4 = _largest_slice(counts, label_map, vertebra_label("L4"))
+    lo, hi = min(t12, l4), max(t12, l4)
+    return SliceRange(lo, hi, degenerate=(lo == hi))
 
 
 def region_t12_l4(vertebrae: LabelVolume) -> SliceRange:
@@ -82,34 +96,56 @@ def region_t12_l4(vertebrae: LabelVolume) -> SliceRange:
     The endpoints are order-normalized so z_lo <= z_hi regardless of scan
     direction; a same-slice collapse is flagged degenerate.
     """
-    t12 = largest_label_slice(vertebrae, vertebra_label("T12"))
-    l4 = largest_label_slice(vertebrae, vertebra_label("L4"))
-    lo, hi = min(t12, l4), max(t12, l4)
-    return SliceRange(lo, hi, degenerate=(lo == hi))
+    return _t12_l4(code_counts(vertebrae.codes), vertebrae.label_map)
 
 
-def measurement_regions(
-    vertebrae: LabelVolume,
-) -> tuple[dict[str, MeasurementRegion], dict[str, str]]:
-    """The largest-L3 slice (``"l3"``) and the T12-L4 range (``"t12_l4"``).
+@dataclass(frozen=True)
+class VertebraRegions:
+    """The regions picked from one vertebra mask, and that mask's geometry.
 
-    Each region is picked once. A region whose vertebra level is missing
-    is left out of the first dict, and the second gives, under the same
-    name, the message of its VertebraNotFoundError.
+    ``found`` holds the largest-L3 slice (``"l3"``) and the T12-L4 range
+    (``"t12_l4"``). A region whose vertebra level is missing is left out
+    of it, and ``missing`` gives, under the same name, the message of its
+    VertebraNotFoundError.
+    """
+
+    geometry: Geometry
+    found: dict[str, MeasurementRegion]
+    missing: dict[str, str]
+
+    def counted_slab(self) -> slice:
+        """Slices from min(L3, T12, L4) to max(L3, T12, L4): all a metric reads."""
+        l3, t12_l4 = self.found["l3"], self.found["t12_l4"]
+        return slice(min(l3.z, t12_l4.z_lo), max(l3.z, t12_l4.z_hi) + 1)
+
+
+def regions_from_counts(
+    counts: np.ndarray, label_map: Mapping[int, str], geometry: Geometry
+) -> VertebraRegions:
+    """The regions of a vertebra mask, from its per-slice code counts.
+
+    ``counts`` is the mask's ``code_counts``; each level is picked at the
+    lowest slice of its largest area.
     """
     # messages, not the exceptions: a stored exception's traceback would
     # keep this frame, and the callers' volumes, alive until a gc pass
     found: dict[str, MeasurementRegion] = {}
     missing: dict[str, str] = {}
     try:
-        found["l3"] = SingleSlice(largest_label_slice(vertebrae, vertebra_label("L3")))
+        found["l3"] = SingleSlice(_largest_slice(counts, label_map, vertebra_label("L3")))
     except VertebraNotFoundError as exc:
         missing["l3"] = str(exc)
     try:
-        found["t12_l4"] = region_t12_l4(vertebrae)
+        found["t12_l4"] = _t12_l4(counts, label_map)
     except VertebraNotFoundError as exc:
         missing["t12_l4"] = str(exc)
-    return found, missing
+    return VertebraRegions(geometry, found, missing)
+
+
+def measurement_regions(vertebrae: LabelVolume) -> VertebraRegions:
+    """The largest-L3 slice and the T12-L4 range, from one scan of the mask."""
+    counts = code_counts(vertebrae.codes)
+    return regions_from_counts(counts, vertebrae.label_map, vertebrae.geometry)
 
 
 def slice_positions_mm(geometry) -> np.ndarray:

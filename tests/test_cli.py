@@ -1,9 +1,11 @@
 import csv
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,12 +19,13 @@ from bodycomp import (
     SubjectRecord,
     build_phantom,
     dice,
+    evaluate_masks,
     measure_subject,
     read_volume,
     to_hu,
     write_volume,
 )
-from bodycomp.cli import main
+from bodycomp.cli import _measure_one, main
 from conftest import make_tissue, make_vertebrae
 
 
@@ -611,3 +614,139 @@ def test_csv_headers_match_the_readme(tmp_path):
         first = (path / name).read_bytes().split(b"\n")[0] + b"\n"
         assert first == headers[name].encode()
         assert _readme_schema(name) == headers[name]
+
+
+# ---- slab reads: measure and evaluate read only the counted slab ----------
+
+def _manifest(tmp_path, sids, with_ids=True):
+    rows = [f"{s}_ct.bcv,{s}_tissue.bcv,{s}_vertebrae.bcv" + (f",{s}" if with_ids else "") for s in sids]
+    manifest = tmp_path / "manifest.csv"
+    head = "ct,tissue,vertebrae" + (",subject_id" if with_ids else "")
+    manifest.write_text(head + "\n" + "\n".join(rows) + "\n")
+    return manifest
+
+
+def _recording_reads(monkeypatch):
+    """Record the (file name, z) of every payload read through the CLI."""
+    reads = []
+
+    def recorded(path, z=None):
+        reads.append((Path(path).name, z))
+        return read_volume(path, z)
+
+    monkeypatch.setattr("bodycomp.cli.read_volume", recorded)
+    return reads
+
+
+def test_measure_reads_only_the_counted_slab(tmp_path, monkeypatch):
+    ph, _ = write_phantom(tmp_path, sid="p1", nx=32, ny=32, nz=20, vertebra_slices=(14, 9, 5))
+    reads = _recording_reads(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["measure", "--manifest", str(_manifest(tmp_path, ["p1"])), "--out", str(out)]) == 0
+    # the vertebra mask is scanned a chunk at a time, not read as a volume
+    slab = slice(5, 15)
+    assert sorted(reads, key=str) == [("p1_ct.bcv", slab), ("p1_tissue.bcv", slab)]
+    want = measure_subject(ph.ct, ph.tissue, ph.vertebrae, SubjectRecord("p1", 0.0))
+    assert json.loads((out / "p1.json").read_text()) == json.loads(json.dumps(want.to_dict()))
+
+
+def test_measure_fails_on_an_unmapped_tissue_code_outside_the_slab(tmp_path, capsys):
+    for sid in ("good", "bad"):
+        ph, paths = write_phantom(tmp_path, sid=sid, nx=32, ny=32, nz=20, vertebra_slices=(14, 9, 5))
+    # code 9, which the label map lacks, on slice 18: outside the slab 5-14
+    codes = ph.tissue.codes.copy()
+    codes[18, 0, 0] = 9
+    data = bytearray(paths["tissue"].read_bytes())
+    data[-codes.nbytes :] = codes.tobytes()
+    paths["tissue"].write_bytes(bytes(data))
+    out = tmp_path / "out"
+    code = main(["measure", "--manifest", str(_manifest(tmp_path, ["good", "bad"])), "--out", str(out)])
+    assert code == 1
+    assert [r["subject_id"] for r in read_csv(out / "results.csv")] == ["good"]
+    err = capsys.readouterr().err
+    assert "bad_ct.bcv" in err and "codes [9] present in volume but not in label_map" in err
+
+
+def test_measure_fails_on_a_ct_cut_after_its_slab(tmp_path, capsys):
+    for sid in ("good", "bad"):
+        ph, paths = write_phantom(tmp_path, sid=sid, nx=32, ny=32, nz=20, vertebra_slices=(14, 9, 5))
+    # slices 15-19 are outside the slab 5-14; cut the last three
+    paths["ct"].write_bytes(paths["ct"].read_bytes()[: -3 * 32 * 32 * 2])
+    out = tmp_path / "out"
+    code = main(["measure", "--manifest", str(_manifest(tmp_path, ["good", "bad"])), "--out", str(out)])
+    assert code == 1
+    assert [r["subject_id"] for r in read_csv(out / "results.csv")] == ["good"]
+    err = capsys.readouterr().err
+    assert re.search(r"bad_ct\.bcv: .*bad_ct\.bcv: payload has \d+ bytes, dims imply \d+", err)
+    assert "1 of 2 inputs failed" in err
+
+
+def test_measure_rejects_duplicate_header_ids_before_reading_payloads(tmp_path, capsys, monkeypatch):
+    for sid in ("a1", "a2", "a3"):
+        ph, paths = write_phantom(tmp_path, sid=sid, nx=24, ny=24, nz=10)
+    write_volume(replace(ph.ct, subject_id="a1"), paths["ct"])  # a3's CT says a1
+    reads = _recording_reads(monkeypatch)
+    manifest = _manifest(tmp_path, ["a1", "a2", "a3"], with_ids=False)
+    out = tmp_path / "out"
+    assert main(["measure", "--manifest", str(manifest), "--out", str(out), "--jobs", "2"]) == 2
+    assert reads == []
+    assert "duplicate subject_id 'a1'" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
+def test_measure_header_that_fails_is_its_subject_failure(tmp_path, capsys):
+    for sid in ("a1", "a2"):
+        _, paths = write_phantom(tmp_path, sid=sid, nx=24, ny=24, nz=10)
+    paths["ct"].write_bytes(paths["ct"].read_bytes()[:-5])
+    out = tmp_path / "out"
+    code = main(["measure", "--manifest", str(_manifest(tmp_path, ["a1", "a2"], with_ids=False)),
+                 "--out", str(out)])
+    assert code == 1
+    assert [r["subject_id"] for r in read_csv(out / "results.csv")] == ["a1"]
+    err = capsys.readouterr().err
+    assert "a2_ct.bcv" in err and "payload has" in err and "1 of 2 inputs failed" in err
+
+
+@pytest.mark.parametrize("vertebrae", ["all levels", "no L4", "none"])
+def test_evaluate_reads_only_the_ct_slab_its_densities_read(tmp_path, monkeypatch, vertebrae):
+    ph, paths = write_phantom(tmp_path, sid="p1", nx=32, ny=32, nz=20, vertebra_slices=(14, 9, 5),
+                              rescale_slope=0.7)
+    pred = replace(ph.tissue, codes=np.roll(ph.tissue.codes, 1, axis=2))
+    write_volume(pred, tmp_path / "pred.bcv")
+    vert = ph.vertebrae
+    if vertebrae == "no L4":
+        vert = replace(vert, codes=np.where(vert.codes == 3, 0, vert.codes).astype(np.uint8))
+        write_volume(vert, paths["vertebrae"])
+    argv = ["evaluate", "--gt", str(paths["tissue"]), "--pred", str(tmp_path / "pred.bcv"),
+            "--ct", str(paths["ct"]), "--out", str(tmp_path / "out")]
+    regions = ["l3", "all"] if vertebrae == "no L4" else None
+    if vertebrae != "none":
+        argv += ["--vertebrae", str(paths["vertebrae"])]
+    if regions:
+        argv += ["--regions", ",".join(regions)]
+    reads = _recording_reads(monkeypatch)
+    assert main(argv) == 0
+    ct_reads = [z for name, z in reads if name == "p1_ct.bcv"]
+    assert ct_reads == ([slice(5, 15)] if vertebrae == "all levels" else [])
+    want = evaluate_masks(ph.tissue, pred, ph.ct, vert if vertebrae != "none" else None,
+                          regions=regions)
+    assert (tmp_path / "out" / "eval.json").read_text() == want.to_json() + "\n"
+
+
+def test_measure_one_peak_memory_is_the_vertebrae_and_the_slabs(tmp_path):
+    # the slab 20-43 is under half of the 64 slices
+    ph, paths = write_phantom(tmp_path, sid="p1", nx=256, ny=256, nz=64, spacing_mm=(0.7, 0.7, 1.5),
+                              rescale_slope=0.7, vertebra_slices=(43, 31, 20))
+    entry = {**{k: str(v) for k, v in paths.items()}, "subject_id": "p1"}
+    slab_voxels = (43 - 20 + 1) * 256 * 256
+    budget = ph.vertebrae.codes.nbytes + 1.25 * slab_voxels * (2 + 1)
+    del ph
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = _measure_one(entry, "p1", MergePolicy.MUSCLE, {})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.region_3d == (20, 43)
+    assert peak <= budget

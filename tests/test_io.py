@@ -25,7 +25,8 @@ from bodycomp import (
     to_hu,
     write_volume,
 )
-from bodycomp.io import format_number
+from bodycomp.io import format_number, read_code_counts, read_header
+from bodycomp.model import code_counts
 from conftest import make_ct, make_tissue, make_vertebrae, random_tissue_codes
 
 
@@ -401,3 +402,112 @@ def test_cohort_csv_bad_values(tmp_path, bad):
     path.write_text(f"subject_id,age_years,sex,race,height_m\n{bad}\n")
     with pytest.raises(CohortError):
         read_cohort_csv(path)
+
+
+# ---- slab reads ---------------------------------------------------------------
+
+def _write_tissue_with_z(tmp_path, rng, nz=9):
+    codes = random_tissue_codes(rng, (nz, 4, 5))
+    z = tuple(np.cumsum(rng.uniform(1.0, 3.0, nz)).round(3).tolist())
+    vol = make_tissue(codes, z=z, sid="t")
+    path = tmp_path / "tissue.bcv"
+    write_volume(vol, path)
+    return vol, path
+
+
+def _set_payload_byte(path, index, value):
+    data = bytearray(path.read_bytes())
+    (header_len,) = struct.unpack("<Q", data[4:12])
+    data[12 + header_len + index] = value
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 9), (0, 1), (3, 6), (8, 9)])
+def test_slab_read_is_that_slab_of_the_whole_read(tmp_path, rng, lo, hi):
+    tissue, tissue_path = _write_tissue_with_z(tmp_path, rng)
+    ct = make_ct(rng.integers(-1024, 3000, size=(9, 4, 5)), slope=0.7, z=tissue.z_positions_mm)
+    ct_path = tmp_path / "ct.bcv"
+    write_volume(ct, ct_path)
+    for vol, path in ((tissue, tissue_path), (ct, ct_path)):
+        slab = read_volume(path, slice(lo, hi))
+        assert slab.geometry == vol.geometry.slab(slice(lo, hi))
+        assert slab.z_positions_mm == vol.z_positions_mm[lo:hi]
+        assert slab.subject_id == vol.subject_id
+        stored = slab.values if isinstance(slab, VoxelVolume) else slab.codes
+        whole = vol.values if isinstance(vol, VoxelVolume) else vol.codes
+        assert np.array_equal(stored, whole[lo:hi])
+
+
+@pytest.mark.parametrize("where", ["before", "after", "both"])
+def test_slab_read_fails_on_an_unmapped_code_outside_the_slab(tmp_path, rng, monkeypatch, where):
+    _, path = _write_tissue_with_z(tmp_path, rng)
+    plane = 4 * 5
+    if where in ("before", "both"):
+        _set_payload_byte(path, 0, 200)
+    if where in ("after", "both"):
+        _set_payload_byte(path, 9 * plane - 1, 77)
+    # one slice per scanned chunk, so the code sits in a later chunk
+    monkeypatch.setattr("bodycomp.io.SCAN_CHUNK_BYTES", plane)
+    with pytest.raises(HeaderError) as whole:
+        read_volume(path)
+    with pytest.raises(HeaderError) as slab:
+        read_volume(path, slice(3, 6))
+    assert str(slab.value) == str(whole.value)
+    assert "not in label_map" in str(slab.value)
+
+
+def test_slab_read_of_a_file_cut_after_its_slab(tmp_path, rng):
+    ct = make_ct(rng.integers(-1024, 3000, size=(9, 4, 5)))
+    path = tmp_path / "ct.bcv"
+    write_volume(ct, path)
+    # the slices 0-5 are all there; 6-8 are cut
+    path.write_bytes(path.read_bytes()[: -3 * 4 * 5 * 2])
+    for read in (lambda: read_header(path), lambda: read_volume(path, slice(2, 5))):
+        with pytest.raises(TruncatedPayloadError):
+            read()
+
+
+def test_slab_outside_the_volume_is_refused(tmp_path, rng):
+    _, path = _write_tissue_with_z(tmp_path, rng)
+    for z in (slice(5, 10), slice(4, 4), slice(-1, 3)):
+        with pytest.raises(IndexError):
+            read_volume(path, z)
+
+
+def test_read_header_is_the_header_of_read_volume(tmp_path, rng):
+    vol, path = _write_tissue_with_z(tmp_path, rng)
+    head = read_header(path)
+    assert (head.kind, head.subject_id, head.geometry) == ("tissue_labels", "t", vol.geometry)
+    assert head.payload_offset + vol.codes.nbytes == os.path.getsize(path)
+    _patch_header(path, spacing_mm=[1.0, 0.0, 5.0])
+    with pytest.raises(HeaderError):
+        read_header(path)
+
+
+@pytest.mark.parametrize("chunk_planes", [1, 2, 100])
+def test_code_counts_read_in_chunks_are_those_of_the_volume(tmp_path, rng, monkeypatch, chunk_planes):
+    vol, path = _write_tissue_with_z(tmp_path, rng)
+    monkeypatch.setattr("bodycomp.io.SCAN_CHUNK_BYTES", chunk_planes * 4 * 5)
+    head, counts = read_code_counts(path)
+    assert head == read_header(path)
+    assert np.array_equal(counts, code_counts(vol.codes))
+    for z in range(vol.nz):
+        assert np.array_equal(counts[z], np.bincount(vol.codes[z].ravel(), minlength=256))
+
+
+def test_code_counts_refuse_what_read_volume_refuses(tmp_path, rng, monkeypatch):
+    _, path = _write_tissue_with_z(tmp_path, rng)
+    monkeypatch.setattr("bodycomp.io.SCAN_CHUNK_BYTES", 4 * 5)
+    _set_payload_byte(path, 9 * 4 * 5 - 1, 77)
+    with pytest.raises(HeaderError) as whole:
+        read_volume(path)
+    with pytest.raises(HeaderError) as counted:
+        read_code_counts(path)
+    assert str(counted.value) == str(whole.value)
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(TruncatedPayloadError):
+        read_code_counts(path)
+    ct_path = tmp_path / "ct.bcv"
+    write_volume(make_ct(np.zeros((2, 2, 2))), ct_path)
+    with pytest.raises(HeaderError, match="holds no label codes"):
+        read_code_counts(ct_path)

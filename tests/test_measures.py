@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from bodycomp import (
     AllSlices,
+    BodycompError,
     BodyCompResult,
     EmptyRegionError,
+    GeometryMismatchError,
     LabelVolume,
     MergePolicy,
     NonFiniteHUError,
@@ -32,6 +34,7 @@ from bodycomp import (
     vat_sat_ratio,
     vertebra_label,
 )
+from bodycomp.regions import measurement_regions
 from conftest import VERT_MAP, make_ct, make_hu, make_tissue, random_tissue_codes
 
 
@@ -389,3 +392,65 @@ def test_measure_subject_matches_per_metric_reference(inputs):
             measure_subject(*inputs)
         return
     assert measure_subject(*inputs) == want
+
+
+# ---- slabs: measuring only the counted slices ------------------------------
+
+def _slab(vol, sl):
+    """The slices ``sl`` of ``vol``, as ``read_volume(path, z=sl)`` reads them."""
+    z = vol.z_positions_mm
+    z = z[sl] if z is not None else None
+    if isinstance(vol, LabelVolume):
+        return replace(vol, codes=vol.codes[sl], z_positions_mm=z)
+    return replace(vol, values=vol.values[sl], z_positions_mm=z)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except BodycompError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(subject_inputs())
+def test_measure_subject_on_the_counted_slab_is_that_on_the_volume(inputs):
+    hu, tissue, vertebrae, subject, policy = inputs
+    picked = measurement_regions(vertebrae)
+    slab = picked.counted_slab()
+    got = _outcome(measure_subject, _slab(hu, slab), _slab(tissue, slab), picked, subject, policy)
+    assert got == _outcome(measure_subject, hu, tissue, vertebrae, subject, policy)
+
+
+# 14 slice positions with uneven steps, so that no two slabs' end slices
+# have the same thickness by chance
+_UNEVEN_Z = tuple(np.cumsum([0.0, 1.0, 1.5, 4.0, 1.0, 2.5, 1.0, 3.0, 1.0, 2.0, 5.0, 1.0, 2.0, 1.0]))
+
+
+@pytest.mark.parametrize("policy", list(MergePolicy))
+def test_slab_end_slices_keep_the_volume_thickness(policy, subject):
+    ph = build_phantom(nx=32, ny=32, nz=14, vertebra_slices=(10, 6, 3))
+    z = _UNEVEN_Z
+    ct, tissue, vertebrae = (replace(v, z_positions_mm=z) for v in (ph.ct, ph.tissue, ph.vertebrae))
+    picked = measurement_regions(vertebrae)
+    slab = picked.counted_slab()
+    assert 0 < slab.start and slab.stop < ct.nz  # both end slices are inside the volume
+    want = measure_subject(ct, tissue, vertebrae, subject, policy)
+    got = measure_subject(_slab(ct, slab), _slab(tissue, slab), picked, subject, policy)
+    assert got == want
+    # the slab's own geometry would give its end slices another thickness
+    alone = tissue_volume_3d(_slab(tissue, slab), "skeletal_muscle", AllSlices(), policy)
+    assert alone != pytest.approx(want.muscle_volume_3d)
+
+
+def test_measure_subject_refuses_a_ct_that_is_neither_volume_nor_slab(subject):
+    ph = build_phantom(nx=32, ny=32, nz=14, vertebra_slices=(10, 6, 3))
+    z = _UNEVEN_Z
+    ct, tissue, vertebrae = (replace(v, z_positions_mm=z) for v in (ph.ct, ph.tissue, ph.vertebrae))
+    picked = measurement_regions(vertebrae)
+    slab = picked.counted_slab()
+    # a slab one slice off is told apart by its z positions; one slice
+    # short, by its size
+    for sl in (slice(slab.start + 1, slab.stop + 1), slice(slab.start, slab.stop - 1)):
+        with pytest.raises(GeometryMismatchError):
+            measure_subject(_slab(ct, sl), _slab(tissue, sl), picked, subject)

@@ -140,7 +140,7 @@ def _codes(vol):
 @given(ct_cases())
 def test_raw_ct_gives_the_result_of_its_hu(case):
     ct, gt, pred, vertebrae, policy = case
-    regions, _ = measurement_regions(vertebrae)
+    regions = measurement_regions(vertebrae).found
     subject = SubjectRecord("s", 50.0, height_m=1.7)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

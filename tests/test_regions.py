@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from bodycomp import (
     slice_distance_cm,
     vertebra_label,
 )
+from bodycomp.model import code_counts
 from conftest import make_tissue, make_vertebrae
 
 
@@ -137,7 +140,7 @@ def test_phantom_markers_that_would_overlap_keep_every_level(slices):
         expected = np.zeros(vert.nz)
         for dist, side in ((2, 2), (1, 4), (0, 6)):
             expected[[peak - dist, peak + dist]] = side * side
-        pixels = vert.slice_counts([vert.codes_for(vertebra_label(level))])[:, 0]
+        pixels = code_counts(vert.codes)[:, vert.codes_for(vertebra_label(level))].sum(axis=1)
         assert np.array_equal(pixels, expected)
         assert largest_label_slice(vert, vertebra_label(level)) == peak
     lo, hi = sorted((slices[0], slices[2]))
@@ -147,11 +150,36 @@ def test_phantom_markers_that_would_overlap_keep_every_level(slices):
     assert np.all(ph.ct.values[vert.codes != 0] == ph.ct.values[vert.codes != 0].max())
 
 
-def test_phantom_marker_with_no_room_beside_stays_in_place():
-    # 14 px leave no room for a second 6 px marker beside the first
-    ph = build_phantom(nx=14, ny=14, nz=8, vertebra_slices=(4, 2, 4))
+def test_phantom_marker_with_no_room_raises():
+    # 14 px leave no room for a third 6 px marker beside or above the others
+    with pytest.raises(ValueError, match="vertebrae_L4"):
+        build_phantom(nx=14, ny=14, nz=8, vertebra_slices=(4, 2, 4))
+
+
+def test_phantom_marker_with_no_room_beside_moves_up_or_down():
+    # 14 px wide leave no room beside a marker; 26 px high leave room above
+    # and below, and no marker leaves the image
+    ph = build_phantom(nx=14, ny=26, nz=8, vertebra_slices=(4, 2, 4))
     columns = np.flatnonzero(ph.vertebrae.codes.any(axis=(0, 1)))
     assert columns.min() >= 6 - 3 and columns.max() < 6 + 3
+    counts = code_counts(ph.vertebrae.codes)
+    for code, peak in zip((1, 2, 3), (4, 2, 4)):
+        assert counts[peak, code] == 36
+        assert int(np.argmax(counts[:, code])) == peak
+
+
+@pytest.mark.parametrize("n", range(6, 41))
+def test_phantom_keeps_every_level_or_raises(n):
+    slices = (4, 2, 4)
+    try:
+        ph = build_phantom(nx=n, ny=n, nz=8, vertebra_slices=slices)
+    except ValueError as exc:
+        assert re.search(r"vertebrae_(T12|L3|L4)", str(exc))
+        return
+    for level, peak in zip(("T12", "L3", "L4"), slices):
+        assert largest_label_slice(ph.vertebrae, vertebra_label(level)) == peak
+        areas = label_area_per_slice(ph.vertebrae, vertebra_label(level))
+        assert areas[peak] == 36 * ph.vertebrae.pixel_area_cm2
 
 
 def test_slice_distance_same_slice():
