@@ -53,16 +53,12 @@ from .model import (
     MergePolicy,
     SubjectRecord,
     VoxelVolume,
+    codes_for,
     require_same_geometry,
     vertebra_label,
 )
 from .postprocess import dilate_sat_to_skin, muscular_fat_candidates
-from .regions import (
-    VertebraRegions,
-    label_area_per_slice,
-    largest_label_slice,
-    regions_from_counts,
-)
+from .regions import VertebraRegions, _largest_slice, regions_from_counts
 
 _POLICIES = {p.value: p for p in MergePolicy}
 
@@ -321,10 +317,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_select_slice(args) -> int:
-    vertebrae = _read_labels(args.vertebrae)
+    # one chunked scan: the index and its area come from one count table
+    _read_header(args.vertebrae, ct=False)
+    head, counts = read_code_counts(args.vertebrae)
     name = vertebra_label(args.level)
-    index = largest_label_slice(vertebrae, name)
-    area = label_area_per_slice(vertebrae, name)[index]
+    index = _largest_slice(counts, head.label_map, name)
+    area = counts[index, codes_for(head.label_map, name)].sum() * head.geometry.pixel_area_cm2
     print(f"{name} index {index} area_cm2 {format_number(float(area))}")
     return 0
 

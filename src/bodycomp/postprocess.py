@@ -1,4 +1,4 @@
-"""Slice-wise mask post-processing.
+"""Slice-wise mask post-processing, on numpy alone.
 
 ``dilate_sat_to_skin`` grows the SAT label into the skin rim: one pass of
 a 5x5 square dilation per axial slice, adding only pixels that are still
@@ -9,13 +9,23 @@ Gil & Werman 1993), so the dilation is an OR of shifted views: by ±1 and
 
 ``muscular_fat_candidates`` marks fat inside a region of interest: pixels
 with HU in [-220, -50], kept only when their 8-connected in-plane
-component has at least 7 pixels (more than six). Each slice is labelled
-on a compacted grid of its candidates: their rows and columns in order,
-with every run of empty rows or columns between them shrunk to one, which
-keeps 8-adjacency exactly. Candidates are a small share of a slice, so the
-grid is far smaller than the slice, and component sizes are counted over
-the candidates alone. It is the one function here that needs scipy, and
-imports it when called.
+component has at least 7 pixels (more than six).
+
+Neither kernel converts a raw CT to HU. The raw-to-HU rescale is a
+float32 multiply and a float32 add, each rounding monotone, so the raw
+int16 values whose HU passes a threshold test form one interval. That
+interval is found once per call by applying the kernel's own test to the
+HU of all 65,536 int16 values; each slice then costs two int16
+comparisons. An HU volume is compared as stored.
+
+Components are labelled in blocks of whole slices, each holding about
+2^14 candidates at their sorted flat offsets within the block. The
+8-neighbour edges come from a ``searchsorted`` for the four forward
+neighbours, with row and column bounds that keep every edge inside its
+slice. Components are joined by hooking each larger root onto the
+smaller one and shortcutting by pointer jumping until nothing changes
+(Shiloach & Vishkin 1982; the union-find labelling of Wu, Otoo & Suzuki
+2009), and their sizes are a ``bincount`` of the roots.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ from .model import (
     MUSCULAR_FAT,
     SAT,
     LabelVolume,
+    UnitState,
     VoxelVolume,
     require_same_geometry,
     select_codes,
@@ -40,7 +51,8 @@ SAT_DILATION_SIZE = 5
 MF_HU_RANGE = (-220.0, -50.0)
 MF_MIN_PIXELS = 7
 
-_EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
+# candidates labelled at once: a block is flushed once it holds this many
+_BLOCK_CANDIDATES = 1 << 14
 
 
 def _dilate_square(plane: np.ndarray, radius: int) -> np.ndarray:
@@ -56,15 +68,81 @@ def _dilate_square(plane: np.ndarray, radius: int) -> np.ndarray:
     return grown
 
 
-def _compact(coords: np.ndarray) -> np.ndarray:
-    """Renumber coordinates along one axis: occupied ones keep their order,
-    and each run of empty ones between them shrinks to a single one.
+def _raw_interval(ct: VoxelVolume, test) -> tuple[int, int]:
+    """The inclusive interval of raw int16 values whose HU passes ``test``.
 
-    Two pixels are 8-adjacent iff their rows and their columns each differ
-    by at most one, which this renumbering preserves.
+    ``test`` maps a float32 HU array to a boolean one. It is applied to
+    ``ct.hu_of`` of every int16 value; the passing values must form one
+    run, else ValueError. No value passing gives an empty interval (1, 0).
     """
-    used, inverse = np.unique(coords, return_inverse=True)
-    return np.cumsum(np.minimum(np.diff(used, prepend=used[0]), 2))[inverse]
+    raw = np.arange(-(1 << 15), 1 << 15, dtype=np.int16)
+    passing = np.flatnonzero(test(ct.hu_of(raw)))
+    if not passing.size:
+        return 1, 0
+    lo, hi = int(raw[passing[0]]), int(raw[passing[-1]])
+    if hi - lo + 1 != passing.size:
+        raise ValueError(
+            f"the raw values whose HU passes the threshold are not one interval "
+            f"(rescale slope {ct.rescale_slope}, intercept {ct.rescale_intercept})"
+        )
+    return lo, hi
+
+
+def _hu_passes(ct: VoxelVolume, test):
+    """``fill(k, out, scratch)``: set ``out`` to the voxels of slice ``k``
+    whose HU passes ``test``, using ``scratch`` (both boolean, slice-shaped).
+
+    A raw CT compares its values with ``_raw_interval``; an HU volume
+    applies ``test`` to its stored values.
+    """
+    if ct.unit_state is UnitState.HU:
+
+        def fill(k, out, scratch):
+            out[...] = test(ct.values[k])
+
+        return fill
+    lo, hi = _raw_interval(ct, test)
+
+    def fill(k, out, scratch):
+        np.greater_equal(ct.values[k], lo, out=out)
+        out &= np.less_equal(ct.values[k], hi, out=scratch)
+
+    return fill
+
+
+def _kept(offsets: np.ndarray, ny: int, nx: int, min_pixels: int) -> np.ndarray:
+    """Which candidates lie in an 8-connected in-plane component of at
+    least ``min_pixels``, given their sorted int32 flat offsets in whole
+    slices."""
+    n = offsets.size
+    x = offsets % nx
+    right, left, below = x < nx - 1, x > 0, offsets // nx % ny < ny - 1
+    # edges (a, b) to the forward neighbours (0,+1), (+1,-1), (+1,0) and
+    # (+1,+1), each only where it lies inside the candidate's slice
+    a, b = [], []
+    for ok, step in ((right, 1), (below & left, nx - 1), (below, nx), (below & right, nx + 1)):
+        src = np.flatnonzero(ok)
+        target = offsets[src] + step
+        dst = np.minimum(np.searchsorted(offsets, target), n - 1)
+        hit = offsets[dst] == target
+        a.append(src[hit].astype(np.int32))
+        b.append(dst[hit].astype(np.int32))
+    a, b = np.concatenate(a), np.concatenate(b)
+    # every pointer leads to a smaller index, and a root points to itself
+    parent = np.arange(n, dtype=np.int32)
+    while True:
+        ra, rb = parent[a], parent[b]
+        if np.array_equal(ra, rb):
+            break
+        # hook: each larger root onto the smallest root it meets
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        # shortcut: jump pointers until every one leads to a root
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    return np.bincount(parent)[parent] >= min_pixels
 
 
 def dilate_sat_to_skin(mask: LabelVolume, ct: VoxelVolume) -> LabelVolume:
@@ -73,19 +151,23 @@ def dilate_sat_to_skin(mask: LabelVolume, ct: VoxelVolume) -> LabelVolume:
     A pixel is added iff it lies in the 5x5 dilation of the slice's SAT
     mask, is currently background, and has HU above -800. The output SAT
     is a superset of the input SAT; no other label changes. ``ct`` is raw
-    or HU; only the slices with SAT are converted.
+    or HU; a raw CT is compared in raw values.
     """
     require_same_geometry(mask, ct)
     sat_codes = mask.codes_for(SAT)
+    skin = _hu_passes(ct, lambda hu: hu > SKIN_HU_THRESHOLD)
     out = mask.codes.copy()
+    passes = np.empty(mask.codes.shape[1:], dtype=bool)
+    scratch = np.empty_like(passes)
     for k in range(mask.nz):
         sat = select_codes(mask.codes[k], sat_codes)
         if not sat.any():
             continue
         add = _dilate_square(sat, SAT_DILATION_SIZE // 2)
-        add &= mask.codes[k] == 0
-        add &= ct.hu_at(k) > SKIN_HU_THRESHOLD
-        out[k][add] = sat_codes[0]
+        add &= np.equal(mask.codes[k], 0, out=scratch)
+        skin(k, passes, scratch)
+        add &= passes
+        np.copyto(out[k], sat_codes[0], where=add)
     return replace(mask, codes=out)
 
 
@@ -100,32 +182,33 @@ def muscular_fat_candidates(
     Per axial slice: threshold HU to ``hu_range`` (inclusive) within the
     nonzero voxels of ``roi_mask``, label 8-connected components, and
     retain components of at least ``min_pixels`` pixels. ``ct`` is raw or
-    HU; it is converted one slice at a time.
+    HU; a raw CT is compared in raw values.
     """
-    from scipy import ndimage  # only this kernel needs scipy
-
     require_same_geometry(ct, roi_mask)
     lo, hi = hu_range
+    in_range = _hu_passes(ct, lambda hu: (hu >= lo) & (hu <= hi))
+    nz, ny, nx = ct.values.shape
+    plane = ny * nx
     out = np.zeros(ct.values.shape, dtype=np.uint8)
-    out_planes = out.reshape(ct.nz, -1)
-    nx = ct.values.shape[2]
-    candidates = np.empty(ct.values.shape[1:], dtype=bool)
+    out_flat = out.reshape(-1)
+    # a block's offsets are int32: it spans at most this many slices
+    max_span = max(1, np.iinfo(np.int32).max // plane)
+    candidates = np.empty((ny, nx), dtype=bool)
     scratch = np.empty_like(candidates)
-    for k in range(ct.nz):
-        hu = ct.hu_at(k)
-        np.greater_equal(hu, lo, out=candidates)
-        candidates &= np.less_equal(hu, hi, out=scratch)
+    start, pieces, count = 0, [], 0
+    for k in range(nz):
+        in_range(k, candidates, scratch)
         candidates &= np.not_equal(roi_mask.codes[k], 0, out=scratch)
         flat = np.flatnonzero(candidates)
-        if not flat.size:
-            continue
-        ys, xs = np.divmod(flat, nx)
-        ys, xs = _compact(ys), _compact(xs)
-        grid = np.zeros((ys[-1] + 1, xs.max() + 1), dtype=bool)
-        grid[ys, xs] = True
-        labeled, _ = ndimage.label(grid, structure=_EIGHT_CONNECTED)
-        ids = labeled[ys, xs]
-        out_planes[k, flat[np.bincount(ids)[ids] >= min_pixels]] = 1
+        if flat.size:
+            pieces.append((flat + (k - start) * plane).astype(np.int32))
+            count += flat.size
+        if count >= _BLOCK_CANDIDATES or k + 1 - start == max_span or k + 1 == nz:
+            if pieces:
+                offsets = np.concatenate(pieces)
+                block = out_flat[start * plane : (k + 1) * plane]
+                block[offsets[_kept(offsets, ny, nx, min_pixels)]] = 1
+            start, pieces, count = k + 1, [], 0
     return LabelVolume(
         codes=out,
         label_map={0: BACKGROUND, 1: MUSCULAR_FAT},

@@ -15,6 +15,7 @@ import pytest
 import bodycomp
 from bodycomp import (
     BodyCompResult,
+    LabelVolume,
     MergePolicy,
     SubjectRecord,
     build_phantom,
@@ -25,8 +26,10 @@ from bodycomp import (
     to_hu,
     write_volume,
 )
+from bodycomp import cli
 from bodycomp.cli import _measure_one, main
-from conftest import make_tissue, make_vertebrae
+from conftest import make_ct, make_tissue, make_vertebrae
+from test_postprocess import scipy_kept
 
 
 _RESULT = {
@@ -329,6 +332,59 @@ def test_select_slice_reports_tie_winner(tmp_path, capsys):
     assert "vertebrae_L3" in out
 
 
+def _select_slice(tmp_path, capsys, vol, level):
+    """Exit code, stdout and stderr (the path written as <path>) of select-slice."""
+    path = tmp_path / "v.bcv"
+    write_volume(vol, path)
+    code = main(["select-slice", "--vertebrae", str(path), "--level", level])
+    out, err = capsys.readouterr()
+    return code, out, err.replace(str(path), "<path>")
+
+
+def _vertebrae_with_counts(counts, code, **kw):
+    codes = np.zeros((len(counts), 8, 8), dtype=np.uint8)
+    for k, n in enumerate(counts):
+        codes[k].reshape(-1)[:n] = code
+    return make_vertebrae(codes, **kw)
+
+
+def test_select_slice_prints_the_lowest_tied_slice_from_a_scan(tmp_path, capsys, monkeypatch):
+    def no_whole_read(*args):
+        raise AssertionError("select-slice read the whole volume")
+
+    monkeypatch.setattr(cli, "read_volume", no_whole_read)
+    vol = _vertebrae_with_counts([0, 5, 9, 9, 2], code=2)
+    assert _select_slice(tmp_path, capsys, vol, "L3") == (
+        0, "vertebrae_L3 index 2 area_cm2 0.09\n", ""
+    )
+
+
+def test_select_slice_area_ignores_non_uniform_z(tmp_path, capsys):
+    vol = _vertebrae_with_counts(
+        [3, 1, 0, 7, 7], code=3, spacing=(0.7, 0.8, 1.5), z=(0.0, 1.5, 4.0, 4.5, 9.0)
+    )
+    assert _select_slice(tmp_path, capsys, vol, "L4") == (
+        0, "vertebrae_L4 index 3 area_cm2 0.0392\n", ""
+    )
+
+
+def test_select_slice_rejects_a_ct(tmp_path, capsys):
+    ct = make_ct(np.zeros((3, 4, 4)))
+    assert _select_slice(tmp_path, capsys, ct, "L3") == (
+        1, "", "bodycomp: <path>: expected a label volume, got CT\n"
+    )
+
+
+def test_select_slice_of_a_missing_level_fails(tmp_path, capsys):
+    vol = _vertebrae_with_counts([0, 5, 9], code=2)
+    assert _select_slice(tmp_path, capsys, vol, "L4") == (
+        1, "", "bodycomp: label 'vertebrae_L4' has no voxels in volume\n"
+    )
+    assert _select_slice(tmp_path, capsys, vol, "L5") == (
+        1, "", "bodycomp: label 'vertebrae_L5' absent from volume\n"
+    )
+
+
 def test_postprocess_round_trip(tmp_path):
     ph, paths = write_phantom(tmp_path, sid="p1", nx=24, ny=24, nz=6)
     out_path = tmp_path / "dilated.bcv"
@@ -468,6 +524,52 @@ def test_importing_the_cli_does_not_load_scipy():
     code = "import sys, bodycomp.cli; sys.exit('scipy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(src)}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_postprocess_runs_without_scipy(tmp_path):
+    from scipy import ndimage
+
+    ph = build_phantom(nx=48, ny=48, nz=8, rescale_slope=0.7, subject_id="p1")
+    # noise scatters muscular-fat candidates in components of every size
+    noise = np.random.default_rng(3).integers(-150, 150, size=ph.ct.values.shape)
+    ct = replace(ph.ct, values=(ph.ct.values + noise).astype(np.int16))
+    tissue = ph.tissue
+    write_volume(ct, tmp_path / "ct.bcv")
+    write_volume(tissue, tmp_path / "tissue.bcv")
+
+    # the scipy-based oracles
+    hu = ct.hu_at(...)
+    sat = tissue.codes_for("sat")[0]
+    grown = ndimage.binary_dilation(tissue.codes == sat, structure=np.ones((1, 5, 5), dtype=bool))
+    sat_skin = np.where(grown & (tissue.codes == 0) & (hu > -800.0), sat, tissue.codes)
+    kept = scipy_kept((tissue.codes != 0) & (hu >= -220.0) & (hu <= -50.0), 7)
+    assert 0 < np.count_nonzero(kept) < np.count_nonzero((hu >= -220.0) & (hu <= -50.0))
+    expected = {
+        "sat-skin": replace(tissue, codes=sat_skin.astype(np.uint8)),
+        "mf-filter": LabelVolume(
+            codes=kept.astype(np.uint8),
+            label_map={0: "background", 1: "muscular_fat"},
+            spacing_mm=tissue.spacing_mm,
+            z_positions_mm=tissue.z_positions_mm,
+            subject_id=tissue.subject_id,
+        ),
+    }
+
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy now fails\n"
+        "from bodycomp.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(bodycomp.__file__).parent.parent)}
+    for mode, want in expected.items():
+        out = tmp_path / f"{mode}.bcv"
+        argv = ["postprocess", mode, "--ct", str(tmp_path / "ct.bcv"),
+                "--mask", str(tmp_path / "tissue.bcv"), "--out", str(out)]
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        write_volume(want, tmp_path / "want.bcv")
+        assert out.read_bytes() == (tmp_path / "want.bcv").read_bytes()
 
 
 def test_numbers_use_six_significant_digits(tmp_path):

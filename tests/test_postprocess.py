@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from bodycomp import (
     GeometryMismatchError,
     dilate_sat_to_skin,
     muscular_fat_candidates,
+    postprocess,
     to_hu,
 )
 from conftest import make_ct, make_hu, make_tissue, random_tissue_codes
@@ -313,3 +317,236 @@ def test_mf_geometry_mismatch():
         muscular_fat_candidates(
             make_hu(np.zeros((1, 2, 2))), make_tissue(np.zeros((2, 2, 2)))
         )
+
+
+# ---- the labelling against scipy.ndimage.label ---------------------------------
+
+_IN_PLANE_8 = np.zeros((3, 3, 3), dtype=bool)
+_IN_PLANE_8[1] = True
+
+
+def scipy_kept(candidates, min_pixels):
+    """Candidates in an 8-connected in-plane component of at least
+    ``min_pixels``, from ``scipy.ndimage.label``."""
+    labels, _ = ndimage.label(candidates, structure=_IN_PLANE_8)
+    sizes = np.bincount(labels.ravel())
+    sizes[0] = 0
+    return sizes[labels] >= min_pixels
+
+
+def kernel_kept(candidates, min_pixels):
+    hu = make_hu(np.where(candidates, -100.0, 50.0))
+    out = muscular_fat_candidates(hu, _roi_all(candidates.shape), min_pixels=min_pixels)
+    return out.codes == 1
+
+
+def spiral(n):
+    """One n x n square spiral path, a pixel wide with one-pixel gaps
+    between its turns: a single component whose raster order winds."""
+    grid = np.zeros((n, n), dtype=bool)
+    lengths = [n - 1] * 3 + [m for m in range(n - 3, 0, -2) for _ in (0, 1)]
+    y = x = 0
+    grid[0, 0] = True
+    for i, length in enumerate(lengths):
+        dy, dx = ((0, 1), (1, 0), (0, -1), (-1, 0))[i % 4]
+        for _ in range(length):
+            y, x = y + dy, x + dx
+            grid[y, x] = True
+    return grid
+
+
+def _diagonal_chains(rng, ny, nx):
+    """Chains along both diagonals: 8-connected only through corners."""
+    grid = np.zeros((ny, nx), dtype=bool)
+    for _ in range(int(rng.integers(1, 6))):
+        y, x = int(rng.integers(0, ny)), int(rng.integers(0, nx))
+        dx = int(rng.choice([-1, 1]))
+        for _ in range(int(rng.integers(1, 2 * max(ny, nx)))):
+            if not (0 <= y < ny and 0 <= x < nx):
+                break
+            grid[y, x] = True
+            y, x = y + 1, x + dx
+    return grid
+
+
+def _one_pixel_gaps(rng, ny, nx):
+    """Runs along every other row or column, each split by one-pixel gaps:
+    pieces that must stay apart."""
+    columns = rng.random() < 0.5
+    h, w = (nx, ny) if columns else (ny, nx)
+    grid = np.zeros((h, w), dtype=bool)
+    run = int(rng.integers(1, 9))
+    grid[::2] = np.arange(w) % (run + 1) != run
+    return grid.T if columns else grid
+
+
+def _on_the_edges(rng, ny, nx):
+    """Scattered pixels, and a run along each image edge: components that
+    touch every edge."""
+    grid = rng.random((ny, nx)) < 0.2
+    for edge in (grid[0], grid[-1], grid[:, 0], grid[:, -1]):
+        lo = int(rng.integers(0, edge.size))
+        edge[lo : lo + int(rng.integers(1, edge.size + 1))] = True
+    return grid
+
+
+def _exact_sizes(rng, ny, nx, min_pixels):
+    """Pieces of min_pixels - 1, min_pixels and min_pixels + 1 pixels, a
+    row run or an L over two rows, with an empty row between pieces."""
+    grid = np.zeros((ny, nx), dtype=bool)
+    for y in range(0, ny, 3):
+        size = min_pixels + int(rng.integers(-1, 2))
+        if size < 1:
+            continue
+        if rng.random() < 0.5 or y + 1 == ny:
+            grid[y, :size] = True
+        else:  # the L's second row starts below the first row's end
+            top = (size + 1) // 2
+            grid[y, :top] = True
+            grid[y + 1, top - 1 : size - 1] = True
+    return grid
+
+
+KINDS = ("random", "diagonal", "gaps", "edges", "sizes", "checker", "full", "spiral", "zstack")
+
+
+@st.composite
+def candidate_grids(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(KINDS))
+    min_pixels = draw(st.sampled_from([1, 2, 3, 7, 8, 20]))
+    nz, ny, nx = draw(st.integers(1, 4)), draw(st.integers(1, 40)), draw(st.integers(1, 40))
+
+    def plane():
+        if kind == "random":
+            return rng.random((ny, nx)) < rng.choice([0.05, 0.2, 0.4, 0.5, 0.6, 0.8])
+        if kind == "diagonal":
+            return _diagonal_chains(rng, ny, nx)
+        if kind == "gaps":
+            return _one_pixel_gaps(rng, ny, nx)
+        if kind == "edges":
+            return _on_the_edges(rng, ny, nx)
+        if kind == "sizes":
+            return _exact_sizes(rng, ny, nx, min_pixels)
+        if kind == "checker":
+            return np.indices((ny, nx)).sum(axis=0) % 2 == int(rng.integers(0, 2))
+        if kind == "full":
+            return np.ones((ny, nx), dtype=bool)
+        if kind == "spiral":
+            n = min(ny, nx)
+            grid = np.zeros((ny, nx), dtype=bool)
+            grid[:n, :n] = spiral(n)
+            return grid
+        # zstack: one small pattern on every slice, which must not join along z
+        return np.broadcast_to(rng.random((ny, nx)) < 0.3, (ny, nx))
+
+    return np.stack([plane() for _ in range(nz)]), min_pixels
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate_grids())
+def test_labelling_keeps_what_scipy_label_keeps(case):
+    candidates, min_pixels = case
+    assert np.array_equal(kernel_kept(candidates, min_pixels), scipy_kept(candidates, min_pixels))
+
+
+def _cut(grid, *points):
+    grid = grid.copy()
+    for y, x in points:
+        grid[y, x] = False
+    return grid
+
+
+@pytest.mark.parametrize(
+    "plane",
+    [
+        spiral(512),
+        _cut(spiral(512), (256, 256), (100, 411)),  # three long pieces
+        np.ones((512, 512), dtype=bool),
+        np.indices((512, 512)).sum(axis=0) % 2 == 0,  # a checkerboard: the most edges
+        np.fliplr(np.eye(512, dtype=bool)) | np.eye(512, dtype=bool),
+    ],
+    ids=["spiral", "cut-spiral", "full", "checkerboard", "both-diagonals"],
+)
+def test_labelling_of_large_slices_matches_scipy(plane):
+    candidates = np.stack([plane, plane[::-1]])
+    assert np.array_equal(kernel_kept(candidates, 7), scipy_kept(candidates, 7))
+
+
+def test_labelling_flushes_blocks_between_slices(monkeypatch):
+    # 6,500-odd candidates per 128x128 slice: a block holds three slices
+    # before it reaches 2^14; one full slice is exactly 2^14
+    rng = np.random.default_rng(7)
+    candidates = rng.random((9, 128, 128)) < 0.4
+    candidates[4] = True
+    candidates[6] = np.broadcast_to(candidates[5], (128, 128))
+    blocks = []
+    kept = postprocess._kept
+
+    def spy(offsets, ny, nx, min_pixels):
+        blocks.append((offsets.dtype, int(offsets.size), int(offsets[-1]) // (ny * nx) + 1))
+        return kept(offsets, ny, nx, min_pixels)
+
+    monkeypatch.setattr(postprocess, "_kept", spy)
+    for min_pixels in (1, 7):
+        assert np.array_equal(
+            kernel_kept(candidates, min_pixels), scipy_kept(candidates, min_pixels)
+        )
+    assert all(dtype == np.int32 for dtype, _, _ in blocks)
+    # every slice is in exactly one block, and some blocks span slices
+    assert sum(size for _, size, _ in blocks) == 2 * np.count_nonzero(candidates)
+    assert max(span for _, _, span in blocks) > 1 and len(blocks) > 2
+
+
+# ---- thresholds in raw values over every int16 value --------------------------
+
+def _every_int16(slope, intercept):
+    """A two-slice CT holding every int16 value once per slice, at other
+    pixels on the second slice."""
+    raw = np.arange(-(2**15), 2**15).reshape(256, 256)
+    return make_ct(np.stack([raw, np.roll(raw, 1, axis=1)]), slope=slope, intercept=intercept)
+
+
+@pytest.mark.parametrize(
+    "slope, intercept",
+    [
+        (1.0, -1024.0),
+        (1.0, -800.0),  # raw 0 is exactly the skin threshold
+        (0.7, -1024.0),  # raw 320 is exactly -800 HU
+        (0.7, -220.0),
+        (0.7, -50.0),
+        (-1.0, -800.0),
+        (-1.0, -220.0),
+        (0.0, -800.0),  # every voxel on the threshold: none passes
+        (0.0, -100.0),  # every voxel passes
+        (1e-45, -50.0),
+        (1e-45, -800.0),
+        (1e36, 0.5),  # overflows float32 to inf beyond raw 340
+        (1e39, 0.0),  # float32(slope) is inf: raw 0 gives NaN
+        (-1e39, -100.0),
+    ],
+)
+def test_raw_thresholds_pass_exactly_the_values_whose_hu_passes(slope, intercept):
+    ct = _every_int16(slope, intercept)
+    hu = ct.hu_at(...)
+    # a SAT pixel every fifth row and column puts every pixel in the 5x5
+    # window of one: a background pixel is added iff its HU passes
+    codes = np.zeros(ct.values.shape, dtype=np.uint8)
+    codes[:, ::5, ::5] = 2
+    for vol in (ct, to_hu(ct)):
+        sat = dilate_sat_to_skin(make_tissue(codes), vol).codes == 2
+        assert np.array_equal(sat, (codes == 2) | (hu > -800.0))
+        mf = muscular_fat_candidates(vol, _roi_all(codes.shape), min_pixels=1).codes == 1
+        assert np.array_equal(mf, (hu >= -220.0) & (hu <= -50.0))
+        custom = muscular_fat_candidates(
+            vol, _roi_all(codes.shape), hu_range=(-1000.5, 1e30), min_pixels=1
+        )
+        assert np.array_equal(custom.codes == 1, (hu >= -1000.5) & (hu <= 1e30))
+
+
+def test_raw_thresholds_that_pass_two_runs_raise():
+    # with an infinite slope every nonzero raw value is an infinite HU and
+    # raw 0 is NaN: an unbounded range passes both sides of it
+    ct = _every_int16(1e39, 0.0)
+    with pytest.raises(ValueError, match="not one interval"):
+        muscular_fat_candidates(ct, _roi_all(ct.values.shape), hu_range=(-np.inf, np.inf))

@@ -187,7 +187,7 @@ def ct_sized():
     """A raw 256x256x64 phantom and a prediction with a boundary shift."""
     ph = build_phantom(nx=256, ny=256, nz=64, spacing_mm=(0.7, 0.7, 1.5), rescale_slope=0.7)
     pred = replace(ph.tissue, codes=np.roll(ph.tissue.codes, 2, axis=2))
-    muscular_fat_candidates(ph.ct, ph.tissue)  # imports scipy outside the traced calls
+    muscular_fat_candidates(ph.ct, ph.tissue)  # any one-time set-up runs outside the traced calls
     return ph, pred
 
 
