@@ -23,6 +23,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import fields
 from enum import Enum
 from pathlib import Path
@@ -38,12 +39,14 @@ from .evaluation import (
 )
 from .io import (
     VolumeHeader,
+    chunk_slices,
     format_number,
     read_code_counts,
     read_cohort_csv,
     read_header,
+    read_slabs,
     read_volume,
-    write_volume,
+    write_slabs,
 )
 from .measures import measure_subject
 from .model import (
@@ -328,13 +331,20 @@ def cmd_select_slice(args) -> int:
 
 
 def cmd_postprocess(args) -> int:
-    ct = _read_ct(args.ct)
-    mask = _read_labels(args.mask)
+    # both kernels work slice by slice: they run on a chunk of slices at a
+    # time, and the output is written as it comes; the geometry check of
+    # each kernel, in its operand order, comes before any payload is read
+    ct_head = _read_header(args.ct, ct=True)
+    mask_head = _read_header(args.mask, ct=False)
     if args.mode == "sat-skin":
-        out = dilate_sat_to_skin(mask, ct)
+        require_same_geometry(mask_head.geometry, ct_head.geometry)
+        kernel, geometry = (lambda ct, mask: dilate_sat_to_skin(mask, ct)), mask_head.geometry
     else:
-        out = muscular_fat_candidates(ct, mask)
-    write_volume(out, args.out)
+        require_same_geometry(ct_head.geometry, mask_head.geometry)
+        kernel, geometry = muscular_fat_candidates, ct_head.geometry
+    step = chunk_slices(ct_head)
+    with closing(read_slabs(args.ct, step)) as cts, closing(read_slabs(args.mask, step)) as masks:
+        write_slabs(map(kernel, cts, masks), geometry, args.out)
     return 0
 
 

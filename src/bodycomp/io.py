@@ -27,10 +27,12 @@ representable (no float dtype in v1); convert after reading.
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import math
 import os
 import struct
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +55,7 @@ from .model import (
     UnitState,
     VoxelVolume,
     code_counts,
+    require_same_geometry,
     unmapped_codes,
 )
 
@@ -75,14 +78,14 @@ def _label_kind(vol: LabelVolume) -> str:
     return "tissue_labels"
 
 
-def write_volume(vol: VoxelVolume | LabelVolume, path) -> None:
-    """Write a volume as `.bcv`; bytes are deterministic for a given volume."""
+def _encode(vol: VoxelVolume | LabelVolume, geometry: Geometry) -> tuple[dict, np.ndarray]:
+    """The header of the volume of ``geometry`` that ``vol`` is a slab of, and its payload."""
     header: dict = {
-        "dims": list(vol.dims),
-        "spacing_mm": list(vol.spacing_mm),
+        "dims": list(geometry.dims),
+        "spacing_mm": list(geometry.spacing_mm),
     }
-    if vol.z_positions_mm is not None:
-        header["z_positions_mm"] = list(vol.z_positions_mm)
+    if geometry.z_positions_mm is not None:
+        header["z_positions_mm"] = list(geometry.z_positions_mm)
     if vol.subject_id is not None:
         header["subject_id"] = vol.subject_id
     if isinstance(vol, VoxelVolume):
@@ -94,20 +97,93 @@ def write_volume(vol: VoxelVolume | LabelVolume, path) -> None:
         header["dtype"] = "i16"
         header["rescale_slope"] = vol.rescale_slope
         header["rescale_intercept"] = vol.rescale_intercept
-        payload = vol.values.astype("<i2", copy=False)
-    else:
-        header["kind"] = _label_kind(vol)
-        header["dtype"] = "u8"
-        header["label_map"] = {str(c): n for c, n in vol.label_map.items()}
-        payload = vol.codes
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        # the frozen array is C-contiguous: its own buffer is written, no
-        # bytes copy of the volume
-        fh.write(payload)
+        return header, vol.values.astype("<i2", copy=False)
+    header["kind"] = _label_kind(vol)
+    header["dtype"] = "u8"
+    header["label_map"] = {str(c): n for c, n in vol.label_map.items()}
+    return header, vol.codes
+
+
+@contextmanager
+def _replacing(path: str):
+    """A new file, open for writing, that replaces ``path`` when the block ends.
+
+    The file is made beside ``path``, with the mode ``open(path, "wb")``
+    gives a new file. If the block raises, the file is removed and
+    ``path`` is left as it was. An OSError names ``path``, as opening it
+    would.
+    """
+    if path.endswith(os.sep) or os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    folder, name = os.path.split(path)
+    tmp = os.path.join(folder, f".{name}.{os.urandom(8).hex()}.tmp")
+    try:
+        fh = open(tmp, "xb")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    try:
+        with fh:
+            yield fh
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from exc
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def write_slabs(slabs, geometry: Geometry, path) -> None:
+    """Write the volume of ``geometry``, given as its slab volumes in order, as `.bcv`.
+
+    The header is ``geometry``'s and the first slab's (kind, rescale or
+    label map, subject id); every slab must agree with it and have the
+    geometry of its slices (``Geometry.slab``), and together they hold
+    every slice once. ``slabs`` may be a lazy iterable: at most two
+    slabs are held at a time. The bytes go to a temporary file beside
+    ``path`` that replaces it after the last slab, so ``path`` may name a
+    file the slabs are read from. On any failure, the iteration of
+    ``slabs`` included, ``path`` is left as it was and no temporary file
+    remains.
+    """
+    path = os.fspath(path)
+    with _replacing(path) as fh:
+        header, done = None, 0
+        # a slab is dropped only once the next one is made: the memory
+        # freed then is taken by the next slab's making, where dropping it
+        # first lets the allocator hand it back to the system and fault it
+        # in anew (10 times the page faults on a 512x512x400 postprocess)
+        for slab in slabs:
+            fields, payload = _encode(slab, geometry)
+            if header is None:
+                header = fields
+                header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+                fh.write(MAGIC)
+                fh.write(struct.pack("<Q", len(header_bytes)))
+                fh.write(header_bytes)
+            elif fields != header:
+                raise VolumeFormatError(
+                    f"{path}: the slab at slice {done} does not match the first slab's header"
+                )
+            if done + slab.nz > geometry.nz:
+                raise VolumeFormatError(f"{path}: slabs hold more than {geometry.nz} slices")
+            require_same_geometry(slab, geometry.slab(slice(done, done + slab.nz)))
+            # a frozen array is C-contiguous: its own buffer is written, no
+            # bytes copy of the slab
+            fh.write(payload)
+            done += slab.nz
+        if done != geometry.nz:
+            raise VolumeFormatError(f"{path}: slabs hold {done} of {geometry.nz} slices")
+
+
+def write_volume(vol: VoxelVolume | LabelVolume, path) -> None:
+    """Write a volume as `.bcv`; bytes are deterministic for a given volume.
+
+    The one-slab case of ``write_slabs``: ``path`` is replaced only once
+    the whole file is written.
+    """
+    write_slabs([vol], vol.geometry, path)
 
 
 def _require(header: dict, key: str):
@@ -238,10 +314,15 @@ def _read_planes(fh, head: VolumeHeader, lo: int, hi: int) -> np.ndarray:
     return values.reshape(hi - lo, ny, nx)
 
 
+def chunk_slices(head: VolumeHeader) -> int:
+    """Whole slices of ``head``'s payload in ``SCAN_CHUNK_BYTES``, at least one."""
+    nx, ny, _ = head.geometry.dims
+    return max(1, SCAN_CHUNK_BYTES // (nx * ny * head.dtype.itemsize))
+
+
 def _chunks(fh, head: VolumeHeader, lo: int, hi: int):
     """Slices ``lo`` to ``hi`` of the payload, a bounded chunk of whole slices at a time."""
-    nx, ny, _ = head.geometry.dims
-    step = max(1, SCAN_CHUNK_BYTES // (nx * ny * head.dtype.itemsize))
+    step = chunk_slices(head)
     for k in range(lo, hi, step):
         yield _read_planes(fh, head, k, min(k + step, hi))
 
@@ -275,6 +356,31 @@ def read_code_counts(path) -> tuple[VolumeHeader, np.ndarray]:
     return head, counts
 
 
+def _volume(head: VolumeHeader, values: np.ndarray, geometry: Geometry):
+    """The volume of ``values``: the slices of ``head``'s payload that ``geometry`` describes."""
+    fields = head.fields
+    try:
+        if head.label_map is None:
+            return VoxelVolume(
+                values=values,
+                spacing_mm=geometry.spacing_mm,
+                rescale_slope=float(_require(fields, "rescale_slope")),
+                rescale_intercept=float(_require(fields, "rescale_intercept")),
+                unit_state=UnitState.RAW,
+                z_positions_mm=geometry.z_positions_mm,
+                subject_id=head.subject_id,
+            )
+        return LabelVolume(
+            codes=values,
+            label_map=head.label_map,
+            spacing_mm=geometry.spacing_mm,
+            z_positions_mm=geometry.z_positions_mm,
+            subject_id=head.subject_id,
+        )
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise HeaderError(f"{head.path}: header violates volume invariants: {exc}") from exc
+
+
 def read_volume(path, z: slice | None = None) -> VoxelVolume | LabelVolume:
     """Read a `.bcv` file; raw CT volumes load with ``unit_state=Raw``.
 
@@ -295,37 +401,47 @@ def read_volume(path, z: slice | None = None) -> VoxelVolume | LabelVolume:
         geometry = head.geometry if z is None else head.geometry.slab(z)
         z = slice(0, head.geometry.nz) if z is None else z
         values = _read_planes(fh, head, z.start, z.stop)
-        fields = head.fields
-        try:
-            if head.kind == "ct":
-                return VoxelVolume(
-                    values=values,
-                    spacing_mm=geometry.spacing_mm,
-                    rescale_slope=float(_require(fields, "rescale_slope")),
-                    rescale_intercept=float(_require(fields, "rescale_intercept")),
-                    unit_state=UnitState.RAW,
-                    z_positions_mm=geometry.z_positions_mm,
-                    subject_id=head.subject_id,
-                )
-            if not whole:
-                # the slices outside z, a chunk at a time, with the fast
-                # path of the maximum code
-                outside = set()
-                for lo, hi in ((0, z.start), (z.stop, head.geometry.nz)):
-                    for planes in _chunks(fh, head, lo, hi):
-                        outside.update(unmapped_codes(planes, head.label_map))
-                if outside:
-                    unmapped = {*outside, *unmapped_codes(values, head.label_map)}
-                    raise _unmapped_error(path, sorted(unmapped))
-            return LabelVolume(
-                codes=values,
-                label_map=head.label_map,
-                spacing_mm=geometry.spacing_mm,
-                z_positions_mm=geometry.z_positions_mm,
-                subject_id=head.subject_id,
-            )
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise HeaderError(f"{path}: header violates volume invariants: {exc}") from exc
+        if head.label_map is not None and not whole:
+            # the slices outside z, a chunk at a time, with the fast path
+            # of the maximum code
+            outside = set()
+            for lo, hi in ((0, z.start), (z.stop, head.geometry.nz)):
+                for planes in _chunks(fh, head, lo, hi):
+                    outside.update(unmapped_codes(planes, head.label_map))
+            if outside:
+                unmapped = {*outside, *unmapped_codes(values, head.label_map)}
+                raise _unmapped_error(path, sorted(unmapped))
+        return _volume(head, values, geometry)
+
+
+def read_slabs(path, step: int):
+    """The volume at ``path``, as slab volumes of ``step`` slices each, in order.
+
+    Each slab has the geometry of its slices (``Geometry.slab``; the last
+    may be shorter) and is read straight into its array; none is kept
+    once it is yielded. Every header check of ``read_volume`` runs before the first
+    slab. A label slab must map every code it holds; when one does not,
+    the rest of the file is scanned a chunk at a time, so that the
+    ``HeaderError`` names every unmapped code, as a whole read's does.
+    """
+    with open(path, "rb") as fh:
+        head = _parse_header(fh, path)
+        nz = head.geometry.nz
+        for lo in range(0, nz, step):
+            # nothing of a slab stays in this frame while the next is read
+            yield _read_slab(fh, head, slice(lo, min(lo + step, nz)))
+
+
+def _read_slab(fh, head: VolumeHeader, z: slice):
+    values = _read_planes(fh, head, z.start, z.stop)
+    if head.label_map is not None:
+        unmapped = unmapped_codes(values, head.label_map)
+        if unmapped:
+            # the slabs before held none
+            for planes in _chunks(fh, head, z.stop, head.geometry.nz):
+                unmapped += unmapped_codes(planes, head.label_map)
+            raise _unmapped_error(head.path, sorted(set(unmapped)))
+    return _volume(head, values, head.geometry.slab(z))
 
 
 def read_cohort_csv(path) -> list[SubjectRecord]:

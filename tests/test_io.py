@@ -2,6 +2,7 @@ import json
 import os
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from bodycomp import (
     BadMagicError,
     CohortError,
+    GeometryMismatchError,
     HeaderError,
     LabelVolume,
     Sex,
@@ -25,7 +27,7 @@ from bodycomp import (
     to_hu,
     write_volume,
 )
-from bodycomp.io import format_number, read_code_counts, read_header
+from bodycomp.io import format_number, read_code_counts, read_header, read_slabs, write_slabs
 from bodycomp.model import code_counts
 from conftest import make_ct, make_tissue, make_vertebrae, random_tissue_codes
 
@@ -511,3 +513,61 @@ def test_code_counts_refuse_what_read_volume_refuses(tmp_path, rng, monkeypatch)
     write_volume(make_ct(np.zeros((2, 2, 2))), ct_path)
     with pytest.raises(HeaderError, match="holds no label codes"):
         read_code_counts(ct_path)
+
+
+@pytest.mark.parametrize("step", [1, 2, 4, 9])
+def test_slabs_read_and_written_are_the_volume_and_its_file(tmp_path, rng, step):
+    tissue, tissue_path = _write_tissue_with_z(tmp_path, rng)
+    ct = make_ct(rng.integers(-1024, 3000, size=(9, 4, 5)), slope=0.7, z=tissue.z_positions_mm)
+    ct_path = tmp_path / "ct.bcv"
+    write_volume(ct, ct_path)
+    for vol, path in ((tissue, tissue_path), (ct, ct_path)):
+        slabs = list(read_slabs(path, step))
+        starts = range(0, 9, step)
+        assert [s.nz for s in slabs] == [min(step, 9 - lo) for lo in starts]
+        for lo, slab in zip(starts, slabs):
+            assert volumes_equal(slab, read_volume(path, slice(lo, lo + slab.nz)))
+        out = tmp_path / "out.bcv"
+        write_slabs(iter(slabs), vol.geometry, out)
+        assert out.read_bytes() == path.read_bytes()
+
+
+def test_slab_reads_name_every_unmapped_code_from_the_first_bad_slab_on(tmp_path, rng):
+    _, path = _write_tissue_with_z(tmp_path, rng)
+    plane = 4 * 5
+    _set_payload_byte(path, 3 * plane, 200)
+    _set_payload_byte(path, 9 * plane - 1, 77)
+    with pytest.raises(HeaderError) as whole:
+        read_volume(path)
+    slabs = read_slabs(path, 2)
+    assert next(slabs).nz == 2
+    with pytest.raises(HeaderError) as slab:
+        next(slabs)
+    assert str(slab.value) == str(whole.value)
+    assert "codes [77, 200] present" in str(slab.value)
+
+
+def test_slabs_that_do_not_make_the_volume_leave_the_file_as_it_was(tmp_path, rng):
+    vol, path = _write_tissue_with_z(tmp_path, rng)
+    a, b, c = read_slabs(path, 3)
+
+    def interrupted():
+        yield a
+        raise KeyboardInterrupt
+
+    out = tmp_path / "out.bcv"
+    out.write_bytes(b"before")
+    refused = {
+        "too few": ([a, b], VolumeFormatError),
+        "too many": ([a, b, c, a], VolumeFormatError),
+        "out of order": ([a, c, b], GeometryMismatchError),
+        "another label map": ([a, replace(b, label_map={**b.label_map, 9: "x"}), c], VolumeFormatError),
+        "another subject": ([a, replace(b, subject_id="u"), c], VolumeFormatError),
+        "HU": ([to_hu(make_ct(np.zeros((9, 4, 5)), z=vol.z_positions_mm))], VolumeFormatError),
+        "interrupted": (interrupted(), KeyboardInterrupt),
+    }
+    for slabs, error in refused.values():
+        with pytest.raises(error):
+            write_slabs(slabs, vol.geometry, out)
+        assert out.read_bytes() == b"before"
+        assert sorted(os.listdir(tmp_path)) == ["out.bcv", "tissue.bcv"]
