@@ -28,6 +28,8 @@ from dataclasses import fields
 from enum import Enum
 from pathlib import Path
 
+import numpy as np
+
 from .cohort import GROUP_BY_CHOICES, CorrelationEntry, correlation_matrix, group_stats
 from .errors import BodycompError, VertebraNotFoundError
 from .evaluation import (
@@ -89,15 +91,10 @@ def _check_kind(path, is_ct: bool, want_ct: bool) -> None:
         raise BodycompError(f"{path}: expected {wanted}, got {got}")
 
 
-def _read_ct(path, z: slice | None = None) -> VoxelVolume:
+def _read(path, ct: bool, z: slice | None = None) -> VoxelVolume | LabelVolume:
+    """A CT (``ct``) or label volume, or only its slices ``z``."""
     vol = read_volume(path, z)
-    _check_kind(path, isinstance(vol, VoxelVolume), True)
-    return vol
-
-
-def _read_labels(path, z: slice | None = None) -> LabelVolume:
-    vol = read_volume(path, z)
-    _check_kind(path, isinstance(vol, VoxelVolume), False)
+    _check_kind(path, isinstance(vol, VoxelVolume), ct)
     return vol
 
 
@@ -110,10 +107,15 @@ def _read_header(path, ct: bool, geometry: Geometry | None = None) -> VolumeHead
     return head
 
 
-def _read_regions(path) -> VertebraRegions:
-    """The regions of a vertebra file, read a chunk of slices at a time."""
+def _read_counts(path) -> tuple[VolumeHeader, np.ndarray]:
+    """A label file's header and its code counts per slice, read a chunk of slices at a time."""
     _read_header(path, ct=False)
-    head, counts = read_code_counts(path)
+    return read_code_counts(path)
+
+
+def _read_regions(path) -> VertebraRegions:
+    """The regions of a vertebra file, from one chunked scan."""
+    head, counts = _read_counts(path)
     return regions_from_counts(counts, head.label_map, head.geometry)
 
 
@@ -160,7 +162,10 @@ def _load_manifest(path) -> list[dict]:
             raise BodycompError(f"{path}: manifest missing columns {needed}")
         base = Path(path).parent
         rows = []
-        for row in reader:
+        for lineno, row in enumerate(reader, start=2):
+            short = [c for c in ("ct", "tissue", "vertebrae") if row[c] is None]
+            if short:
+                raise BodycompError(f"{path}:{lineno}: manifest row missing columns {short}")
             entry = {
                 "ct": str(base / row["ct"]),
                 "tissue": str(base / row["tissue"]),
@@ -210,8 +215,8 @@ def _measure_one(entry: dict, subject_id: str, policy: MergePolicy, cohort: dict
     if picked.missing:
         raise VertebraNotFoundError(next(iter(picked.missing.values())))
     slab = picked.counted_slab()
-    ct = _read_ct(entry["ct"], slab)
-    tissue = _read_labels(entry["tissue"], slab)
+    ct = _read(entry["ct"], True, slab)
+    tissue = _read(entry["tissue"], False, slab)
     record = cohort.get(subject_id)
     if record is None:
         record = SubjectRecord(subject_id=subject_id, age_years=0.0)
@@ -299,15 +304,15 @@ def cmd_evaluate(args) -> int:
             return 2
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    gt = _read_labels(args.gt)
-    pred = _read_labels(args.pred)
+    gt = _read(args.gt, ct=False)
+    pred = _read(args.pred, ct=False)
     picked = _read_regions(args.vertebrae) if args.vertebrae else None
     # only the densities read the CT, and only on the counted slab: with
     # every vertebra level found that slab is read, else no payload at all
     _read_header(args.ct, True, gt.geometry)
     ct = None
     if picked is not None and not picked.missing:
-        ct = _read_ct(args.ct, picked.counted_slab())
+        ct = _read(args.ct, True, picked.counted_slab())
 
     case = evaluate_case(gt, pred, ct, picked, policy, regions)
     for metric, reason in case.blank_reasons.items():
@@ -321,8 +326,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_select_slice(args) -> int:
     # one chunked scan: the index and its area come from one count table
-    _read_header(args.vertebrae, ct=False)
-    head, counts = read_code_counts(args.vertebrae)
+    head, counts = _read_counts(args.vertebrae)
     name = vertebra_label(args.level)
     index = _largest_slice(counts, head.label_map, name)
     area = counts[index, codes_for(head.label_map, name)].sum() * head.geometry.pixel_area_cm2

@@ -22,6 +22,12 @@ Valid dtype/kind combinations:
 
 Any other combination is a header error. HU-converted volumes are not
 representable (no float dtype in v1); convert after reading.
+
+Every payload read is one walk over the file (``_walk``): whole slices in
+file order, the slices asked for as volumes and, in a label file, the
+rest as planes scanned a chunk at a time, each label code checked once
+against the label map. ``read_volume`` (the whole file or one slab),
+``read_slabs`` and ``read_code_counts`` are its cases.
 """
 
 from __future__ import annotations
@@ -320,42 +326,6 @@ def chunk_slices(head: VolumeHeader) -> int:
     return max(1, SCAN_CHUNK_BYTES // (nx * ny * head.dtype.itemsize))
 
 
-def _chunks(fh, head: VolumeHeader, lo: int, hi: int):
-    """Slices ``lo`` to ``hi`` of the payload, a bounded chunk of whole slices at a time."""
-    step = chunk_slices(head)
-    for k in range(lo, hi, step):
-        yield _read_planes(fh, head, k, min(k + step, hi))
-
-
-def _unmapped_error(path, unmapped: list[int]) -> HeaderError:
-    return HeaderError(
-        f"{path}: header violates volume invariants: "
-        f"codes {unmapped} present in volume but not in label_map"
-    )
-
-
-def read_code_counts(path) -> tuple[VolumeHeader, np.ndarray]:
-    """A label file's header and the voxels of each code on each slice.
-
-    The counts are ``code_counts`` of the payload, ``[nz, 256]``, taken
-    a bounded chunk of slices at a time: the volume is never held whole.
-    Every check of ``read_volume`` runs, the label map covering every code
-    present included.
-    """
-    with open(path, "rb") as fh:
-        head = _parse_header(fh, path)
-        if head.label_map is None:
-            raise HeaderError(f"{path}: kind {head.kind!r} holds no label codes")
-        counts = np.concatenate(
-            [code_counts(planes) for planes in _chunks(fh, head, 0, head.geometry.nz)]
-        )
-    present = np.flatnonzero(counts[:, 1:].any(axis=0)) + 1
-    unmapped = [int(c) for c in present if c not in head.label_map]
-    if unmapped:
-        raise _unmapped_error(path, unmapped)
-    return head, counts
-
-
 def _volume(head: VolumeHeader, values: np.ndarray, geometry: Geometry):
     """The volume of ``values``: the slices of ``head``'s payload that ``geometry`` describes."""
     fields = head.fields
@@ -381,6 +351,70 @@ def _volume(head: VolumeHeader, values: np.ndarray, geometry: Geometry):
         raise HeaderError(f"{head.path}: header violates volume invariants: {exc}") from exc
 
 
+def _spans(lo: int, hi: int, step: int, as_volume: bool) -> list[tuple[int, int, bool]]:
+    return [(k, min(k + step, hi), as_volume) for k in range(lo, hi, step)]
+
+
+def _walk(fh, head: VolumeHeader, z: slice, step: int):
+    """The payload of ``head``'s file, read in pieces of whole slices in file order.
+
+    The slices ``z`` come as volumes of ``step`` slices each, with the
+    geometry of their slices (``Geometry.slab``). The other slices of a
+    label file come as planes, ``chunk_slices`` at a time; those of a CT
+    are not read, as every 16-bit value is valid. Each piece is read
+    straight into its array and is not kept once it is yielded.
+
+    Each label piece is checked once against the label map: a volume by
+    its constructor, planes by ``unmapped_codes``. When the map misses a
+    code of a piece, the rest of the file is scanned, so that the
+    ``HeaderError`` names every unmapped code, as a whole read's does:
+    the pieces before held none.
+    """
+    label_map, nz, scan = head.label_map, head.geometry.nz, chunk_slices(head)
+    pieces = _spans(z.start, z.stop, step, True)
+    if label_map is not None:
+        pieces = _spans(0, z.start, scan, False) + pieces + _spans(z.stop, nz, scan, False)
+    for lo, hi, as_volume in pieces:
+        piece, unmapped = _read_planes(fh, head, lo, hi), []
+        try:
+            if as_volume:
+                piece = _volume(head, piece, head.geometry.slab(slice(lo, hi)))
+            else:
+                unmapped = unmapped_codes(piece, label_map)
+        except HeaderError:
+            # a label volume refuses only a code its map misses
+            unmapped = [] if label_map is None else unmapped_codes(piece, label_map)
+            if not unmapped:
+                raise
+        if unmapped:
+            for k in range(hi, nz, scan):
+                unmapped += unmapped_codes(_read_planes(fh, head, k, min(k + scan, nz)), label_map)
+            raise HeaderError(
+                f"{head.path}: header violates volume invariants: "
+                f"codes {sorted(set(unmapped))} present in volume but not in label_map"
+            )
+        yield piece
+        del piece  # nothing of a piece stays in this frame while the next is read
+
+
+def read_code_counts(path) -> tuple[VolumeHeader, np.ndarray]:
+    """A label file's header and the voxels of each code on each slice.
+
+    The counts are ``code_counts`` of the payload, ``[nz, 256]``, taken
+    a bounded chunk of slices at a time: the volume is never held whole.
+    Every check of ``read_volume`` runs, the label map covering every code
+    present included.
+    """
+    with open(path, "rb") as fh:
+        head = _parse_header(fh, path)
+        if head.label_map is None:
+            raise HeaderError(f"{path}: kind {head.kind!r} holds no label codes")
+        # no slice as a volume: every chunk comes as planes, and map holds
+        # none of them while the next is read
+        counts = np.concatenate(list(map(code_counts, _walk(fh, head, slice(0, 0), 1))))
+    return head, counts
+
+
 def read_volume(path, z: slice | None = None) -> VoxelVolume | LabelVolume:
     """Read a `.bcv` file; raw CT volumes load with ``unit_state=Raw``.
 
@@ -397,21 +431,14 @@ def read_volume(path, z: slice | None = None) -> VoxelVolume | LabelVolume:
     """
     with open(path, "rb") as fh:
         head = _parse_header(fh, path)
-        whole = z is None or (z.start, z.stop) == (0, head.geometry.nz)
-        geometry = head.geometry if z is None else head.geometry.slab(z)
-        z = slice(0, head.geometry.nz) if z is None else z
-        values = _read_planes(fh, head, z.start, z.stop)
-        if head.label_map is not None and not whole:
-            # the slices outside z, a chunk at a time, with the fast path
-            # of the maximum code
-            outside = set()
-            for lo, hi in ((0, z.start), (z.stop, head.geometry.nz)):
-                for planes in _chunks(fh, head, lo, hi):
-                    outside.update(unmapped_codes(planes, head.label_map))
-            if outside:
-                unmapped = {*outside, *unmapped_codes(values, head.label_map)}
-                raise _unmapped_error(path, sorted(unmapped))
-        return _volume(head, values, geometry)
+        if z is None:
+            z = slice(0, head.geometry.nz)
+        head.geometry.slab(z)  # an IndexError before any read
+        pieces = _walk(fh, head, z, z.stop - z.start)
+        # the one volume among the planes scanned around it; filter holds
+        # none of those while the next is read
+        [vol] = filter(lambda piece: not isinstance(piece, np.ndarray), pieces)
+        return vol
 
 
 def read_slabs(path, step: int):
@@ -426,22 +453,7 @@ def read_slabs(path, step: int):
     """
     with open(path, "rb") as fh:
         head = _parse_header(fh, path)
-        nz = head.geometry.nz
-        for lo in range(0, nz, step):
-            # nothing of a slab stays in this frame while the next is read
-            yield _read_slab(fh, head, slice(lo, min(lo + step, nz)))
-
-
-def _read_slab(fh, head: VolumeHeader, z: slice):
-    values = _read_planes(fh, head, z.start, z.stop)
-    if head.label_map is not None:
-        unmapped = unmapped_codes(values, head.label_map)
-        if unmapped:
-            # the slabs before held none
-            for planes in _chunks(fh, head, z.stop, head.geometry.nz):
-                unmapped += unmapped_codes(planes, head.label_map)
-            raise _unmapped_error(head.path, sorted(set(unmapped)))
-    return _volume(head, values, head.geometry.slab(z))
+        yield from _walk(fh, head, slice(0, head.geometry.nz), step)
 
 
 def read_cohort_csv(path) -> list[SubjectRecord]:

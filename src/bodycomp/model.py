@@ -78,45 +78,31 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _validate_grid(shape, spacing_mm, z_positions_mm):
-    if len(shape) != 3:
-        raise ValueError(f"volume must be 3-D, got shape {shape}")
-    if any(n < 1 for n in shape):
-        raise ValueError(f"all dims must be >= 1, got dims {shape[::-1]}")
-    if len(spacing_mm) != 3 or any(not (s > 0) for s in spacing_mm):
-        raise ValueError(f"spacing must be three positive values, got {spacing_mm}")
-    if z_positions_mm is not None:
-        nz = shape[0]
-        if len(z_positions_mm) != nz:
-            raise ValueError(
-                f"z_positions_mm has {len(z_positions_mm)} entries, expected {nz}"
-            )
-        if nz > 1:
-            steps = np.diff(z_positions_mm)
-            if not (np.all(steps > 0) or np.all(steps < 0)):
-                raise ValueError("z_positions_mm must be strictly monotonic")
+class _Grid:
+    """What a geometry and a volume share: ``dims`` (nx, ny, nz), ``spacing_mm``
+    and ``z_positions_mm``, and the sizes derived from them."""
 
-
-@dataclass(frozen=True)
-class Geometry:
-    """The grid of a volume without its voxels: what ``same_geometry`` compares.
-
-    A `.bcv` header and the regions picked from a vertebra mask carry the
-    geometry of a whole volume when only some of its slices are read.
-    """
-
-    dims: tuple[int, int, int]
-    spacing_mm: tuple[float, float, float]
-    z_positions_mm: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        _validate_grid(tuple(self.dims)[::-1], self.spacing_mm, self.z_positions_mm)
-        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
-        object.__setattr__(self, "spacing_mm", tuple(float(s) for s in self.spacing_mm))
-        if self.z_positions_mm is not None:
-            object.__setattr__(
-                self, "z_positions_mm", tuple(float(z) for z in self.z_positions_mm)
-            )
+    def _set_grid(self, shape) -> None:
+        """Check the grid of ``shape`` ([nz, ny, nx]); store spacing and z as floats."""
+        spacing_mm, z_positions_mm = self.spacing_mm, self.z_positions_mm
+        if len(shape) != 3:
+            raise ValueError(f"volume must be 3-D, got shape {shape}")
+        if any(n < 1 for n in shape):
+            raise ValueError(f"all dims must be >= 1, got dims {shape[::-1]}")
+        if len(spacing_mm) != 3 or any(not (s > 0) for s in spacing_mm):
+            raise ValueError(f"spacing must be three positive values, got {spacing_mm}")
+        object.__setattr__(self, "spacing_mm", tuple(float(s) for s in spacing_mm))
+        if z_positions_mm is not None:
+            nz = shape[0]
+            if len(z_positions_mm) != nz:
+                raise ValueError(
+                    f"z_positions_mm has {len(z_positions_mm)} entries, expected {nz}"
+                )
+            if nz > 1:
+                steps = np.diff(z_positions_mm)
+                if not (np.all(steps > 0) or np.all(steps < 0)):
+                    raise ValueError("z_positions_mm must be strictly monotonic")
+            object.__setattr__(self, "z_positions_mm", tuple(float(z) for z in z_positions_mm))
 
     @property
     def nz(self) -> int:
@@ -132,19 +118,51 @@ class Geometry:
         sx, sy, sz = self.spacing_mm
         return sx * sy * sz / 1000.0
 
+
+@dataclass(frozen=True)
+class Geometry(_Grid):
+    """The grid of a volume without its voxels: what ``same_geometry`` compares.
+
+    A `.bcv` header and the regions picked from a vertebra mask carry the
+    geometry of a whole volume when only some of its slices are read.
+    """
+
+    dims: tuple[int, int, int]
+    spacing_mm: tuple[float, float, float]
+    z_positions_mm: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        self._set_grid(tuple(self.dims)[::-1])
+        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
+
     def slab(self, sl: slice) -> Geometry:
         """Geometry of the slices ``sl`` (a ``slice(lo, hi)`` inside the volume)."""
         nx, ny, nz = self.dims
-        if not 0 <= sl.start < sl.stop <= nz or sl.step not in (None, 1):
+        lo, hi = sl.start, sl.stop
+        if lo is None or hi is None or not 0 <= lo < hi <= nz or sl.step not in (None, 1):
             raise IndexError(f"slab {sl} is not a slice range inside [0, {nz})")
         z = self.z_positions_mm
-        return Geometry(
-            (nx, ny, sl.stop - sl.start), self.spacing_mm, z[sl] if z is not None else None
-        )
+        return Geometry((nx, ny, hi - lo), self.spacing_mm, z[sl] if z is not None else None)
+
+
+class _Volume(_Grid):
+    """A grid whose voxels are the ``[z, y, x]`` array named by ``_voxels``."""
+
+    _voxels: str
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        """(nx, ny, nz)."""
+        nz, ny, nx = getattr(self, self._voxels).shape
+        return (nx, ny, nz)
+
+    @property
+    def geometry(self) -> Geometry:
+        return Geometry(self.dims, self.spacing_mm, self.z_positions_mm)
 
 
 @dataclass(frozen=True)
-class VoxelVolume:
+class VoxelVolume(_Volume):
     """A 3-D scalar grid: raw CT counts or converted Hounsfield Units.
 
     ``values`` is ``int16`` while ``unit_state`` is RAW and ``float32``
@@ -160,9 +178,11 @@ class VoxelVolume:
     z_positions_mm: tuple[float, ...] | None = None
     subject_id: str | None = None
 
+    _voxels = "values"
+
     def __post_init__(self):
         values = np.asarray(self.values)
-        _validate_grid(values.shape, self.spacing_mm, self.z_positions_mm)
+        self._set_grid(values.shape)
         if not (np.isfinite(self.rescale_slope) and np.isfinite(self.rescale_intercept)):
             raise ValueError(
                 f"rescale slope and intercept must be finite, got "
@@ -182,11 +202,6 @@ class VoxelVolume:
         else:
             values = values.astype(np.float32, copy=False)
         object.__setattr__(self, "values", _freeze(values))
-        object.__setattr__(self, "spacing_mm", tuple(float(s) for s in self.spacing_mm))
-        if self.z_positions_mm is not None:
-            object.__setattr__(
-                self, "z_positions_mm", tuple(float(z) for z in self.z_positions_mm)
-            )
 
     def hu_at(self, index, where: np.ndarray | None = None) -> np.ndarray:
         """Float32 HU of ``values[index]``, or of ``values[index][where]``.
@@ -217,30 +232,6 @@ class VoxelVolume:
             hu = np.multiply(values, np.float32(self.rescale_slope), dtype=np.float32)
             hu += np.float32(self.rescale_intercept)
         return hu
-
-    @property
-    def geometry(self) -> Geometry:
-        return Geometry(self.dims, self.spacing_mm, self.z_positions_mm)
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        """(nx, ny, nz)."""
-        nz, ny, nx = self.values.shape
-        return (nx, ny, nz)
-
-    @property
-    def nz(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def pixel_area_cm2(self) -> float:
-        sx, sy, _ = self.spacing_mm
-        return sx * sy / 100.0
-
-    @property
-    def voxel_volume_cm3(self) -> float:
-        sx, sy, sz = self.spacing_mm
-        return sx * sy * sz / 1000.0
 
 
 def select_codes(codes: np.ndarray, wanted: list[int]) -> np.ndarray:
@@ -289,7 +280,7 @@ def unmapped_codes(codes: np.ndarray, label_map: Mapping[int, str]) -> list[int]
 
 
 @dataclass(frozen=True)
-class LabelVolume:
+class LabelVolume(_Volume):
     """A 3-D unsigned 8-bit label grid plus its code-to-name map.
 
     Every nonzero code that occurs in ``codes`` must appear in
@@ -302,9 +293,11 @@ class LabelVolume:
     z_positions_mm: tuple[float, ...] | None = None
     subject_id: str | None = None
 
+    _voxels = "codes"
+
     def __post_init__(self):
         codes = np.asarray(self.codes)
-        _validate_grid(codes.shape, self.spacing_mm, self.z_positions_mm)
+        self._set_grid(codes.shape)
         if not np.issubdtype(codes.dtype, np.integer):
             raise ValueError("label codes must be integers")
         # a uint8 array holds no code outside the range: skip the scan
@@ -319,34 +312,6 @@ class LabelVolume:
             raise ValueError(f"codes {unmapped} present in volume but not in label_map")
         object.__setattr__(self, "codes", _freeze(codes))
         object.__setattr__(self, "label_map", label_map)
-        object.__setattr__(self, "spacing_mm", tuple(float(s) for s in self.spacing_mm))
-        if self.z_positions_mm is not None:
-            object.__setattr__(
-                self, "z_positions_mm", tuple(float(z) for z in self.z_positions_mm)
-            )
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        nz, ny, nx = self.codes.shape
-        return (nx, ny, nz)
-
-    @property
-    def nz(self) -> int:
-        return self.codes.shape[0]
-
-    @property
-    def pixel_area_cm2(self) -> float:
-        sx, sy, _ = self.spacing_mm
-        return sx * sy / 100.0
-
-    @property
-    def voxel_volume_cm3(self) -> float:
-        sx, sy, sz = self.spacing_mm
-        return sx * sy * sz / 1000.0
-
-    @property
-    def geometry(self) -> Geometry:
-        return Geometry(self.dims, self.spacing_mm, self.z_positions_mm)
 
     def codes_for(self, label_name: str) -> list[int]:
         """All codes mapping to ``label_name``; raises if the name is unknown."""

@@ -519,6 +519,22 @@ def test_measure_rejects_duplicate_manifest_ids_before_reading(tmp_path, capsys,
     assert not (out / "results.csv").exists()
 
 
+def test_measure_refuses_a_short_manifest_row_before_reading(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("bodycomp.cli.read_header", lambda *a: calls.append(a))
+    write_phantom(tmp_path, sid="a1", nx=24, ny=24, nz=10)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("ct,tissue,vertebrae\na1_ct.bcv,a1_tissue.bcv,a1_vertebrae.bcv\na.bcv\n")
+    out = tmp_path / "out"
+    code = main(["measure", "--manifest", str(manifest), "--out", str(out)])
+    assert code == 1
+    assert calls == []
+    assert capsys.readouterr().err == (
+        f"bodycomp: {manifest}:3: manifest row missing columns ['tissue', 'vertebrae']\n"
+    )
+    assert not (out / "results.csv").exists()
+
+
 def test_importing_the_cli_does_not_load_scipy():
     src = Path(bodycomp.__file__).parent.parent
     code = "import sys, bodycomp.cli; sys.exit('scipy' in sys.modules)"

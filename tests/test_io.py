@@ -3,6 +3,7 @@ import os
 import struct
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from bodycomp import (
     to_hu,
     write_volume,
 )
+from bodycomp import model
 from bodycomp.io import format_number, read_code_counts, read_header, read_slabs, write_slabs
 from bodycomp.model import code_counts
 from conftest import make_ct, make_tissue, make_vertebrae, random_tissue_codes
@@ -440,22 +442,34 @@ def test_slab_read_is_that_slab_of_the_whole_read(tmp_path, rng, lo, hi):
         assert np.array_equal(stored, whole[lo:hi])
 
 
-@pytest.mark.parametrize("where", ["before", "after", "both"])
-def test_slab_read_fails_on_an_unmapped_code_outside_the_slab(tmp_path, rng, monkeypatch, where):
+# every read of part of a file, or of it a part at a time
+PART_READS = {
+    "slab": lambda path: read_volume(path, slice(3, 6)),
+    "slabs1": lambda path: list(read_slabs(path, 1)),
+    "slabs2": lambda path: list(read_slabs(path, 2)),
+    "slabs9": lambda path: list(read_slabs(path, 9)),
+    "counts": read_code_counts,
+}
+
+
+@pytest.mark.parametrize("reader", list(PART_READS))
+@pytest.mark.parametrize("where", ["before", "inside", "after", "both", "inside+after", "all"])
+def test_slab_read_fails_on_an_unmapped_code_outside_the_slab(tmp_path, rng, monkeypatch, where, reader):
     _, path = _write_tissue_with_z(tmp_path, rng)
     plane = 4 * 5
-    if where in ("before", "both"):
-        _set_payload_byte(path, 0, 200)
-    if where in ("after", "both"):
-        _set_payload_byte(path, 9 * plane - 1, 77)
+    # a code before slice 3, on slice 4 and after slice 5
+    spots = {"before": (0, 200), "inside": (4 * plane + 7, 150), "after": (9 * plane - 1, 77)}
+    parts = {"both": "before+after", "all": "before+inside+after"}.get(where, where).split("+")
+    for part in parts:
+        _set_payload_byte(path, *spots[part])
     # one slice per scanned chunk, so the code sits in a later chunk
     monkeypatch.setattr("bodycomp.io.SCAN_CHUNK_BYTES", plane)
     with pytest.raises(HeaderError) as whole:
         read_volume(path)
-    with pytest.raises(HeaderError) as slab:
-        read_volume(path, slice(3, 6))
-    assert str(slab.value) == str(whole.value)
-    assert "not in label_map" in str(slab.value)
+    assert f"codes {sorted(spots[p][1] for p in parts)} present" in str(whole.value)
+    with pytest.raises(HeaderError) as read:
+        PART_READS[reader](path)
+    assert str(read.value) == str(whole.value)
 
 
 def test_slab_read_of_a_file_cut_after_its_slab(tmp_path, rng):
@@ -471,7 +485,7 @@ def test_slab_read_of_a_file_cut_after_its_slab(tmp_path, rng):
 
 def test_slab_outside_the_volume_is_refused(tmp_path, rng):
     _, path = _write_tissue_with_z(tmp_path, rng)
-    for z in (slice(5, 10), slice(4, 4), slice(-1, 3)):
+    for z in (slice(5, 10), slice(4, 4), slice(-1, 3), slice(None, 5), slice(2, None)):
         with pytest.raises(IndexError):
             read_volume(path, z)
 
@@ -545,6 +559,42 @@ def test_slab_reads_name_every_unmapped_code_from_the_first_bad_slab_on(tmp_path
         next(slabs)
     assert str(slab.value) == str(whole.value)
     assert "codes [77, 200] present" in str(slab.value)
+
+
+def test_every_label_voxel_is_checked_once_per_read(tmp_path, rng, monkeypatch):
+    vol, path = _write_tissue_with_z(tmp_path, rng)
+    ct = make_ct(np.zeros((9, 4, 5)))
+    write_volume(ct, tmp_path / "ct.bcv")
+    # two slices per scanned chunk: the chunks and the slabs do not align
+    monkeypatch.setattr("bodycomp.io.SCAN_CHUNK_BYTES", 2 * 4 * 5)
+    checked = []
+    unchecked = model.unmapped_codes
+
+    def spy(codes, label_map):
+        checked.append(np.array(codes))
+        return unchecked(codes, label_map)
+
+    monkeypatch.setattr("bodycomp.model.unmapped_codes", spy)
+    monkeypatch.setattr("bodycomp.io.unmapped_codes", spy)
+    reads = {
+        "whole": partial(read_volume, path),
+        **{f"slab {z}": partial(read_volume, path, z) for z in (slice(0, 3), slice(3, 6), slice(8, 9))},
+        **{f"slabs {n}": lambda n=n: list(read_slabs(path, n)) for n in (1, 3, vol.nz)},
+        "counts": partial(read_code_counts, path),
+    }
+    for name, read in reads.items():
+        checked.clear()
+        read()
+        # the random planes tell which slice each checked plane is
+        slices = [
+            k for codes in checked for plane in codes
+            for k in range(vol.nz) if np.array_equal(plane, vol.codes[k])
+        ]
+        assert sorted(slices) == list(range(vol.nz)), name
+    checked.clear()
+    read_volume(tmp_path / "ct.bcv", slice(3, 6))
+    list(read_slabs(tmp_path / "ct.bcv", 2))
+    assert checked == []
 
 
 def test_slabs_that_do_not_make_the_volume_leave_the_file_as_it_was(tmp_path, rng):
