@@ -28,7 +28,7 @@ print("vertebra peaks: T12 =", phantom.t12_slice, " L3 =", phantom.l3_slice,
 # measures take the CT as read; to_hu is needed only for a full HU array.
 ct = phantom.ct
 print("raw value range:", int(ct.values.min()), "..", int(ct.values.max()))
-print(f"raw {ct.values[0, 0, 0]} at the corner is {float(ct.hu_at((0, 0, 0)))} HU "
+print(f"raw {ct.values[0, 0, 0]} at the corner is {float(ct.hu_of(ct.values[0, 0, 0]))} HU "
       f"(slope {ct.rescale_slope}, intercept {ct.rescale_intercept})")
 
 # Height enables the skeletal muscle index (area / height^2).

@@ -304,12 +304,19 @@ def cmd_evaluate(args) -> int:
             return 2
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # every header is checked, in the order gt, pred, vertebrae, ct, before
+    # any payload is read; pred and vertebrae are compared with gt as
+    # evaluate_case compares them
+    geometry = _read_header(args.gt, ct=False).geometry
+    require_same_geometry(geometry, _read_header(args.pred, ct=False).geometry)
+    if args.vertebrae:
+        require_same_geometry(geometry, _read_header(args.vertebrae, ct=False).geometry)
+    _read_header(args.ct, True, geometry)
     gt = _read(args.gt, ct=False)
     pred = _read(args.pred, ct=False)
     picked = _read_regions(args.vertebrae) if args.vertebrae else None
     # only the densities read the CT, and only on the counted slab: with
     # every vertebra level found that slab is read, else no payload at all
-    _read_header(args.ct, True, gt.geometry)
     ct = None
     if picked is not None and not picked.missing:
         ct = _read(args.ct, True, picked.counted_slab())

@@ -205,7 +205,7 @@ def group_stats(
 class CorrelationEntry:
     metric_a: str
     metric_b: str
-    r: float | None  # None when a series is constant
+    r: float | None  # None below 2 complete cases or when a series is constant
     n: int
 
     @property
@@ -221,7 +221,8 @@ def correlation_matrix(
 
     The default pair set is every unordered pair of the seven metrics,
     which includes the 2D-vs-3D pairs of the same underlying metric.
-    Pairs with a constant series are flagged undefined (r is None).
+    Pairs with fewer than 2 complete cases or a constant series are
+    flagged undefined (r is None); unknown metric names raise ValueError.
     """
     if pairs is None:
         pairs = [
@@ -240,11 +241,11 @@ def correlation_matrix(
                 continue
             xs.append(va)
             ys.append(vb)
-        if len(xs) < 2:
-            raise ValueError(f"pair ({a}, {b}) has {len(xs)} complete cases; need >= 2")
-        try:
-            r = pearson_r(xs, ys)
-        except ConstantInputError:
-            r = None
+        r = None
+        if len(xs) >= 2:
+            try:
+                r = pearson_r(xs, ys)
+            except ConstantInputError:
+                pass
         entries.append(CorrelationEntry(metric_a=a, metric_b=b, r=r, n=len(xs)))
     return entries

@@ -68,7 +68,6 @@ MUSCLE_DENSITY_RANGE_HU = (-29.0, 150.0)
 _DENSITY_RANGE_WIDTH = MUSCLE_DENSITY_RANGE_HU[1] - MUSCLE_DENSITY_RANGE_HU[0]
 
 REGION_NAMES = ("l3", "t12_l4", "all")
-METRIC_ERROR_NAMES = METRIC_FIELDS
 
 
 class DiceResult(NamedTuple):
@@ -416,8 +415,8 @@ def evaluate_case(
     if picked is not None and missing:
         # without all three levels the metric table is unavailable; the
         # Dice rows of the requested regions stand on their own
-        metric_errors = dict.fromkeys(METRIC_ERROR_NAMES)
-        blank_reasons = dict.fromkeys(METRIC_ERROR_NAMES, next(iter(missing.values())))
+        metric_errors = dict.fromkeys(METRIC_FIELDS)
+        blank_reasons = dict.fromkeys(METRIC_FIELDS, next(iter(missing.values())))
     elif picked is not None:
 
         def side(mask: LabelVolume, counts: np.ndarray) -> MaskMetrics:
@@ -451,9 +450,9 @@ def _metric_errors(truth: MaskMetrics, predicted: MaskMetrics):
     height cancels in its relative error. Returns the errors and, for
     each attempted metric left blank, the reason.
     """
-    errors: dict[str, float | None] = dict.fromkeys(METRIC_ERROR_NAMES)
+    errors: dict[str, float | None] = dict.fromkeys(METRIC_FIELDS)
     reasons: dict[str, str] = {}
-    for name in METRIC_ERROR_NAMES:
+    for name in METRIC_FIELDS:
         density = name.startswith("muscle_density")
         if density and truth.muscle_hu is None:
             continue
@@ -517,7 +516,7 @@ def aggregate_cases(cases: Sequence[CaseEvaluation]) -> EvalReport:
         )
 
     metric_rows = []
-    for name in METRIC_ERROR_NAMES:
+    for name in METRIC_FIELDS:
         vals = [
             c.metric_errors[name]
             for c in cases

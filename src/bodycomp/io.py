@@ -450,7 +450,10 @@ def read_slabs(path, step: int):
     slab. A label slab must map every code it holds; when one does not,
     the rest of the file is scanned a chunk at a time, so that the
     ``HeaderError`` names every unmapped code, as a whole read's does.
+    A ``step`` below 1 raises ValueError before the file is opened.
     """
+    if step < 1:
+        raise ValueError(f"read_slabs step must be >= 1, got {step}")
     with open(path, "rb") as fh:
         head = _parse_header(fh, path)
         yield from _walk(fh, head, slice(0, head.geometry.nz), step)

@@ -65,9 +65,6 @@ from .regions import (
 # Class-table columns: background or any other name, then TISSUE_NAMES.
 N_CLASSES = len(TISSUE_NAMES) + 1
 
-# Voxels of the CT the muscle density reads at a time (whole slices).
-DENSITY_CHUNK_VOXELS = 1 << 20
-
 
 def tissue_class(label_name: str) -> int:
     """Class-table column of a tissue name."""
@@ -129,34 +126,21 @@ def _count_slab(
     return counts, gathered_values
 
 
-def class_table(
-    mask: LabelVolume, sl: slice = slice(None), policy: MergePolicy = MergePolicy.SEPARATE
-) -> np.ndarray:
-    """Per-slice class counts on the slices of ``sl`` once ``policy`` is applied.
-
-    Returns ``[slices, N_CLASSES]`` int64 counts; each slice's codes are
-    read once.
-    """
-    return _count_slab(mask.codes[sl], code_classes(mask, policy))[0]
-
-
 def gather_muscle_hu(
     ct: VoxelVolume, mask: LabelVolume, region: MeasurementRegion, policy: MergePolicy, z0: int = 0
 ) -> np.ndarray:
     """Float32 HU of the post-policy muscle voxels of ``mask`` in ``region``.
 
     ``ct`` holds the slices of ``mask`` from ``z0`` on. The voxels are
-    gathered a chunk of slices at a time (no slab-sized mask, and few
-    steps on a small volume), in slab order, and converted at once.
+    gathered a slice at a time (no slab-sized mask), in slab order, and
+    converted at once; the per-slice pieces are freed before the conversion.
     """
     sl = region_slice(region, mask.nz)
     muscle = _codes_of(code_classes(mask, policy), tissue_class(SKELETAL_MUSCLE))
-    step = max(1, DENSITY_CHUNK_VOXELS // mask.codes[0].size)
-    chunks = [slice(z, min(z + step, sl.stop)) for z in range(sl.start, sl.stop, step)]
-    raw = [
-        ct.values[c.start - z0 : c.stop - z0][select_codes(mask.codes[c], muscle)] for c in chunks
-    ]
-    return ct.hu_of(np.concatenate(raw))
+    raw = np.concatenate(
+        [ct.values[z - z0][select_codes(mask.codes[z], muscle)] for z in range(sl.start, sl.stop)]
+    )
+    return ct.hu_of(raw)
 
 
 def _mean_hu(hu: np.ndarray) -> float:
@@ -285,7 +269,8 @@ def vat_sat_ratio(
     SAT measure raises UndefinedRatioError; zero VAT yields 0.0.
     """
     require_tissue_vocabulary(mask)
-    counts = class_table(mask, region_slice(region, mask.nz), policy)
+    planes = mask.codes[region_slice(region, mask.nz)]
+    counts, _ = _count_slab(planes, code_classes(mask, policy))
     return vat_sat_ratio_from_counts(counts, mask, region)
 
 

@@ -203,19 +203,6 @@ class VoxelVolume(_Volume):
             values = values.astype(np.float32, copy=False)
         object.__setattr__(self, "values", _freeze(values))
 
-    def hu_at(self, index, where: np.ndarray | None = None) -> np.ndarray:
-        """Float32 HU of ``values[index]``, or of ``values[index][where]``.
-
-        An HU volume returns its stored values. A raw volume applies its
-        rescale to the indexed voxels only (``hu_of``).
-        """
-        values = self.values[index]
-        if where is not None:
-            # a boolean mask of the indexed view; also several times faster
-            # than one index that mixes an integer and a boolean array
-            values = values[where]
-        return self.hu_of(values)
-
     def hu_of(self, values: np.ndarray) -> np.ndarray:
         """Float32 HU of ``values`` taken from this volume's ``values``.
 
@@ -473,11 +460,11 @@ def to_hu(vol: VoxelVolume) -> VoxelVolume:
     geometry and rescale metadata are unchanged. Converting an already-HU
     volume raises (no double conversion). The measures and kernels take
     the CT as read and convert only the voxels they read
-    (``VoxelVolume.hu_at``); this is for callers that want the whole array.
+    (``VoxelVolume.hu_of``); this is for callers that want the whole array.
     """
     if vol.unit_state is not UnitState.RAW:
         raise UnitStateError("volume is already in HU")
-    return replace(vol, values=vol.hu_at(...), unit_state=UnitState.HU)
+    return replace(vol, values=vol.hu_of(vol.values), unit_state=UnitState.HU)
 
 
 def require_tissue_vocabulary(mask: LabelVolume) -> None:

@@ -464,6 +464,30 @@ def test_cohort_command_writes_reports(tmp_path):
     assert float(linear["r"]) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_cohort_without_heights_reports_smi_correlations_blank(tmp_path, capsys):
+    results_dir = tmp_path / "results"
+    results_dir.mkdir()
+    lines = ["subject_id,age_years,sex,race,height_m"]
+    for i in range(4):
+        doc = {**_RESULT, "subject_id": f"s{i}", "muscle_area_2d": 100.0 + i,
+               "muscle_volume_3d": 900.0 + 3 * i, "smi_2d": None}
+        (results_dir / f"s{i}.json").write_text(json.dumps(doc))
+        lines.append(f"s{i},{40 + i},Female,White,")
+    demo = tmp_path / "demo.csv"
+    demo.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    code = main(["cohort", "--results", str(results_dir), "--demographics", str(demo),
+                 "--out", str(out)])
+    assert (code, capsys.readouterr().err) == (0, "")
+    corr = {(r["metric_a"], r["metric_b"]): r for r in read_csv(out / "correlations.csv")}
+    assert len(corr) == 21
+    smi_pairs = [pair for pair in corr if "smi_2d" in pair]
+    assert len(smi_pairs) == 6
+    assert all((corr[pair]["r"], corr[pair]["n"]) == ("", "0") for pair in smi_pairs)
+    linear = corr[("muscle_area_2d", "muscle_volume_3d")]
+    assert (float(linear["r"]), linear["n"]) == (pytest.approx(1.0), "4")
+
+
 @pytest.mark.parametrize(
     "doc, reason",
     [
@@ -554,7 +578,7 @@ def test_postprocess_runs_without_scipy(tmp_path):
     write_volume(tissue, tmp_path / "tissue.bcv")
 
     # the scipy-based oracles
-    hu = ct.hu_at(...)
+    hu = ct.hu_of(ct.values)
     sat = tissue.codes_for("sat")[0]
     grown = ndimage.binary_dilation(tissue.codes == sat, structure=np.ones((1, 5, 5), dtype=bool))
     sat_skin = np.where(grown & (tissue.codes == 0) & (hu > -800.0), sat, tissue.codes)
@@ -849,6 +873,55 @@ def test_evaluate_reads_only_the_ct_slab_its_densities_read(tmp_path, monkeypatc
     want = evaluate_masks(ph.tissue, pred, ph.ct, vert if vertebrae != "none" else None,
                           regions=regions)
     assert (tmp_path / "out" / "eval.json").read_text() == want.to_json() + "\n"
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        "gt missing", "gt is a CT",
+        "pred missing", "pred is a CT", "pred geometry",
+        "vertebrae missing", "vertebrae is a CT", "vertebrae geometry",
+        "ct missing", "ct is labels", "ct geometry",
+    ],
+)
+def test_evaluate_checks_every_header_before_any_payload(tmp_path, capsys, monkeypatch, fault):
+    ph, paths = write_phantom(tmp_path, sid="p1", nx=24, ny=24, nz=10)
+    other, other_paths = write_phantom(tmp_path, sid="q1", nx=24, ny=24, nz=12)
+    inputs = {"gt": paths["tissue"], "pred": paths["tissue"],
+              "vertebrae": paths["vertebrae"], "ct": paths["ct"]}
+    name, problem = fault.split(" ", 1)
+
+    def grid(vol):
+        return f"dims {vol.dims} spacing {vol.spacing_mm}"
+
+    if problem == "missing":
+        inputs[name] = tmp_path / "missing.bcv"
+        want = f"[Errno 2] No such file or directory: '{inputs[name]}'"
+    elif problem == "is a CT":
+        inputs[name] = paths["ct"]
+        want = f"{paths['ct']}: expected a label volume, got CT"
+    elif problem == "is labels":
+        inputs[name] = paths["tissue"]
+        want = f"{paths['tissue']}: expected a CT volume, got labels"
+    else:
+        inputs[name] = other_paths["tissue" if name == "pred" else name]
+        # the CT's own geometry comes first, the others' after gt's
+        first, second = (other.ct, ph.tissue) if name == "ct" else (ph.tissue, other.tissue)
+        want = f"geometry mismatch: {grid(first)} vs {grid(second)}"
+    argv = ["evaluate", "--out", str(tmp_path / "out")]
+    for option, path in inputs.items():
+        argv += [f"--{option}", str(path)]
+    reads = _recording_reads(monkeypatch)
+    scan = cli.read_code_counts
+
+    def recorded_scan(path):  # the vertebra scan reads a payload too
+        reads.append((Path(path).name, None))
+        return scan(path)
+
+    monkeypatch.setattr(cli, "read_code_counts", recorded_scan)
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"bodycomp: {want}\n")
+    assert reads == []
 
 
 def test_measure_one_peak_memory_is_the_vertebrae_and_the_slabs(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from bodycomp import (
     BodycompError,
     BodyCompResult,
+    CorrelationEntry,
     MergePolicy,
     Sex,
     SubjectRecord,
@@ -262,5 +263,12 @@ def test_correlation_default_pairs_cover_2d_3d():
 
 
 def test_correlation_requires_two_cases():
-    with pytest.raises(ValueError):
-        correlation_matrix([make_result("p0")], [("muscle_area_2d", "muscle_volume_3d")])
+    # below two complete cases r is undefined, as for a constant series
+    one = correlation_matrix([make_result("p0")], [("muscle_area_2d", "muscle_volume_3d")])
+    assert one == [CorrelationEntry("muscle_area_2d", "muscle_volume_3d", None, 1)]
+    no_smi = [make_result(f"p{i}", area=float(i)) for i in range(4)]
+    assert correlation_matrix(no_smi, [("smi_2d", "muscle_area_2d")]) == [
+        CorrelationEntry("smi_2d", "muscle_area_2d", None, 0)
+    ]
+    with pytest.raises(ValueError, match="unknown metric pair"):
+        correlation_matrix(no_smi, [("smi_2d", "height_m")])

@@ -11,6 +11,7 @@ from bodycomp import (
     BodycompError,
     ConstantInputError,
     GeometryMismatchError,
+    METRIC_FIELDS,
     LabelVolume,
     MergePolicy,
     SingleSlice,
@@ -38,7 +39,7 @@ from bodycomp import (
     write_volume,
 )
 from bodycomp.cli import _csv_row, main
-from bodycomp.evaluation import METRIC_ERROR_NAMES, CaseEvaluation, PairResult
+from bodycomp.evaluation import CaseEvaluation, PairResult
 from bodycomp.regions import region_slice
 from conftest import VERT_MAP, make_tissue, random_tissue_codes
 
@@ -526,7 +527,7 @@ def _evaluate_case_oracle(gt, pred, hu, vertebrae, policy, regions):
 
 
 def _metric_errors_oracle(gt_merged, pred_merged, hu, vertebrae):
-    errors = dict.fromkeys(METRIC_ERROR_NAMES)
+    errors = dict.fromkeys(METRIC_FIELDS)
     try:
         l3 = largest_label_slice(vertebrae, vertebra_label("L3"))
         r3d = region_t12_l4(vertebrae)

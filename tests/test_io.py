@@ -597,6 +597,13 @@ def test_every_label_voxel_is_checked_once_per_read(tmp_path, rng, monkeypatch):
     assert checked == []
 
 
+@pytest.mark.parametrize("step", [0, -1, -3])
+def test_read_slabs_refuses_a_step_below_one_before_opening_the_file(tmp_path, step):
+    # the file does not exist: opening it would raise FileNotFoundError
+    with pytest.raises(ValueError, match=rf"^read_slabs step must be >= 1, got {step}$"):
+        next(read_slabs(tmp_path / "missing.bcv", step))
+
+
 def test_slabs_that_do_not_make_the_volume_leave_the_file_as_it_was(tmp_path, rng):
     vol, path = _write_tissue_with_z(tmp_path, rng)
     a, b, c = read_slabs(path, 3)

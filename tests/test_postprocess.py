@@ -528,7 +528,7 @@ def _every_int16(slope, intercept):
 )
 def test_raw_thresholds_pass_exactly_the_values_whose_hu_passes(slope, intercept):
     ct = _every_int16(slope, intercept)
-    hu = ct.hu_at(...)
+    hu = ct.hu_of(ct.values)
     # a SAT pixel every fifth row and column puts every pixel in the 5x5
     # window of one: a background pixel is added iff its HU passes
     codes = np.zeros(ct.values.shape, dtype=np.uint8)
