@@ -263,11 +263,16 @@ def cmd_measure(args) -> int:
         print(f"measure: duplicate subject_id {duplicate!r}", file=sys.stderr)
         return 2
 
+    def measure_row(entry, subject_id):
+        # the row is formatted here: a metric it cannot write fails its subject alone
+        result = _measure_one(entry, subject_id, policy, cohort)
+        return result, _csv_row(result)
+
     def work(entry, named):
         subject_id, failure = named
         if subject_id is None:
             return None, failure
-        return _attempt(_measure_one, entry, subject_id, policy, cohort)
+        return _attempt(measure_row, entry, subject_id)
 
     if args.jobs > 1 and len(entries) > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -275,15 +280,13 @@ def cmd_measure(args) -> int:
     else:
         outcomes = [work(e, named) for e, named in zip(entries, ids)]
 
-    results = [r for r, _ in outcomes if r is not None]
+    measured = sorted((m for m, _ in outcomes if m is not None), key=lambda m: m[0].subject_id)
     failures = [msg for _, msg in outcomes if msg is not None]
 
-    results.sort(key=lambda r: r.subject_id)
-    rows = [_csv_row(r) for r in results]
-    for result in results:
+    for result, _ in measured:
         doc = json.dumps(result.to_dict(), sort_keys=True, indent=2)
         (out_dir / f"{result.subject_id}.json").write_text(doc + "\n", encoding="utf-8")
-    _write_csv(out_dir / "results.csv", RESULTS_CSV_COLUMNS, rows)
+    _write_csv(out_dir / "results.csv", RESULTS_CSV_COLUMNS, [row for _, row in measured])
 
     for message in failures:
         print(f"measure: {message}", file=sys.stderr)

@@ -18,8 +18,10 @@ rows and columns with ``measures.policy_classes``, the fold ``measure``
 uses; muscular fat itself is compared on the unmerged table. The
 metric-error table reads the merged table's ground-truth and predicted
 marginals, which are the two masks' policy-applied class tables, through
-``measures.MaskMetrics``, so both sides are measured as ``measure``
-measures them; only the muscle densities read HU.
+``measures.MaskMetrics``, built as ``measure`` builds it, so both sides
+are measured as ``measure`` measures them; only the muscle densities
+read the CT, each gathering its mask's muscle voxels with
+``measures.gather_muscle_hu``.
 
 Muscle-density errors are normalized to the -29..+150 HU range of normal
 muscle density, so 1.79 HU of error reads as 1.00%.
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -44,7 +45,6 @@ from .measures import (
     N_CLASSES,
     MaskMetrics,
     code_classes,
-    gather_muscle_hu,
     policy_classes,
     tissue_class,
     tissue_measure_from_counts,
@@ -388,9 +388,8 @@ def evaluate_case(
     if picked is not None:
         found.update(picked.found)
         missing = picked.missing
-    z0 = 0  # the first slice that ct holds
     if ct is not None and picked is not None and not missing:
-        z0 = slab_start(ct, gt.geometry, picked.counted_slab())
+        slab_start(ct, gt.geometry, picked.counted_slab())  # ct holds the volume or the slab
     elif ct is not None:
         require_same_geometry(gt, ct)
     for name in wanted:
@@ -418,15 +417,9 @@ def evaluate_case(
         metric_errors = dict.fromkeys(METRIC_FIELDS)
         blank_reasons = dict.fromkeys(METRIC_FIELDS, next(iter(missing.values())))
     elif picked is not None:
-
-        def side(mask: LabelVolume, counts: np.ndarray) -> MaskMetrics:
-            muscle_hu = None
-            if ct is not None:
-                muscle_hu = partial(gather_muscle_hu, ct, mask, policy=policy, z0=z0)
-            return MaskMetrics(mask.geometry, counts, found, muscle_hu)
-
         metric_errors, blank_reasons = _metric_errors(
-            side(gt, merged.sum(axis=2)), side(pred, merged.sum(axis=1))
+            MaskMetrics(picked, merged.sum(axis=2), gt, policy, ct),
+            MaskMetrics(picked, merged.sum(axis=1), pred, policy, ct),
         )
 
     l3, t12_l4 = region_objs.get("l3"), region_objs.get("t12_l4")
@@ -445,7 +438,7 @@ def _metric_errors(truth: MaskMetrics, predicted: MaskMetrics):
     """Percentage errors of predicted vs ground-truth measurements.
 
     Density errors are normalized to the 179-HU range and are attempted
-    only with a CT (``muscle_hu``); the others are relative differences
+    only with a CT; the others are relative differences
     against the ground-truth value. SMI is measured at a height of 1 m, since the
     height cancels in its relative error. Returns the errors and, for
     each attempted metric left blank, the reason.
@@ -454,7 +447,7 @@ def _metric_errors(truth: MaskMetrics, predicted: MaskMetrics):
     reasons: dict[str, str] = {}
     for name in METRIC_FIELDS:
         density = name.startswith("muscle_density")
-        if density and truth.muscle_hu is None:
+        if density and truth.ct is None:
             continue
         try:
             t, p = truth.metric(name, 1.0), predicted.metric(name, 1.0)

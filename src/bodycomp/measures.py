@@ -10,12 +10,13 @@ folded classes (``code_classes``) gives the policy-applied table
 directly, and the same folded classes give the codes whose HU the muscle
 density averages, so no merged copy of a volume is made.
 
-``measure_subject`` reads the tissue mask once, over the T12-L4 range
-together with the L3 slice: each plane's class selections are counted,
-and the muscle selection also gathers the CT's muscle voxels there. It
-reads every metric from that pass through ``MaskMetrics``; the tissue
-mask and CT may hold only that slab of the volume. ``evaluation`` reads
-the ground-truth and predicted marginals of its joint table through the
+``measure_subject`` counts the tissue mask's classes once, over the
+T12-L4 range together with the L3 slice, and reads every metric through
+``MaskMetrics``: the counted ones from that table, and each muscle
+density from ``gather_muscle_hu``, the one place that picks muscle
+voxels out of a CT, which ``muscle_density`` calls too. The tissue mask
+and CT may hold only that slab of the volume. ``evaluation`` reads the
+ground-truth and predicted marginals of its joint table through the
 same class. Areas are cm² (pixel area sx*sy/100), volumes cm³ (voxel volume
 sx*sy*sz/1000), densities are mean HU.
 """
@@ -23,7 +24,6 @@ sx*sy*sz/1000), densities are mean HU.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .model import (
     TISSUE_NAMES,
     VAT,
     BodyCompResult,
-    Geometry,
     LabelVolume,
     MergePolicy,
     SubjectRecord,
@@ -97,48 +96,50 @@ def _codes_of(classes: np.ndarray, column: int) -> list[int]:
     return np.flatnonzero(classes == column).tolist()
 
 
-def _count_slab(
-    codes: np.ndarray, classes: np.ndarray, ct_values: np.ndarray | None = None, gathered=()
-) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Per-slice class counts of the planes ``codes``, gathering CT muscle voxels.
+def _count_slab(codes: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """Per-slice class counts of the planes ``codes``, ``[planes, N_CLASSES]`` int64.
 
-    ``classes`` gives each code's class. Each plane's codes are read once:
-    every class's selection is counted, and on the planes whose index is
-    in ``gathered`` the skeletal-muscle selection also picks that plane's
-    voxels of ``ct_values`` (planes aligned with ``codes``). Returns the
-    ``[planes, N_CLASSES]`` int64 counts and the gathered values by plane.
+    ``classes`` gives each code's class.
     """
     counts = np.zeros((len(codes), N_CLASSES), dtype=np.int64)
     sets = [(c, _codes_of(classes, c)) for c in range(1, N_CLASSES)]
     sets = [(c, wanted) for c, wanted in sets if wanted]
-    muscle = tissue_class(SKELETAL_MUSCLE)
-    gathered_values = {}
     # one plane at a time, every class counted while the plane is in
     # cache: no slab-sized mask, and a whole-plane count_nonzero is
     # several times faster than one along an axis
     for z, plane in enumerate(codes):
         for c, wanted in sets:
-            selected = select_codes(plane, wanted)
-            counts[z, c] = np.count_nonzero(selected)
-            if c == muscle and z in gathered:
-                gathered_values[z] = ct_values[z][selected]
+            counts[z, c] = np.count_nonzero(select_codes(plane, wanted))
     counts[:, 0] = codes[0].size - counts.sum(axis=1)
-    return counts, gathered_values
+    return counts
 
 
 def gather_muscle_hu(
-    ct: VoxelVolume, mask: LabelVolume, region: MeasurementRegion, policy: MergePolicy, z0: int = 0
+    ct: VoxelVolume,
+    mask: LabelVolume,
+    region: MeasurementRegion,
+    policy: MergePolicy,
+    picked: VertebraRegions | None = None,
 ) -> np.ndarray:
     """Float32 HU of the post-policy muscle voxels of ``mask`` in ``region``.
 
-    ``ct`` holds the slices of ``mask`` from ``z0`` on. The voxels are
-    gathered a slice at a time (no slab-sized mask), in slab order, and
-    converted at once; the per-slice pieces are freed before the conversion.
+    Without ``picked``, ``ct`` and ``mask`` are whole volumes. With it,
+    ``region`` is one of its regions, and each of ``ct`` and ``mask``
+    holds either the whole volume of ``picked.geometry`` or only its
+    counted slab. The voxels are gathered a slice at a time (no
+    slab-sized mask), in slab order, and converted at once.
     """
-    sl = region_slice(region, mask.nz)
+    geometry, slab = mask.geometry, slice(0, mask.nz)
+    if picked is not None:
+        geometry, slab = picked.geometry, picked.counted_slab()
+    ct_z0, mask_z0 = (slab_start(vol, geometry, slab) for vol in (ct, mask))
+    sl = region_slice(region, geometry.nz)
     muscle = _codes_of(code_classes(mask, policy), tissue_class(SKELETAL_MUSCLE))
     raw = np.concatenate(
-        [ct.values[z - z0][select_codes(mask.codes[z], muscle)] for z in range(sl.start, sl.stop)]
+        [
+            ct.values[z - ct_z0][select_codes(mask.codes[z - mask_z0], muscle)]
+            for z in range(sl.start, sl.stop)
+        ]
     )
     return ct.hu_of(raw)
 
@@ -270,7 +271,7 @@ def vat_sat_ratio(
     """
     require_tissue_vocabulary(mask)
     planes = mask.codes[region_slice(region, mask.nz)]
-    counts, _ = _count_slab(planes, code_classes(mask, policy))
+    counts = _count_slab(planes, code_classes(mask, policy))
     return vat_sat_ratio_from_counts(counts, mask, region)
 
 
@@ -286,30 +287,30 @@ class MaskMetrics:
     """The ``BodyCompResult`` metrics of one tissue mask under one policy.
 
     ``counts`` is the mask's policy-applied class table, ``[nz,
-    N_CLASSES]`` over the slices of ``geometry`` (the whole volume's),
-    counted at least on the slices of ``regions`` (``"l3"`` and
-    ``"t12_l4"``, as from ``measurement_regions``). ``muscle_hu`` gives,
-    for either region, the float32 HU of the mask's post-policy muscle
-    voxels there; it is None without a CT. A metric whose name
-    ends in ``_2d`` is read on the L3 slice, one ending in ``_3d`` over
-    the T12-L4 range.
+    N_CLASSES]`` over the slices of ``picked.geometry`` (the whole
+    volume's), counted at least on its counted slab. The muscle
+    densities gather the HU of ``ct`` under ``mask`` (``gather_muscle_hu``);
+    there are none without a CT. A metric whose name ends in ``_2d`` is
+    read on the L3 slice, one ending in ``_3d`` over the T12-L4 range.
     """
 
-    geometry: Geometry
+    picked: VertebraRegions
     counts: np.ndarray
-    regions: dict[str, MeasurementRegion]
-    muscle_hu: Callable[[MeasurementRegion], np.ndarray] | None = None
+    mask: LabelVolume
+    policy: MergePolicy
+    ct: VoxelVolume | None = None
 
     def metric(self, name: str, height_m: float | None) -> float | None:
         """Metric ``name``; SMI is None without a height."""
-        region = self.regions["l3" if name.endswith("_2d") else "t12_l4"]
+        region = self.picked.found["l3" if name.endswith("_2d") else "t12_l4"]
         if name.startswith("muscle_density"):
-            return _mean_hu(self.muscle_hu(region))
-        counts = self.counts[region_slice(region, self.geometry.nz)]
+            return _mean_hu(gather_muscle_hu(self.ct, self.mask, region, self.policy, self.picked))
+        geometry = self.picked.geometry
+        counts = self.counts[region_slice(region, geometry.nz)]
         if name.startswith("vat_sat_ratio"):
-            return vat_sat_ratio_from_counts(counts, self.geometry, region)
+            return vat_sat_ratio_from_counts(counts, geometry, region)
         muscle = counts[:, tissue_class(SKELETAL_MUSCLE)]
-        measure = tissue_measure_from_counts(muscle, self.geometry, region)
+        measure = tissue_measure_from_counts(muscle, geometry, region)
         if name.startswith("smi"):
             return smi(measure, height_m) if height_m is not None else None
         return measure
@@ -344,31 +345,17 @@ def measure_subject(
         raise VertebraNotFoundError(next(iter(picked.missing.values())))
     require_tissue_vocabulary(tissue_mask)
 
-    regions = picked.found
-    l3, t12_l4 = regions["l3"], regions["t12_l4"]
-    # one pass over the range together with the L3 slice counts every
-    # class and gathers the muscle voxels of both regions; rows outside
+    l3, t12_l4 = picked.found["l3"], picked.found["t12_l4"]
+    # the range and the L3 slice are counted in one pass; rows outside
     # stay 0 and are never read
     counted = picked.counted_slab()
     z0 = slab_start(ct, picked.geometry, counted)
-    rows = slice(counted.start - z0, counted.stop - z0)
-    in_range = range(t12_l4.z_lo - counted.start, t12_l4.z_hi + 1 - counted.start)
-    l3_row = l3.z - counted.start
-    table, muscle_raw = _count_slab(
-        tissue_mask.codes[rows],
-        code_classes(tissue_mask, policy),
-        ct.values[rows],
-        {*in_range, l3_row},
-    )
     counts = np.zeros((picked.geometry.nz, N_CLASSES), dtype=np.int64)
-    counts[counted] = table
-    # the range's values in slab order, converted at once: the float64
-    # means are those of the float32 arrays muscle_density builds
-    muscle_hu = {
-        l3: ct.hu_of(muscle_raw[l3_row]),
-        t12_l4: ct.hu_of(np.concatenate([muscle_raw.pop(z) for z in in_range])),
-    }
-    metrics = MaskMetrics(picked.geometry, counts, regions, muscle_hu.__getitem__)
+    counts[counted] = _count_slab(
+        tissue_mask.codes[counted.start - z0 : counted.stop - z0],
+        code_classes(tissue_mask, policy),
+    )
+    metrics = MaskMetrics(picked, counts, tissue_mask, policy, ct)
     return BodyCompResult(
         subject_id=subject.subject_id,
         policy=policy,

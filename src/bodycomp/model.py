@@ -11,6 +11,7 @@ so instances can be shared read-only across parallel workers.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
@@ -89,19 +90,25 @@ class _Grid:
             raise ValueError(f"volume must be 3-D, got shape {shape}")
         if any(n < 1 for n in shape):
             raise ValueError(f"all dims must be >= 1, got dims {shape[::-1]}")
-        if len(spacing_mm) != 3 or any(not (s > 0) for s in spacing_mm):
-            raise ValueError(f"spacing must be three positive values, got {spacing_mm}")
+        if len(spacing_mm) != 3 or any(not (0 < s < math.inf) for s in spacing_mm):
+            raise ValueError(f"spacing must be three positive finite values, got {spacing_mm}")
         object.__setattr__(self, "spacing_mm", tuple(float(s) for s in spacing_mm))
+        # Python float products overflow to inf without a warning
+        if not (math.isfinite(self.pixel_area_cm2) and math.isfinite(self.voxel_volume_cm3)):
+            raise ValueError(f"spacing {spacing_mm} overflows the pixel area or voxel volume")
         if z_positions_mm is not None:
             nz = shape[0]
             if len(z_positions_mm) != nz:
                 raise ValueError(
                     f"z_positions_mm has {len(z_positions_mm)} entries, expected {nz}"
                 )
-            if nz > 1:
+            # an overflowing step is inf, and inf - inf is nan: both are refused below
+            with np.errstate(over="ignore", invalid="ignore"):
                 steps = np.diff(z_positions_mm)
-                if not (np.all(steps > 0) or np.all(steps < 0)):
-                    raise ValueError("z_positions_mm must be strictly monotonic")
+            if not (np.isfinite(z_positions_mm).all() and np.isfinite(steps).all()):
+                raise ValueError("z_positions_mm and their steps must be finite")
+            if not (np.all(steps > 0) or np.all(steps < 0)):
+                raise ValueError("z_positions_mm must be strictly monotonic")
             object.__setattr__(self, "z_positions_mm", tuple(float(z) for z in z_positions_mm))
 
     @property

@@ -29,6 +29,7 @@ from bodycomp import (
 from bodycomp import cli
 from bodycomp.cli import _measure_one, main
 from conftest import make_ct, make_tissue, make_vertebrae
+from test_io import _patch_header
 from test_postprocess import scipy_kept
 
 
@@ -847,6 +848,49 @@ def test_measure_header_that_fails_is_its_subject_failure(tmp_path, capsys):
     assert [r["subject_id"] for r in read_csv(out / "results.csv")] == ["a1"]
     err = capsys.readouterr().err
     assert "a2_ct.bcv" in err and "payload has" in err and "1 of 2 inputs failed" in err
+
+
+# 10 slices: the first at -1.5e308, the rest from 1.5e308 on, so the first step overflows
+_OVERFLOWING_Z = [-1.5e308, *(1.5e308 + k * 1e295 for k in range(9))]
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        {"spacing_mm": [float("inf"), 0.7, 1.5]},  # written as JSON Infinity
+        {"spacing_mm": [1e200, 1e200, 1.5]},  # the pixel area overflows
+        {"spacing_mm": [1e154, 1e154, 1.5]},  # finite area and volume, an inf muscle area
+        {"z_positions_mm": _OVERFLOWING_Z},
+    ],
+    ids=["infinity", "1e200", "1e154", "z steps"],
+)
+def test_measure_a_non_finite_grid_fails_its_subject_alone(tmp_path, grid):
+    for sid in ("g1", "b1"):
+        _, paths = write_phantom(tmp_path, sid=sid, nx=40, ny=40, nz=10)
+    for path in paths.values():
+        _patch_header(path, **grid)
+    env = {**os.environ, "PYTHONPATH": str(Path(bodycomp.__file__).parent.parent)}
+
+    def measure(sids, out):
+        argv = ["measure", "--manifest", str(_manifest(tmp_path, sids)), "--out", str(out)]
+        return subprocess.run([sys.executable, "-m", "bodycomp.cli", *argv], env=env,
+                              capture_output=True, text=True)
+
+    alone = measure(["g1"], tmp_path / "alone")
+    assert alone.returncode == 0, alone.stderr
+    proc = measure(["g1", "b1"], tmp_path / "out")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert f"measure: {paths['ct']}: " in proc.stderr
+    rows = read_csv(tmp_path / "out" / "results.csv")
+    assert not any(re.search("nan|inf", cell, re.I) for row in rows for cell in row.values())
+    assert (tmp_path / "out" / "results.csv").read_bytes() == (
+        tmp_path / "alone" / "results.csv"
+    ).read_bytes()
+    assert (tmp_path / "out" / "g1.json").read_bytes() == (
+        tmp_path / "alone" / "g1.json"
+    ).read_bytes()
+    assert not (tmp_path / "out" / "b1.json").exists()
 
 
 @pytest.mark.parametrize("vertebrae", ["all levels", "no L4", "none"])

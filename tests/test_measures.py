@@ -23,8 +23,10 @@ from bodycomp import (
     VertebraNotFoundError,
     apply_merge_policy,
     build_phantom,
+    evaluate_case,
     measure_subject,
     muscle_density,
+    muscle_density_error_pct,
     smi,
     tissue_area_2d,
     tissue_volume_3d,
@@ -34,6 +36,7 @@ from bodycomp import (
     vat_sat_ratio,
     vertebra_label,
 )
+from bodycomp.measures import _mean_hu, gather_muscle_hu
 from bodycomp.regions import measurement_regions
 from conftest import VERT_MAP, make_ct, make_hu, make_tissue, random_tissue_codes
 
@@ -412,14 +415,42 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _bits(density):
+    return density.hex() if isinstance(density, float) else density
+
+
 @settings(max_examples=300, deadline=None)
-@given(subject_inputs())
-def test_measure_subject_on_the_counted_slab_is_that_on_the_volume(inputs):
+@given(subject_inputs(), st.sampled_from([None, 1.0, 0.7]))
+def test_measure_subject_on_the_counted_slab_is_that_on_the_volume(inputs, slope):
     hu, tissue, vertebrae, subject, policy = inputs
+    ct = hu  # an HU volume, or a raw one read at ``slope``
+    if slope is not None:
+        raw = np.rint(hu.values + 1024).astype(np.int16)
+        ct = make_ct(raw, hu.spacing_mm, slope, -1024.0, hu.z_positions_mm)
     picked = measurement_regions(vertebrae)
     slab = picked.counted_slab()
-    got = _outcome(measure_subject, _slab(hu, slab), _slab(tissue, slab), picked, subject, policy)
-    assert got == _outcome(measure_subject, hu, tissue, vertebrae, subject, policy)
+    got = _outcome(measure_subject, _slab(ct, slab), _slab(tissue, slab), picked, subject, policy)
+    want = _outcome(measure_subject, ct, tissue, vertebrae, subject, policy)
+    assert got == want
+    # every density is the one gather: measure_subject's, muscle_density's,
+    # and each side of evaluate_case's, on the volume or on the counted slab
+    pred = replace(tissue, codes=np.roll(tissue.codes, 1, axis=2))
+    case = evaluate_case(tissue, pred, _slab(ct, slab), picked, policy)
+    for name, key in (("muscle_density_2d", "l3"), ("muscle_density_3d", "t12_l4")):
+        region = picked.found[key]
+        densities = [_outcome(muscle_density, ct, mask, region, policy) for mask in (tissue, pred)]
+        for ct_in, mask_in in ((ct, tissue), (_slab(ct, slab), tissue),
+                               (_slab(ct, slab), _slab(tissue, slab))):
+            hu_in = gather_muscle_hu(ct_in, mask_in, region, policy, picked)
+            assert _bits(_outcome(_mean_hu, hu_in)) == _bits(densities[0])
+        if isinstance(want, BodyCompResult):
+            assert _bits(getattr(want, name)) == _bits(densities[0])
+        truth, predicted = densities
+        if isinstance(truth, float) and isinstance(predicted, float):
+            want_error = muscle_density_error_pct(abs(predicted - truth))
+            assert _bits(case.metric_errors[name]) == _bits(want_error)
+        else:
+            assert case.metric_errors[name] is None and name in case.blank_reasons
 
 
 # 14 slice positions with uneven steps, so that no two slabs' end slices
