@@ -274,11 +274,8 @@ def cmd_measure(args) -> int:
             return None, failure
         return _attempt(measure_row, entry, subject_id)
 
-    if args.jobs > 1 and len(entries) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(work, entries, ids))
-    else:
-        outcomes = [work(e, named) for e, named in zip(entries, ids)]
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        outcomes = list(pool.map(work, entries, ids))
 
     measured = sorted((m for m, _ in outcomes if m is not None), key=lambda m: m[0].subject_id)
     failures = [msg for _, msg in outcomes if msg is not None]

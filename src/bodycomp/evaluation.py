@@ -7,20 +7,19 @@ against ground truth per label and per region (L3 slice, T12-L4 range,
 all slices), and ``aggregate_cases`` rolls per-case results into an
 EvalReport with both per-volume and per-slice Dice aggregations.
 
-``evaluate_case`` reads each label volume once, into a joint table: for
-every slice, the number of voxels with each (ground-truth class,
-predicted class) pair, over the class-table classes of ``measures``
-(background or any other name, then the four tissues). Every per-label,
-per-region number is a sum over that table (Taha & Hanbury 2015): Dice
-per volume and per slice, the degenerate counts, and the ground-truth
-and predicted areas and volumes. The merge policy is applied by folding
-rows and columns with ``measures.policy_classes``, the fold ``measure``
-uses; muscular fat itself is compared on the unmerged table. The
-metric-error table reads the merged table's ground-truth and predicted
-marginals, which are the two masks' policy-applied class tables, through
-``measures.MaskMetrics``, built as ``measure`` builds it, so both sides
-are measured as ``measure`` measures them; only the muscle densities
-read the CT, each gathering its mask's muscle voxels with
+``evaluate_case`` counts, for every slice and every tissue, the voxels
+of that tissue in both label volumes, in the ground truth and in the
+prediction, a plane at a time as ``measure`` counts its class table.
+Every per-label, per-region number is a sum over those per-slice overlap
+counts (Taha & Hanbury 2015): Dice per volume and per slice, the
+degenerate counts, and the ground-truth and predicted areas and volumes.
+Each side's codes are selected as ``measure`` selects them, through
+``measures.code_classes``: muscle, SAT and VAT under the merge policy,
+muscular fat as given. The ground-truth and predicted counts of the
+three policy tissues are the two masks' policy-applied class tables, so
+the metric-error table reads them through ``measures.MaskMetrics``,
+built as ``measure`` builds it; only the muscle densities read the CT,
+each gathering its mask's muscle voxels with
 ``measures.gather_muscle_hu``.
 
 Muscle-density errors are normalized to the -29..+150 HU range of normal
@@ -44,8 +43,8 @@ from .errors import (
 from .measures import (
     N_CLASSES,
     MaskMetrics,
+    _codes_of,
     code_classes,
-    policy_classes,
     tissue_class,
     tissue_measure_from_counts,
 )
@@ -58,6 +57,7 @@ from .model import (
     VoxelVolume,
     require_same_geometry,
     require_tissue_vocabulary,
+    select_codes,
     slab_start,
 )
 from .regions import AllSlices, VertebraRegions, measurement_regions, region_slice
@@ -286,51 +286,34 @@ def _normalize_regions(regions) -> tuple[str, ...]:
     return tuple(dict.fromkeys(canon))
 
 
-def _one_hot(classes: np.ndarray) -> np.ndarray:
-    return np.eye(N_CLASSES, dtype=np.int64)[classes]
+def _overlap_table(gt: LabelVolume, pred: LabelVolume, policy: MergePolicy) -> np.ndarray:
+    """Per-slice overlap counts of each tissue, ``[nz, N_CLASSES, 3]`` int64.
 
-
-def _joint_table(gt: LabelVolume, pred: LabelVolume) -> np.ndarray:
-    """Per-slice counts of (gt class, pred class) voxel pairs, ``[nz, C, C]``.
-
-    Each slice is counted over code pairs ``gt * k + pred`` and the small
-    ``k × k`` count table is then folded to classes, so no per-voxel class
-    lookup and no volume-sized temporary is made.
+    Row ``tissue_class(label)`` of a slice holds the voxels of ``label``
+    in both masks, in ``gt`` and in ``pred``; row 0 stays 0. Muscular fat
+    is selected under ``SEPARATE`` and the other tissues under ``policy``,
+    so the muscle, SAT and VAT entries of column 1 are gt's class table
+    under ``policy`` and those of column 2 pred's, as ``measure`` counts
+    them.
     """
-    # every code present in a volume is in its label map, or is 0
-    k = max(0, *gt.label_map, *pred.label_map) + 1
-    dtype = np.uint8 if k * k <= 256 else np.uint16
-    gt_fold = _one_hot(code_classes(gt)[:k]).T
-    pred_fold = _one_hot(code_classes(pred)[:k])
-    table = np.empty((gt.nz, N_CLASSES, N_CLASSES), dtype=np.int64)
-    index = np.empty(gt.codes.shape[1:], dtype=dtype)
+    table = np.zeros((gt.nz, N_CLASSES, 3), dtype=np.int64)
+    selections = []
+    for label in TISSUE_NAMES:
+        c = tissue_class(label)
+        label_policy = MergePolicy.SEPARATE if label == MUSCULAR_FAT else policy
+        selections.append((c, *(_codes_of(code_classes(m, label_policy), c) for m in (gt, pred))))
+    # one plane at a time, as ``measure`` counts: no volume-sized mask
     for z in range(gt.nz):
-        np.multiply(gt.codes[z], k, out=index, dtype=dtype)
-        index += pred.codes[z]
-        # bincount is slowest on long runs of one bin: count the
-        # background pair (index 0) by difference instead
-        counts = np.bincount(index[index != 0], minlength=k * k)
-        counts[0] = index.size - counts.sum()
-        table[z] = gt_fold @ counts.reshape(k, k) @ pred_fold
+        for c, gt_codes, pred_codes in selections:
+            a = select_codes(gt.codes[z], gt_codes)
+            b = select_codes(pred.codes[z], pred_codes)
+            table[z, c] = np.count_nonzero(a & b), np.count_nonzero(a), np.count_nonzero(b)
     return table
 
 
-class _SliceCounts(NamedTuple):
-    """Per-slice voxel counts of one label: both, ground truth, prediction."""
-
-    inter: np.ndarray
-    truth: np.ndarray
-    pred: np.ndarray
-
-
-def _label_counts(table: np.ndarray, label_name: str) -> _SliceCounts:
-    c = tissue_class(label_name)
-    return _SliceCounts(table[:, c, c], table[:, c, :].sum(axis=1), table[:, :, c].sum(axis=1))
-
-
-def _pair_result(counts: _SliceCounts, geometry, region) -> PairResult:
-    sl = region_slice(region, geometry.nz)
-    inter, truth, pred = counts.inter[sl], counts.truth[sl], counts.pred[sl]
+def _pair_result(counts: np.ndarray, geometry, region) -> PairResult:
+    """One label's result in ``region`` from its ``[nz, 3]`` overlap counts."""
+    inter, truth, pred = counts[region_slice(region, geometry.nz)].T
     total = truth + pred
     slice_dices = np.ones(total.shape)
     np.divide(2.0 * inter, total, out=slice_dices, where=total > 0)
@@ -399,15 +382,12 @@ def evaluate_case(
 
     require_tissue_vocabulary(gt)
     require_tissue_vocabulary(pred)
-    table = _joint_table(gt, pred)
-    merge = _one_hot(policy_classes(policy))
-    merged = merge.T @ table @ merge
+    table = _overlap_table(gt, pred, policy)
 
     pairs: dict[tuple[str, str], PairResult] = {}
     for label in TISSUE_NAMES:
-        counts = _label_counts(table if label == MUSCULAR_FAT else merged, label)
         for name, region in region_objs.items():
-            pairs[(label, name)] = _pair_result(counts, gt, region)
+            pairs[(label, name)] = _pair_result(table[:, tissue_class(label)], gt, region)
 
     metric_errors: dict[str, float | None] = {}
     blank_reasons: dict[str, str] = {}
@@ -418,8 +398,8 @@ def evaluate_case(
         blank_reasons = dict.fromkeys(METRIC_FIELDS, next(iter(missing.values())))
     elif picked is not None:
         metric_errors, blank_reasons = _metric_errors(
-            MaskMetrics(picked, merged.sum(axis=2), gt, policy, ct),
-            MaskMetrics(picked, merged.sum(axis=1), pred, policy, ct),
+            MaskMetrics(picked, table[:, :, 1], gt, policy, ct),
+            MaskMetrics(picked, table[:, :, 2], pred, policy, ct),
         )
 
     l3, t12_l4 = region_objs.get("l3"), region_objs.get("t12_l4")

@@ -15,9 +15,10 @@ T12-L4 range together with the L3 slice, and reads every metric through
 ``MaskMetrics``: the counted ones from that table, and each muscle
 density from ``gather_muscle_hu``, the one place that picks muscle
 voxels out of a CT, which ``muscle_density`` calls too. The tissue mask
-and CT may hold only that slab of the volume. ``evaluation`` reads the
-ground-truth and predicted marginals of its joint table through the
-same class. Areas are cm² (pixel area sx*sy/100), volumes cm³ (voxel volume
+and CT may hold only that slab of the volume. ``evaluation`` selects
+codes through ``code_classes`` too, and reads the ground-truth and
+predicted counts of its per-slice overlap table through the same class.
+Areas are cm² (pixel area sx*sy/100), volumes cm³ (voxel volume
 sx*sy*sz/1000), densities are mean HU.
 """
 
@@ -73,8 +74,9 @@ def tissue_class(label_name: str) -> int:
 def policy_classes(policy: MergePolicy) -> np.ndarray:
     """Class each class is counted under once ``policy`` is applied.
 
-    This is the one place a merge policy turns into counts: muscular fat
-    moves to the policy's target tissue; under ``SEPARATE`` nothing moves.
+    This is the one place a merge policy is applied, to codes through
+    ``code_classes``: muscular fat moves to the policy's target tissue;
+    under ``SEPARATE`` nothing moves.
     """
     classes = np.arange(N_CLASSES)
     target = merge_target(policy)
@@ -286,9 +288,12 @@ def smi(area_cm2: float, height_m: float) -> float:
 class MaskMetrics:
     """The ``BodyCompResult`` metrics of one tissue mask under one policy.
 
-    ``counts`` is the mask's policy-applied class table, ``[nz,
+    ``counts`` is a per-slice class table of the mask, ``[nz,
     N_CLASSES]`` over the slices of ``picked.geometry`` (the whole
-    volume's), counted at least on its counted slab. The muscle
+    volume's). Only its skeletal-muscle, SAT and VAT columns are read,
+    and they must hold the mask's counts under ``policy`` at least on
+    the counted slab; ``measure`` fills every column, ``evaluate`` the
+    four tissues' (muscular fat as given). The muscle
     densities gather the HU of ``ct`` under ``mask`` (``gather_muscle_hu``);
     there are none without a CT. A metric whose name ends in ``_2d`` is
     read on the L3 slice, one ending in ``_3d`` over the T12-L4 range.

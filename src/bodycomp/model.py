@@ -90,6 +90,7 @@ class _Grid:
             raise ValueError(f"volume must be 3-D, got shape {shape}")
         if any(n < 1 for n in shape):
             raise ValueError(f"all dims must be >= 1, got dims {shape[::-1]}")
+        nz, ny, nx = shape
         if len(spacing_mm) != 3 or any(not (0 < s < math.inf) for s in spacing_mm):
             raise ValueError(f"spacing must be three positive finite values, got {spacing_mm}")
         object.__setattr__(self, "spacing_mm", tuple(float(s) for s in spacing_mm))
@@ -97,7 +98,6 @@ class _Grid:
         if not (math.isfinite(self.pixel_area_cm2) and math.isfinite(self.voxel_volume_cm3)):
             raise ValueError(f"spacing {spacing_mm} overflows the pixel area or voxel volume")
         if z_positions_mm is not None:
-            nz = shape[0]
             if len(z_positions_mm) != nz:
                 raise ValueError(
                     f"z_positions_mm has {len(z_positions_mm)} entries, expected {nz}"
@@ -110,6 +110,20 @@ class _Grid:
             if not (np.all(steps > 0) or np.all(steps < 0)):
                 raise ValueError("z_positions_mm must be strictly monotonic")
             object.__setattr__(self, "z_positions_mm", tuple(float(z) for z in z_positions_mm))
+        sx, sy, sz = self.spacing_mm
+        z = self.z_positions_mm
+        thickness = nz * sz
+        if z is not None and nz > 1:
+            # slice_thickness_mm sums to the z extent plus half of each end step
+            thickness = abs(z[-1] - z[0]) + (abs(z[1] - z[0]) + abs(z[-1] - z[-2])) / 2
+        # a whole plane's area and the whole volume, multiplied in the order
+        # the measures multiply counts, so no measure of a mask overflows
+        if not (math.isfinite(nx * ny * self.pixel_area_cm2)
+                and math.isfinite(nx * ny * thickness * sx * sy / 1000.0)):
+            raise ValueError(
+                f"dims {shape[::-1]}, spacing {spacing_mm} and {thickness} mm of slices "
+                f"overflow the area of a slice or the volume of the grid"
+            )
 
     @property
     def nz(self) -> int:

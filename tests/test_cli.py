@@ -852,6 +852,14 @@ def test_measure_header_that_fails_is_its_subject_failure(tmp_path, capsys):
 
 # 10 slices: the first at -1.5e308, the rest from 1.5e308 on, so the first step overflows
 _OVERFLOWING_Z = [-1.5e308, *(1.5e308 + k * 1e295 for k in range(9))]
+# 10 slices whose steps are finite but whose z extent, 2.6e308, is not
+_OVERFLOWING_Z_EXTENT = [-1.5e308, -1.4e308, -0.5e308, *(k * 1e307 for k in range(5, 12))]
+# grids whose every spacing, step and voxel is finite but whose whole-plane
+# area (40x40 pixels of 1e306 cm²) or whole volume is not
+_OVERFLOWING_GRIDS = {
+    "1e154": {"spacing_mm": [1e154, 1e154, 1.5]},
+    "z extent": {"z_positions_mm": _OVERFLOWING_Z_EXTENT},
+}
 
 
 @pytest.mark.parametrize(
@@ -859,10 +867,10 @@ _OVERFLOWING_Z = [-1.5e308, *(1.5e308 + k * 1e295 for k in range(9))]
     [
         {"spacing_mm": [float("inf"), 0.7, 1.5]},  # written as JSON Infinity
         {"spacing_mm": [1e200, 1e200, 1.5]},  # the pixel area overflows
-        {"spacing_mm": [1e154, 1e154, 1.5]},  # finite area and volume, an inf muscle area
         {"z_positions_mm": _OVERFLOWING_Z},
+        *_OVERFLOWING_GRIDS.values(),
     ],
-    ids=["infinity", "1e200", "1e154", "z steps"],
+    ids=["infinity", "1e200", "z steps", *_OVERFLOWING_GRIDS],
 )
 def test_measure_a_non_finite_grid_fails_its_subject_alone(tmp_path, grid):
     for sid in ("g1", "b1"):
@@ -891,6 +899,27 @@ def test_measure_a_non_finite_grid_fails_its_subject_alone(tmp_path, grid):
         tmp_path / "alone" / "g1.json"
     ).read_bytes()
     assert not (tmp_path / "out" / "b1.json").exists()
+
+
+@pytest.mark.parametrize("grid", list(_OVERFLOWING_GRIDS))
+@pytest.mark.parametrize("command", ["evaluate", "select-slice"])
+def test_a_grid_whose_whole_measures_overflow_is_refused(tmp_path, command, grid):
+    _, paths = write_phantom(tmp_path, sid="g1", nx=40, ny=40, nz=10)
+    for path in paths.values():
+        _patch_header(path, **_OVERFLOWING_GRIDS[grid])
+    out = tmp_path / "out"
+    argv = ["select-slice", "--vertebrae", str(paths["vertebrae"]), "--level", "L3"]
+    if command == "evaluate":
+        argv = ["evaluate", "--gt", str(paths["tissue"]), "--pred", str(paths["tissue"]),
+                "--ct", str(paths["ct"]), "--vertebrae", str(paths["vertebrae"]), "--out", str(out)]
+    env = {**os.environ, "PYTHONPATH": str(Path(bodycomp.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-m", "bodycomp.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    named = paths["vertebrae"] if command == "select-slice" else paths["tissue"]
+    assert str(named) in proc.stderr
+    assert not (out / "eval.json").exists() and not (out / "eval.csv").exists()
 
 
 @pytest.mark.parametrize("vertebrae", ["all levels", "no L4", "none"])

@@ -470,13 +470,13 @@ def test_report_round_trips_to_json():
     assert report.to_json().startswith("{")
 
 
-# ---- joint label table vs the per-label binarization loop ------------------
+# ---- per-slice overlap counts vs the per-label binarization loop -----------
 
 def _evaluate_case_oracle(gt, pred, hu, vertebrae, policy, regions):
     """Per-label × per-region ``binary()`` + ``dice()`` loop over merged copies.
 
-    This is how ``evaluate_case`` worked before it read one joint table;
-    regions are given by their canonical names.
+    This is how ``evaluate_case`` worked before it counted each tissue's
+    per-slice overlaps; regions are given by their canonical names.
     """
     region_objs = {}
     for name in regions:
@@ -586,7 +586,7 @@ def _random_labels(rng, label_map, shape, geometry):
 def evaluation_inputs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     policy = draw(st.sampled_from(list(MergePolicy)))
-    # codes above 16 make the gt*k+pred index need 16 bits
+    # sparse codes up to 255, as a label map may name any uint8 code
     max_code = draw(st.sampled_from([9, 15, 40, 255]))
     with_vertebrae = draw(st.booleans())
     cases = []
