@@ -37,7 +37,7 @@ from .evaluation import (
     EvalRow,
     _normalize_regions,
     aggregate_cases,
-    evaluate_case,
+    evaluate_pieces,
 )
 from .io import (
     VolumeHeader,
@@ -46,18 +46,16 @@ from .io import (
     read_code_counts,
     read_cohort_csv,
     read_header,
+    read_in_step,
     read_slabs,
-    read_volume,
     write_slabs,
 )
-from .measures import measure_subject
+from .measures import Piece, measure_pieces
 from .model import (
     BodyCompResult,
     Geometry,
-    LabelVolume,
     MergePolicy,
     SubjectRecord,
-    VoxelVolume,
     codes_for,
     require_same_geometry,
     vertebra_label,
@@ -89,13 +87,6 @@ def _check_kind(path, is_ct: bool, want_ct: bool) -> None:
     if is_ct != want_ct:
         wanted, got = ("a CT volume", "labels") if want_ct else ("a label volume", "CT")
         raise BodycompError(f"{path}: expected {wanted}, got {got}")
-
-
-def _read(path, ct: bool, z: slice | None = None) -> VoxelVolume | LabelVolume:
-    """A CT (``ct``) or label volume, or only its slices ``z``."""
-    vol = read_volume(path, z)
-    _check_kind(path, isinstance(vol, VoxelVolume), ct)
-    return vol
 
 
 def _read_header(path, ct: bool, geometry: Geometry | None = None) -> VolumeHeader:
@@ -206,21 +197,37 @@ def _attempt(fn, entry: dict, *args):
         return None, f"{entry['ct']}: {exc}"
 
 
+def _pieces(masks: list, ct, geometry: Geometry, slab: slice):
+    """The pieces of the label files ``masks`` and, over ``slab``, of the CT file ``ct``.
+
+    Returns a function that reads them anew at each call, a chunk of
+    slices at a time (``read_in_step``), the CT's chunk first; with
+    ``ct`` None no CT is read.
+    """
+    paths = [ct, *masks] if ct is not None else list(masks)
+
+    def pieces():
+        for lo, read in read_in_step(paths, geometry, slab):
+            ct_piece = read.pop(0) if ct is not None else None
+            yield Piece(lo, tuple(getattr(piece, "codes", piece) for piece in read), ct_piece)
+            del ct_piece, read  # nothing of a chunk stays in this frame while the next is read
+
+    return pieces
+
+
 def _measure_one(entry: dict, subject_id: str, policy: MergePolicy, cohort: dict):
-    """Measure one subject, reading of its CT and tissue mask only the counted slab."""
+    """Measure one subject, reading of its CT only the counted slab, a chunk at a time."""
     # the regions come first: the vertebra mask is scanned, never held
     picked = _read_regions(entry["vertebrae"])
     _read_header(entry["ct"], True, picked.geometry)
-    _read_header(entry["tissue"], False, picked.geometry)
+    tissue = _read_header(entry["tissue"], False, picked.geometry)
     if picked.missing:
         raise VertebraNotFoundError(next(iter(picked.missing.values())))
-    slab = picked.counted_slab()
-    ct = _read(entry["ct"], True, slab)
-    tissue = _read(entry["tissue"], False, slab)
     record = cohort.get(subject_id)
     if record is None:
         record = SubjectRecord(subject_id=subject_id, age_years=0.0)
-    return measure_subject(ct, tissue, picked, record, policy)
+    pieces = _pieces([entry["tissue"]], entry["ct"], picked.geometry, picked.counted_slab())
+    return measure_pieces(tissue, pieces, picked, record, policy)
 
 
 def cmd_measure(args) -> int:
@@ -307,21 +314,22 @@ def cmd_evaluate(args) -> int:
     # every header is checked, in the order gt, pred, vertebrae, ct, before
     # any payload is read; pred and vertebrae are compared with gt as
     # evaluate_case compares them
-    geometry = _read_header(args.gt, ct=False).geometry
-    require_same_geometry(geometry, _read_header(args.pred, ct=False).geometry)
+    gt = _read_header(args.gt, ct=False)
+    geometry = gt.geometry
+    pred = _read_header(args.pred, ct=False)
+    require_same_geometry(geometry, pred.geometry)
     if args.vertebrae:
         require_same_geometry(geometry, _read_header(args.vertebrae, ct=False).geometry)
     _read_header(args.ct, True, geometry)
-    gt = _read(args.gt, ct=False)
-    pred = _read(args.pred, ct=False)
     picked = _read_regions(args.vertebrae) if args.vertebrae else None
-    # only the densities read the CT, and only on the counted slab: with
-    # every vertebra level found that slab is read, else no payload at all
-    ct = None
-    if picked is not None and not picked.missing:
-        ct = _read(args.ct, True, picked.counted_slab())
+    # the masks are read a chunk at a time, and only the densities read the
+    # CT, on the counted slab: with every vertebra level found that slab is
+    # read in step with them, else no CT payload at all
+    with_ct = picked is not None and not picked.missing
+    slab = picked.counted_slab() if with_ct else slice(0, 0)
+    pieces = _pieces([args.gt, args.pred], args.ct if with_ct else None, geometry, slab)
 
-    case = evaluate_case(gt, pred, ct, picked, policy, regions)
+    case = evaluate_pieces(gt, pred, pieces, picked, policy, regions, with_ct)
     for metric, reason in case.blank_reasons.items():
         print(f"evaluate: {metric} error left blank: {reason}", file=sys.stderr)
     report: EvalReport = aggregate_cases([case])

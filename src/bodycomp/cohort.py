@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import BodycompError, ConstantInputError
-from .evaluation import pearson_r
+from .evaluation import pearson_r, power_of_two_scaled
 from .model import METRIC_FIELDS, BodyCompResult, SubjectRecord
 
 GROUP_BY_CHOICES = ("age_bin", "sex", "race")
@@ -186,15 +186,16 @@ def group_stats(
             if not vals:
                 continue
             # sort before summing so the stats are exactly permutation
-            # invariant in input order
-            arr = np.sort(np.asarray(vals, dtype=float))
+            # invariant in input order; values whose squares overflow are
+            # summed at a scale that keeps them finite
+            arr, scale = power_of_two_scaled(np.sort(np.asarray(vals, dtype=float)))
             rows.append(
                 GroupStat(
                     group=group,
                     metric=metric,
                     count=len(vals),
-                    mean=float(arr.mean()),
-                    sd=float(arr.std()),
+                    mean=float(arr.mean()) * scale,
+                    sd=float(arr.std()) * scale,
                     flagged=flagged,
                 )
             )

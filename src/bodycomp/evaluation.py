@@ -7,20 +7,23 @@ against ground truth per label and per region (L3 slice, T12-L4 range,
 all slices), and ``aggregate_cases`` rolls per-case results into an
 EvalReport with both per-volume and per-slice Dice aggregations.
 
-``evaluate_case`` counts, for every slice and every tissue, the voxels
-of that tissue in both label volumes, in the ground truth and in the
-prediction, a plane at a time as ``measure`` counts its class table.
-Every per-label, per-region number is a sum over those per-slice overlap
-counts (Taha & Hanbury 2015): Dice per volume and per slice, the
-degenerate counts, and the ground-truth and predicted areas and volumes.
-Each side's codes are selected as ``measure`` selects them, through
-``measures.code_classes``: muscle, SAT and VAT under the merge policy,
-muscular fat as given. The ground-truth and predicted counts of the
-three policy tissues are the two masks' policy-applied class tables, so
-the metric-error table reads them through ``measures.MaskMetrics``,
-built as ``measure`` builds it; only the muscle densities read the CT,
-each gathering its mask's muscle voxels with
-``measures.gather_muscle_hu``.
+``evaluate_pieces`` makes one pass over both masks, a
+``measures.Piece`` of slices at a time, and counts for every slice and
+every tissue the voxels of that tissue in both masks, in the ground
+truth and in the prediction, a plane at a time as ``measure`` counts
+its class table. Every per-label, per-region number is a sum over those
+per-slice overlap counts (Taha & Hanbury 2015): Dice per volume and per
+slice, the degenerate counts, and the ground-truth and predicted areas
+and volumes. Each side's codes are selected as ``measure`` selects them,
+through ``measures.code_classes``: muscle, SAT and VAT under the merge
+policy, muscular fat as given. The ground-truth and predicted counts of
+the three policy tissues are the two masks' policy-applied class
+tables, so the metric-error table reads them through
+``measures.MaskMetrics``, built as ``measure`` builds it. Only the muscle
+densities read the CT, over the counted slab and in step with the
+masks: the muscle selection that counts each mask also drops the raw CT
+values under it into that mask's ``measures.MuscleHistograms``.
+``evaluate_case`` is the pass over volumes held in memory.
 
 Muscle-density errors are normalized to the -29..+150 HU range of normal
 muscle density, so 1.79 HU of error reads as 1.00%.
@@ -29,8 +32,9 @@ muscle density, so 1.79 HU of error reads as 1.00%.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,14 +47,19 @@ from .errors import (
 from .measures import (
     N_CLASSES,
     MaskMetrics,
+    MuscleHistograms,
+    Piece,
     _codes_of,
+    _ct_slices,
     code_classes,
+    muscle_histograms,
     tissue_class,
     tissue_measure_from_counts,
 )
 from .model import (
     METRIC_FIELDS,
     MUSCULAR_FAT,
+    SKELETAL_MUSCLE,
     TISSUE_NAMES,
     LabelVolume,
     MergePolicy,
@@ -155,14 +164,34 @@ def r_squared(obs: Sequence[float], pred: Sequence[float]) -> float:
     return 1.0 - ss_res / ss_tot
 
 
+def power_of_two_scaled(values: np.ndarray) -> tuple[np.ndarray, float]:
+    """``values`` divided by a power of two that keeps the squares of their
+    differences finite, and that power: 1 unless a value exceeds 2^500.
+
+    Scaling by a power of two is exact, so a mean, a standard deviation or
+    a correlation taken on the scaled values, each scaled back, is the one
+    the values give where nothing overflows.
+    """
+    top = float(np.max(np.abs(values), initial=0.0))
+    if top < 2.0**500:
+        return values, 1.0
+    k = math.frexp(top)[1] - 500
+    return np.ldexp(values, -k), math.ldexp(1.0, k)
+
+
 def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
-    """Pearson correlation Cov(X, Y) / (sigma_X sigma_Y), population form."""
+    """Pearson correlation Cov(X, Y) / (sigma_X sigma_Y), population form.
+
+    Finite values whose squares overflow are correlated at a scale that
+    keeps them finite (``power_of_two_scaled``).
+    """
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
     if xv.shape != yv.shape:
         raise ValueError(f"length mismatch: {xv.shape} vs {yv.shape}")
     if xv.size < 2:
         raise ValueError("pearson_r requires at least two observations")
+    (xv, _), (yv, _) = power_of_two_scaled(xv), power_of_two_scaled(yv)
     dx = xv - xv.mean()
     dy = yv - yv.mean()
     sx = float(np.sqrt(np.mean(dx * dx)))
@@ -286,29 +315,54 @@ def _normalize_regions(regions) -> tuple[str, ...]:
     return tuple(dict.fromkeys(canon))
 
 
-def _overlap_table(gt: LabelVolume, pred: LabelVolume, policy: MergePolicy) -> np.ndarray:
-    """Per-slice overlap counts of each tissue, ``[nz, N_CLASSES, 3]`` int64.
+def _count_overlaps(
+    gt_codes: np.ndarray,
+    pred_codes: np.ndarray,
+    selections: list[tuple[int, list[int], list[int]]],
+    muscle: Sequence[MuscleHistograms] = (),
+    lo: int = 0,
+    ct: VoxelVolume | None = None,
+) -> np.ndarray:
+    """Per-slice overlap counts of each tissue on the planes, ``[planes, N_CLASSES, 3]`` int64.
 
-    Row ``tissue_class(label)`` of a slice holds the voxels of ``label``
-    in both masks, in ``gt`` and in ``pred``; row 0 stays 0. Muscular fat
-    is selected under ``SEPARATE`` and the other tissues under ``policy``,
-    so the muscle, SAT and VAT entries of column 1 are gt's class table
-    under ``policy`` and those of column 2 pred's, as ``measure`` counts
-    them.
+    ``selections`` gives each tissue's class and the codes selected for it
+    on each side. Row ``tissue_class(label)`` of a slice holds the voxels
+    of ``label`` in both masks, in the ground truth and in the
+    prediction; row 0 stays 0. The muscle, SAT and VAT entries of column 1 are the ground
+    truth's class table under the policy and those of column 2 the
+    prediction's. With ``ct``, the CT over the same planes, which start
+    at slice ``lo``, each mask's muscle selection also bins its voxels'
+    values into ``muscle`` (the ground truth's, then the prediction's).
     """
-    table = np.zeros((gt.nz, N_CLASSES, 3), dtype=np.int64)
-    selections = []
-    for label in TISSUE_NAMES:
-        c = tissue_class(label)
-        label_policy = MergePolicy.SEPARATE if label == MUSCULAR_FAT else policy
-        selections.append((c, *(_codes_of(code_classes(m, label_policy), c) for m in (gt, pred))))
+    table = np.zeros((len(gt_codes), N_CLASSES, 3), dtype=np.int64)
+    m = tissue_class(SKELETAL_MUSCLE)
     # one plane at a time, as ``measure`` counts: no volume-sized mask
-    for z in range(gt.nz):
-        for c, gt_codes, pred_codes in selections:
-            a = select_codes(gt.codes[z], gt_codes)
-            b = select_codes(pred.codes[z], pred_codes)
+    for z in range(len(gt_codes)):
+        for c, gt_wanted, pred_wanted in selections:
+            a = select_codes(gt_codes[z], gt_wanted)
+            b = select_codes(pred_codes[z], pred_wanted)
             table[z, c] = np.count_nonzero(a & b), np.count_nonzero(a), np.count_nonzero(b)
+            if c == m and ct is not None:
+                muscle[0].add(lo + z, ct, z, a)
+                muscle[1].add(lo + z, ct, z, b)
+    for histograms in muscle if ct is not None else ():
+        histograms.bin()
     return table
+
+
+def _wanted_regions(regions: Iterable[str] | None, picked: VertebraRegions | None) -> tuple[str, ...]:
+    """The canonical names of ``regions``: all three by default, or only
+    "all" without vertebrae, which the L3 slice and the T12-L4 range need."""
+    wanted = _normalize_regions(regions)
+    if picked is None:
+        if regions is None:
+            wanted = ("all",)
+        elif any(r != "all" for r in wanted):
+            needed = [r for r in wanted if r != "all"]
+            raise VertebraNotFoundError(
+                f"regions {needed} require a vertebrae volume"
+            )
+    return wanted
 
 
 def _pair_result(counts: np.ndarray, geometry, region) -> PairResult:
@@ -345,7 +399,9 @@ def evaluate_case(
     regions already picked from one (``measurement_regions``). ``ct`` is
     raw or HU, as read, and only the muscle densities read it: with every
     vertebra level found it may hold just the counted slab
-    (``VertebraRegions.counted_slab``).
+    (``VertebraRegions.counted_slab``). The volumes are the pieces of
+    ``evaluate_pieces``: the counted slab, with the CT, and the slices
+    around it.
     """
     require_same_geometry(gt, pred)
     picked = vertebrae
@@ -353,16 +409,70 @@ def evaluate_case(
         picked = measurement_regions(vertebrae)
     if picked is not None:
         require_same_geometry(gt, picked.geometry)
+    _wanted_regions(regions, picked)  # refused before the CT is looked at
+    with_ct = ct is not None and picked is not None and not picked.missing
+    edges, z0 = [0, gt.nz], 0
+    if with_ct:
+        slab = picked.counted_slab()
+        z0 = slab_start(ct, gt.geometry, slab)  # ct holds the volume or the slab
+        edges = [0, slab.start, slab.stop, gt.nz]
+    elif ct is not None:
+        require_same_geometry(gt, ct)
 
-    wanted = _normalize_regions(regions)
-    if picked is None:
-        if regions is None:
-            wanted = ("all",)
-        elif any(r != "all" for r in wanted):
-            needed = [r for r in wanted if r != "all"]
-            raise VertebraNotFoundError(
-                f"regions {needed} require a vertebrae volume"
+    def pieces() -> list[Piece]:
+        return [
+            Piece(
+                lo,
+                (gt.codes[lo:hi], pred.codes[lo:hi]),
+                _ct_slices(ct, lo - z0, hi - z0) if with_ct and lo == edges[1] else None,
             )
+            for lo, hi in zip(edges, edges[1:])
+            if lo < hi
+        ]
+
+    return evaluate_pieces(gt, pred, pieces, picked, policy, regions, with_ct)
+
+
+def evaluate_pieces(
+    gt,
+    pred,
+    pieces: Callable[[], Iterable[Piece]],
+    picked: VertebraRegions | None = None,
+    policy: MergePolicy = MergePolicy.MUSCLE,
+    regions: Iterable[str] | None = None,
+    with_ct: bool = False,
+) -> CaseEvaluation:
+    """``evaluate_case`` from one pass over the two masks, a piece at a time.
+
+    ``gt`` and ``pred`` are the masks or their `.bcv` headers: their
+    label maps, geometry and subject ids are read. ``pieces()`` gives
+    every slice of both (``Piece``), in slice order; ``with_ct`` says that
+    the pieces of the counted slab of ``picked`` hold the CT, so that the
+    muscle densities are compared. Each plane's overlaps are counted, and
+    each mask's muscle voxels binned, with one selection; ``pieces()`` is
+    called again only for a density whose histogram cannot give it
+    exactly.
+    """
+    # each tissue's class and the codes of each side selected for it:
+    # muscular fat under SEPARATE and the others under the policy, as
+    # ``measure`` counts them
+    selections = []
+    for label in TISSUE_NAMES:
+        c = tissue_class(label)
+        label_policy = MergePolicy.SEPARATE if label == MUSCULAR_FAT else policy
+        selections.append((c, *(_codes_of(code_classes(m, label_policy), c) for m in (gt, pred))))
+    muscle: list[MuscleHistograms] = []
+    if with_ct:
+        muscle = [muscle_histograms(picked, code_classes(m, policy), i) for i, m in enumerate((gt, pred))]
+    geometry = gt.geometry
+    table = np.zeros((geometry.nz, N_CLASSES, 3), dtype=np.int64)
+    for lo, (gt_codes, pred_codes), ct in pieces():
+        table[lo : lo + len(gt_codes)] = _count_overlaps(gt_codes, pred_codes, selections, muscle, lo, ct)
+        del gt_codes, pred_codes, ct  # nothing of a piece stays in this frame while the next is read
+
+    # the checks come after the pass, as after a read of both volumes: a
+    # code a label map lacks is the first fault
+    wanted = _wanted_regions(regions, picked)
 
     # the L3 slice and the T12-L4 range are picked once and serve both the
     # requested regions and the metric-error table
@@ -371,10 +481,6 @@ def evaluate_case(
     if picked is not None:
         found.update(picked.found)
         missing = picked.missing
-    if ct is not None and picked is not None and not missing:
-        slab_start(ct, gt.geometry, picked.counted_slab())  # ct holds the volume or the slab
-    elif ct is not None:
-        require_same_geometry(gt, ct)
     for name in wanted:
         if name in missing:
             raise VertebraNotFoundError(missing[name])
@@ -382,12 +488,11 @@ def evaluate_case(
 
     require_tissue_vocabulary(gt)
     require_tissue_vocabulary(pred)
-    table = _overlap_table(gt, pred, policy)
 
     pairs: dict[tuple[str, str], PairResult] = {}
     for label in TISSUE_NAMES:
         for name, region in region_objs.items():
-            pairs[(label, name)] = _pair_result(table[:, tissue_class(label)], gt, region)
+            pairs[(label, name)] = _pair_result(table[:, tissue_class(label)], geometry, region)
 
     metric_errors: dict[str, float | None] = {}
     blank_reasons: dict[str, str] = {}
@@ -397,9 +502,10 @@ def evaluate_case(
         metric_errors = dict.fromkeys(METRIC_FIELDS)
         blank_reasons = dict.fromkeys(METRIC_FIELDS, next(iter(missing.values())))
     elif picked is not None:
+        truth, predicted = muscle or (None, None)
         metric_errors, blank_reasons = _metric_errors(
-            MaskMetrics(picked, table[:, :, 1], gt, policy, ct),
-            MaskMetrics(picked, table[:, :, 2], pred, policy, ct),
+            MaskMetrics(picked, table[:, :, 1], truth, pieces),
+            MaskMetrics(picked, table[:, :, 2], predicted, pieces),
         )
 
     l3, t12_l4 = region_objs.get("l3"), region_objs.get("t12_l4")
@@ -427,7 +533,7 @@ def _metric_errors(truth: MaskMetrics, predicted: MaskMetrics):
     reasons: dict[str, str] = {}
     for name in METRIC_FIELDS:
         density = name.startswith("muscle_density")
-        if density and truth.ct is None:
+        if density and truth.muscle is None:
             continue
         try:
             t, p = truth.metric(name, 1.0), predicted.metric(name, 1.0)

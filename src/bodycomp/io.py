@@ -27,7 +27,10 @@ Every payload read is one walk over the file (``_walk``): whole slices in
 file order, the slices asked for as volumes and, in a label file, the
 rest as planes scanned a chunk at a time, each label code checked once
 against the label map. ``read_volume`` (the whole file or one slab),
-``read_slabs`` and ``read_code_counts`` are its cases.
+``read_slabs`` and ``read_code_counts`` are its cases, and
+``read_in_step`` walks several files of one grid side by side, a chunk
+of slices at a time: the masks of ``measure`` and ``evaluate`` with the
+CT's counted slab.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import json
 import math
 import os
 import struct
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack, closing, contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -413,6 +416,38 @@ def read_code_counts(path) -> tuple[VolumeHeader, np.ndarray]:
         # none of them while the next is read
         counts = np.concatenate(list(map(code_counts, _walk(fh, head, slice(0, 0), 1))))
     return head, counts
+
+
+def read_in_step(paths, geometry: Geometry, z: slice):
+    """The payloads of the files ``paths``, all of ``geometry``, read side by side.
+
+    Yields ``(lo, pieces)`` in slice order, where ``pieces[i]`` is the
+    piece of ``paths[i]`` that starts at slice ``lo``, as ``_walk`` reads
+    it: a label file's every slice comes, the slices ``z`` as volumes and
+    the rest as planes; a CT's only the slices ``z``, and None stands for
+    it elsewhere. Inside ``z`` a piece holds ``chunk_slices`` of the
+    widest payload, outside it ``chunk_slices`` of a label file, and no
+    piece is kept here once the next is read. Every header is read and
+    compared with ``geometry`` before any payload, and each label piece
+    is checked as ``read_volume`` checks it.
+    """
+    with ExitStack() as stack:
+        walked = []
+        for path in paths:
+            fh = stack.enter_context(open(path, "rb"))
+            head = _parse_header(fh, path)
+            require_same_geometry(head.geometry, geometry)
+            walked.append((fh, head))
+        step = min(chunk_slices(head) for _, head in walked)
+        walks = [stack.enter_context(closing(_walk(fh, head, z, step))) for fh, head in walked]
+        labels = [head.label_map is not None for _, head in walked]
+        lo, hi = (0, geometry.nz) if any(labels) else (z.start, z.stop)
+        while lo < hi:
+            inside = z.start <= lo < z.stop
+            pieces = [next(w) if label or inside else None for w, label in zip(walks, labels)]
+            yield lo, pieces
+            lo += next(len(p) if isinstance(p, np.ndarray) else p.nz for p in pieces if p is not None)
+            del pieces  # nothing of a chunk stays in this frame while the next is read
 
 
 def read_volume(path, z: slice | None = None) -> VoxelVolume | LabelVolume:

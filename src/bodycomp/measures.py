@@ -10,21 +10,29 @@ folded classes (``code_classes``) gives the policy-applied table
 directly, and the same folded classes give the codes whose HU the muscle
 density averages, so no merged copy of a volume is made.
 
-``measure_subject`` counts the tissue mask's classes once, over the
-T12-L4 range together with the L3 slice, and reads every metric through
-``MaskMetrics``: the counted ones from that table, and each muscle
-density from ``gather_muscle_hu``, the one place that picks muscle
-voxels out of a CT, which ``muscle_density`` calls too. The tissue mask
-and CT may hold only that slab of the volume. ``evaluation`` selects
-codes through ``code_classes`` too, and reads the ground-truth and
-predicted counts of its per-slice overlap table through the same class.
+``measure_pieces`` makes one pass over the counted slab, from min(L3,
+T12, L4) to max(L3, T12, L4), a ``Piece`` of slices at a time: the
+tissue mask's planes with the CT's. On each plane one selection of the
+muscle class both counts it into the class table and drops the raw
+int16 CT values under it into a histogram for each region
+(``MuscleHistograms``). Each metric is read through ``MaskMetrics``: the
+counted ones from that table, and each muscle density from its
+histogram where the float64 mean is exact (``_exact_mean_hu``), else
+from the voxels gathered in a second pass (``_gather``).
+``measure_subject`` is the one-piece case, on volumes that hold the
+whole grid or only the counted slab, and ``gather_muscle_hu``, which
+``muscle_density`` calls, the one-piece case of the gather.
+``evaluation`` makes the same pass over two masks, counting its
+per-slice overlap table, with the same selection and histograms.
 Areas are cm² (pixel area sx*sy/100), volumes cm³ (voxel volume
 sx*sy*sz/1000), densities are mean HU.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -45,10 +53,12 @@ from .model import (
     LabelVolume,
     MergePolicy,
     SubjectRecord,
+    UnitState,
     VoxelVolume,
     merge_target,
     require_same_geometry,
     require_tissue_vocabulary,
+    rescale_to_hu,
     select_codes,
     slab_start,
 )
@@ -85,8 +95,9 @@ def policy_classes(policy: MergePolicy) -> np.ndarray:
     return classes
 
 
-def code_classes(mask: LabelVolume, policy: MergePolicy = MergePolicy.SEPARATE) -> np.ndarray:
-    """Class each of the 256 codes of ``mask`` is counted under once ``policy`` is applied."""
+def code_classes(mask, policy: MergePolicy = MergePolicy.SEPARATE) -> np.ndarray:
+    """Class each of the 256 codes of ``mask`` (a label volume or its header)
+    is counted under once ``policy`` is applied."""
     classes = np.zeros(256, dtype=np.intp)
     for code, name in mask.label_map.items():
         if name in TISSUE_NAMES:
@@ -98,22 +109,186 @@ def _codes_of(classes: np.ndarray, column: int) -> list[int]:
     return np.flatnonzero(classes == column).tolist()
 
 
-def _count_slab(codes: np.ndarray, classes: np.ndarray) -> np.ndarray:
+class Piece(NamedTuple):
+    """Slices ``lo`` onward of one or more masks, and of the CT where it is read.
+
+    ``masks`` holds each mask's uint8 planes over the same slices; ``ct``
+    is the CT volume of those slices, or None where no CT is read.
+    """
+
+    lo: int
+    masks: tuple[np.ndarray, ...]
+    ct: VoxelVolume | None
+
+
+def _ct_slices(ct: VoxelVolume, lo: int, hi: int) -> VoxelVolume:
+    """Slices ``lo`` to ``hi`` of ``ct``, as a volume that shares its array."""
+    z = ct.z_positions_mm
+    return replace(ct, values=ct.values[lo:hi], z_positions_mm=z[lo:hi] if z is not None else None)
+
+
+_NO_MUSCLE = "no skeletal-muscle voxels in the requested region"
+_NON_FINITE = "NaN or infinite HU among the skeletal-muscle voxels"
+# a raw int16 value v is binned at v + _RAW_OFFSET, its offset-binary code
+_RAW_OFFSET = 1 << 15
+
+
+def _exact_mean_hu(counts: np.ndarray, lo: int, slope: float, intercept: float) -> float | None:
+    """``_mean_hu`` of the HU of the raw values binned in ``counts``, or None.
+
+    Bin ``b`` of ``counts`` counts the raw value ``lo + b - 2^15``.
+
+    Let 2^e be the largest power of two that divides every HU value
+    present. When sum(count * |HU|) < 2^(53 + e), every partial sum of
+    those HU is a multiple of 2^e below 2^(53 + e), so a float64 without
+    rounding: the float64 mean of the gathered float32 HU, in any
+    summation order, is then the exact sum divided by the voxel count.
+    None is returned where that fails, and where the exact sum is 0, whose
+    sign numpy's summation decides. No voxel, and a non-finite HU, raise
+    as in ``_mean_hu``.
+    """
+    present = np.flatnonzero(counts)
+    if present.size == 0:
+        raise EmptyRegionError(_NO_MUSCLE)
+    hu = rescale_to_hu((present + (lo - _RAW_OFFSET)).astype(np.int16), slope, intercept)
+    if not np.isfinite(hu).all():
+        raise NonFiniteHUError(_NON_FINITE)
+    nonzero = hu[hu != 0].astype(np.float64)
+    if nonzero.size == 0:
+        return None
+    mantissa, exponent = np.frexp(nonzero)
+    # a float32 significand has 24 bits: mantissa * 2^24 is an integer
+    significand = (mantissa * (1 << 24)).astype(np.int64)
+    lowest_bit = np.frexp((significand & -significand).astype(np.float64))[1] - 1
+    e = int((lowest_bit + exponent - 24).min())
+    # each HU is an integer multiple of 2^e; below 2^63 in all no int64
+    # product or partial sum of those multiples overflows (else, None)
+    multiples, weights = np.ldexp(hu.astype(np.float64), -e), counts[present]
+    if float(np.abs(multiples).max()) * float(weights.sum()) >= 2.0**63:
+        return None
+    multiples = multiples.astype(np.int64)
+    total = int(weights @ multiples)
+    if int(weights @ np.abs(multiples)) >= 1 << 53 or total == 0:
+        return None
+    return math.ldexp(total, e) / int(weights.sum())
+
+
+class MuscleHistograms:
+    """The raw CT values under one mask's post-policy muscle voxels, one histogram per region.
+
+    ``regions`` maps each region's name to its slices, and ``codes`` are
+    the mask's muscle codes; the mask is ``masks[index]`` of each
+    ``Piece``. The values of a piece's planes are binned together
+    (``bin``), over the span of the values they hold, not the whole int16
+    range. An HU CT is not binned: its densities are gathered.
+    """
+
+    def __init__(self, regions: dict[str, slice], codes: list[int], index: int = 0):
+        self.regions, self.codes, self.index = regions, codes, index
+        # each region's histogram, as its first bin and the counts from there
+        self.counts = dict.fromkeys(regions, (0, np.zeros(0, dtype=np.int64)))
+        self.pending: dict[str, list[np.ndarray]] = {name: [] for name in regions}  # not yet binned
+        self.rescale: tuple[float, float] | None = None
+
+    def add(self, z: int, ct: VoxelVolume, k: int, selected: np.ndarray) -> None:
+        """Take the values of plane ``k`` of ``ct``, slice ``z``, where ``selected``."""
+        names = [name for name, sl in self.regions.items() if sl.start <= z < sl.stop]
+        if not names or ct.unit_state is not UnitState.RAW:
+            return
+        self.rescale = (ct.rescale_slope, ct.rescale_intercept)
+        raw = ct.values[k][selected]
+        for name in names:
+            self.pending[name].append(raw)
+
+    def bin(self) -> None:
+        """Bin the values taken since the last call."""
+        for name, pieces in self.pending.items():
+            if not pieces:
+                continue
+            binned = np.concatenate(pieces).view(np.uint16)
+            pieces.clear()
+            if binned.size == 0:
+                continue
+            binned ^= _RAW_OFFSET
+            start, stop = int(binned.min()), int(binned.max()) + 1
+            lo, hist = self.counts[name]
+            if hist.size == 0:
+                lo = start
+            if start < lo or stop > lo + hist.size:  # widen the span
+                wide = np.zeros(max(lo + hist.size, stop) - min(lo, start), np.int64)
+                wide[max(lo - start, 0) :][: hist.size] = hist
+                lo, hist = min(lo, start), wide
+            binned -= lo
+            # unlike bincount, add.at makes no intp copy of the values
+            np.add.at(hist, binned, 1)
+            self.counts[name] = (lo, hist)
+
+    def density(self, name: str, pieces: Callable[[], Iterable[Piece]]) -> float:
+        """Mean HU of region ``name``: from its histogram where that is exact,
+        else from the voxels gathered in a second pass over ``pieces()``."""
+        if self.rescale is not None:
+            lo, hist = self.counts[name]
+            mean = _exact_mean_hu(hist, lo, *self.rescale)
+            if mean is not None:
+                return mean
+        return _mean_hu(_gather(pieces(), self.index, self.regions[name], self.codes))
+
+
+def muscle_histograms(picked: VertebraRegions, classes: np.ndarray, index: int = 0):
+    """Empty ``MuscleHistograms`` of the L3 slice and the T12-L4 range of
+    ``picked``, for the mask whose codes ``classes`` folds."""
+    nz = picked.geometry.nz
+    regions = {name: region_slice(picked.found[name], nz) for name in ("l3", "t12_l4")}
+    return MuscleHistograms(regions, _codes_of(classes, tissue_class(SKELETAL_MUSCLE)), index)
+
+
+def _count_slab(
+    codes: np.ndarray,
+    classes: np.ndarray,
+    muscle: MuscleHistograms | None = None,
+    lo: int = 0,
+    ct: VoxelVolume | None = None,
+) -> np.ndarray:
     """Per-slice class counts of the planes ``codes``, ``[planes, N_CLASSES]`` int64.
 
-    ``classes`` gives each code's class.
+    ``classes`` gives each code's class. With ``ct``, the CT over the same
+    planes, which start at slice ``lo``, the selection that counts the
+    muscle class also bins the muscle voxels' values into ``muscle``.
     """
     counts = np.zeros((len(codes), N_CLASSES), dtype=np.int64)
     sets = [(c, _codes_of(classes, c)) for c in range(1, N_CLASSES)]
     sets = [(c, wanted) for c, wanted in sets if wanted]
+    m = tissue_class(SKELETAL_MUSCLE)
     # one plane at a time, every class counted while the plane is in
     # cache: no slab-sized mask, and a whole-plane count_nonzero is
     # several times faster than one along an axis
     for z, plane in enumerate(codes):
         for c, wanted in sets:
-            counts[z, c] = np.count_nonzero(select_codes(plane, wanted))
+            selected = select_codes(plane, wanted)
+            counts[z, c] = np.count_nonzero(selected)
+            if c == m and ct is not None:
+                muscle.add(lo + z, ct, z, selected)
+    if ct is not None:
+        muscle.bin()
     counts[:, 0] = codes[0].size - counts.sum(axis=1)
     return counts
+
+
+def _gather(pieces: Iterable[Piece], index: int, sl: slice, muscle: list[int]) -> np.ndarray:
+    """Float32 HU of the CT under the codes ``muscle`` of mask ``index`` on the slices ``sl``.
+
+    The voxels are gathered a plane at a time (no slab-sized mask), in
+    slice order, from the pieces that hold the CT, and converted at once.
+    """
+    raw, ct = [], None
+    for lo, masks, piece_ct in pieces:
+        if piece_ct is None:
+            continue
+        ct, codes = piece_ct, masks[index]
+        for z in range(max(lo, sl.start), min(lo + len(codes), sl.stop)):
+            raw.append(ct.values[z - lo][select_codes(codes[z - lo], muscle)])
+    raw = np.concatenate(raw)  # the pieces are dropped before the HU are made
+    return ct.hu_of(raw)
 
 
 def gather_muscle_hu(
@@ -128,8 +303,8 @@ def gather_muscle_hu(
     Without ``picked``, ``ct`` and ``mask`` are whole volumes. With it,
     ``region`` is one of its regions, and each of ``ct`` and ``mask``
     holds either the whole volume of ``picked.geometry`` or only its
-    counted slab. The voxels are gathered a slice at a time (no
-    slab-sized mask), in slab order, and converted at once.
+    counted slab. The one-piece case of the gather that a density takes
+    where its histogram is not exact.
     """
     geometry, slab = mask.geometry, slice(0, mask.nz)
     if picked is not None:
@@ -137,24 +312,20 @@ def gather_muscle_hu(
     ct_z0, mask_z0 = (slab_start(vol, geometry, slab) for vol in (ct, mask))
     sl = region_slice(region, geometry.nz)
     muscle = _codes_of(code_classes(mask, policy), tissue_class(SKELETAL_MUSCLE))
-    raw = np.concatenate(
-        [
-            ct.values[z - ct_z0][select_codes(mask.codes[z - mask_z0], muscle)]
-            for z in range(sl.start, sl.stop)
-        ]
-    )
-    return ct.hu_of(raw)
+    codes = mask.codes[sl.start - mask_z0 : sl.stop - mask_z0]
+    piece = Piece(sl.start, (codes,), _ct_slices(ct, sl.start - ct_z0, sl.stop - ct_z0))
+    return _gather([piece], 0, sl, muscle)
 
 
 def _mean_hu(hu: np.ndarray) -> float:
     """Mean of muscle HU values, as float64 over the float32 values."""
     if hu.size == 0:
-        raise EmptyRegionError("no skeletal-muscle voxels in the requested region")
+        raise EmptyRegionError(_NO_MUSCLE)
     # a float64 sum of float32 values cannot overflow: only a non-finite
     # voxel makes the mean non-finite
     density = float(hu.mean(dtype=np.float64))
     if not np.isfinite(density):
-        raise NonFiniteHUError("NaN or infinite HU among the skeletal-muscle voxels")
+        raise NonFiniteHUError(_NON_FINITE)
     return density
 
 
@@ -293,23 +464,24 @@ class MaskMetrics:
     volume's). Only its skeletal-muscle, SAT and VAT columns are read,
     and they must hold the mask's counts under ``policy`` at least on
     the counted slab; ``measure`` fills every column, ``evaluate`` the
-    four tissues' (muscular fat as given). The muscle
-    densities gather the HU of ``ct`` under ``mask`` (``gather_muscle_hu``);
-    there are none without a CT. A metric whose name ends in ``_2d`` is
-    read on the L3 slice, one ending in ``_3d`` over the T12-L4 range.
+    four tissues' (muscular fat as given). The muscle densities come
+    from ``muscle``, binned in the same pass, and from ``pieces`` where
+    they must be gathered; there are none without a CT. A metric whose
+    name ends in ``_2d`` is read on the L3 slice, one ending in ``_3d``
+    over the T12-L4 range.
     """
 
     picked: VertebraRegions
     counts: np.ndarray
-    mask: LabelVolume
-    policy: MergePolicy
-    ct: VoxelVolume | None = None
+    muscle: MuscleHistograms | None = None
+    pieces: Callable[[], Iterable[Piece]] | None = None
 
     def metric(self, name: str, height_m: float | None) -> float | None:
         """Metric ``name``; SMI is None without a height."""
-        region = self.picked.found["l3" if name.endswith("_2d") else "t12_l4"]
+        key = "l3" if name.endswith("_2d") else "t12_l4"
         if name.startswith("muscle_density"):
-            return _mean_hu(gather_muscle_hu(self.ct, self.mask, region, self.policy, self.picked))
+            return self.muscle.density(key, self.pieces)
+        region = self.picked.found[key]
         geometry = self.picked.geometry
         counts = self.counts[region_slice(region, geometry.nz)]
         if name.startswith("vat_sat_ratio"):
@@ -338,7 +510,8 @@ def measure_subject(
     picked from it by ``measurement_regions``. ``ct`` and ``tissue_mask``
     hold every slice of it, or only its counted slab
     (``VertebraRegions.counted_slab``), as ``read_volume(path, z=...)``
-    reads it; the metrics are the same either way.
+    reads it; the metrics are the same either way. The counted slab is
+    the one piece of ``measure_pieces``.
     """
     require_same_geometry(ct, tissue_mask)
     if isinstance(vertebra_mask, VertebraRegions):
@@ -346,21 +519,49 @@ def measure_subject(
     else:
         require_same_geometry(ct, vertebra_mask)
         picked = measurement_regions(vertebra_mask)
+
+    def pieces() -> list[Piece]:
+        counted = picked.counted_slab()
+        z0 = slab_start(ct, picked.geometry, counted)
+        lo, hi = counted.start - z0, counted.stop - z0
+        return [Piece(counted.start, (tissue_mask.codes[lo:hi],), _ct_slices(ct, lo, hi))]
+
+    return measure_pieces(tissue_mask, pieces, picked, subject, policy)
+
+
+def measure_pieces(
+    tissue,
+    pieces: Callable[[], Iterable[Piece]],
+    picked: VertebraRegions,
+    subject: SubjectRecord,
+    policy: MergePolicy = MergePolicy.MUSCLE,
+) -> BodyCompResult:
+    """``measure_subject`` from one pass over the counted slab, a piece at a time.
+
+    ``tissue`` is the tissue mask or its `.bcv` header: only its label
+    map is read. ``pieces()`` gives the mask and the CT over the counted
+    slab of ``picked`` (``Piece``), in slice order; pieces without a CT
+    are passed over. Each plane's classes are counted, and its muscle
+    voxels binned, with one selection; ``pieces()`` is called again only
+    for a density whose histogram cannot give it exactly.
+    """
     if picked.missing:
         raise VertebraNotFoundError(next(iter(picked.missing.values())))
-    require_tissue_vocabulary(tissue_mask)
 
-    l3, t12_l4 = picked.found["l3"], picked.found["t12_l4"]
+    classes = code_classes(tissue, policy)
+    muscle = muscle_histograms(picked, classes)
     # the range and the L3 slice are counted in one pass; rows outside
     # stay 0 and are never read
-    counted = picked.counted_slab()
-    z0 = slab_start(ct, picked.geometry, counted)
     counts = np.zeros((picked.geometry.nz, N_CLASSES), dtype=np.int64)
-    counts[counted] = _count_slab(
-        tissue_mask.codes[counted.start - z0 : counted.stop - z0],
-        code_classes(tissue_mask, policy),
-    )
-    metrics = MaskMetrics(picked, counts, tissue_mask, policy, ct)
+    for lo, (codes,), ct in pieces():
+        if ct is not None:  # a tissue file's slices outside the slab are only checked
+            counts[lo : lo + len(codes)] = _count_slab(codes, classes, muscle, lo, ct)
+        del codes, ct  # nothing of a piece stays in this frame while the next is read
+    # after the pass, as a volume read before is checked: a code the map
+    # lacks is the first fault
+    require_tissue_vocabulary(tissue)
+    metrics = MaskMetrics(picked, counts, muscle, pieces)
+    l3, t12_l4 = picked.found["l3"], picked.found["t12_l4"]
     return BodyCompResult(
         subject_id=subject.subject_id,
         policy=policy,

@@ -235,11 +235,20 @@ class VoxelVolume(_Volume):
         """
         if self.unit_state is UnitState.HU:
             return values
-        # ufunc-mediated cast; plain astype is much slower on some builds
-        with np.errstate(over="ignore", invalid="ignore"):
-            hu = np.multiply(values, np.float32(self.rescale_slope), dtype=np.float32)
-            hu += np.float32(self.rescale_intercept)
-        return hu
+        return rescale_to_hu(values, self.rescale_slope, self.rescale_intercept)
+
+
+def rescale_to_hu(raw: np.ndarray, slope: float, intercept: float) -> np.ndarray:
+    """Float32 HU of raw CT values: ``slope * raw + intercept`` in float32.
+
+    The one HU arithmetic, of ``to_hu`` and ``VoxelVolume.hu_of``; a
+    rescale that overflows float32 yields inf HU without a warning.
+    """
+    # ufunc-mediated cast; plain astype is much slower on some builds
+    with np.errstate(over="ignore", invalid="ignore"):
+        hu = np.multiply(raw, np.float32(slope), dtype=np.float32)
+        hu += np.float32(intercept)
+    return hu
 
 
 def select_codes(codes: np.ndarray, wanted: list[int]) -> np.ndarray:
@@ -488,9 +497,10 @@ def to_hu(vol: VoxelVolume) -> VoxelVolume:
     return replace(vol, values=vol.hu_of(vol.values), unit_state=UnitState.HU)
 
 
-def require_tissue_vocabulary(mask: LabelVolume) -> None:
-    """Raise unless the mask's label map covers all four tissue names."""
-    missing = [n for n in TISSUE_NAMES if not mask.has_name(n)]
+def require_tissue_vocabulary(mask) -> None:
+    """Raise unless the label map of ``mask`` (a volume or header) covers all four tissue names."""
+    names = set(mask.label_map.values())
+    missing = [n for n in TISSUE_NAMES if n not in names]
     if missing:
         raise LabelVocabularyError(
             f"mask lacks tissue labels {missing}; expected the tissue vocabulary"

@@ -1,8 +1,10 @@
 import csv
 import gc
 import json
+import math
 import os
 import re
+import statistics
 import subprocess
 import sys
 import tracemalloc
@@ -26,8 +28,9 @@ from bodycomp import (
     to_hu,
     write_volume,
 )
-from bodycomp import cli
+from bodycomp import cli, measures
 from bodycomp.cli import _measure_one, main
+from bodycomp.io import SCAN_CHUNK_BYTES
 from conftest import make_ct, make_tissue, make_vertebrae
 from test_io import _patch_header
 from test_postprocess import scipy_kept
@@ -350,14 +353,13 @@ def _vertebrae_with_counts(counts, code, **kw):
 
 
 def test_select_slice_prints_the_lowest_tied_slice_from_a_scan(tmp_path, capsys, monkeypatch):
-    def no_whole_read(*args):
-        raise AssertionError("select-slice read the whole volume")
-
-    monkeypatch.setattr(cli, "read_volume", no_whole_read)
+    reads = _recording_reads(monkeypatch)
     vol = _vertebrae_with_counts([0, 5, 9, 9, 2], code=2)
     assert _select_slice(tmp_path, capsys, vol, "L3") == (
         0, "vertebrae_L3 index 2 area_cm2 0.09\n", ""
     )
+    # one scan, a chunk of planes at a time: no slice is read as a volume
+    assert reads == [("v.bcv", slice(0, 0))]
 
 
 def test_select_slice_area_ignores_non_uniform_z(tmp_path, capsys):
@@ -463,6 +465,45 @@ def test_cohort_command_writes_reports(tmp_path):
     by_pair = {(r["metric_a"], r["metric_b"]): r for r in corr}
     linear = by_pair[("muscle_area_2d", "muscle_volume_3d")]
     assert float(linear["r"]) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_cohort_over_areas_whose_squares_overflow(tmp_path):
+    # whole-slice areas near 1e301 are finite, but their squares are not
+    sids = [f"b{i}" for i in range(4)]
+    lines = ["subject_id,age_years,sex,race,height_m"]
+    for i, sid in enumerate(sids):
+        _, paths = write_phantom(tmp_path, sid=sid, nx=40 + 4 * i, ny=40 + 4 * i, nz=10)
+        for path in paths.values():
+            _patch_header(path, spacing_mm=[1e150, 1e150, 1.5])
+        lines.append(f"{sid},{40 + i},{('Male', 'Female')[i % 2]},White,1.{60 + i}")
+    demo = tmp_path / "demo.csv"
+    demo.write_text("\n".join(lines) + "\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(bodycomp.__file__).parent.parent)}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "bodycomp.cli", *map(str, argv)], env=env,
+                              capture_output=True, text=True)
+
+    measured = run("measure", "--manifest", _manifest(tmp_path, sids), "--cohort", demo,
+                   "--out", tmp_path / "results")
+    assert measured.returncode == 0, measured.stderr
+    proc = run("cohort", "--results", tmp_path / "results", "--demographics", demo,
+               "--min-group", 1, "--out", tmp_path / "out")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    results = read_csv(tmp_path / "results" / "results.csv")
+    areas = [float(r["muscle_area_2d_cm2"]) for r in results]
+    volumes = [float(r["muscle_volume_3d_cm3"]) for r in results]
+    assert min(areas) > 1e300
+    stats = read_csv(tmp_path / "out" / "group_stats.csv")
+    for row in stats:
+        assert math.isfinite(float(row["mean"])) and math.isfinite(float(row["sd"]))
+    white = {r["metric"]: r for r in stats if r["group"] == "race White"}["muscle_area_2d"]
+    scaled = [a / 1e300 for a in areas]
+    assert float(white["mean"]) == pytest.approx(statistics.fmean(scaled) * 1e300, rel=1e-5)
+    assert float(white["sd"]) == pytest.approx(statistics.pstdev(scaled) * 1e300, rel=1e-5)
+    corr = {(r["metric_a"], r["metric_b"]): r["r"] for r in read_csv(tmp_path / "out" / "correlations.csv")}
+    want_r = np.corrcoef(scaled, [v / 1e300 for v in volumes])[0, 1]
+    assert float(corr[("muscle_area_2d", "muscle_volume_3d")]) == pytest.approx(want_r, rel=1e-5)
 
 
 def test_cohort_without_heights_reports_smi_correlations_blank(tmp_path, capsys):
@@ -770,14 +811,18 @@ def _manifest(tmp_path, sids, with_ids=True):
 
 
 def _recording_reads(monkeypatch):
-    """Record the (file name, z) of every payload read through the CLI."""
+    """Record the (file name, z) of every payload read: every read is one
+    walk over a file (``io._walk``), and ``z`` names the slices it reads
+    as volumes. A label file's other slices are scanned as planes; a CT's
+    are not read at all."""
     reads = []
+    walk = bodycomp.io._walk
 
-    def recorded(path, z=None):
-        reads.append((Path(path).name, z))
-        return read_volume(path, z)
+    def recorded(fh, head, z, step):
+        reads.append((Path(head.path).name, z))
+        return walk(fh, head, z, step)
 
-    monkeypatch.setattr("bodycomp.cli.read_volume", recorded)
+    monkeypatch.setattr(bodycomp.io, "_walk", recorded)
     return reads
 
 
@@ -786,9 +831,12 @@ def test_measure_reads_only_the_counted_slab(tmp_path, monkeypatch):
     reads = _recording_reads(monkeypatch)
     out = tmp_path / "out"
     assert main(["measure", "--manifest", str(_manifest(tmp_path, ["p1"])), "--out", str(out)]) == 0
-    # the vertebra mask is scanned a chunk at a time, not read as a volume
+    # one read of each file: the vertebra mask is scanned a chunk at a time,
+    # not read as a volume, and of the CT only the counted slab is read
     slab = slice(5, 15)
-    assert sorted(reads, key=str) == [("p1_ct.bcv", slab), ("p1_tissue.bcv", slab)]
+    assert sorted(reads, key=str) == [
+        ("p1_ct.bcv", slab), ("p1_tissue.bcv", slab), ("p1_vertebrae.bcv", slice(0, 0))
+    ]
     want = measure_subject(ph.ct, ph.tissue, ph.vertebrae, SubjectRecord("p1", 0.0))
     assert json.loads((out / "p1.json").read_text()) == json.loads(json.dumps(want.to_dict()))
 
@@ -984,17 +1032,106 @@ def test_evaluate_checks_every_header_before_any_payload(tmp_path, capsys, monke
     argv = ["evaluate", "--out", str(tmp_path / "out")]
     for option, path in inputs.items():
         argv += [f"--{option}", str(path)]
-    reads = _recording_reads(monkeypatch)
-    scan = cli.read_code_counts
-
-    def recorded_scan(path):  # the vertebra scan reads a payload too
-        reads.append((Path(path).name, None))
-        return scan(path)
-
-    monkeypatch.setattr(cli, "read_code_counts", recorded_scan)
+    reads = _recording_reads(monkeypatch)  # the vertebra scan included
     assert main(argv) == 1
     assert capsys.readouterr() == ("", f"bodycomp: {want}\n")
     assert reads == []
+
+
+_MiB = 1 << 20
+
+
+@pytest.fixture(scope="module")
+def ct_sized(tmp_path_factory):
+    """512x512x245 inputs, and the muscle voxels of each slice (muscular fat included).
+
+    ``ct.bcv`` is read at slope 0.7 and intercept -1024, so its densities
+    come from histograms; ``fallback_ct.bcv`` holds raw values near 32767
+    under intercept 0, and 1 in every fifth column, so that no histogram of
+    more than a few thousand of its voxels gives an exact mean. ``v40.bcv``
+    and ``v240.bcv`` put the counted slab on slices 5-44 and 5-244.
+    """
+    tmp, nz = tmp_path_factory.mktemp("ct_sized"), 245
+    ph = build_phantom(nx=512, ny=512, nz=3, spacing_mm=(0.7, 0.7, 1.5), rescale_slope=0.7)
+    rng = np.random.default_rng(13)
+    raw = np.tile(ph.ct.values[:1], (nz, 1, 1))
+    raw += rng.integers(-17, 18, size=raw.shape, dtype=np.int16)
+    write_volume(replace(ph.ct, values=raw), tmp / "ct.bcv")  # freezes raw
+    raw = rng.integers(30000, 32768, size=raw.shape, dtype=np.int16)
+    raw[:, :, ::5] = 1
+    write_volume(replace(ph.ct, values=raw, rescale_intercept=0.0), tmp / "fallback_ct.bcv")
+    del raw
+    codes = np.broadcast_to(ph.tissue.codes[:1], (nz, 512, 512))
+    write_volume(replace(ph.tissue, codes=codes), tmp / "tissue.bcv")
+    write_volume(replace(ph.tissue, codes=np.roll(codes, 3, axis=2)), tmp / "pred.bcv")
+    for slab in (40, 240):
+        vert = np.zeros((nz, 512, 512), dtype=np.uint8)
+        for code, z in ((1, 5), (2, 5 + slab // 2), (3, 4 + slab)):
+            vert[z, 250:260, 250:260] = code
+        write_volume(replace(ph.vertebrae, codes=vert), tmp / f"v{slab}.bcv")
+    return tmp, int(np.isin(ph.tissue.codes[0], [1, 4]).sum())
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory traced while it ran."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def _ct_sized_run(files, command, slab, ct="ct.bcv"):
+    """Run ``command`` (measure or evaluate) on the ``ct_sized`` files; the result and the traced peak."""
+    paths = {name: str(files / f"{name}.bcv") for name in ("tissue", "pred")}
+    paths.update(ct=str(files / ct), vertebrae=str(files / f"v{slab}.bcv"))
+    if command == "measure":
+        entry = {"ct": paths["ct"], "tissue": paths["tissue"], "vertebrae": paths["vertebrae"],
+                 "subject_id": "p1"}
+        return _traced_peak(_measure_one, entry, "p1", MergePolicy.MUSCLE, {})
+    args = cli.build_parser().parse_args(
+        ["evaluate", "--gt", paths["tissue"], "--pred", paths["pred"], "--ct", paths["ct"],
+         "--vertebrae", paths["vertebrae"], "--out", str(files / "out")])
+    return _traced_peak(cli.cmd_evaluate, args)
+
+
+@pytest.mark.parametrize("command", ["measure", "evaluate"])
+def test_peak_memory_does_not_grow_with_the_counted_slab(ct_sized, monkeypatch, command):
+    files, _ = ct_sized
+
+    def no_gather(*args):
+        raise AssertionError("a density was gathered: its histogram was not exact")
+
+    monkeypatch.setattr(measures, "_gather", no_gather)
+    peaks = {}
+    for slab in (40, 240):
+        result, peaks[slab] = _ct_sized_run(files, command, slab)
+        assert result == 0 if command == "evaluate" else result.region_3d == (5, 4 + slab)
+    # a slab six times as deep, and the same peak: a few chunks of slices
+    assert peaks[240] - peaks[40] <= 2 * _MiB
+    assert peaks[240] <= 8 * SCAN_CHUNK_BYTES
+
+
+@pytest.mark.parametrize("command", ["measure", "evaluate"])
+def test_fallback_peak_memory_is_the_gathered_voxels(ct_sized, monkeypatch, command):
+    files, muscle_per_slice = ct_sized
+    gathers, gather = [], measures._gather
+
+    def counted(*args):
+        gathers.append(args[2])
+        return gather(*args)
+
+    monkeypatch.setattr(measures, "_gather", counted)
+    _, peak = _ct_sized_run(files, command, 240, ct="fallback_ct.bcv")
+    assert slice(5, 245) in gathers  # the T12-L4 density took the second pass
+    gathered = 240 * muscle_per_slice  # of the T12-L4 range, the larger region
+    # each gathered voxel is held as int16 twice, in pieces and joined,
+    # then as float32 HU beside the joined int16
+    assert peak <= 6 * gathered + 8 * SCAN_CHUNK_BYTES
+    assert peak < 240 * 512 * 512 * (2 + 1)  # less than the CT and tissue slab
 
 
 def test_measure_one_peak_memory_is_the_vertebrae_and_the_slabs(tmp_path):
@@ -1003,7 +1140,9 @@ def test_measure_one_peak_memory_is_the_vertebrae_and_the_slabs(tmp_path):
                               rescale_slope=0.7, vertebra_slices=(43, 31, 20))
     entry = {**{k: str(v) for k, v in paths.items()}, "subject_id": "p1"}
     slab_voxels = (43 - 20 + 1) * 256 * 256
-    budget = ph.vertebrae.codes.nbytes + 1.25 * slab_voxels * (2 + 1)
+    # less than the slab payloads: they are read a chunk at a time, and
+    # no gathered muscle voxels come on top
+    budget = ph.vertebrae.codes.nbytes + 0.75 * slab_voxels * (2 + 1)
     del ph
     gc.collect()
     tracemalloc.start()

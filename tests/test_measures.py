@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bodycomp import (
@@ -36,7 +36,17 @@ from bodycomp import (
     vat_sat_ratio,
     vertebra_label,
 )
-from bodycomp.measures import _mean_hu, gather_muscle_hu
+from bodycomp.measures import (
+    MuscleHistograms,
+    Piece,
+    _codes_of,
+    _exact_mean_hu,
+    _mean_hu,
+    code_classes,
+    gather_muscle_hu,
+    tissue_class,
+)
+from bodycomp.model import select_codes
 from bodycomp.regions import measurement_regions
 from conftest import VERT_MAP, make_ct, make_hu, make_tissue, random_tissue_codes
 
@@ -485,3 +495,85 @@ def test_measure_subject_refuses_a_ct_that_is_neither_volume_nor_slab(subject):
     for sl in (slice(slab.start + 1, slab.stop + 1), slice(slab.start, slab.stop - 1)):
         with pytest.raises(GeometryMismatchError):
             measure_subject(_slab(ct, sl), _slab(tissue, sl), picked, subject)
+
+
+# ---- muscle densities from raw histograms ----------------------------------
+
+_SLOPES = [0.0, -0.7, -1.0, -3.3e-3, 1.0, 0.7, 0.123, 3.3e-3]
+_INTERCEPTS = [-1024.0, -1000.5, 0.0, -0.0, 17.25]
+
+
+def _raw_values(rng, n, spread):
+    """``n`` raw int16 CT values: a muscle-like peak, the whole range, or both ends."""
+    if spread == "peak":
+        centre, sd = rng.integers(-1100, 1500), rng.uniform(1, 60)
+        values = rng.normal(centre, sd, size=n)
+    elif spread == "range":
+        values = rng.integers(-32768, 32768, size=n)
+    else:  # values near both ends of the range and near 0, as a fallback rescale needs
+        values = rng.choice([-32768, -32000, -1, 1, 2, 32000, 32767], size=n) + rng.integers(-9, 9, size=n)
+    return np.clip(np.rint(values), -32768, 32767).astype(np.int16)
+
+
+def _histogram_density(ct, mask, policy):
+    """The histogram mean of a whole-volume region, or None, and the density taken with the fallback."""
+    muscle = _codes_of(code_classes(mask, policy), tissue_class("skeletal_muscle"))
+    histograms = MuscleHistograms({"all": slice(0, mask.nz)}, muscle)
+    for z, plane in enumerate(mask.codes):  # a piece per plane: each widens the span
+        histograms.add(z, ct, z, select_codes(plane, muscle))
+        histograms.bin()
+    pieces = lambda: [Piece(0, (mask.codes,), ct)]  # noqa: E731
+    exact = _outcome(_exact_mean_hu, *histograms.counts["all"][::-1], *histograms.rescale)
+    return exact, _outcome(histograms.density, "all", pieces)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 2_000_000),
+    slope=st.sampled_from(_SLOPES),
+    intercept=st.sampled_from(_INTERCEPTS),
+    spread=st.sampled_from(["peak", "range", "ends"]),
+    policy=st.sampled_from(list(MergePolicy)),
+)
+# a rescale whose histogram cannot give the mean exactly: it takes the fallback
+@example(seed=3, n=400_000, slope=0.7, intercept=0.0, spread="ends", policy=MergePolicy.MUSCLE)
+# a rescale whose HU overflows float32 to inf
+@example(seed=5, n=1_000, slope=1e36, intercept=-1024.0, spread="peak", policy=MergePolicy.MUSCLE)
+def test_histogram_mean_is_the_gathered_mean_or_the_fallback(seed, n, slope, intercept, spread, policy):
+    rng = np.random.default_rng(seed)
+    planes = int(rng.integers(1, 5))
+    width = max(1, n // planes)
+    raw = _raw_values(rng, planes * width, spread).reshape(planes, 1, width)
+    codes = rng.choice([0, 1, 2, 4], size=raw.shape, p=[0.2, 0.5, 0.1, 0.2]).astype(np.uint8)
+    ct, mask = make_ct(raw, slope=slope, intercept=intercept), make_tissue(codes)
+    want = _outcome(_mean_hu, gather_muscle_hu(ct, mask, AllSlices(), policy))
+    exact, density = _histogram_density(ct, mask, policy)
+    # bit-identical, or the fallback, never another value
+    assert exact is None or _bits(exact) == _bits(want)
+    assert _bits(density) == _bits(want)
+
+
+def test_a_histogram_that_is_not_exact_takes_the_fallback():
+    # raw 1 gives HU 0.7 in float32, a multiple of 2^-24 only; next to HU
+    # near 22937 the 400k voxels sum past 2^(53-24)
+    raw = np.full((1, 1, 400_000), 32767, dtype=np.int16)
+    raw[0, 0, ::2] = 1
+    ct, mask = make_ct(raw, slope=0.7, intercept=0.0), make_tissue(np.ones(raw.shape))
+    exact, density = _histogram_density(ct, mask, MergePolicy.MUSCLE)
+    assert exact is None
+    assert _bits(density) == _bits(_mean_hu(gather_muscle_hu(ct, mask, AllSlices(), MergePolicy.MUSCLE)))
+    # with half as many voxels the same values are exact
+    half = make_ct(raw[:, :, :1000], slope=0.7, intercept=0.0)
+    exact, density = _histogram_density(half, make_tissue(np.ones((1, 1, 1000))), MergePolicy.MUSCLE)
+    assert exact is not None and _bits(exact) == _bits(density)
+
+
+@pytest.mark.parametrize("intercept", [-0.0, 0.0])
+def test_a_zero_exact_sum_takes_the_fallback(intercept):
+    # at slope 0 every HU is +0.0 or -0.0: the sign of the mean is numpy's to choose
+    ct = make_ct([[[-5, -7, 3]]], slope=0.0, intercept=intercept)
+    mask = make_tissue([[[1, 1, 0]]])
+    exact, density = _histogram_density(ct, mask, MergePolicy.MUSCLE)
+    assert exact is None
+    assert _bits(density) == _bits(muscle_density(ct, mask, AllSlices()))
