@@ -29,7 +29,14 @@ from bodycomp import (
     write_volume,
 )
 from bodycomp import model
-from bodycomp.io import format_number, read_code_counts, read_header, read_slabs, write_slabs
+from bodycomp.io import (
+    format_number,
+    read_code_counts,
+    read_header,
+    read_in_step,
+    read_slabs,
+    write_slabs,
+)
 from bodycomp.model import code_counts
 from conftest import make_ct, make_tissue, make_vertebrae, random_tissue_codes
 
@@ -563,7 +570,7 @@ def test_slab_reads_name_every_unmapped_code_from_the_first_bad_slab_on(tmp_path
 
 def test_every_label_voxel_is_checked_once_per_read(tmp_path, rng, monkeypatch):
     vol, path = _write_tissue_with_z(tmp_path, rng)
-    ct = make_ct(np.zeros((9, 4, 5)))
+    ct = make_ct(np.zeros((9, 4, 5)), z=vol.z_positions_mm)
     write_volume(ct, tmp_path / "ct.bcv")
     # two slices per scanned chunk: the chunks and the slabs do not align
     monkeypatch.setattr("bodycomp.io.SCAN_CHUNK_BYTES", 2 * 4 * 5)
@@ -581,6 +588,8 @@ def test_every_label_voxel_is_checked_once_per_read(tmp_path, rng, monkeypatch):
         **{f"slab {z}": partial(read_volume, path, z) for z in (slice(0, 3), slice(3, 6), slice(8, 9))},
         **{f"slabs {n}": lambda n=n: list(read_slabs(path, n)) for n in (1, 3, vol.nz)},
         "counts": partial(read_code_counts, path),
+        **{f"in step {z}": lambda z=z: list(read_in_step([tmp_path / "ct.bcv", path], vol.geometry, z))
+           for z in (slice(0, 0), slice(3, 6), slice(8, 9))},
     }
     for name, read in reads.items():
         checked.clear()
@@ -595,6 +604,27 @@ def test_every_label_voxel_is_checked_once_per_read(tmp_path, rng, monkeypatch):
     read_volume(tmp_path / "ct.bcv", slice(3, 6))
     list(read_slabs(tmp_path / "ct.bcv", 2))
     assert checked == []
+
+
+@pytest.mark.parametrize("z", [slice(0, 0), slice(0, 9), slice(2, 7), slice(8, 9)])
+def test_read_in_step_gives_each_file_a_chunk_at_a_time(tmp_path, rng, monkeypatch, z):
+    vol, path = _write_tissue_with_z(tmp_path, rng)
+    ct = make_ct(rng.integers(-1000, 1000, size=(9, 4, 5)), z=vol.z_positions_mm)
+    write_volume(ct, tmp_path / "ct.bcv")
+    # three slices of the CT, six of a label file, per chunk
+    monkeypatch.setattr("bodycomp.io.SCAN_CHUNK_BYTES", 3 * 4 * 5 * 2)
+    pieces = list(read_in_step([tmp_path / "ct.bcv", path, path], vol.geometry, z))
+    starts = [lo for lo, _ in pieces]
+    assert starts == sorted(set(starts)) and starts[0] == 0
+    inside = [(lo, ct_piece) for lo, (ct_piece, _, _) in pieces if ct_piece is not None]
+    assert all(z.start <= lo < z.stop and piece.nz <= 3 for lo, piece in inside)
+    slab = [piece.values for _, piece in inside]
+    assert np.array_equal(np.concatenate(slab) if slab else ct.values[z], ct.values[z])
+    for k in (1, 2):  # each label file, every slice, as volumes inside z and planes outside
+        codes = [getattr(p[k], "codes", p[k]) for _, p in pieces]
+        assert np.array_equal(np.concatenate(codes), vol.codes)
+    with pytest.raises(GeometryMismatchError):
+        next(read_in_step([path], replace(vol, z_positions_mm=None).geometry, z))
 
 
 @pytest.mark.parametrize("step", [0, -1, -3])
