@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .cohort import GROUP_BY_CHOICES, CorrelationEntry, correlation_matrix, group_stats
-from .errors import BodycompError, VertebraNotFoundError
+from .errors import BodycompError
 from .evaluation import (
     EvalReport,
     EvalRow,
@@ -200,19 +200,15 @@ def _attempt(fn, entry: dict, *args):
 def _pieces(masks: list, ct, geometry: Geometry, slab: slice):
     """The pieces of the label files ``masks`` and, over ``slab``, of the CT file ``ct``.
 
-    Returns a function that reads them anew at each call, a chunk of
-    slices at a time (``read_in_step``), the CT's chunk first; with
-    ``ct`` None no CT is read.
+    They are read as they are taken, a chunk of slices at a time
+    (``read_in_step``), the CT's chunk first; with ``ct`` None no CT is
+    read.
     """
     paths = [ct, *masks] if ct is not None else list(masks)
-
-    def pieces():
-        for lo, read in read_in_step(paths, geometry, slab):
-            ct_piece = read.pop(0) if ct is not None else None
-            yield Piece(lo, tuple(getattr(piece, "codes", piece) for piece in read), ct_piece)
-            del ct_piece, read  # nothing of a chunk stays in this frame while the next is read
-
-    return pieces
+    for lo, read in read_in_step(paths, geometry, slab):
+        ct_piece = read.pop(0) if ct is not None else None
+        yield Piece(lo, tuple(getattr(piece, "codes", piece) for piece in read), ct_piece)
+        del ct_piece, read  # nothing of a chunk stays in this frame while the next is read
 
 
 def _measure_one(entry: dict, subject_id: str, policy: MergePolicy, cohort: dict):
@@ -221,8 +217,6 @@ def _measure_one(entry: dict, subject_id: str, policy: MergePolicy, cohort: dict
     picked = _read_regions(entry["vertebrae"])
     _read_header(entry["ct"], True, picked.geometry)
     tissue = _read_header(entry["tissue"], False, picked.geometry)
-    if picked.missing:
-        raise VertebraNotFoundError(next(iter(picked.missing.values())))
     record = cohort.get(subject_id)
     if record is None:
         record = SubjectRecord(subject_id=subject_id, age_years=0.0)

@@ -21,7 +21,7 @@ the three policy tissues are the two masks' policy-applied class
 tables, so the metric-error table reads them through
 ``measures.MaskMetrics``, built as ``measure`` builds it. Only the muscle
 densities read the CT, over the counted slab and in step with the
-masks: the muscle selection that counts each mask also drops the raw CT
+masks: the muscle selection that counts each mask also drops the CT
 values under it into that mask's ``measures.MuscleHistograms``.
 ``evaluate_case`` is the pass over volumes held in memory.
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -419,24 +419,22 @@ def evaluate_case(
     elif ct is not None:
         require_same_geometry(gt, ct)
 
-    def pieces() -> list[Piece]:
-        return [
-            Piece(
-                lo,
-                (gt.codes[lo:hi], pred.codes[lo:hi]),
-                _ct_slices(ct, lo - z0, hi - z0) if with_ct and lo == edges[1] else None,
-            )
-            for lo, hi in zip(edges, edges[1:])
-            if lo < hi
-        ]
-
+    pieces = [
+        Piece(
+            lo,
+            (gt.codes[lo:hi], pred.codes[lo:hi]),
+            _ct_slices(ct, lo - z0, hi - z0) if with_ct and lo == edges[1] else None,
+        )
+        for lo, hi in zip(edges, edges[1:])
+        if lo < hi
+    ]
     return evaluate_pieces(gt, pred, pieces, picked, policy, regions, with_ct)
 
 
 def evaluate_pieces(
     gt,
     pred,
-    pieces: Callable[[], Iterable[Piece]],
+    pieces: Iterable[Piece],
     picked: VertebraRegions | None = None,
     policy: MergePolicy = MergePolicy.MUSCLE,
     regions: Iterable[str] | None = None,
@@ -445,37 +443,17 @@ def evaluate_pieces(
     """``evaluate_case`` from one pass over the two masks, a piece at a time.
 
     ``gt`` and ``pred`` are the masks or their `.bcv` headers: their
-    label maps, geometry and subject ids are read. ``pieces()`` gives
-    every slice of both (``Piece``), in slice order; ``with_ct`` says that
-    the pieces of the counted slab of ``picked`` hold the CT, so that the
-    muscle densities are compared. Each plane's overlaps are counted, and
-    each mask's muscle voxels binned, with one selection; ``pieces()`` is
-    called again only for a density whose histogram cannot give it
-    exactly.
+    label maps, geometry and subject ids are read. ``pieces`` gives
+    every slice of both (``Piece``), in slice order, and is read once;
+    ``with_ct`` says that the pieces of the counted slab of ``picked``
+    hold the CT, so that the muscle densities are compared. A requested
+    region whose vertebra level is missing is refused before any piece
+    is read. Each plane's overlaps are counted, and each mask's muscle
+    voxels binned, with one selection.
     """
-    # each tissue's class and the codes of each side selected for it:
-    # muscular fat under SEPARATE and the others under the policy, as
-    # ``measure`` counts them
-    selections = []
-    for label in TISSUE_NAMES:
-        c = tissue_class(label)
-        label_policy = MergePolicy.SEPARATE if label == MUSCULAR_FAT else policy
-        selections.append((c, *(_codes_of(code_classes(m, label_policy), c) for m in (gt, pred))))
-    muscle: list[MuscleHistograms] = []
-    if with_ct:
-        muscle = [muscle_histograms(picked, code_classes(m, policy), i) for i, m in enumerate((gt, pred))]
-    geometry = gt.geometry
-    table = np.zeros((geometry.nz, N_CLASSES, 3), dtype=np.int64)
-    for lo, (gt_codes, pred_codes), ct in pieces():
-        table[lo : lo + len(gt_codes)] = _count_overlaps(gt_codes, pred_codes, selections, muscle, lo, ct)
-        del gt_codes, pred_codes, ct  # nothing of a piece stays in this frame while the next is read
-
-    # the checks come after the pass, as after a read of both volumes: a
-    # code a label map lacks is the first fault
-    wanted = _wanted_regions(regions, picked)
-
     # the L3 slice and the T12-L4 range are picked once and serve both the
     # requested regions and the metric-error table
+    wanted = _wanted_regions(regions, picked)
     found: dict[str, object] = {"all": AllSlices()}
     missing: dict[str, str] = {}
     if picked is not None:
@@ -486,6 +464,23 @@ def evaluate_pieces(
             raise VertebraNotFoundError(missing[name])
     region_objs = {name: found[name] for name in wanted}
 
+    # each tissue's class and the codes of each side selected for it:
+    # muscular fat under SEPARATE and the others under the policy, as
+    # ``measure`` counts them
+    selections = []
+    for label in TISSUE_NAMES:
+        c = tissue_class(label)
+        label_policy = MergePolicy.SEPARATE if label == MUSCULAR_FAT else policy
+        selections.append((c, *(_codes_of(code_classes(m, label_policy), c) for m in (gt, pred))))
+    muscle = [muscle_histograms(picked), muscle_histograms(picked)] if with_ct else []
+    geometry = gt.geometry
+    table = np.zeros((geometry.nz, N_CLASSES, 3), dtype=np.int64)
+    for lo, (gt_codes, pred_codes), ct in pieces:
+        table[lo : lo + len(gt_codes)] = _count_overlaps(gt_codes, pred_codes, selections, muscle, lo, ct)
+        del gt_codes, pred_codes, ct  # nothing of a piece stays in this frame while the next is read
+
+    # after the pass, as after a read of both volumes: a code a label map
+    # lacks is the first fault
     require_tissue_vocabulary(gt)
     require_tissue_vocabulary(pred)
 
@@ -504,8 +499,8 @@ def evaluate_pieces(
     elif picked is not None:
         truth, predicted = muscle or (None, None)
         metric_errors, blank_reasons = _metric_errors(
-            MaskMetrics(picked, table[:, :, 1], truth, pieces),
-            MaskMetrics(picked, table[:, :, 2], predicted, pieces),
+            MaskMetrics(picked, table[:, :, 1], truth),
+            MaskMetrics(picked, table[:, :, 2], predicted),
         )
 
     l3, t12_l4 = region_objs.get("l3"), region_objs.get("t12_l4")

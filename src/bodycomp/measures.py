@@ -13,15 +13,14 @@ density averages, so no merged copy of a volume is made.
 ``measure_pieces`` makes one pass over the counted slab, from min(L3,
 T12, L4) to max(L3, T12, L4), a ``Piece`` of slices at a time: the
 tissue mask's planes with the CT's. On each plane one selection of the
-muscle class both counts it into the class table and drops the raw
-int16 CT values under it into a histogram for each region
+muscle class both counts it into the class table and drops the CT
+values under it into a histogram for each region
 (``MuscleHistograms``). Each metric is read through ``MaskMetrics``: the
 counted ones from that table, and each muscle density from its
-histogram where the float64 mean is exact (``_exact_mean_hu``), else
-from the voxels gathered in a second pass (``_gather``).
-``measure_subject`` is the one-piece case, on volumes that hold the
-whole grid or only the counted slab, and ``gather_muscle_hu``, which
-``muscle_density`` calls, the one-piece case of the gather.
+histogram, as the exact mean of the float32 HU of its voxels, correctly
+rounded (``_exact_mean_hu``). ``measure_subject`` is the one-piece case,
+on volumes that hold the whole grid or only the counted slab, and
+``muscle_density`` the one-piece case of a histogram.
 ``evaluation`` makes the same pass over two masks, counting its
 per-slice overlap table, with the same selection and histograms.
 Areas are cm² (pixel area sx*sy/100), volumes cm³ (voxel volume
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -133,82 +132,76 @@ _NON_FINITE = "NaN or infinite HU among the skeletal-muscle voxels"
 _RAW_OFFSET = 1 << 15
 
 
-def _exact_mean_hu(counts: np.ndarray, lo: int, slope: float, intercept: float) -> float | None:
-    """``_mean_hu`` of the HU of the raw values binned in ``counts``, or None.
+def _exact_mean_hu(hu: np.ndarray, counts: np.ndarray) -> float:
+    """Mean of the float32 HU values ``hu``, each taken ``counts`` times, correctly rounded.
 
-    Bin ``b`` of ``counts`` counts the raw value ``lo + b - 2^15``.
-
-    Let 2^e be the largest power of two that divides every HU value
-    present. When sum(count * |HU|) < 2^(53 + e), every partial sum of
-    those HU is a multiple of 2^e below 2^(53 + e), so a float64 without
-    rounding: the float64 mean of the gathered float32 HU, in any
-    summation order, is then the exact sum divided by the voxel count.
-    None is returned where that fails, and where the exact sum is 0, whose
-    sign numpy's summation decides. No voxel, and a non-finite HU, raise
-    as in ``_mean_hu``.
+    Each value is an integer multiple of 2^e, where e is the smallest
+    binary exponent present less 24, the bits of a float32 significand.
+    The multiples sum exactly in integers, and that sum over the voxel
+    count is rounded once: the mean depends on no summation order, and a
+    mean of zeros is +0.0. No voxel raises EmptyRegionError, and a NaN or
+    infinite HU NonFiniteHUError.
     """
-    present = np.flatnonzero(counts)
-    if present.size == 0:
+    if hu.size == 0:
         raise EmptyRegionError(_NO_MUSCLE)
-    hu = rescale_to_hu((present + (lo - _RAW_OFFSET)).astype(np.int16), slope, intercept)
     if not np.isfinite(hu).all():
         raise NonFiniteHUError(_NON_FINITE)
-    nonzero = hu[hu != 0].astype(np.float64)
-    if nonzero.size == 0:
-        return None
-    mantissa, exponent = np.frexp(nonzero)
-    # a float32 significand has 24 bits: mantissa * 2^24 is an integer
-    significand = (mantissa * (1 << 24)).astype(np.int64)
-    lowest_bit = np.frexp((significand & -significand).astype(np.float64))[1] - 1
-    e = int((lowest_bit + exponent - 24).min())
-    # each HU is an integer multiple of 2^e; below 2^63 in all no int64
-    # product or partial sum of those multiples overflows (else, None)
-    multiples, weights = np.ldexp(hu.astype(np.float64), -e), counts[present]
-    if float(np.abs(multiples).max()) * float(weights.sum()) >= 2.0**63:
-        return None
-    multiples = multiples.astype(np.int64)
-    total = int(weights @ multiples)
-    if int(weights @ np.abs(multiples)) >= 1 << 53 or total == 0:
-        return None
-    return math.ldexp(total, e) / int(weights.sum())
+    hu = hu.astype(np.float64)
+    e = int(np.frexp(hu)[1].min()) - 24
+    multiples, n = np.ldexp(hu, -e), int(counts.sum())
+    if float(np.abs(multiples).max()) * n < 2.0**63:  # no int64 product or partial sum overflows
+        total = int(counts @ multiples.astype(np.int64))
+    else:  # a rescale that spreads the HU over many magnitudes: Python ints
+        total = sum(map(int.__mul__, counts.tolist(), map(int, multiples.tolist())))
+    # int / int rounds correctly, and scaling by 2^e is exact
+    return math.ldexp(total / n, e)
 
 
 class MuscleHistograms:
-    """The raw CT values under one mask's post-policy muscle voxels, one histogram per region.
+    """The CT values under one mask's post-policy muscle voxels, one histogram per region.
 
-    ``regions`` maps each region's name to its slices, and ``codes`` are
-    the mask's muscle codes; the mask is ``masks[index]`` of each
-    ``Piece``. The values of a piece's planes are binned together
-    (``bin``), over the span of the values they hold, not the whole int16
-    range. An HU CT is not binned: its densities are gathered.
+    ``regions`` maps each region's name to its slices. The values of a
+    piece's planes are binned together (``bin``): a raw CT's over the
+    span of the raw values they hold, not the whole int16 range; an HU
+    CT's, which exists only in memory, as a table of the values present
+    and their counts. Each density is the exact mean of its histogram.
     """
 
-    def __init__(self, regions: dict[str, slice], codes: list[int], index: int = 0):
-        self.regions, self.codes, self.index = regions, codes, index
-        # each region's histogram, as its first bin and the counts from there
+    def __init__(self, regions: dict[str, slice]):
+        self.regions = regions
+        # a raw CT's histogram of each region, as its first bin and the counts from there
         self.counts = dict.fromkeys(regions, (0, np.zeros(0, dtype=np.int64)))
+        # an HU CT's table of each region: values and their counts, a value
+        # listed once per piece that holds it
+        self.tables = dict.fromkeys(regions, (np.zeros(0, np.float32), np.zeros(0, np.int64)))
         self.pending: dict[str, list[np.ndarray]] = {name: [] for name in regions}  # not yet binned
-        self.rescale: tuple[float, float] | None = None
+        self.rescale: tuple[float, float] | None = None  # a raw CT's
 
     def add(self, z: int, ct: VoxelVolume, k: int, selected: np.ndarray) -> None:
         """Take the values of plane ``k`` of ``ct``, slice ``z``, where ``selected``."""
         names = [name for name, sl in self.regions.items() if sl.start <= z < sl.stop]
-        if not names or ct.unit_state is not UnitState.RAW:
+        if not names:
             return
-        self.rescale = (ct.rescale_slope, ct.rescale_intercept)
-        raw = ct.values[k][selected]
+        if ct.unit_state is UnitState.RAW:
+            self.rescale = (ct.rescale_slope, ct.rescale_intercept)
+        values = ct.values[k][selected]
         for name in names:
-            self.pending[name].append(raw)
+            self.pending[name].append(values)
 
     def bin(self) -> None:
         """Bin the values taken since the last call."""
         for name, pieces in self.pending.items():
             if not pieces:
                 continue
-            binned = np.concatenate(pieces).view(np.uint16)
+            values = np.concatenate(pieces)
             pieces.clear()
-            if binned.size == 0:
+            if values.size == 0:
                 continue
+            if self.rescale is None:
+                table = zip(self.tables[name], np.unique(values, return_counts=True))
+                self.tables[name] = tuple(np.concatenate(pair) for pair in table)
+                continue
+            binned = values.view(np.uint16)
             binned ^= _RAW_OFFSET
             start, stop = int(binned.min()), int(binned.max()) + 1
             lo, hist = self.counts[name]
@@ -223,23 +216,20 @@ class MuscleHistograms:
             np.add.at(hist, binned, 1)
             self.counts[name] = (lo, hist)
 
-    def density(self, name: str, pieces: Callable[[], Iterable[Piece]]) -> float:
-        """Mean HU of region ``name``: from its histogram where that is exact,
-        else from the voxels gathered in a second pass over ``pieces()``."""
-        if self.rescale is not None:
-            lo, hist = self.counts[name]
-            mean = _exact_mean_hu(hist, lo, *self.rescale)
-            if mean is not None:
-                return mean
-        return _mean_hu(_gather(pieces(), self.index, self.regions[name], self.codes))
+    def density(self, name: str) -> float:
+        """Mean HU of region ``name``, the exact mean of its histogram."""
+        if self.rescale is None:
+            return _exact_mean_hu(*self.tables[name])
+        lo, hist = self.counts[name]
+        present = np.flatnonzero(hist)
+        raw = (present + (lo - _RAW_OFFSET)).astype(np.int16)
+        return _exact_mean_hu(rescale_to_hu(raw, *self.rescale), hist[present])
 
 
-def muscle_histograms(picked: VertebraRegions, classes: np.ndarray, index: int = 0):
-    """Empty ``MuscleHistograms`` of the L3 slice and the T12-L4 range of
-    ``picked``, for the mask whose codes ``classes`` folds."""
+def muscle_histograms(picked: VertebraRegions) -> MuscleHistograms:
+    """Empty ``MuscleHistograms`` of the L3 slice and the T12-L4 range of ``picked``."""
     nz = picked.geometry.nz
-    regions = {name: region_slice(picked.found[name], nz) for name in ("l3", "t12_l4")}
-    return MuscleHistograms(regions, _codes_of(classes, tissue_class(SKELETAL_MUSCLE)), index)
+    return MuscleHistograms({name: region_slice(picked.found[name], nz) for name in ("l3", "t12_l4")})
 
 
 def _count_slab(
@@ -274,61 +264,6 @@ def _count_slab(
     return counts
 
 
-def _gather(pieces: Iterable[Piece], index: int, sl: slice, muscle: list[int]) -> np.ndarray:
-    """Float32 HU of the CT under the codes ``muscle`` of mask ``index`` on the slices ``sl``.
-
-    The voxels are gathered a plane at a time (no slab-sized mask), in
-    slice order, from the pieces that hold the CT, and converted at once.
-    """
-    raw, ct = [], None
-    for lo, masks, piece_ct in pieces:
-        if piece_ct is None:
-            continue
-        ct, codes = piece_ct, masks[index]
-        for z in range(max(lo, sl.start), min(lo + len(codes), sl.stop)):
-            raw.append(ct.values[z - lo][select_codes(codes[z - lo], muscle)])
-    raw = np.concatenate(raw)  # the pieces are dropped before the HU are made
-    return ct.hu_of(raw)
-
-
-def gather_muscle_hu(
-    ct: VoxelVolume,
-    mask: LabelVolume,
-    region: MeasurementRegion,
-    policy: MergePolicy,
-    picked: VertebraRegions | None = None,
-) -> np.ndarray:
-    """Float32 HU of the post-policy muscle voxels of ``mask`` in ``region``.
-
-    Without ``picked``, ``ct`` and ``mask`` are whole volumes. With it,
-    ``region`` is one of its regions, and each of ``ct`` and ``mask``
-    holds either the whole volume of ``picked.geometry`` or only its
-    counted slab. The one-piece case of the gather that a density takes
-    where its histogram is not exact.
-    """
-    geometry, slab = mask.geometry, slice(0, mask.nz)
-    if picked is not None:
-        geometry, slab = picked.geometry, picked.counted_slab()
-    ct_z0, mask_z0 = (slab_start(vol, geometry, slab) for vol in (ct, mask))
-    sl = region_slice(region, geometry.nz)
-    muscle = _codes_of(code_classes(mask, policy), tissue_class(SKELETAL_MUSCLE))
-    codes = mask.codes[sl.start - mask_z0 : sl.stop - mask_z0]
-    piece = Piece(sl.start, (codes,), _ct_slices(ct, sl.start - ct_z0, sl.stop - ct_z0))
-    return _gather([piece], 0, sl, muscle)
-
-
-def _mean_hu(hu: np.ndarray) -> float:
-    """Mean of muscle HU values, as float64 over the float32 values."""
-    if hu.size == 0:
-        raise EmptyRegionError(_NO_MUSCLE)
-    # a float64 sum of float32 values cannot overflow: only a non-finite
-    # voxel makes the mean non-finite
-    density = float(hu.mean(dtype=np.float64))
-    if not np.isfinite(density):
-        raise NonFiniteHUError(_NON_FINITE)
-    return density
-
-
 def muscle_density(
     ct: VoxelVolume,
     mask: LabelVolume,
@@ -337,12 +272,20 @@ def muscle_density(
 ) -> float:
     """Mean HU over skeletal-muscle voxels (post-policy) within the region.
 
-    ``ct`` is raw or HU; only the muscle voxels are converted. A NaN or
-    infinite HU value among those voxels raises NonFiniteHUError.
+    ``ct`` is raw or HU. The mean is that of ``MuscleHistograms``, over
+    one piece: the exact mean of the voxels' float32 HU, correctly
+    rounded. A NaN or infinite HU value among those voxels raises
+    NonFiniteHUError.
     """
     require_same_geometry(ct, mask)
     require_tissue_vocabulary(mask)
-    return _mean_hu(gather_muscle_hu(ct, mask, region, policy))
+    sl = region_slice(region, mask.nz)
+    muscle = _codes_of(code_classes(mask, policy), tissue_class(SKELETAL_MUSCLE))
+    histograms = MuscleHistograms({"region": sl})
+    for z in range(sl.start, sl.stop):
+        histograms.add(z, ct, z, select_codes(mask.codes[z], muscle))
+    histograms.bin()
+    return histograms.density("region")
 
 
 def slice_thickness_mm(geometry) -> np.ndarray:
@@ -464,23 +407,21 @@ class MaskMetrics:
     volume's). Only its skeletal-muscle, SAT and VAT columns are read,
     and they must hold the mask's counts under ``policy`` at least on
     the counted slab; ``measure`` fills every column, ``evaluate`` the
-    four tissues' (muscular fat as given). The muscle densities come
-    from ``muscle``, binned in the same pass, and from ``pieces`` where
-    they must be gathered; there are none without a CT. A metric whose
-    name ends in ``_2d`` is read on the L3 slice, one ending in ``_3d``
-    over the T12-L4 range.
+    four tissues' (muscular fat as given). Each muscle density is the
+    exact mean of its histogram in ``muscle``, binned in the same pass;
+    there are none without a CT. A metric whose name ends in ``_2d`` is
+    read on the L3 slice, one ending in ``_3d`` over the T12-L4 range.
     """
 
     picked: VertebraRegions
     counts: np.ndarray
     muscle: MuscleHistograms | None = None
-    pieces: Callable[[], Iterable[Piece]] | None = None
 
     def metric(self, name: str, height_m: float | None) -> float | None:
         """Metric ``name``; SMI is None without a height."""
         key = "l3" if name.endswith("_2d") else "t12_l4"
         if name.startswith("muscle_density"):
-            return self.muscle.density(key, self.pieces)
+            return self.muscle.density(key)
         region = self.picked.found[key]
         geometry = self.picked.geometry
         counts = self.counts[region_slice(region, geometry.nz)]
@@ -520,18 +461,16 @@ def measure_subject(
         require_same_geometry(ct, vertebra_mask)
         picked = measurement_regions(vertebra_mask)
 
-    def pieces() -> list[Piece]:
-        counted = picked.counted_slab()
-        z0 = slab_start(ct, picked.geometry, counted)
-        lo, hi = counted.start - z0, counted.stop - z0
-        return [Piece(counted.start, (tissue_mask.codes[lo:hi],), _ct_slices(ct, lo, hi))]
-
-    return measure_pieces(tissue_mask, pieces, picked, subject, policy)
+    counted = picked.counted_slab()
+    z0 = slab_start(ct, picked.geometry, counted)
+    lo, hi = counted.start - z0, counted.stop - z0
+    piece = Piece(counted.start, (tissue_mask.codes[lo:hi],), _ct_slices(ct, lo, hi))
+    return measure_pieces(tissue_mask, [piece], picked, subject, policy)
 
 
 def measure_pieces(
     tissue,
-    pieces: Callable[[], Iterable[Piece]],
+    pieces: Iterable[Piece],
     picked: VertebraRegions,
     subject: SubjectRecord,
     policy: MergePolicy = MergePolicy.MUSCLE,
@@ -539,28 +478,27 @@ def measure_pieces(
     """``measure_subject`` from one pass over the counted slab, a piece at a time.
 
     ``tissue`` is the tissue mask or its `.bcv` header: only its label
-    map is read. ``pieces()`` gives the mask and the CT over the counted
-    slab of ``picked`` (``Piece``), in slice order; pieces without a CT
-    are passed over. Each plane's classes are counted, and its muscle
-    voxels binned, with one selection; ``pieces()`` is called again only
-    for a density whose histogram cannot give it exactly.
+    map is read. ``pieces`` gives the mask and the CT over the counted
+    slab of ``picked`` (``Piece``), in slice order, and is read once;
+    pieces without a CT are passed over. Each plane's classes are
+    counted, and its muscle voxels binned, with one selection.
     """
     if picked.missing:
         raise VertebraNotFoundError(next(iter(picked.missing.values())))
 
     classes = code_classes(tissue, policy)
-    muscle = muscle_histograms(picked, classes)
+    muscle = muscle_histograms(picked)
     # the range and the L3 slice are counted in one pass; rows outside
     # stay 0 and are never read
     counts = np.zeros((picked.geometry.nz, N_CLASSES), dtype=np.int64)
-    for lo, (codes,), ct in pieces():
+    for lo, (codes,), ct in pieces:
         if ct is not None:  # a tissue file's slices outside the slab are only checked
             counts[lo : lo + len(codes)] = _count_slab(codes, classes, muscle, lo, ct)
         del codes, ct  # nothing of a piece stays in this frame while the next is read
     # after the pass, as a volume read before is checked: a code the map
     # lacks is the first fault
     require_tissue_vocabulary(tissue)
-    metrics = MaskMetrics(picked, counts, muscle, pieces)
+    metrics = MaskMetrics(picked, counts, muscle)
     l3, t12_l4 = picked.found["l3"], picked.found["t12_l4"]
     return BodyCompResult(
         subject_id=subject.subject_id,

@@ -114,7 +114,13 @@ class VertebraRegions:
     missing: dict[str, str]
 
     def counted_slab(self) -> slice:
-        """Slices from min(L3, T12, L4) to max(L3, T12, L4): all a metric reads."""
+        """Slices from min(L3, T12, L4) to max(L3, T12, L4): all a metric reads.
+
+        Without all three levels it raises the first missing level's
+        VertebraNotFoundError.
+        """
+        if self.missing:
+            raise VertebraNotFoundError(next(iter(self.missing.values())))
         l3, t12_l4 = self.found["l3"], self.found["t12_l4"]
         return slice(min(l3.z, t12_l4.z_lo), max(l3.z, t12_l4.z_hi) + 1)
 

@@ -28,7 +28,7 @@ from bodycomp import (
     to_hu,
     write_volume,
 )
-from bodycomp import cli, measures
+from bodycomp import cli
 from bodycomp.cli import _measure_one, main
 from bodycomp.io import SCAN_CHUNK_BYTES
 from conftest import make_ct, make_tissue, make_vertebrae
@@ -841,6 +841,51 @@ def test_measure_reads_only_the_counted_slab(tmp_path, monkeypatch):
     assert json.loads((out / "p1.json").read_text()) == json.loads(json.dumps(want.to_dict()))
 
 
+@pytest.mark.parametrize("ct", ["ct", "wide_ct"])
+def test_each_input_file_is_walked_once(tmp_path, monkeypatch, ct):
+    # wide_ct: HU 0.7 and near 22937, whose exact sum over the T12-L4
+    # muscle needs more than a float64's 53 bits
+    sids = ["p1", "p2"]
+    for sid in sids:
+        ph, paths = write_phantom(tmp_path, sid=sid, nx=320, ny=320, nz=12, rescale_slope=0.7)
+        if ct == "wide_ct":
+            raw = np.random.default_rng(14).integers(32700, 32768, size=ph.ct.values.shape, dtype=np.int16)
+            raw[:, :, ::5] = 1
+            write_volume(replace(ph.ct, values=raw, rescale_intercept=0.0), paths["ct"])
+    walks = _recording_reads(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["measure", "--manifest", str(_manifest(tmp_path, sids)), "--jobs", "2",
+                 "--out", str(out / "m")]) == 0
+    kinds = ("ct", "tissue", "vertebrae")
+    assert sorted(name for name, _ in walks) == [f"{sid}_{kind}.bcv" for sid in sids for kind in kinds]
+    walks.clear()
+    assert main(["evaluate", "--gt", str(paths["tissue"]), "--pred", str(tmp_path / "p1_tissue.bcv"),
+                 "--ct", str(paths["ct"]), "--vertebrae", str(paths["vertebrae"]),
+                 "--out", str(out / "e")]) == 0
+    assert sorted(name for name, _ in walks) == ["p1_tissue.bcv", "p2_ct.bcv", "p2_tissue.bcv",
+                                                 "p2_vertebrae.bcv"]
+
+
+def test_evaluate_refuses_a_missing_level_before_reading_the_masks(tmp_path, capsys, monkeypatch):
+    ph, paths = write_phantom(tmp_path, sid="p1", nx=32, ny=32, nz=12)
+    # code 9, which the label map lacks, on the last slice of gt
+    codes = ph.tissue.codes.copy()
+    codes[-1, 0, 0] = 9
+    data = bytearray(paths["tissue"].read_bytes())
+    data[-codes.nbytes :] = codes.tobytes()
+    paths["tissue"].write_bytes(bytes(data))
+    vertebrae = np.where(ph.vertebrae.codes == 3, 0, ph.vertebrae.codes).astype(np.uint8)  # no L4
+    write_volume(replace(ph.vertebrae, codes=vertebrae), paths["vertebrae"])
+    write_volume(ph.tissue, tmp_path / "pred.bcv")
+    reads = _recording_reads(monkeypatch)
+    code = main(["evaluate", "--gt", str(paths["tissue"]), "--pred", str(tmp_path / "pred.bcv"),
+                 "--ct", str(paths["ct"]), "--vertebrae", str(paths["vertebrae"]),
+                 "--regions", "t12l4", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == "bodycomp: label 'vertebrae_L4' has no voxels in volume\n"
+    assert reads == [("p1_vertebrae.bcv", slice(0, 0))]  # only the vertebra scan
+
+
 def test_measure_fails_on_an_unmapped_tissue_code_outside_the_slab(tmp_path, capsys):
     for sid in ("good", "bad"):
         ph, paths = write_phantom(tmp_path, sid=sid, nx=32, ny=32, nz=20, vertebra_slices=(14, 9, 5))
@@ -1043,13 +1088,13 @@ _MiB = 1 << 20
 
 @pytest.fixture(scope="module")
 def ct_sized(tmp_path_factory):
-    """512x512x245 inputs, and the muscle voxels of each slice (muscular fat included).
+    """512x512x245 inputs.
 
-    ``ct.bcv`` is read at slope 0.7 and intercept -1024, so its densities
-    come from histograms; ``fallback_ct.bcv`` holds raw values near 32767
-    under intercept 0, and 1 in every fifth column, so that no histogram of
-    more than a few thousand of its voxels gives an exact mean. ``v40.bcv``
-    and ``v240.bcv`` put the counted slab on slices 5-44 and 5-244.
+    ``ct.bcv`` is read at slope 0.7 and intercept -1024. ``wide_ct.bcv``
+    holds raw values near 32767 under intercept 0, and 1 in every fifth
+    column: HU 0.7 and near 22937, whose exact sum over more than a few
+    thousand voxels needs more than a float64's 53 bits. ``v40.bcv`` and
+    ``v240.bcv`` put the counted slab on slices 5-44 and 5-244.
     """
     tmp, nz = tmp_path_factory.mktemp("ct_sized"), 245
     ph = build_phantom(nx=512, ny=512, nz=3, spacing_mm=(0.7, 0.7, 1.5), rescale_slope=0.7)
@@ -1059,7 +1104,7 @@ def ct_sized(tmp_path_factory):
     write_volume(replace(ph.ct, values=raw), tmp / "ct.bcv")  # freezes raw
     raw = rng.integers(30000, 32768, size=raw.shape, dtype=np.int16)
     raw[:, :, ::5] = 1
-    write_volume(replace(ph.ct, values=raw, rescale_intercept=0.0), tmp / "fallback_ct.bcv")
+    write_volume(replace(ph.ct, values=raw, rescale_intercept=0.0), tmp / "wide_ct.bcv")
     del raw
     codes = np.broadcast_to(ph.tissue.codes[:1], (nz, 512, 512))
     write_volume(replace(ph.tissue, codes=codes), tmp / "tissue.bcv")
@@ -1069,7 +1114,7 @@ def ct_sized(tmp_path_factory):
         for code, z in ((1, 5), (2, 5 + slab // 2), (3, 4 + slab)):
             vert[z, 250:260, 250:260] = code
         write_volume(replace(ph.vertebrae, codes=vert), tmp / f"v{slab}.bcv")
-    return tmp, int(np.isin(ph.tissue.codes[0], [1, 4]).sum())
+    return tmp
 
 
 def _traced_peak(fn, *args):
@@ -1098,40 +1143,23 @@ def _ct_sized_run(files, command, slab, ct="ct.bcv"):
     return _traced_peak(cli.cmd_evaluate, args)
 
 
-@pytest.mark.parametrize("command", ["measure", "evaluate"])
-def test_peak_memory_does_not_grow_with_the_counted_slab(ct_sized, monkeypatch, command):
-    files, _ = ct_sized
-
-    def no_gather(*args):
-        raise AssertionError("a density was gathered: its histogram was not exact")
-
-    monkeypatch.setattr(measures, "_gather", no_gather)
+@pytest.mark.parametrize(
+    "command, ct",
+    [
+        pytest.param("measure", "ct.bcv", id="measure"),
+        pytest.param("evaluate", "ct.bcv", id="evaluate"),
+        pytest.param("measure", "wide_ct.bcv", id="measure-wide_ct"),
+        pytest.param("evaluate", "wide_ct.bcv", id="evaluate-wide_ct"),
+    ],
+)
+def test_peak_memory_does_not_grow_with_the_counted_slab(ct_sized, command, ct):
     peaks = {}
     for slab in (40, 240):
-        result, peaks[slab] = _ct_sized_run(files, command, slab)
+        result, peaks[slab] = _ct_sized_run(ct_sized, command, slab, ct)
         assert result == 0 if command == "evaluate" else result.region_3d == (5, 4 + slab)
     # a slab six times as deep, and the same peak: a few chunks of slices
     assert peaks[240] - peaks[40] <= 2 * _MiB
     assert peaks[240] <= 8 * SCAN_CHUNK_BYTES
-
-
-@pytest.mark.parametrize("command", ["measure", "evaluate"])
-def test_fallback_peak_memory_is_the_gathered_voxels(ct_sized, monkeypatch, command):
-    files, muscle_per_slice = ct_sized
-    gathers, gather = [], measures._gather
-
-    def counted(*args):
-        gathers.append(args[2])
-        return gather(*args)
-
-    monkeypatch.setattr(measures, "_gather", counted)
-    _, peak = _ct_sized_run(files, command, 240, ct="fallback_ct.bcv")
-    assert slice(5, 245) in gathers  # the T12-L4 density took the second pass
-    gathered = 240 * muscle_per_slice  # of the T12-L4 range, the larger region
-    # each gathered voxel is held as int16 twice, in pieces and joined,
-    # then as float32 HU beside the joined int16
-    assert peak <= 6 * gathered + 8 * SCAN_CHUNK_BYTES
-    assert peak < 240 * 512 * 512 * (2 + 1)  # less than the CT and tissue slab
 
 
 def test_measure_one_peak_memory_is_the_vertebrae_and_the_slabs(tmp_path):

@@ -1,6 +1,7 @@
 import gc
 import weakref
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,16 +39,13 @@ from bodycomp import (
 )
 from bodycomp.measures import (
     MuscleHistograms,
-    Piece,
     _codes_of,
     _exact_mean_hu,
-    _mean_hu,
     code_classes,
-    gather_muscle_hu,
     tissue_class,
 )
 from bodycomp.model import select_codes
-from bodycomp.regions import measurement_regions
+from bodycomp.regions import measurement_regions, region_slice
 from conftest import VERT_MAP, make_ct, make_hu, make_tissue, random_tissue_codes
 
 
@@ -429,6 +427,52 @@ def _bits(density):
     return density.hex() if isinstance(density, float) else density
 
 
+def _kind(outcome):
+    """A density's bits, or the type of the error it raised."""
+    return outcome.hex() if isinstance(outcome, float) else outcome[0]
+
+
+def _gathered_hu(ct, mask, region, policy):
+    """Float32 HU of the post-policy muscle voxels of ``mask`` in ``region``, in slice order."""
+    muscle = _codes_of(code_classes(mask, policy), tissue_class("skeletal_muscle"))
+    sl = region_slice(region, mask.nz)
+    return ct.hu_of(ct.values[sl][select_codes(mask.codes[sl], muscle)])
+
+
+def _fraction_mean(hu):
+    """The mean of the float32 values ``hu`` in exact fractions, rounded once to a
+    float; where a density raises, a tuple led by the error's type, as ``_outcome`` gives."""
+    if hu.size == 0:
+        return (EmptyRegionError,)
+    if not np.isfinite(hu).all():
+        return (NonFiniteHUError,)
+    values, counts = np.unique(hu, return_counts=True)
+    total = sum((Fraction(v) * c for v, c in zip(values.tolist(), counts.tolist())), Fraction(0))
+    return float(total / hu.size)
+
+
+def _float64_sum_is_exact(hu):
+    """Whether every float64 partial sum of ``hu``, in any order, is exact.
+
+    With 2^e the largest power of two dividing every nonzero value, it is
+    when the sum of |value| is below 2^(53 + e); a sum of 0 is left out,
+    as its sign is the summation's to choose. Where this holds, numpy's
+    float64 mean is the exact mean rounded once.
+    """
+    values, counts = np.unique(hu[hu != 0], return_counts=True)
+    if values.size == 0:
+        return False
+    table = [(Fraction(v), c) for v, c in zip(values.tolist(), counts.tolist())]
+
+    def two_adic(x):  # the exponent of the largest power of two dividing x
+        return ((x.numerator & -x.numerator).bit_length()
+                - (x.denominator & -x.denominator).bit_length())
+
+    e = min(two_adic(v) for v, _ in table)
+    total = sum(v * c for v, c in table)
+    return total != 0 and sum(abs(v) * c for v, c in table) < Fraction(2) ** (53 + e)
+
+
 @settings(max_examples=300, deadline=None)
 @given(subject_inputs(), st.sampled_from([None, 1.0, 0.7]))
 def test_measure_subject_on_the_counted_slab_is_that_on_the_volume(inputs, slope):
@@ -442,17 +486,14 @@ def test_measure_subject_on_the_counted_slab_is_that_on_the_volume(inputs, slope
     got = _outcome(measure_subject, _slab(ct, slab), _slab(tissue, slab), picked, subject, policy)
     want = _outcome(measure_subject, ct, tissue, vertebrae, subject, policy)
     assert got == want
-    # every density is the one gather: measure_subject's, muscle_density's,
+    # every density is the exact mean: measure_subject's, muscle_density's,
     # and each side of evaluate_case's, on the volume or on the counted slab
     pred = replace(tissue, codes=np.roll(tissue.codes, 1, axis=2))
     case = evaluate_case(tissue, pred, _slab(ct, slab), picked, policy)
     for name, key in (("muscle_density_2d", "l3"), ("muscle_density_3d", "t12_l4")):
         region = picked.found[key]
         densities = [_outcome(muscle_density, ct, mask, region, policy) for mask in (tissue, pred)]
-        for ct_in, mask_in in ((ct, tissue), (_slab(ct, slab), tissue),
-                               (_slab(ct, slab), _slab(tissue, slab))):
-            hu_in = gather_muscle_hu(ct_in, mask_in, region, policy, picked)
-            assert _bits(_outcome(_mean_hu, hu_in)) == _bits(densities[0])
+        assert _kind(densities[0]) == _kind(_fraction_mean(_gathered_hu(ct, tissue, region, policy)))
         if isinstance(want, BodyCompResult):
             assert _bits(getattr(want, name)) == _bits(densities[0])
         truth, predicted = densities
@@ -515,16 +556,15 @@ def _raw_values(rng, n, spread):
     return np.clip(np.rint(values), -32768, 32767).astype(np.int16)
 
 
-def _histogram_density(ct, mask, policy):
-    """The histogram mean of a whole-volume region, or None, and the density taken with the fallback."""
+def _histogram_density(ct, mask, policy, reverse=False):
+    """The density of a whole-volume region from ``MuscleHistograms``, a piece per plane."""
     muscle = _codes_of(code_classes(mask, policy), tissue_class("skeletal_muscle"))
-    histograms = MuscleHistograms({"all": slice(0, mask.nz)}, muscle)
-    for z, plane in enumerate(mask.codes):  # a piece per plane: each widens the span
-        histograms.add(z, ct, z, select_codes(plane, muscle))
+    histograms = MuscleHistograms({"all": slice(0, mask.nz)})
+    planes = range(mask.nz)
+    for z in reversed(planes) if reverse else planes:  # each piece widens the span
+        histograms.add(z, ct, z, select_codes(mask.codes[z], muscle))
         histograms.bin()
-    pieces = lambda: [Piece(0, (mask.codes,), ct)]  # noqa: E731
-    exact = _outcome(_exact_mean_hu, *histograms.counts["all"][::-1], *histograms.rescale)
-    return exact, _outcome(histograms.density, "all", pieces)
+    return _outcome(histograms.density, "all")
 
 
 @settings(max_examples=150, deadline=None)
@@ -535,45 +575,64 @@ def _histogram_density(ct, mask, policy):
     intercept=st.sampled_from(_INTERCEPTS),
     spread=st.sampled_from(["peak", "range", "ends"]),
     policy=st.sampled_from(list(MergePolicy)),
+    hu=st.booleans(),
+    reverse=st.booleans(),
 )
-# a rescale whose histogram cannot give the mean exactly: it takes the fallback
-@example(seed=3, n=400_000, slope=0.7, intercept=0.0, spread="ends", policy=MergePolicy.MUSCLE)
+# a rescale whose exact sum needs more than 53 bits
+@example(seed=3, n=400_000, slope=0.7, intercept=0.0, spread="ends", policy=MergePolicy.MUSCLE,
+         hu=False, reverse=False)
 # a rescale whose HU overflows float32 to inf
-@example(seed=5, n=1_000, slope=1e36, intercept=-1024.0, spread="peak", policy=MergePolicy.MUSCLE)
-def test_histogram_mean_is_the_gathered_mean_or_the_fallback(seed, n, slope, intercept, spread, policy):
+@example(seed=5, n=1_000, slope=1e36, intercept=-1024.0, spread="peak", policy=MergePolicy.MUSCLE,
+         hu=False, reverse=False)
+# the same values in an HU CT, its planes taken last to first
+@example(seed=3, n=400_000, slope=0.7, intercept=0.0, spread="ends", policy=MergePolicy.MUSCLE,
+         hu=True, reverse=True)
+def test_histogram_mean_is_the_exact_mean(seed, n, slope, intercept, spread, policy, hu, reverse):
     rng = np.random.default_rng(seed)
     planes = int(rng.integers(1, 5))
     width = max(1, n // planes)
     raw = _raw_values(rng, planes * width, spread).reshape(planes, 1, width)
     codes = rng.choice([0, 1, 2, 4], size=raw.shape, p=[0.2, 0.5, 0.1, 0.2]).astype(np.uint8)
     ct, mask = make_ct(raw, slope=slope, intercept=intercept), make_tissue(codes)
-    want = _outcome(_mean_hu, gather_muscle_hu(ct, mask, AllSlices(), policy))
-    exact, density = _histogram_density(ct, mask, policy)
-    # bit-identical, or the fallback, never another value
-    assert exact is None or _bits(exact) == _bits(want)
-    assert _bits(density) == _bits(want)
+    if hu:
+        ct = to_hu(ct)
+    gathered = _gathered_hu(ct, mask, AllSlices(), policy)
+    density = _histogram_density(ct, mask, policy, reverse)
+    assert _kind(density) == _kind(_fraction_mean(gathered))
+    # where numpy's float64 mean is exact, the two are the same bits
+    if isinstance(density, float) and _float64_sum_is_exact(gathered):
+        assert _bits(density) == float(gathered.mean(dtype=np.float64)).hex()
 
 
-def test_a_histogram_that_is_not_exact_takes_the_fallback():
+def test_a_sum_past_53_bits_is_exact():
     # raw 1 gives HU 0.7 in float32, a multiple of 2^-24 only; next to HU
     # near 22937 the 400k voxels sum past 2^(53-24)
     raw = np.full((1, 1, 400_000), 32767, dtype=np.int16)
     raw[0, 0, ::2] = 1
     ct, mask = make_ct(raw, slope=0.7, intercept=0.0), make_tissue(np.ones(raw.shape))
-    exact, density = _histogram_density(ct, mask, MergePolicy.MUSCLE)
-    assert exact is None
-    assert _bits(density) == _bits(_mean_hu(gather_muscle_hu(ct, mask, AllSlices(), MergePolicy.MUSCLE)))
-    # with half as many voxels the same values are exact
-    half = make_ct(raw[:, :, :1000], slope=0.7, intercept=0.0)
-    exact, density = _histogram_density(half, make_tissue(np.ones((1, 1, 1000))), MergePolicy.MUSCLE)
-    assert exact is not None and _bits(exact) == _bits(density)
+    gathered = _gathered_hu(ct, mask, AllSlices(), MergePolicy.MUSCLE)
+    assert not _float64_sum_is_exact(gathered)
+    density = muscle_density(ct, mask, AllSlices())
+    assert _bits(density) == _bits(_fraction_mean(gathered))
+    assert _bits(_histogram_density(ct, mask, MergePolicy.MUSCLE)) == _bits(density)
+
+
+def test_a_sum_past_int64_is_exact():
+    # 2^40 voxels at each value: no int64 holds count * (HU / 2^-24)
+    hu = np.array([0.7, -1024.0, 22937.0, 3.0e-5], dtype=np.float32)
+    counts = np.full(hu.size, 1 << 40, dtype=np.int64)
+    total = sum(Fraction(v) * c for v, c in zip(hu.tolist(), counts.tolist()))
+    assert _bits(_exact_mean_hu(hu, counts)) == _bits(float(total / int(counts.sum())))
+    counts[1] = 1
+    total = sum(Fraction(v) * c for v, c in zip(hu.tolist(), counts.tolist()))
+    assert _bits(_exact_mean_hu(hu, counts)) == _bits(float(total / int(counts.sum())))
 
 
 @pytest.mark.parametrize("intercept", [-0.0, 0.0])
-def test_a_zero_exact_sum_takes_the_fallback(intercept):
-    # at slope 0 every HU is +0.0 or -0.0: the sign of the mean is numpy's to choose
+def test_a_mean_of_zeros_is_positive_zero(intercept):
+    # at slope 0 every HU is +0.0 or -0.0
     ct = make_ct([[[-5, -7, 3]]], slope=0.0, intercept=intercept)
     mask = make_tissue([[[1, 1, 0]]])
-    exact, density = _histogram_density(ct, mask, MergePolicy.MUSCLE)
-    assert exact is None
-    assert _bits(density) == _bits(muscle_density(ct, mask, AllSlices()))
+    assert _bits(muscle_density(ct, mask, AllSlices())) == _bits(0.0)
+    assert _bits(muscle_density(to_hu(ct), mask, AllSlices())) == _bits(0.0)
+    assert _bits(_histogram_density(ct, mask, MergePolicy.MUSCLE)) == _bits(0.0)
