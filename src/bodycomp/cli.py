@@ -13,32 +13,34 @@ Exit codes: 0 success, 1 partial failure (some inputs failed), 2 invalid
 invocation. Outputs are deterministic: rows are ordered by subject_id,
 floats are printed with 6 significant digits, and ``--jobs`` never
 changes any output byte. ``BODYCOMP_JOBS`` sets the default worker count.
+
+Start-up: no command makes a BLAS call, so before numpy loads, this
+module sets ``OPENBLAS_NUM_THREADS`` to 1 unless the caller has set it,
+and OpenBLAS starts no worker threads. At the top it imports only
+``errors``, ``io`` and ``model``; each ``cmd_*`` imports the modules
+that it runs when it is called.
 """
 
 from __future__ import annotations
 
+import os
+
+# before numpy loads: no command makes a BLAS call, so OpenBLAS needs no worker threads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import fields
 from enum import Enum
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cohort import GROUP_BY_CHOICES, CorrelationEntry, correlation_matrix, group_stats
 from .errors import BodycompError
-from .evaluation import (
-    EvalReport,
-    EvalRow,
-    _normalize_regions,
-    aggregate_cases,
-    evaluate_pieces,
-)
 from .io import (
     VolumeHeader,
     chunk_slices,
@@ -50,8 +52,8 @@ from .io import (
     read_slabs,
     write_slabs,
 )
-from .measures import Piece, measure_pieces
 from .model import (
+    GROUP_BY_CHOICES,
     BodyCompResult,
     Geometry,
     MergePolicy,
@@ -60,8 +62,9 @@ from .model import (
     require_same_geometry,
     vertebra_label,
 )
-from .postprocess import dilate_sat_to_skin, muscular_fat_candidates
-from .regions import VertebraRegions, _largest_slice, regions_from_counts
+
+if TYPE_CHECKING:
+    from .regions import VertebraRegions
 
 _POLICIES = {p.value: p for p in MergePolicy}
 
@@ -106,6 +109,8 @@ def _read_counts(path) -> tuple[VolumeHeader, np.ndarray]:
 
 def _read_regions(path) -> VertebraRegions:
     """The regions of a vertebra file, from one chunked scan."""
+    from .regions import regions_from_counts
+
     head, counts = _read_counts(path)
     return regions_from_counts(counts, head.label_map, head.geometry)
 
@@ -141,7 +146,6 @@ def _csv_row(obj) -> list[str]:
 
 
 RESULTS_CSV_COLUMNS = _csv_columns(BodyCompResult)
-EVAL_CSV_COLUMNS = _csv_columns(EvalRow)
 
 
 def _load_manifest(path) -> list[dict]:
@@ -204,6 +208,8 @@ def _pieces(masks: list, ct, geometry: Geometry, slab: slice):
     (``read_in_step``), the CT's chunk first; with ``ct`` None no CT is
     read.
     """
+    from .measures import Piece
+
     paths = [ct, *masks] if ct is not None else list(masks)
     for lo, read in read_in_step(paths, geometry, slab):
         ct_piece = read.pop(0) if ct is not None else None
@@ -213,6 +219,8 @@ def _pieces(masks: list, ct, geometry: Geometry, slab: slice):
 
 def _measure_one(entry: dict, subject_id: str, policy: MergePolicy, cohort: dict):
     """Measure one subject, reading of its CT only the counted slab, a chunk at a time."""
+    from .measures import measure_pieces
+
     # the regions come first: the vertebra mask is scanned, never held
     picked = _read_regions(entry["vertebrae"])
     _read_header(entry["ct"], True, picked.geometry)
@@ -225,6 +233,11 @@ def _measure_one(entry: dict, subject_id: str, policy: MergePolicy, cohort: dict
 
 
 def cmd_measure(args) -> int:
+    from concurrent.futures import ThreadPoolExecutor
+
+    # loaded before the workers start, so that no worker waits on another's import
+    from . import measures, regions
+
     policy = _POLICIES[args.policy]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -295,6 +308,8 @@ def cmd_measure(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from .evaluation import EvalRow, _normalize_regions, aggregate_cases, evaluate_pieces
+
     policy = _POLICIES[args.policy]
     regions = args.regions.split(",") if args.regions else None
     if regions is not None:
@@ -326,14 +341,16 @@ def cmd_evaluate(args) -> int:
     case = evaluate_pieces(gt, pred, pieces, picked, policy, regions, with_ct)
     for metric, reason in case.blank_reasons.items():
         print(f"evaluate: {metric} error left blank: {reason}", file=sys.stderr)
-    report: EvalReport = aggregate_cases([case])
+    report = aggregate_cases([case])
 
     (out_dir / "eval.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    _write_csv(out_dir / "eval.csv", EVAL_CSV_COLUMNS, map(_csv_row, report.rows))
+    _write_csv(out_dir / "eval.csv", _csv_columns(EvalRow), map(_csv_row, report.rows))
     return 0
 
 
 def cmd_select_slice(args) -> int:
+    from .regions import _largest_slice
+
     # one chunked scan: the index and its area come from one count table
     head, counts = _read_counts(args.vertebrae)
     name = vertebra_label(args.level)
@@ -344,6 +361,8 @@ def cmd_select_slice(args) -> int:
 
 
 def cmd_postprocess(args) -> int:
+    from .postprocess import dilate_sat_to_skin, muscular_fat_candidates
+
     # both kernels work slice by slice: they run on a chunk of slices at a
     # time, and the output is written as it comes; the geometry check of
     # each kernel, in its operand order, comes before any payload is read
@@ -362,6 +381,8 @@ def cmd_postprocess(args) -> int:
 
 
 def cmd_cohort(args) -> int:
+    from .cohort import CorrelationEntry, correlation_matrix, group_stats
+
     group_bys = [g.strip() for g in args.group_by.split(",") if g.strip()]
     bad = [g for g in group_bys if g not in GROUP_BY_CHOICES]
     if bad or not group_bys:

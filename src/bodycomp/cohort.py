@@ -16,9 +16,7 @@ import numpy as np
 
 from .errors import BodycompError, ConstantInputError
 from .evaluation import pearson_r, power_of_two_scaled
-from .model import METRIC_FIELDS, BodyCompResult, SubjectRecord
-
-GROUP_BY_CHOICES = ("age_bin", "sex", "race")
+from .model import GROUP_BY_CHOICES, METRIC_FIELDS, BodyCompResult, SubjectRecord
 
 
 @dataclass(frozen=True)

@@ -359,6 +359,10 @@ class SubjectRecord:
             raise ValueError(f"height_m must be > 0 when present, got {self.height_m}")
 
 
+# the demographic groupings of a cohort report: an age bin or a record field
+GROUP_BY_CHOICES = ("age_bin", "sex", "race")
+
+
 @dataclass(frozen=True)
 class BodyCompResult:
     """The four body-composition metrics in 2D (L3) and 3D (T12-L4) form.

@@ -10,6 +10,7 @@ constant HU value, making voxel-count ground truth exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,26 @@ TISSUE_HU = {
 }
 
 VERTEBRA_CODES = {1: vertebra_label("T12"), 2: vertebra_label("L3"), 3: vertebra_label("L4")}
+
+
+def _raw_counts(slope: float, intercept: float) -> dict[str, int]:
+    """The raw int16 count of each ``TISSUE_HU`` value under the rescale.
+
+    Tissues are rounded from float32 HU, as a float32 slice would be, and
+    bone from float64. ValueError, naming the slope and the intercept, for
+    a zero or non-finite slope, a non-finite intercept or a count that
+    int16 cannot hold.
+    """
+    rescale = f"rescale slope {slope!r}, intercept {intercept!r}"
+    if not (math.isfinite(slope) and math.isfinite(intercept)) or slope == 0:
+        raise ValueError(f"{rescale}: need a finite nonzero slope and a finite intercept")
+    with np.errstate(over="ignore"):
+        raw = {name: np.round((np.float32(hu) - intercept) / slope) for name, hu in TISSUE_HU.items()}
+        raw["bone"] = np.round((TISSUE_HU["bone"] - intercept) / slope)
+    outside = [name for name, value in raw.items() if not -(1 << 15) <= value < 1 << 15]
+    if outside:
+        raise ValueError(f"{rescale}: the raw value of {', '.join(outside)} is outside int16")
+    return {name: int(value) for name, value in raw.items()}
 
 
 @dataclass(frozen=True)
@@ -74,6 +95,7 @@ def build_phantom(
     for z in (t12, l3, l4):
         if not 0 <= z < nz:
             raise ValueError(f"vertebra slice {z} outside [0, {nz})")
+    counts = _raw_counts(rescale_slope, rescale_intercept)
 
     yy, xx = np.mgrid[0:ny, 0:nx]
     cx, cy = (nx - 1) / 2.0, (ny - 1) / 2.0
@@ -85,11 +107,13 @@ def build_phantom(
     muscle_ring = (r <= scale * 0.70) & (r > scale * 0.50)
     vat_disk = r <= scale * 0.30
 
-    hu_slice = np.full((ny, nx), TISSUE_HU["air"], dtype=np.float32)
-    hu_slice[body] = TISSUE_HU["body"]
-    hu_slice[sat_ring] = TISSUE_HU["sat"]
-    hu_slice[muscle_ring] = TISSUE_HU["skeletal_muscle"]
-    hu_slice[vat_disk] = TISSUE_HU["vat"]
+    # HU encoded through the rescale parameters, per slice: the 3-D volume
+    # is a stack of copies
+    raw_slice = np.full((ny, nx), counts["air"], dtype=np.int16)
+    raw_slice[body] = counts["body"]
+    raw_slice[sat_ring] = counts["sat"]
+    raw_slice[muscle_ring] = counts["skeletal_muscle"]
+    raw_slice[vat_disk] = counts["vat"]
 
     labels_slice = np.zeros((ny, nx), dtype=np.uint8)
     labels_slice[sat_ring] = 2
@@ -104,12 +128,8 @@ def build_phantom(
     mf[row + 1, inner : inner + 2] = True
     mf &= muscle_ring
     labels_slice[mf] = 4
-    hu_slice[mf] = TISSUE_HU["muscular_fat"]
+    raw_slice[mf] = counts["muscular_fat"]
 
-    # encode HU through the rescale parameters per slice, then stack; a
-    # 3-D float volume would be wasteful at CT-sized grids
-    raw_slice = np.round((hu_slice - rescale_intercept) / rescale_slope).astype(np.int16)
-    raw_bone = np.int16(round((TISSUE_HU["bone"] - rescale_intercept) / rescale_slope))
     raw = np.broadcast_to(raw_slice, (nz, ny, nx)).copy()
     tissue_codes = np.broadcast_to(labels_slice, (nz, ny, nx)).copy()
 
@@ -147,7 +167,7 @@ def build_phantom(
         for k in marked:
             voxels = square(k, peak, at)
             vert_codes[voxels] = code
-            raw[voxels] = raw_bone
+            raw[voxels] = counts["bone"]
             tissue_codes[voxels] = 0
 
     ct = VoxelVolume(

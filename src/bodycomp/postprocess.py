@@ -14,9 +14,10 @@ component has at least 7 pixels (more than six).
 Neither kernel converts a raw CT to HU. The raw-to-HU rescale is a
 float32 multiply and a float32 add, each rounding monotone, so the raw
 int16 values whose HU passes a threshold test form one interval. That
-interval is found once per call by applying the kernel's own test to the
-HU of all 65,536 int16 values; each slice then costs two int16
-comparisons. An HU volume is compared as stored.
+interval is found by applying the kernel's own test to the HU of all
+65,536 int16 values, once per rescale and threshold (a command runs a
+kernel once per chunk of slices, on one CT); each slice then costs two
+int16 comparisons. An HU volume is compared as stored.
 
 Components are labelled in blocks of whole slices, each holding about
 2^14 candidates at their sorted flat offsets within the block. The
@@ -31,6 +32,7 @@ smaller one and shortcutting by pointer jumping until nothing changes
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,6 +44,7 @@ from .model import (
     UnitState,
     VoxelVolume,
     require_same_geometry,
+    rescale_to_hu,
     select_codes,
 )
 
@@ -68,40 +71,51 @@ def _dilate_square(plane: np.ndarray, radius: int) -> np.ndarray:
     return grown
 
 
-def _raw_interval(ct: VoxelVolume, test) -> tuple[int, int]:
+def _above(hu: np.ndarray, threshold: float) -> np.ndarray:
+    return hu > threshold
+
+
+def _within(hu: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    return (hu >= lo) & (hu <= hi)
+
+
+@lru_cache(maxsize=16)
+def _raw_interval(slope: float, intercept: float, test, *bounds) -> tuple[int, int]:
     """The inclusive interval of raw int16 values whose HU passes ``test``.
 
-    ``test`` maps a float32 HU array to a boolean one. It is applied to
-    ``ct.hu_of`` of every int16 value; the passing values must form one
-    run, else ValueError. No value passing gives an empty interval (1, 0).
+    ``test(hu, *bounds)`` maps a float32 HU array to a boolean one. It is
+    applied to the HU (``rescale_to_hu``) of every int16 value; the passing
+    values must form one run, else ValueError. No value passing gives an
+    empty interval (1, 0). The interval is kept for each rescale and test.
     """
     raw = np.arange(-(1 << 15), 1 << 15, dtype=np.int16)
-    passing = np.flatnonzero(test(ct.hu_of(raw)))
+    passing = np.flatnonzero(test(rescale_to_hu(raw, slope, intercept), *bounds))
     if not passing.size:
         return 1, 0
     lo, hi = int(raw[passing[0]]), int(raw[passing[-1]])
     if hi - lo + 1 != passing.size:
         raise ValueError(
             f"the raw values whose HU passes the threshold are not one interval "
-            f"(rescale slope {ct.rescale_slope}, intercept {ct.rescale_intercept})"
+            f"(rescale slope {slope}, intercept {intercept})"
         )
     return lo, hi
 
 
-def _hu_passes(ct: VoxelVolume, test):
+def _hu_passes(ct: VoxelVolume, test, *bounds):
     """``fill(k, out, scratch)``: set ``out`` to the voxels of slice ``k``
-    whose HU passes ``test``, using ``scratch`` (both boolean, slice-shaped).
+    whose HU passes ``test(hu, *bounds)``, using ``scratch`` (both
+    boolean, slice-shaped).
 
     A raw CT compares its values with ``_raw_interval``; an HU volume
-    applies ``test`` to its stored values.
+    applies the test to its stored values.
     """
     if ct.unit_state is UnitState.HU:
 
         def fill(k, out, scratch):
-            out[...] = test(ct.values[k])
+            out[...] = test(ct.values[k], *bounds)
 
         return fill
-    lo, hi = _raw_interval(ct, test)
+    lo, hi = _raw_interval(ct.rescale_slope, ct.rescale_intercept, test, *bounds)
 
     def fill(k, out, scratch):
         np.greater_equal(ct.values[k], lo, out=out)
@@ -155,7 +169,7 @@ def dilate_sat_to_skin(mask: LabelVolume, ct: VoxelVolume) -> LabelVolume:
     """
     require_same_geometry(mask, ct)
     sat_codes = mask.codes_for(SAT)
-    skin = _hu_passes(ct, lambda hu: hu > SKIN_HU_THRESHOLD)
+    skin = _hu_passes(ct, _above, SKIN_HU_THRESHOLD)
     out = mask.codes.copy()
     passes = np.empty(mask.codes.shape[1:], dtype=bool)
     scratch = np.empty_like(passes)
@@ -185,8 +199,7 @@ def muscular_fat_candidates(
     HU; a raw CT is compared in raw values.
     """
     require_same_geometry(ct, roi_mask)
-    lo, hi = hu_range
-    in_range = _hu_passes(ct, lambda hu: (hu >= lo) & (hu <= hi))
+    in_range = _hu_passes(ct, _within, *hu_range)
     nz, ny, nx = ct.values.shape
     plane = ny * nx
     out = np.zeros(ct.values.shape, dtype=np.uint8)

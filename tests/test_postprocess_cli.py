@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 import bodycomp.io as bcv_io
+import bodycomp.postprocess
 from bodycomp import (
     build_phantom,
     dilate_sat_to_skin,
     muscular_fat_candidates,
     write_volume,
 )
-from bodycomp import cli
 from bodycomp.cli import main
 
 MODES = ("sat-skin", "mf-filter")
@@ -81,13 +81,30 @@ def test_chunked_output_is_the_whole_volume_kernel_output(tmp_path, monkeypatch,
 
     calls = []
     kernel = {"sat-skin": "dilate_sat_to_skin", "mf-filter": "muscular_fat_candidates"}[mode]
-    real = getattr(cli, kernel)
-    monkeypatch.setattr(cli, kernel, lambda *a: calls.append(a) or real(*a))
+    # the command imports its kernel from bodycomp.postprocess when it runs
+    real = getattr(bodycomp.postprocess, kernel)
+    monkeypatch.setattr(bodycomp.postprocess, kernel, lambda *a: calls.append(a) or real(*a))
     monkeypatch.setattr(bcv_io, "SCAN_CHUNK_BYTES", slices * ct.values[0].nbytes)
     assert _postprocess(tmp_path, mode) == 0
     # nz 10 is no multiple of 3: the last chunk is one slice
     assert [a[0].nz for a in calls] == [slices] * (10 // slices) + [10 % slices] * (10 % slices > 0)
     assert (tmp_path / "out.bcv").read_bytes() == (tmp_path / "want.bcv").read_bytes()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_command_derives_its_raw_interval_once(tmp_path, monkeypatch, inputs, mode):
+    # ten one-slice chunks, one kernel call each, and one rescale: the HU
+    # of every int16 value is taken once
+    bodycomp.postprocess._raw_interval.cache_clear()
+    calls = []
+    real = bodycomp.postprocess.rescale_to_hu
+    monkeypatch.setattr(bodycomp.postprocess, "rescale_to_hu", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(bcv_io, "SCAN_CHUNK_BYTES", inputs[0].values[0].nbytes)
+    assert _postprocess(tmp_path, mode, out="first.bcv") == 0
+    assert len(calls) == 1 and calls[0][0].size == 1 << 16
+    assert _postprocess(tmp_path, mode, out="again.bcv") == 0
+    assert len(calls) == 1
+    assert (tmp_path / "again.bcv").read_bytes() == (tmp_path / "first.bcv").read_bytes()
 
 
 @pytest.mark.parametrize("mode", MODES)
