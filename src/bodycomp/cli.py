@@ -43,13 +43,10 @@ import numpy as np
 from .errors import BodycompError
 from .io import (
     VolumeHeader,
-    chunk_slices,
     format_number,
-    read_code_counts,
     read_cohort_csv,
     read_header,
     read_in_step,
-    read_slabs,
     write_slabs,
 )
 from .model import (
@@ -58,6 +55,7 @@ from .model import (
     Geometry,
     MergePolicy,
     SubjectRecord,
+    code_counts,
     codes_for,
     require_same_geometry,
     vertebra_label,
@@ -103,8 +101,12 @@ def _read_header(path, ct: bool, geometry: Geometry | None = None) -> VolumeHead
 
 def _read_counts(path) -> tuple[VolumeHeader, np.ndarray]:
     """A label file's header and its code counts per slice, read a chunk of slices at a time."""
-    _read_header(path, ct=False)
-    return read_code_counts(path)
+    head = _read_header(path, ct=False)
+    # no slice as a volume: every chunk comes as planes, and map holds
+    # none of them while the next is read
+    with closing(read_in_step([path], head.geometry, slice(0, 0))) as steps:
+        counts = np.concatenate(list(map(lambda step: code_counts(step[1][0]), steps)))
+    return head, counts
 
 
 def _read_regions(path) -> VertebraRegions:
@@ -149,7 +151,9 @@ RESULTS_CSV_COLUMNS = _csv_columns(BodyCompResult)
 
 
 def _load_manifest(path) -> list[dict]:
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig: a byte order mark, as Excel's "CSV UTF-8" writes, is not
+    # part of the first column's name
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         fields = reader.fieldnames or []
         needed = [c for c in ("ct", "tissue", "vertebrae") if c not in fields]
@@ -363,9 +367,10 @@ def cmd_select_slice(args) -> int:
 def cmd_postprocess(args) -> int:
     from .postprocess import dilate_sat_to_skin, muscular_fat_candidates
 
-    # both kernels work slice by slice: they run on a chunk of slices at a
-    # time, and the output is written as it comes; the geometry check of
-    # each kernel, in its operand order, comes before any payload is read
+    # both kernels work slice by slice: they run on each chunk of slices
+    # that read_in_step reads of the CT and the mask side by side, and the
+    # output is written as it comes; the geometry check of each kernel, in
+    # its operand order, comes before any payload is read
     ct_head = _read_header(args.ct, ct=True)
     mask_head = _read_header(args.mask, ct=False)
     if args.mode == "sat-skin":
@@ -374,9 +379,9 @@ def cmd_postprocess(args) -> int:
     else:
         require_same_geometry(ct_head.geometry, mask_head.geometry)
         kernel, geometry = muscular_fat_candidates, ct_head.geometry
-    step = chunk_slices(ct_head)
-    with closing(read_slabs(args.ct, step)) as cts, closing(read_slabs(args.mask, step)) as masks:
-        write_slabs(map(kernel, cts, masks), geometry, args.out)
+    # map holds no chunk while the next is read
+    with closing(read_in_step([args.ct, args.mask], geometry, slice(0, geometry.nz))) as steps:
+        write_slabs(map(lambda step: kernel(*step[1]), steps), geometry, args.out)
     return 0
 
 

@@ -26,11 +26,12 @@ representable (no float dtype in v1); convert after reading.
 Every payload read is one walk over the file (``_walk``): whole slices in
 file order, the slices asked for as volumes and, in a label file, the
 rest as planes scanned a chunk at a time, each label code checked once
-against the label map. ``read_volume`` (the whole file or one slab),
-``read_slabs`` and ``read_code_counts`` are its cases, and
-``read_in_step`` walks several files of one grid side by side, a chunk
-of slices at a time: the masks of ``measure`` and ``evaluate`` with the
-CT's counted slab.
+against the label map. ``read_header`` reads no payload.
+``read_volume`` reads the whole file or one slab, and ``read_in_step``
+walks several files of one grid side by side, a chunk of slices at a
+time: the masks of ``measure`` and ``evaluate`` with the CT's counted
+slab, the CT and mask of ``postprocess``, and a vertebra file's code
+counts.
 """
 
 from __future__ import annotations
@@ -63,15 +64,14 @@ from .model import (
     SubjectRecord,
     UnitState,
     VoxelVolume,
-    code_counts,
     require_same_geometry,
     unmapped_codes,
 )
 
 MAGIC = b"BCV1"
 
-# Payload bytes a chunked scan reads at a time (whole slices): the label
-# codes outside a slab read, and the per-slice code counts
+# Payload bytes a chunked read takes at a time (whole slices): the label
+# codes outside a slab read, and each chunk of ``read_in_step``
 SCAN_CHUNK_BYTES = 1 << 22
 
 _DTYPES = {"i16": np.dtype("<i2"), "u8": np.dtype("u1")}
@@ -400,24 +400,6 @@ def _walk(fh, head: VolumeHeader, z: slice, step: int):
         del piece  # nothing of a piece stays in this frame while the next is read
 
 
-def read_code_counts(path) -> tuple[VolumeHeader, np.ndarray]:
-    """A label file's header and the voxels of each code on each slice.
-
-    The counts are ``code_counts`` of the payload, ``[nz, 256]``, taken
-    a bounded chunk of slices at a time: the volume is never held whole.
-    Every check of ``read_volume`` runs, the label map covering every code
-    present included.
-    """
-    with open(path, "rb") as fh:
-        head = _parse_header(fh, path)
-        if head.label_map is None:
-            raise HeaderError(f"{path}: kind {head.kind!r} holds no label codes")
-        # no slice as a volume: every chunk comes as planes, and map holds
-        # none of them while the next is read
-        counts = np.concatenate(list(map(code_counts, _walk(fh, head, slice(0, 0), 1))))
-    return head, counts
-
-
 def read_in_step(paths, geometry: Geometry, z: slice):
     """The payloads of the files ``paths``, all of ``geometry``, read side by side.
 
@@ -476,24 +458,6 @@ def read_volume(path, z: slice | None = None) -> VoxelVolume | LabelVolume:
         return vol
 
 
-def read_slabs(path, step: int):
-    """The volume at ``path``, as slab volumes of ``step`` slices each, in order.
-
-    Each slab has the geometry of its slices (``Geometry.slab``; the last
-    may be shorter) and is read straight into its array; none is kept
-    once it is yielded. Every header check of ``read_volume`` runs before the first
-    slab. A label slab must map every code it holds; when one does not,
-    the rest of the file is scanned a chunk at a time, so that the
-    ``HeaderError`` names every unmapped code, as a whole read's does.
-    A ``step`` below 1 raises ValueError before the file is opened.
-    """
-    if step < 1:
-        raise ValueError(f"read_slabs step must be >= 1, got {step}")
-    with open(path, "rb") as fh:
-        head = _parse_header(fh, path)
-        yield from _walk(fh, head, slice(0, head.geometry.nz), step)
-
-
 def read_cohort_csv(path) -> list[SubjectRecord]:
     """Read demographics rows; blank height parses as absent.
 
@@ -502,7 +466,9 @@ def read_cohort_csv(path) -> list[SubjectRecord]:
     """
     records: list[SubjectRecord] = []
     seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig: a byte order mark, as Excel's "CSV UTF-8" writes, is not
+    # part of the first column's name
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         fields = reader.fieldnames or []
         missing = [c for c in COHORT_COLUMNS if c not in fields]

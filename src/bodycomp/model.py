@@ -334,9 +334,6 @@ class LabelVolume(_Volume):
         """All codes mapping to ``label_name``; raises if the name is unknown."""
         return codes_for(self.label_map, label_name)
 
-    def has_name(self, label_name: str) -> bool:
-        return label_name in self.label_map.values()
-
     def binary(self, label_name: str) -> np.ndarray:
         """Boolean mask of voxels carrying ``label_name``."""
         return select_codes(self.codes, self.codes_for(label_name))
@@ -466,11 +463,23 @@ def same_geometry(a, b) -> bool:
 
 
 def require_same_geometry(a, b) -> None:
-    if not same_geometry(a, b):
-        raise GeometryMismatchError(
-            f"geometry mismatch: dims {a.dims} spacing {a.spacing_mm} vs "
-            f"dims {b.dims} spacing {b.spacing_mm}"
-        )
+    """Raise GeometryMismatchError naming how ``a``'s grid differs from ``b``'s.
+
+    When dims and spacing agree, the message names the first slice whose
+    z position differs, or the side that has no z positions.
+    """
+    if same_geometry(a, b):
+        return
+    grid, za, zb = f"dims {a.dims} spacing {a.spacing_mm}", a.z_positions_mm, b.z_positions_mm
+    if a.dims != b.dims or a.spacing_mm != b.spacing_mm:
+        differs = f"{grid} vs dims {b.dims} spacing {b.spacing_mm}"
+    elif za is None or zb is None:
+        sides = ("no z positions" if z is None else "z positions" for z in (za, zb))
+        differs = f"{grid}; " + " vs ".join(sides)
+    else:
+        k = next(k for k, (p, q) in enumerate(zip(za, zb)) if p != q)
+        differs = f"{grid}; slice {k} at z {za[k]} vs {zb[k]}"
+    raise GeometryMismatchError(f"geometry mismatch: {differs}")
 
 
 def slab_start(volume, geometry: Geometry, slab: slice) -> int:

@@ -175,6 +175,41 @@ def test_measure_batch_partial_failure(tmp_path, capsys):
     assert "a2_ct" in err and "1 of 3 inputs failed" in err
 
 
+@pytest.mark.parametrize("tissue_z", ["slice 4 moved", "none"])
+def test_measure_names_the_slice_whose_z_position_differs(tmp_path, capsys, tissue_z):
+    ph, paths = write_phantom(tmp_path, sid="p1", nx=24, ny=24, nz=10)
+    z = tuple(1.5 * k for k in range(10))
+    for name in ("ct", "vertebrae"):
+        write_volume(replace(getattr(ph, name), z_positions_mm=z), paths[name])
+    moved = (*z[:4], 6.25, *z[5:]) if tissue_z == "slice 4 moved" else None
+    write_volume(replace(ph.tissue, z_positions_mm=moved), paths["tissue"])
+    out = tmp_path / "out"
+    code = main(["measure", "--ct", str(paths["ct"]), "--tissue", str(paths["tissue"]),
+                 "--vertebrae", str(paths["vertebrae"]), "--out", str(out)])
+    assert code == 1
+    # the tissue mask is compared with the vertebra mask's grid, the CT's too
+    why = "slice 4 at z 6.25 vs 6.0" if moved else "no z positions vs z positions"
+    grid = f"dims {ph.tissue.dims} spacing {ph.tissue.spacing_mm}"
+    assert capsys.readouterr().err == (
+        f"measure: {paths['ct']}: geometry mismatch: {grid}; {why}\n"
+        "measure: 1 of 1 inputs failed\n"
+    )
+    assert read_csv(out / "results.csv") == []
+
+
+def test_a_manifest_with_a_byte_order_mark_measures_as_without(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with one
+    for sid in ("a1", "a2"):
+        write_phantom(tmp_path, sid=sid, nx=24, ny=24, nz=10)
+    text = _manifest(tmp_path, ["a1", "a2"]).read_text(encoding="utf-8")
+    (tmp_path / "marked.csv").write_text(text, encoding="utf-8-sig")
+    for manifest in ("manifest.csv", "marked.csv"):
+        argv = ["measure", "--manifest", str(tmp_path / manifest), "--out", str(tmp_path / manifest[:-4])]
+        assert main(argv) == 0
+    for name in ("results.csv", "a1.json", "a2.json"):
+        assert (tmp_path / "marked" / name).read_bytes() == (tmp_path / "manifest" / name).read_bytes()
+
+
 @pytest.mark.parametrize(
     "manifest_id, header_id",
     [("../x", None), ("a/b", None), ("", "../x")],
@@ -864,6 +899,17 @@ def test_each_input_file_is_walked_once(tmp_path, monkeypatch, ct):
                  "--out", str(out / "e")]) == 0
     assert sorted(name for name, _ in walks) == ["p1_tissue.bcv", "p2_ct.bcv", "p2_tissue.bcv",
                                                  "p2_vertebrae.bcv"]
+
+
+@pytest.mark.parametrize("mode", ["sat-skin", "mf-filter"])
+def test_postprocess_walks_each_input_once(tmp_path, monkeypatch, mode):
+    ph, paths = write_phantom(tmp_path, sid="p1", nx=32, ny=32, nz=12)
+    # 5 slices a chunk: each walk is read in three steps
+    monkeypatch.setattr(bodycomp.io, "SCAN_CHUNK_BYTES", 5 * ph.ct.values[0].nbytes)
+    reads = _recording_reads(monkeypatch)
+    assert main(["postprocess", mode, "--ct", str(paths["ct"]), "--mask", str(paths["tissue"]),
+                 "--out", str(tmp_path / "out.bcv")]) == 0
+    assert sorted(reads, key=str) == [("p1_ct.bcv", slice(0, 12)), ("p1_tissue.bcv", slice(0, 12))]
 
 
 def test_evaluate_refuses_a_missing_level_before_reading_the_masks(tmp_path, capsys, monkeypatch):

@@ -28,13 +28,12 @@ from bodycomp import (
     to_hu,
     write_volume,
 )
-from bodycomp import model
+from bodycomp import BodycompError, model
+from bodycomp.cli import _read_counts
 from bodycomp.io import (
     format_number,
-    read_code_counts,
     read_header,
     read_in_step,
-    read_slabs,
     write_slabs,
 )
 from bodycomp.model import code_counts
@@ -407,6 +406,17 @@ def test_cohort_csv_missing_column(tmp_path):
         read_cohort_csv(path)
 
 
+def test_cohort_csv_with_a_byte_order_mark_reads_as_without(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with one
+    text = "subject_id,age_years,sex,race,height_m\np1,60.1,Female,Wé,1.70\np2,55,male,,\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    assert read_cohort_csv(marked) == read_cohort_csv(plain)
+    assert [r.race for r in read_cohort_csv(marked)] == ["Wé", ""]
+
+
 @pytest.mark.parametrize("bad", ["p1,abc,Female,W,1.7", "p1,60,Female,W,tall", "p1,-2,Female,W,1.7"])
 def test_cohort_csv_bad_values(tmp_path, bad):
     path = tmp_path / "cohort.csv"
@@ -424,6 +434,15 @@ def _write_tissue_with_z(tmp_path, rng, nz=9):
     path = tmp_path / "tissue.bcv"
     write_volume(vol, path)
     return vol, path
+
+
+def _read_in_steps(path, slices):
+    """The volume at ``path`` as ``read_in_step`` reads it alone, ``slices`` slices a chunk."""
+    head = read_header(path)
+    nx, ny, nz = head.geometry.dims
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("bodycomp.io.SCAN_CHUNK_BYTES", slices * nx * ny * head.dtype.itemsize)
+        return [piece for _, (piece,) in read_in_step([path], head.geometry, slice(0, nz))]
 
 
 def _set_payload_byte(path, index, value):
@@ -452,10 +471,8 @@ def test_slab_read_is_that_slab_of_the_whole_read(tmp_path, rng, lo, hi):
 # every read of part of a file, or of it a part at a time
 PART_READS = {
     "slab": lambda path: read_volume(path, slice(3, 6)),
-    "slabs1": lambda path: list(read_slabs(path, 1)),
-    "slabs2": lambda path: list(read_slabs(path, 2)),
-    "slabs9": lambda path: list(read_slabs(path, 9)),
-    "counts": read_code_counts,
+    **{f"slabs{n}": partial(_read_in_steps, slices=n) for n in (1, 2, 9)},
+    "counts": _read_counts,
 }
 
 
@@ -511,7 +528,7 @@ def test_read_header_is_the_header_of_read_volume(tmp_path, rng):
 def test_code_counts_read_in_chunks_are_those_of_the_volume(tmp_path, rng, monkeypatch, chunk_planes):
     vol, path = _write_tissue_with_z(tmp_path, rng)
     monkeypatch.setattr("bodycomp.io.SCAN_CHUNK_BYTES", chunk_planes * 4 * 5)
-    head, counts = read_code_counts(path)
+    head, counts = _read_counts(path)
     assert head == read_header(path)
     assert np.array_equal(counts, code_counts(vol.codes))
     for z in range(vol.nz):
@@ -525,45 +542,50 @@ def test_code_counts_refuse_what_read_volume_refuses(tmp_path, rng, monkeypatch)
     with pytest.raises(HeaderError) as whole:
         read_volume(path)
     with pytest.raises(HeaderError) as counted:
-        read_code_counts(path)
+        _read_counts(path)
     assert str(counted.value) == str(whole.value)
     path.write_bytes(path.read_bytes()[:-1])
     with pytest.raises(TruncatedPayloadError):
-        read_code_counts(path)
+        _read_counts(path)
     ct_path = tmp_path / "ct.bcv"
     write_volume(make_ct(np.zeros((2, 2, 2))), ct_path)
-    with pytest.raises(HeaderError, match="holds no label codes"):
-        read_code_counts(ct_path)
+    with pytest.raises(BodycompError, match="expected a label volume, got CT"):
+        _read_counts(ct_path)
 
 
 @pytest.mark.parametrize("step", [1, 2, 4, 9])
-def test_slabs_read_and_written_are_the_volume_and_its_file(tmp_path, rng, step):
+def test_slabs_read_and_written_are_the_volume_and_its_file(tmp_path, rng, monkeypatch, step):
     tissue, tissue_path = _write_tissue_with_z(tmp_path, rng)
     ct = make_ct(rng.integers(-1024, 3000, size=(9, 4, 5)), slope=0.7, z=tissue.z_positions_mm)
     ct_path = tmp_path / "ct.bcv"
     write_volume(ct, ct_path)
-    for vol, path in ((tissue, tissue_path), (ct, ct_path)):
-        slabs = list(read_slabs(path, step))
-        starts = range(0, 9, step)
-        assert [s.nz for s in slabs] == [min(step, 9 - lo) for lo in starts]
-        for lo, slab in zip(starts, slabs):
+    # a chunk holds step slices of the CT and 2 * step of the mask: side
+    # by side, as postprocess reads them, the CT's step is taken
+    monkeypatch.setattr("bodycomp.io.SCAN_CHUNK_BYTES", step * ct.values[0].nbytes)
+    steps = list(read_in_step([ct_path, tissue_path], ct.geometry, slice(0, 9)))
+    assert [lo for lo, _ in steps] == list(range(0, 9, step))
+    for k, (vol, path) in enumerate(((ct, ct_path), (tissue, tissue_path))):
+        slabs = [pieces[k] for _, pieces in steps]
+        assert [s.nz for s in slabs] == [min(step, 9 - lo) for lo, _ in steps]
+        for (lo, _), slab in zip(steps, slabs):
             assert volumes_equal(slab, read_volume(path, slice(lo, lo + slab.nz)))
         out = tmp_path / "out.bcv"
         write_slabs(iter(slabs), vol.geometry, out)
         assert out.read_bytes() == path.read_bytes()
 
 
-def test_slab_reads_name_every_unmapped_code_from_the_first_bad_slab_on(tmp_path, rng):
-    _, path = _write_tissue_with_z(tmp_path, rng)
+def test_slab_reads_name_every_unmapped_code_from_the_first_bad_slab_on(tmp_path, rng, monkeypatch):
+    vol, path = _write_tissue_with_z(tmp_path, rng)
     plane = 4 * 5
     _set_payload_byte(path, 3 * plane, 200)
     _set_payload_byte(path, 9 * plane - 1, 77)
     with pytest.raises(HeaderError) as whole:
         read_volume(path)
-    slabs = read_slabs(path, 2)
-    assert next(slabs).nz == 2
+    monkeypatch.setattr("bodycomp.io.SCAN_CHUNK_BYTES", 2 * plane)
+    steps = read_in_step([path], vol.geometry, slice(0, vol.nz))
+    assert next(steps)[1][0].nz == 2
     with pytest.raises(HeaderError) as slab:
-        next(slabs)
+        next(steps)
     assert str(slab.value) == str(whole.value)
     assert "codes [77, 200] present" in str(slab.value)
 
@@ -586,8 +608,8 @@ def test_every_label_voxel_is_checked_once_per_read(tmp_path, rng, monkeypatch):
     reads = {
         "whole": partial(read_volume, path),
         **{f"slab {z}": partial(read_volume, path, z) for z in (slice(0, 3), slice(3, 6), slice(8, 9))},
-        **{f"slabs {n}": lambda n=n: list(read_slabs(path, n)) for n in (1, 3, vol.nz)},
-        "counts": partial(read_code_counts, path),
+        **{f"slabs {n}": partial(_read_in_steps, path, n) for n in (1, 3, vol.nz)},
+        "counts": partial(_read_counts, path),
         **{f"in step {z}": lambda z=z: list(read_in_step([tmp_path / "ct.bcv", path], vol.geometry, z))
            for z in (slice(0, 0), slice(3, 6), slice(8, 9))},
     }
@@ -602,7 +624,7 @@ def test_every_label_voxel_is_checked_once_per_read(tmp_path, rng, monkeypatch):
         assert sorted(slices) == list(range(vol.nz)), name
     checked.clear()
     read_volume(tmp_path / "ct.bcv", slice(3, 6))
-    list(read_slabs(tmp_path / "ct.bcv", 2))
+    _read_in_steps(tmp_path / "ct.bcv", 2)
     assert checked == []
 
 
@@ -627,16 +649,9 @@ def test_read_in_step_gives_each_file_a_chunk_at_a_time(tmp_path, rng, monkeypat
         next(read_in_step([path], replace(vol, z_positions_mm=None).geometry, z))
 
 
-@pytest.mark.parametrize("step", [0, -1, -3])
-def test_read_slabs_refuses_a_step_below_one_before_opening_the_file(tmp_path, step):
-    # the file does not exist: opening it would raise FileNotFoundError
-    with pytest.raises(ValueError, match=rf"^read_slabs step must be >= 1, got {step}$"):
-        next(read_slabs(tmp_path / "missing.bcv", step))
-
-
 def test_slabs_that_do_not_make_the_volume_leave_the_file_as_it_was(tmp_path, rng):
     vol, path = _write_tissue_with_z(tmp_path, rng)
-    a, b, c = read_slabs(path, 3)
+    a, b, c = _read_in_steps(path, 3)
 
     def interrupted():
         yield a

@@ -3,6 +3,7 @@ import pytest
 
 from bodycomp import (
     BodyCompResult,
+    GeometryMismatchError,
     LabelVolume,
     MergePolicy,
     SubjectRecord,
@@ -13,6 +14,7 @@ from bodycomp import (
     apply_merge_policy,
     to_hu,
 )
+from bodycomp.model import Geometry, require_same_geometry
 from conftest import make_ct, make_tissue, random_tissue_codes
 
 
@@ -192,3 +194,29 @@ def test_bodycomp_result_invariants():
         BodyCompResult(**{**ok, "muscle_area_2d": -1.0})
     with pytest.raises(ValueError):
         BodyCompResult(**{**ok, "vat_sat_ratio_2d": -0.1})
+
+
+_GRID = "dims (4, 4, 3) spacing (1.0, 1.0, 1.0)"
+
+
+@pytest.mark.parametrize(
+    "a, b, why",
+    [
+        ((0.0, 1.0, 2.0), (0.0, 1.0, 2.5), "slice 2 at z 2.0 vs 2.5"),
+        ((0.0, 1.0, 2.0), (0.5, 1.5, 2.5), "slice 0 at z 0.0 vs 0.5"),
+        ((0.0, 1.0, 2.0), None, "z positions vs no z positions"),
+        (None, (0.0, 1.0, 2.0), "no z positions vs z positions"),
+    ],
+)
+def test_a_z_only_mismatch_names_where_the_z_positions_differ(a, b, why):
+    # dims and spacing agree, so printing them twice would not say what differs
+    with pytest.raises(GeometryMismatchError) as caught:
+        require_same_geometry(Geometry((4, 4, 3), (1, 1, 1), a), Geometry((4, 4, 3), (1, 1, 1), b))
+    assert str(caught.value) == f"geometry mismatch: {_GRID}; {why}"
+
+
+def test_a_dims_or_spacing_mismatch_names_both_grids():
+    with pytest.raises(GeometryMismatchError) as caught:
+        require_same_geometry(Geometry((4, 4, 3), (1, 1, 1), (0.0, 1.0, 2.0)), Geometry((4, 4, 3), (1, 1, 2)))
+    assert str(caught.value) == f"geometry mismatch: {_GRID} vs dims (4, 4, 3) spacing (1.0, 1.0, 2.0)"
+    require_same_geometry(Geometry((4, 4, 3), (1, 1, 1), (0, 1, 2)), Geometry((4, 4, 3), (1.0, 1, 1), (0.0, 1.0, 2.0)))

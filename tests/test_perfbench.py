@@ -25,7 +25,7 @@ def _argv(command, tmp_path):
 # runs is still wrapped, so the per-layer metrics do not silently read 0
 @pytest.mark.parametrize(
     "command, stage",
-    [("select-slice", "io.read_code_counts"), ("postprocess", "postprocess.dilate_sat_to_skin")],
+    [("select-slice", "io.read_in_step"), ("postprocess", "postprocess.dilate_sat_to_skin")],
     ids=["select-slice", "postprocess"],
 )
 def test_the_tracer_runs_a_command_and_writes_its_spans(tmp_path, command, stage):
