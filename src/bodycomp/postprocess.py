@@ -11,13 +11,16 @@ Gil & Werman 1993), so the dilation is an OR of shifted views: by ±1 and
 with HU in [-220, -50], kept only when their 8-connected in-plane
 component has at least 7 pixels (more than six).
 
-Neither kernel converts a raw CT to HU. The raw-to-HU rescale is a
-float32 multiply and a float32 add, each rounding monotone, so the raw
-int16 values whose HU passes a threshold test form one interval. That
-interval is found by applying the kernel's own test to the HU of all
-65,536 int16 values, once per rescale and threshold (a command runs a
-kernel once per chunk of slices, on one CT); each slice then costs two
-int16 comparisons. An HU volume is compared as stored.
+Every threshold is a closed HU interval ``[lo, hi]``: the skin test
+"above -800" is ``[nextafter(-800), inf]`` in float32, which every
+float32 HU passes exactly when it is above -800. Neither kernel converts
+a raw CT to HU. The raw-to-HU rescale is a float32 multiply and a
+float32 add, each rounding monotone, so the raw int16 values whose HU
+lies in an interval form one interval too, found from the HU of all
+65,536 int16 values once per rescale and threshold (a command runs a
+kernel once per chunk of slices, on one CT). An HU volume keeps the
+bounds as they are. Either way each slice costs the same two in-place
+comparisons of its stored values.
 
 Components are labelled in blocks of whole slices, each holding about
 2^14 candidates at their sorted flat offsets within the block. The
@@ -49,6 +52,8 @@ from .model import (
 )
 
 SKIN_HU_THRESHOLD = -800.0
+# "HU above -800" as a closed interval: every HU is float32
+_SKIN_HU_RANGE = (float(np.nextafter(np.float32(SKIN_HU_THRESHOLD), np.float32(np.inf))), np.inf)
 SAT_DILATION_SIZE = 5
 
 MF_HU_RANGE = (-220.0, -50.0)
@@ -71,25 +76,26 @@ def _dilate_square(plane: np.ndarray, radius: int) -> np.ndarray:
     return grown
 
 
-def _above(hu: np.ndarray, threshold: float) -> np.ndarray:
-    return hu > threshold
-
-
-def _within(hu: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    return (hu >= lo) & (hu <= hi)
+def _within(values: np.ndarray, lo, hi, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Set ``out`` to ``lo <= values <= hi``, using ``scratch`` (both boolean, of its shape)."""
+    np.greater_equal(values, lo, out=out)
+    out &= np.less_equal(values, hi, out=scratch)
 
 
 @lru_cache(maxsize=16)
-def _raw_interval(slope: float, intercept: float, test, *bounds) -> tuple[int, int]:
-    """The inclusive interval of raw int16 values whose HU passes ``test``.
+def _raw_interval(slope: float, intercept: float, lo: float, hi: float) -> tuple[int, int]:
+    """The inclusive interval of raw int16 values whose HU lies in ``[lo, hi]``.
 
-    ``test(hu, *bounds)`` maps a float32 HU array to a boolean one. It is
-    applied to the HU (``rescale_to_hu``) of every int16 value; the passing
-    values must form one run, else ValueError. No value passing gives an
-    empty interval (1, 0). The interval is kept for each rescale and test.
+    The HU (``rescale_to_hu``) of every int16 value is compared; the
+    passing values must form one run, else ValueError. No value passing
+    gives an empty interval (1, 0). The interval is kept for each rescale
+    and threshold.
     """
     raw = np.arange(-(1 << 15), 1 << 15, dtype=np.int16)
-    passing = np.flatnonzero(test(rescale_to_hu(raw, slope, intercept), *bounds))
+    hu = rescale_to_hu(raw, slope, intercept)
+    ok = hu >= lo
+    ok &= hu <= hi
+    passing = np.flatnonzero(ok)
     if not passing.size:
         return 1, 0
     lo, hi = int(raw[passing[0]]), int(raw[passing[-1]])
@@ -101,27 +107,11 @@ def _raw_interval(slope: float, intercept: float, test, *bounds) -> tuple[int, i
     return lo, hi
 
 
-def _hu_passes(ct: VoxelVolume, test, *bounds):
-    """``fill(k, out, scratch)``: set ``out`` to the voxels of slice ``k``
-    whose HU passes ``test(hu, *bounds)``, using ``scratch`` (both
-    boolean, slice-shaped).
-
-    A raw CT compares its values with ``_raw_interval``; an HU volume
-    applies the test to its stored values.
-    """
+def _stored_interval(ct: VoxelVolume, lo: float, hi: float) -> tuple:
+    """The closed interval of ``ct``'s stored values whose HU lies in ``[lo, hi]``."""
     if ct.unit_state is UnitState.HU:
-
-        def fill(k, out, scratch):
-            out[...] = test(ct.values[k], *bounds)
-
-        return fill
-    lo, hi = _raw_interval(ct.rescale_slope, ct.rescale_intercept, test, *bounds)
-
-    def fill(k, out, scratch):
-        np.greater_equal(ct.values[k], lo, out=out)
-        out &= np.less_equal(ct.values[k], hi, out=scratch)
-
-    return fill
+        return lo, hi
+    return _raw_interval(ct.rescale_slope, ct.rescale_intercept, lo, hi)
 
 
 def _kept(offsets: np.ndarray, ny: int, nx: int, min_pixels: int) -> np.ndarray:
@@ -169,7 +159,7 @@ def dilate_sat_to_skin(mask: LabelVolume, ct: VoxelVolume) -> LabelVolume:
     """
     require_same_geometry(mask, ct)
     sat_codes = mask.codes_for(SAT)
-    skin = _hu_passes(ct, _above, SKIN_HU_THRESHOLD)
+    skin = _stored_interval(ct, *_SKIN_HU_RANGE)
     out = mask.codes.copy()
     passes = np.empty(mask.codes.shape[1:], dtype=bool)
     scratch = np.empty_like(passes)
@@ -179,7 +169,7 @@ def dilate_sat_to_skin(mask: LabelVolume, ct: VoxelVolume) -> LabelVolume:
             continue
         add = _dilate_square(sat, SAT_DILATION_SIZE // 2)
         add &= np.equal(mask.codes[k], 0, out=scratch)
-        skin(k, passes, scratch)
+        _within(ct.values[k], *skin, passes, scratch)
         add &= passes
         np.copyto(out[k], sat_codes[0], where=add)
     return replace(mask, codes=out)
@@ -199,7 +189,7 @@ def muscular_fat_candidates(
     HU; a raw CT is compared in raw values.
     """
     require_same_geometry(ct, roi_mask)
-    in_range = _hu_passes(ct, _within, *hu_range)
+    in_range = _stored_interval(ct, *hu_range)
     nz, ny, nx = ct.values.shape
     plane = ny * nx
     out = np.zeros(ct.values.shape, dtype=np.uint8)
@@ -210,7 +200,7 @@ def muscular_fat_candidates(
     scratch = np.empty_like(candidates)
     start, pieces, count = 0, [], 0
     for k in range(nz):
-        in_range(k, candidates, scratch)
+        _within(ct.values[k], *in_range, candidates, scratch)
         candidates &= np.not_equal(roi_mask.codes[k], 0, out=scratch)
         flat = np.flatnonzero(candidates)
         if flat.size:
