@@ -342,7 +342,7 @@ def cmd_evaluate(args) -> int:
     slab = picked.counted_slab() if with_ct else slice(0, 0)
     pieces = _pieces([args.gt, args.pred], args.ct if with_ct else None, geometry, slab)
 
-    case = evaluate_pieces(gt, pred, pieces, picked, policy, regions, with_ct)
+    case = evaluate_pieces(gt, pred, pieces, picked, policy, regions)
     for metric, reason in case.blank_reasons.items():
         print(f"evaluate: {metric} error left blank: {reason}", file=sys.stderr)
     report = aggregate_cases([case])

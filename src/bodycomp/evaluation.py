@@ -428,7 +428,7 @@ def evaluate_case(
         for lo, hi in zip(edges, edges[1:])
         if lo < hi
     ]
-    return evaluate_pieces(gt, pred, pieces, picked, policy, regions, with_ct)
+    return evaluate_pieces(gt, pred, pieces, picked, policy, regions)
 
 
 def evaluate_pieces(
@@ -438,15 +438,15 @@ def evaluate_pieces(
     picked: VertebraRegions | None = None,
     policy: MergePolicy = MergePolicy.MUSCLE,
     regions: Iterable[str] | None = None,
-    with_ct: bool = False,
 ) -> CaseEvaluation:
     """``evaluate_case`` from one pass over the two masks, a piece at a time.
 
     ``gt`` and ``pred`` are the masks or their `.bcv` headers: their
     label maps, geometry and subject ids are read. ``pieces`` gives
-    every slice of both (``Piece``), in slice order, and is read once;
-    ``with_ct`` says that the pieces of the counted slab of ``picked``
-    hold the CT, so that the muscle densities are compared. A requested
+    every slice of both (``Piece``), in slice order, and is read once.
+    With every vertebra level of ``picked`` found, the muscle densities
+    are compared when a piece holds the CT: the pieces of the counted
+    slab hold it, or none does. A requested
     region whose vertebra level is missing is refused before any piece
     is read. Each plane's overlaps are counted, and each mask's muscle
     voxels binned, with one selection.
@@ -472,11 +472,14 @@ def evaluate_pieces(
         c = tissue_class(label)
         label_policy = MergePolicy.SEPARATE if label == MUSCULAR_FAT else policy
         selections.append((c, *(_codes_of(code_classes(m, label_policy), c) for m in (gt, pred))))
-    muscle = [muscle_histograms(picked), muscle_histograms(picked)] if with_ct else []
+    found_all = picked is not None and not missing
+    muscle = [muscle_histograms(picked), muscle_histograms(picked)] if found_all else []
     geometry = gt.geometry
     table = np.zeros((geometry.nz, N_CLASSES, 3), dtype=np.int64)
+    with_ct = False
     for lo, (gt_codes, pred_codes), ct in pieces:
         table[lo : lo + len(gt_codes)] = _count_overlaps(gt_codes, pred_codes, selections, muscle, lo, ct)
+        with_ct |= ct is not None
         del gt_codes, pred_codes, ct  # nothing of a piece stays in this frame while the next is read
 
     # after the pass, as after a read of both volumes: a code a label map
@@ -497,7 +500,7 @@ def evaluate_pieces(
         metric_errors = dict.fromkeys(METRIC_FIELDS)
         blank_reasons = dict.fromkeys(METRIC_FIELDS, next(iter(missing.values())))
     elif picked is not None:
-        truth, predicted = muscle or (None, None)
+        truth, predicted = muscle if with_ct else (None, None)
         metric_errors, blank_reasons = _metric_errors(
             MaskMetrics(picked, table[:, :, 1], truth),
             MaskMetrics(picked, table[:, :, 2], predicted),

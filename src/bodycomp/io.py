@@ -195,25 +195,48 @@ def write_volume(vol: VoxelVolume | LabelVolume, path) -> None:
     write_slabs([vol], vol.geometry, path)
 
 
-def _require(header: dict, key: str):
+def _require(header: dict, key: str, path):
     if key not in header:
-        raise HeaderError(f"header missing required key {key!r}")
+        raise HeaderError(f"{path}: header missing required key {key!r}")
     return header[key]
 
 
 def _require_str(header: dict, key: str, path) -> str:
-    value = _require(header, key)
+    value = _require(header, key, path)
     if not isinstance(value, str):
         raise HeaderError(f"{path}: {key} must be a string, got {value!r}")
     return value
+
+
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _require_finite(header: dict, key: str, path) -> float:
+    value = _require(header, key, path)
+    try:
+        if _is_number(value) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer past float's range
+        pass
+    raise HeaderError(f"{path}: {key} must be a finite number, got {value!r}")
+
+
+def _numbers(values, key: str, path) -> list | None:
+    """``values``, the header's ``key``: a list of numbers, or None."""
+    if values is not None and (not isinstance(values, list) or not all(map(_is_number, values))):
+        raise HeaderError(f"{path}: {key} must be a list of numbers, got {values!r}")
+    return values
 
 
 @dataclass(frozen=True)
 class VolumeHeader:
     """The header of a `.bcv` file, checked against the file's size.
 
-    ``fields`` is the header's JSON object; the payload starts at byte
-    ``payload_offset``. ``label_map`` is None for a CT.
+    The payload starts at byte ``payload_offset``. ``rescale`` is a CT's
+    (slope, intercept) and ``label_map`` a label file's; each is None for
+    the other kind.
     """
 
     path: str
@@ -222,7 +245,7 @@ class VolumeHeader:
     geometry: Geometry
     subject_id: str | None
     payload_offset: int
-    fields: dict
+    rescale: tuple[float, float] | None
     label_map: dict[int, str] | None
 
 
@@ -257,15 +280,15 @@ def _parse_header(fh, path) -> VolumeHeader:
             f"got {dtype_name!r}"
         )
 
-    dims = _require(header, "dims")
+    dims = _require(header, "dims", path)
     if (
         not isinstance(dims, list)
         or len(dims) != 3
-        or any(not isinstance(n, int) or n < 1 for n in dims)
+        or any(not isinstance(n, int) or isinstance(n, bool) or n < 1 for n in dims)
     ):
         raise HeaderError(f"{path}: dims must be three positive integers, got {dims}")
     nx, ny, nz = dims
-    spacing = _require(header, "spacing_mm")
+    spacing = _require(header, "spacing_mm", path)
 
     dtype = _DTYPES[dtype_name]
     expected = nx * ny * nz * dtype.itemsize
@@ -278,10 +301,11 @@ def _parse_header(fh, path) -> VolumeHeader:
     subject_id = header.get("subject_id")
     if subject_id is not None and not isinstance(subject_id, str):
         raise HeaderError(f"{path}: subject_id must be a string, got {subject_id!r}")
-    z_positions = header.get("z_positions_mm")
+    spacing = _numbers(spacing, "spacing_mm", path)
+    z_positions = _numbers(header.get("z_positions_mm"), "z_positions_mm", path)
     label_map = None
     if kind != "ct":
-        label_map = _require(header, "label_map")
+        label_map = _require(header, "label_map", path)
         if not isinstance(label_map, dict):
             raise HeaderError(f"{path}: label_map must be a JSON object, got {label_map!r}")
     try:
@@ -294,8 +318,12 @@ def _parse_header(fh, path) -> VolumeHeader:
                 raise ValueError("label_map codes must fit in unsigned 8 bits")
     except (ValueError, TypeError, OverflowError) as exc:
         raise HeaderError(f"{path}: header violates volume invariants: {exc}") from exc
+    rescale = None
+    if kind == "ct":
+        keys = ("rescale_slope", "rescale_intercept")
+        rescale = tuple(_require_finite(header, key, path) for key in keys)
     return VolumeHeader(
-        str(path), kind, dtype, geometry, subject_id, 12 + header_len, header, label_map
+        str(path), kind, dtype, geometry, subject_id, 12 + header_len, rescale, label_map
     )
 
 
@@ -331,14 +359,13 @@ def chunk_slices(head: VolumeHeader) -> int:
 
 def _volume(head: VolumeHeader, values: np.ndarray, geometry: Geometry):
     """The volume of ``values``: the slices of ``head``'s payload that ``geometry`` describes."""
-    fields = head.fields
     try:
         if head.label_map is None:
             return VoxelVolume(
                 values=values,
                 spacing_mm=geometry.spacing_mm,
-                rescale_slope=float(_require(fields, "rescale_slope")),
-                rescale_intercept=float(_require(fields, "rescale_intercept")),
+                rescale_slope=head.rescale[0],
+                rescale_intercept=head.rescale[1],
                 unit_state=UnitState.RAW,
                 z_positions_mm=geometry.z_positions_mm,
                 subject_id=head.subject_id,

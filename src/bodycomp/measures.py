@@ -241,7 +241,8 @@ def _count_slab(
 ) -> np.ndarray:
     """Per-slice class counts of the planes ``codes``, ``[planes, N_CLASSES]`` int64.
 
-    ``classes`` gives each code's class. With ``ct``, the CT over the same
+    ``classes`` gives each code's class; column 0, background, stays 0,
+    as no metric reads it. With ``ct``, the CT over the same
     planes, which start at slice ``lo``, the selection that counts the
     muscle class also bins the muscle voxels' values into ``muscle``.
     """
@@ -260,7 +261,6 @@ def _count_slab(
                 muscle.add(lo + z, ct, z, selected)
     if ct is not None:
         muscle.bin()
-    counts[:, 0] = codes[0].size - counts.sum(axis=1)
     return counts
 
 
@@ -392,10 +392,19 @@ def vat_sat_ratio(
 
 
 def smi(area_cm2: float, height_m: float) -> float:
-    """Skeletal muscle index: area normalized by height squared (cm²/m²)."""
+    """Skeletal muscle index: area normalized by height squared (cm²/m²).
+
+    ValueError, naming the height, when it is not positive or the index
+    is not finite (a height so small that its square is 0 or the quotient
+    overflows).
+    """
     if not height_m > 0:
         raise ValueError(f"height_m must be > 0, got {height_m}")
-    return area_cm2 / (height_m * height_m)
+    square = height_m * height_m
+    index = area_cm2 / square if square else math.inf
+    if not math.isfinite(index):
+        raise ValueError(f"the SMI at height_m {height_m} is not finite")
+    return index
 
 
 @dataclass(frozen=True)
@@ -406,11 +415,12 @@ class MaskMetrics:
     N_CLASSES]`` over the slices of ``picked.geometry`` (the whole
     volume's). Only its skeletal-muscle, SAT and VAT columns are read,
     and they must hold the mask's counts under ``policy`` at least on
-    the counted slab; ``measure`` fills every column, ``evaluate`` the
-    four tissues' (muscular fat as given). Each muscle density is the
-    exact mean of its histogram in ``muscle``, binned in the same pass;
-    there are none without a CT. A metric whose name ends in ``_2d`` is
-    read on the L3 slice, one ending in ``_3d`` over the T12-L4 range.
+    the counted slab. ``measure`` and ``evaluate`` fill the four tissue
+    columns (``evaluate`` muscular fat as given) and leave column 0, the
+    background, at 0. Each muscle density is the exact mean of its
+    histogram in ``muscle``, binned in the same pass; there are none
+    without a CT. A metric whose name ends in ``_2d`` is read on the L3
+    slice, one ending in ``_3d`` over the T12-L4 range.
     """
 
     picked: VertebraRegions

@@ -341,7 +341,7 @@ class LabelVolume(_Volume):
 
 @dataclass(frozen=True)
 class SubjectRecord:
-    """Demographics for one subject; height is optional."""
+    """Demographics for one subject; height is optional. Age and height are finite."""
 
     subject_id: str
     age_years: float
@@ -350,10 +350,10 @@ class SubjectRecord:
     height_m: float | None = None
 
     def __post_init__(self):
-        if self.age_years < 0:
-            raise ValueError(f"age_years must be >= 0, got {self.age_years}")
-        if self.height_m is not None and not (self.height_m > 0):
-            raise ValueError(f"height_m must be > 0 when present, got {self.height_m}")
+        if not 0 <= self.age_years < math.inf:
+            raise ValueError(f"age_years must be finite and >= 0, got {self.age_years}")
+        if self.height_m is not None and not 0 < self.height_m < math.inf:
+            raise ValueError(f"height_m must be finite and > 0 when present, got {self.height_m}")
 
 
 # the demographic groupings of a cohort report: an age bin or a record field

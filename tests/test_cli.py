@@ -32,7 +32,7 @@ from bodycomp import cli
 from bodycomp.cli import _measure_one, main
 from bodycomp.io import SCAN_CHUNK_BYTES
 from conftest import make_ct, make_tissue, make_vertebrae
-from test_io import _patch_header
+from test_io import _drop_header_key, _patch_header
 from test_postprocess import scipy_kept
 
 
@@ -1227,3 +1227,65 @@ def test_measure_one_peak_memory_is_the_vertebrae_and_the_slabs(tmp_path):
         tracemalloc.stop()
     assert result.region_3d == (20, 43)
     assert peak <= budget
+
+
+def test_evaluate_without_vertebrae_refuses_a_ct_header_without_its_rescale(tmp_path, capsys):
+    # no CT payload is read without --vertebrae: the header alone is refused
+    ph, paths = write_phantom(tmp_path, sid="p1", nx=32, ny=32, nz=12)
+    _drop_header_key(paths["ct"], "rescale_slope")
+    code = main(
+        ["evaluate", "--gt", str(paths["tissue"]), "--pred", str(paths["tissue"]),
+         "--ct", str(paths["ct"]), "--out", str(tmp_path / "out")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"bodycomp: {paths['ct']}: header missing required key 'rescale_slope'\n"
+    assert not (tmp_path / "out" / "eval.json").exists()
+
+
+def test_select_slice_names_the_file_a_header_key_is_missing_from(tmp_path, capsys):
+    ph, paths = write_phantom(tmp_path, sid="p1", nx=32, ny=32, nz=12)
+    _drop_header_key(paths["vertebrae"], "dims")
+    assert main(["select-slice", "--vertebrae", str(paths["vertebrae"]), "--level", "L3"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"bodycomp: {paths['vertebrae']}: header missing required key 'dims'\n"
+
+
+@pytest.mark.parametrize("height", ["1e-200", "1e-160"])
+def test_a_height_whose_smi_is_not_finite_fails_its_subject_alone(tmp_path, capsys, height):
+    manifest = ["ct,tissue,vertebrae,subject_id"]
+    for sid in ("p1", "p2"):
+        _, paths = write_phantom(tmp_path, sid=sid, nx=32, ny=32, nz=12)
+        manifest.append(f"{paths['ct'].name},{paths['tissue'].name},{paths['vertebrae'].name},{sid}")
+    (tmp_path / "manifest.csv").write_text("\n".join(manifest) + "\n")
+    cohort = tmp_path / "cohort.csv"
+    cohort.write_text(
+        f"subject_id,age_years,sex,race,height_m\np1,60,Female,W,{height}\np2,50,Male,W,1.7\n"
+    )
+    out = tmp_path / "out"
+    code = main(
+        ["measure", "--manifest", str(tmp_path / "manifest.csv"), "--cohort", str(cohort),
+         "--out", str(out)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"the SMI at height_m {float(height)} is not finite" in err
+    assert err.endswith("measure: 1 of 2 inputs failed\n")
+    assert [row["subject_id"] for row in read_csv(out / "results.csv")] == ["p2"]
+
+
+@pytest.mark.parametrize("age", ["nan", "inf"])
+def test_cohort_refuses_a_non_finite_age(tmp_path, capsys, age):
+    results_dir = tmp_path / "results"
+    results_dir.mkdir()
+    (results_dir / "a.json").write_text(json.dumps(_RESULT))
+    demo = tmp_path / "demo.csv"
+    demo.write_text(f"subject_id,age_years,sex,race,height_m\na,{age},Female,W,1.7\n")
+    code = main(
+        ["cohort", "--results", str(results_dir), "--demographics", str(demo),
+         "--group-by", "age_bin", "--min-group", "1", "--out", str(tmp_path / "out")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"bodycomp: {demo}:2: age_years must be finite")
+    assert not (tmp_path / "out" / "group_stats.csv").exists()

@@ -230,6 +230,85 @@ def test_non_finite_rescale_is_header_error(tmp_path, key, value):
         read_volume(path)
 
 
+def _valid_ct(tmp_path):
+    path = tmp_path / "ct.bcv"
+    write_volume(make_ct(np.zeros((2, 2, 2)), slope=0.5, intercept=-1000.0), path)
+    return path
+
+
+def _drop_header_key(path, key):
+    data = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", data[4:12])
+    header = json.loads(data[12 : 12 + header_len])
+    del header[key]
+    raw = json.dumps(header).encode()
+    path.write_bytes(data[:4] + struct.pack("<Q", len(raw)) + raw + data[12 + header_len :])
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [("tissue", k) for k in ("kind", "dtype", "dims", "spacing_mm", "label_map")]
+    + [("ct", k) for k in ("rescale_slope", "rescale_intercept")],
+)
+def test_a_missing_header_key_names_the_file_and_the_key(tmp_path, kind, key):
+    path = _valid_ct(tmp_path) if kind == "ct" else _valid_file(tmp_path)
+    _drop_header_key(path, key)
+    for read in (read_header, read_volume):
+        with pytest.raises(HeaderError) as err:
+            read(path)
+        assert str(err.value) == f"{path}: header missing required key {key!r}"
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("tissue", "spacing_mm", [True, True, 5.0]),
+        ("tissue", "spacing_mm", [1.0, "1", 5.0]),
+        ("tissue", "z_positions_mm", [0.0, True]),
+        ("tissue", "dims", [2, 2, True]),
+        ("ct", "rescale_slope", "0.5"),
+        ("ct", "rescale_slope", True),
+        ("ct", "rescale_intercept", False),
+        ("ct", "rescale_intercept", None),
+        ("ct", "rescale_slope", [0.5]),
+    ],
+)
+def test_a_header_number_that_is_a_boolean_or_not_a_number_is_refused(tmp_path, kind, key, value):
+    # JSON booleans are Python ints, and float() takes a numeric string:
+    # neither is a number of the header
+    path = _valid_ct(tmp_path) if kind == "ct" else _valid_file(tmp_path)
+    _patch_header(path, **{key: value})
+    for read in (read_header, read_volume):
+        with pytest.raises(HeaderError) as err:
+            read(path)
+        assert str(err.value).startswith(f"{path}: {key} must be")
+
+
+def test_read_header_checks_and_carries_the_rescale(tmp_path):
+    path = _valid_ct(tmp_path)
+    head = read_header(path)
+    assert head.rescale == (0.5, -1000.0) and head.label_map is None
+    assert read_header(_valid_file(tmp_path)).rescale is None
+    _drop_header_key(path, "rescale_slope")
+    # no payload is read: the header alone is refused
+    with pytest.raises(HeaderError, match="rescale_slope"):
+        read_header(path)
+
+
+@pytest.mark.parametrize(
+    "age, height, field",
+    [("nan", "1.7", "age_years"), ("inf", "1.7", "age_years"), ("60", "inf", "height_m"),
+     ("60", "nan", "height_m")],
+)
+def test_cohort_csv_refuses_non_finite_demographics(tmp_path, age, height, field):
+    path = tmp_path / "cohort.csv"
+    path.write_text(
+        f"subject_id,age_years,sex,race,height_m\np0,50,Male,W,1.8\np1,{age},Female,W,{height}\n"
+    )
+    with pytest.raises(CohortError, match=rf"^{path}:3: {field} must be finite"):
+        read_cohort_csv(path)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), np.float32("nan")])
 def test_format_number_refuses_non_finite(value):
     with pytest.raises(ValueError):

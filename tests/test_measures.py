@@ -227,6 +227,13 @@ def test_smi_rejects_nonpositive_height():
         smi(150.0, 0.0)
 
 
+@pytest.mark.parametrize("height", [1e-200, 1e-160, 5e-324])
+def test_smi_refuses_a_height_whose_index_is_not_finite(height):
+    # the square of 1e-200 is 0, and 150 / 1e-320 overflows
+    with pytest.raises(ValueError, match=f"height_m {height}"):
+        smi(150.0, height)
+
+
 def _phantom_truth(ph, policy=MergePolicy.MUSCLE):
     """Voxel-count oracle computed from the raw arrays."""
     hu_vals = ph.ct.values.astype(np.float64) * ph.ct.rescale_slope + ph.ct.rescale_intercept

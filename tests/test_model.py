@@ -174,6 +174,15 @@ def test_subject_record_invariants():
     assert SubjectRecord("p", 50.0).height_m is None
 
 
+@pytest.mark.parametrize(
+    "age, height",
+    [(float("nan"), None), (float("inf"), None), (50.0, float("inf")), (50.0, float("nan"))],
+)
+def test_subject_record_refuses_non_finite_age_and_height(age, height):
+    with pytest.raises(ValueError, match="finite"):
+        SubjectRecord("p", age, height_m=height)
+
+
 def test_bodycomp_result_invariants():
     ok = dict(
         subject_id="p",
