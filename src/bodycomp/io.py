@@ -10,8 +10,9 @@ The `.bcv` container is a single file::
 Header keys: ``dims`` [nx, ny, nz], ``spacing_mm`` [sx, sy, sz], ``dtype``,
 ``kind``, optional ``z_positions_mm`` and ``subject_id``; CT volumes carry
 ``rescale_slope``/``rescale_intercept``, label volumes carry ``label_map``
-(JSON object, code as string key). File size is exactly
-``12 + header_len + payload`` bytes.
+(JSON object, code as string key). Every number is a JSON number, not a
+boolean or a string, and a missing key is refused naming the file. File
+size is exactly ``12 + header_len + payload`` bytes.
 
 Valid dtype/kind combinations:
 

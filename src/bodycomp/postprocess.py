@@ -12,8 +12,8 @@ with HU in [-220, -50], kept only when their 8-connected in-plane
 component has at least 7 pixels (more than six).
 
 Every threshold is a closed HU interval ``[lo, hi]``: the skin test
-"above -800" is ``[nextafter(-800), inf]`` in float32, which every
-float32 HU passes exactly when it is above -800. Neither kernel converts
+"above -800" is ``[nextafter(-800), inf]`` in float32, which a float32
+HU lies in exactly when it is above -800 (NaN in neither). Neither kernel converts
 a raw CT to HU. The raw-to-HU rescale is a float32 multiply and a
 float32 add, each rounding monotone, so the raw int16 values whose HU
 lies in an interval form one interval too, found from the HU of all

@@ -225,13 +225,10 @@ def test_smi_arithmetic():
 def test_smi_rejects_nonpositive_height():
     with pytest.raises(ValueError):
         smi(150.0, 0.0)
-
-
-@pytest.mark.parametrize("height", [1e-200, 1e-160, 5e-324])
-def test_smi_refuses_a_height_whose_index_is_not_finite(height):
     # the square of 1e-200 is 0, and 150 / 1e-320 overflows
-    with pytest.raises(ValueError, match=f"height_m {height}"):
-        smi(150.0, height)
+    for height in (1e-200, 1e-160, 5e-324):
+        with pytest.raises(ValueError, match=f"height_m {height}"):
+            smi(150.0, height)
 
 
 def _phantom_truth(ph, policy=MergePolicy.MUSCLE):
