@@ -65,6 +65,8 @@ from .model import (
     SubjectRecord,
     UnitState,
     VoxelVolume,
+    _is_finite_number,
+    _is_int,
     require_same_geometry,
     unmapped_codes,
 )
@@ -209,25 +211,18 @@ def _require_str(header: dict, key: str, path) -> str:
     return value
 
 
-def _is_number(value) -> bool:
-    """A JSON number: an int or a float, not a boolean."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _require_finite(header: dict, key: str, path) -> float:
+    """The header's ``key``: a finite JSON number, not a boolean."""
     value = _require(header, key, path)
-    try:
-        if _is_number(value) and math.isfinite(value):
-            return float(value)
-    except OverflowError:  # an integer past float's range
-        pass
-    raise HeaderError(f"{path}: {key} must be a finite number, got {value!r}")
+    if not _is_finite_number(value):
+        raise HeaderError(f"{path}: {key} must be a finite number, got {value!r}")
+    return float(value)
 
 
-def _numbers(values, key: str, path) -> list | None:
-    """``values``, the header's ``key``: a list of numbers, or None."""
-    if values is not None and (not isinstance(values, list) or not all(map(_is_number, values))):
-        raise HeaderError(f"{path}: {key} must be a list of numbers, got {values!r}")
+def _finite_numbers(values, key: str, path) -> list | None:
+    """``values``, the header's ``key``: None or a list of finite JSON numbers."""
+    if values is not None and not (isinstance(values, list) and all(map(_is_finite_number, values))):
+        raise HeaderError(f"{path}: {key} must be a list of finite numbers, got {values!r}")
     return values
 
 
@@ -285,7 +280,7 @@ def _parse_header(fh, path) -> VolumeHeader:
     if (
         not isinstance(dims, list)
         or len(dims) != 3
-        or any(not isinstance(n, int) or isinstance(n, bool) or n < 1 for n in dims)
+        or any(not _is_int(n) or n < 1 for n in dims)
     ):
         raise HeaderError(f"{path}: dims must be three positive integers, got {dims}")
     nx, ny, nz = dims
@@ -302,8 +297,8 @@ def _parse_header(fh, path) -> VolumeHeader:
     subject_id = header.get("subject_id")
     if subject_id is not None and not isinstance(subject_id, str):
         raise HeaderError(f"{path}: subject_id must be a string, got {subject_id!r}")
-    spacing = _numbers(spacing, "spacing_mm", path)
-    z_positions = _numbers(header.get("z_positions_mm"), "z_positions_mm", path)
+    spacing = _finite_numbers(spacing, "spacing_mm", path)
+    z_positions = _finite_numbers(header.get("z_positions_mm"), "z_positions_mm", path)
     label_map = None
     if kind != "ct":
         label_map = _require(header, "label_map", path)
@@ -321,8 +316,10 @@ def _parse_header(fh, path) -> VolumeHeader:
         raise HeaderError(f"{path}: header violates volume invariants: {exc}") from exc
     rescale = None
     if kind == "ct":
-        keys = ("rescale_slope", "rescale_intercept")
-        rescale = tuple(_require_finite(header, key, path) for key in keys)
+        rescale = (
+            _require_finite(header, "rescale_slope", path),
+            _require_finite(header, "rescale_intercept", path),
+        )
     return VolumeHeader(
         str(path), kind, dtype, geometry, subject_id, 12 + header_len, rescale, label_map
     )

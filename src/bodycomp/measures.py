@@ -394,16 +394,13 @@ def vat_sat_ratio(
 def smi(area_cm2: float, height_m: float) -> float:
     """Skeletal muscle index: area normalized by height squared (cm²/m²).
 
-    ValueError, naming the height, when it is not positive or the index
-    is not finite (a height so small that its square is 0 or the quotient
-    overflows).
+    ValueError, naming the height, unless the height is positive and the
+    index finite: the square of 1e-200 is 0, and 150 / 1e-160² overflows.
     """
-    if not height_m > 0:
-        raise ValueError(f"height_m must be > 0, got {height_m}")
-    square = height_m * height_m
+    square = height_m * height_m if height_m > 0 else 0.0
     index = area_cm2 / square if square else math.inf
     if not math.isfinite(index):
-        raise ValueError(f"the SMI at height_m {height_m} is not finite")
+        raise ValueError(f"height_m {height_m} gives no finite SMI")
     return index
 
 

@@ -11,16 +11,17 @@ Gil & Werman 1993), so the dilation is an OR of shifted views: by ±1 and
 with HU in [-220, -50], kept only when their 8-connected in-plane
 component has at least 7 pixels (more than six).
 
-Every threshold is a closed HU interval ``[lo, hi]``: the skin test
-"above -800" is ``[nextafter(-800), inf]`` in float32, which a float32
-HU lies in exactly when it is above -800 (NaN in neither). Neither kernel converts
-a raw CT to HU. The raw-to-HU rescale is a float32 multiply and a
-float32 add, each rounding monotone, so the raw int16 values whose HU
-lies in an interval form one interval too, found from the HU of all
-65,536 int16 values once per rescale and threshold (a command runs a
-kernel once per chunk of slices, on one CT). An HU volume keeps the
-bounds as they are. Either way each slice costs the same two in-place
-comparisons of its stored values.
+Every threshold is a closed HU interval ``[lo, hi]``. The skin test
+"above -800" is ``[-800 + 2^-14, inf]``, from the float32 after -800: a
+float32 HU lies in it exactly when it is above -800, and NaN lies in
+neither. Neither
+kernel converts a raw CT to HU. The raw-to-HU rescale is a float32
+multiply and a float32 add, each rounding monotone, so the raw int16
+values whose HU lies in an interval form one interval too, found from
+the HU of all 65,536 int16 values once per rescale and threshold (a
+command runs a kernel once per chunk of slices, on one CT). An HU
+volume keeps the bounds as they are. Either way each slice costs the
+same two in-place comparisons of its stored values.
 
 Components are labelled in blocks of whole slices, each holding about
 2^14 candidates at their sorted flat offsets within the block. The
@@ -52,8 +53,9 @@ from .model import (
 )
 
 SKIN_HU_THRESHOLD = -800.0
-# "HU above -800" as a closed interval: every HU is float32
-_SKIN_HU_RANGE = (float(np.nextafter(np.float32(SKIN_HU_THRESHOLD), np.float32(np.inf))), np.inf)
+# "HU above -800" as a closed interval: every HU is float32, and the
+# float32 after -800 is -800 + 2^-14, the float32 spacing in [512, 1024)
+_SKIN_HU_RANGE = (SKIN_HU_THRESHOLD + 2.0**-14, float("inf"))
 SAT_DILATION_SIZE = 5
 
 MF_HU_RANGE = (-220.0, -50.0)
@@ -98,13 +100,13 @@ def _raw_interval(slope: float, intercept: float, lo: float, hi: float) -> tuple
     passing = np.flatnonzero(ok)
     if not passing.size:
         return 1, 0
-    lo, hi = int(raw[passing[0]]), int(raw[passing[-1]])
-    if hi - lo + 1 != passing.size:
+    first, last = int(raw[passing[0]]), int(raw[passing[-1]])
+    if last - first + 1 != passing.size:
         raise ValueError(
             f"the raw values whose HU passes the threshold are not one interval "
             f"(rescale slope {slope}, intercept {intercept})"
         )
-    return lo, hi
+    return first, last
 
 
 def _stored_interval(ct: VoxelVolume, lo: float, hi: float) -> tuple:

@@ -1269,7 +1269,7 @@ def test_a_height_whose_smi_is_not_finite_fails_its_subject_alone(tmp_path, caps
     )
     assert code == 1
     err = capsys.readouterr().err
-    assert f"the SMI at height_m {float(height)} is not finite" in err
+    assert f"height_m {float(height)} gives no finite SMI" in err
     assert err.endswith("measure: 1 of 2 inputs failed\n")
     assert [row["subject_id"] for row in read_csv(out / "results.csv")] == ["p2"]
 

@@ -225,9 +225,8 @@ def test_smi_arithmetic():
 def test_smi_rejects_nonpositive_height():
     with pytest.raises(ValueError):
         smi(150.0, 0.0)
-    # the square of 1e-200 is 0, and 150 / 1e-320 overflows
-    for height in (1e-200, 1e-160, 5e-324):
-        with pytest.raises(ValueError, match=f"height_m {height}"):
+    for height in (1e-200, 1e-160, 5e-324, -1.7, float("nan")):
+        with pytest.raises(ValueError, match=f"height_m {height} gives no finite SMI"):
             smi(150.0, height)
 
 
