@@ -410,8 +410,8 @@ def _walk(fh, head: VolumeHeader, z: slice, step: int):
             else:
                 unmapped = unmapped_codes(piece, label_map)
         except HeaderError:
-            # a label volume refuses only a code its map misses
-            unmapped = [] if label_map is None else unmapped_codes(piece, label_map)
+            # only a label volume is refused, for a code its map misses
+            unmapped = unmapped_codes(piece, label_map)
             if not unmapped:
                 raise
         if unmapped:

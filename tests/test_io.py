@@ -128,11 +128,13 @@ def _valid_file(tmp_path):
     return path
 
 
-def _patch_header(path, **changes):
+def _patch_header(path, drop=(), **changes):
     data = path.read_bytes()
     (header_len,) = struct.unpack("<Q", data[4:12])
     header = json.loads(data[12 : 12 + header_len])
     header.update(changes)
+    for key in drop:
+        del header[key]
     raw = json.dumps(header).encode()
     path.write_bytes(data[:4] + struct.pack("<Q", len(raw)) + raw + data[12 + header_len :])
 
@@ -236,15 +238,6 @@ def _valid_ct(tmp_path):
     return path
 
 
-def _drop_header_key(path, key):
-    data = path.read_bytes()
-    (header_len,) = struct.unpack("<Q", data[4:12])
-    header = json.loads(data[12 : 12 + header_len])
-    del header[key]
-    raw = json.dumps(header).encode()
-    path.write_bytes(data[:4] + struct.pack("<Q", len(raw)) + raw + data[12 + header_len :])
-
-
 @pytest.mark.parametrize(
     "kind, key",
     [("tissue", k) for k in ("kind", "dtype", "dims", "spacing_mm", "label_map")]
@@ -252,7 +245,7 @@ def _drop_header_key(path, key):
 )
 def test_a_missing_header_key_names_the_file_and_the_key(tmp_path, kind, key):
     path = _valid_ct(tmp_path) if kind == "ct" else _valid_file(tmp_path)
-    _drop_header_key(path, key)
+    _patch_header(path, drop=[key])
     for read in (read_header, read_volume):
         with pytest.raises(HeaderError) as err:
             read(path)
@@ -289,7 +282,7 @@ def test_read_header_checks_and_carries_the_rescale(tmp_path):
     head = read_header(path)
     assert head.rescale == (0.5, -1000.0) and head.label_map is None
     assert read_header(_valid_file(tmp_path)).rescale is None
-    _drop_header_key(path, "rescale_slope")
+    _patch_header(path, drop=["rescale_slope"])
     # no payload is read: the header alone is refused
     with pytest.raises(HeaderError, match="rescale_slope"):
         read_header(path)
