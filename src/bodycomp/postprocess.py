@@ -14,14 +14,13 @@ component has at least 7 pixels (more than six).
 Every threshold is a closed HU interval ``[lo, hi]``. The skin test
 "above -800" is ``[-800 + 2^-14, inf]``, from the float32 after -800: a
 float32 HU lies in it exactly when it is above -800, and NaN lies in
-neither. Neither
-kernel converts a raw CT to HU. The raw-to-HU rescale is a float32
-multiply and a float32 add, each rounding monotone, so the raw int16
-values whose HU lies in an interval form one interval too, found from
-the HU of all 65,536 int16 values once per rescale and threshold (a
-command runs a kernel once per chunk of slices, on one CT). An HU
-volume keeps the bounds as they are. Either way each slice costs the
-same two in-place comparisons of its stored values.
+neither. Neither kernel converts a raw CT to HU. The raw-to-HU rescale
+is a float32 multiply and a float32 add, each rounding monotone, so the
+raw int16 values whose HU lies in an interval form one interval too,
+found from the HU of all 65,536 int16 values once per rescale and
+threshold (a command runs a kernel once per chunk of slices, on one
+CT). An HU volume keeps the bounds as they are. Either way each slice
+costs the same two in-place comparisons of its stored values.
 
 Components are labelled in blocks of whole slices, each holding about
 2^14 candidates at their sorted flat offsets within the block. The

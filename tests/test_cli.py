@@ -1231,7 +1231,7 @@ def test_measure_one_peak_memory_is_the_vertebrae_and_the_slabs(tmp_path):
 
 def test_evaluate_without_vertebrae_refuses_a_ct_header_without_its_rescale(tmp_path, capsys):
     # no CT payload is read without --vertebrae: the header alone is refused
-    ph, paths = write_phantom(tmp_path, sid="p1", nx=32, ny=32, nz=12)
+    _, paths = write_phantom(tmp_path, sid="p1", nx=32, ny=32, nz=12)
     _patch_header(paths["ct"], drop=["rescale_slope"])
     code = main(
         ["evaluate", "--gt", str(paths["tissue"]), "--pred", str(paths["tissue"]),
@@ -1244,7 +1244,7 @@ def test_evaluate_without_vertebrae_refuses_a_ct_header_without_its_rescale(tmp_
 
 
 def test_select_slice_names_the_file_a_header_key_is_missing_from(tmp_path, capsys):
-    ph, paths = write_phantom(tmp_path, sid="p1", nx=32, ny=32, nz=12)
+    _, paths = write_phantom(tmp_path, sid="p1", nx=32, ny=32, nz=12)
     _patch_header(paths["vertebrae"], drop=["dims"])
     assert main(["select-slice", "--vertebrae", str(paths["vertebrae"]), "--level", "L3"]) == 1
     err = capsys.readouterr().err
