@@ -15,6 +15,11 @@ compares it entry by entry. A change that alters an output byte
 regenerates the file in the same commit::
 
     PYTHONPATH=src python tests/golden_corpus.py
+
+and ``--check`` regenerates the runs without writing: it prints each
+entry added, removed or changed against the file, and exits 1 if any is::
+
+    PYTHONPATH=src python tests/golden_corpus.py --check
 """
 
 from __future__ import annotations
@@ -46,6 +51,9 @@ SPACING = (1.0, 1.0, 2.5)
 
 # where the phantom of SHAPE puts its levels, as build_phantom places them
 T12, L3, L4 = 24, 14, 6
+
+# subjects run as the good ones are, but left out of the manifest
+EDGES = ("degen", "nomuscle_l3", "slabgrid")
 
 
 def _sid(slope: float, intercept: float) -> str:
@@ -90,6 +98,28 @@ def _wide_ct(ph):
     return replace(ph.ct, values=raw, rescale_slope=0.7, rescale_intercept=0.0)
 
 
+def _write_slab_grid(folder: Path) -> None:
+    """The "slabgrid" triple and prediction: 2x2x3 volumes at z 0, 1 and 2
+    with every vertebra level on slice 2, their spacing then rewritten to
+    (1e150, 1e150, 1e8) mm."""
+    base = build_phantom(*SHAPE, SPACING)
+    grid = {"spacing_mm": (1.0, 1.0, 1.0), "z_positions_mm": (0.0, 1.0, 2.0), "subject_id": "slabgrid"}
+    tissue = np.array([[[1, 2], [3, 4]], [[1, 1], [2, 3]], [[1, 2], [3, 4]]], dtype=np.uint8)
+    vertebrae = np.zeros((3, 2, 2), dtype=np.uint8)
+    vertebrae[2] = [[1, 2], [3, 0]]
+    ct = np.where(tissue == 1, 1072, 919).astype(np.int16)
+    volumes = {
+        "ct": replace(base.ct, values=ct, **grid),
+        "tissue": replace(base.tissue, codes=tissue, **grid),
+        "vertebrae": replace(base.vertebrae, codes=vertebrae, **grid),
+        "pred": replace(base.tissue, codes=tissue[:, ::-1], **grid),
+    }
+    for name, vol in volumes.items():
+        path = folder / f"slabgrid_{name}.bcv"
+        write_volume(vol, path)
+        _rewrite(path, spacing_mm=[1e150, 1e150, 1e8])
+
+
 def make_inputs(folder: Path) -> list[str]:
     """Write every input under ``folder``; returns the ids of the subjects without a fault."""
     folder.mkdir(parents=True)
@@ -122,6 +152,23 @@ def make_inputs(folder: Path) -> list[str]:
         write_volume(_prediction(base.tissue), folder / f"{sid}_pred.bcv")
         _rewrite(folder / f"{sid}_ct.bcv", rescale_slope=0.0, rescale_intercept=intercept)
     good += ["zvar", "wide", "zero_pos", "zero_neg"]
+    # edge cases, outside the manifest: T12 and L4 on one slice, and no
+    # muscle (nor muscular fat) on the L3 slice
+    degen = build_phantom(*SHAPE, SPACING, subject_id="degen", vertebra_slices=(10, L3, 10))
+    nomuscle = np.where(np.isin(base.tissue.codes, (1, 4)) & (np.arange(SHAPE[2]) == L3)[:, None, None],
+                        0, base.tissue.codes)
+    edges = {
+        "degen": (degen.ct, degen.tissue, degen.vertebrae),
+        "nomuscle_l3": (replace(base.ct, subject_id="nomuscle_l3"),
+                        replace(base.tissue, codes=nomuscle), base.vertebrae),
+    }
+    for sid, (ct, tissue, vertebrae) in edges.items():
+        _write_triple(folder, sid, ct, tissue, vertebrae)
+        write_volume(_prediction(tissue), folder / f"{sid}_pred.bcv")
+    # a 2x2x3 grid, every level on slice 2, whose header is rewritten to a
+    # spacing of (1e150, 1e150, 1e8) mm: the whole grid's measures are
+    # finite, those of slice 2 alone are not
+    _write_slab_grid(folder)
 
     # single faults, each beside the good files of the base phantom; a
     # 1e150 spacing is no fault: the grid checks accept it on this grid
@@ -143,6 +190,9 @@ def make_inputs(folder: Path) -> list[str]:
         "mismatch_tissue": "tissue",
         "boolspacing_ct": "ct",
         "strslope_ct": "ct",
+        "unmapped_vertebrae": "vertebrae",
+        "unmapped_after_tissue": "tissue",
+        "slope1e36_ct": "ct",
     }
     for name, source in copies.items():
         (folder / f"{name}.bcv").write_bytes((folder / f"base_{source}.bcv").read_bytes())
@@ -151,6 +201,10 @@ def make_inputs(folder: Path) -> list[str]:
     _rewrite(folder / "unmapped_in_tissue.bcv", payload={L3 * plane + 100: 9})
     _rewrite(folder / "unmapped_out_tissue.bcv", payload={50: 9})
     _rewrite(folder / "unmapped_in_pred.bcv", payload={L3 * plane + 100: 9})
+    # and on slice 28, after the counted slab; and code 9 in a vertebra file
+    _rewrite(folder / "unmapped_after_tissue.bcv", payload={28 * plane + 100: 9})
+    _rewrite(folder / "unmapped_vertebrae.bcv", payload={50: 9})
+    _rewrite(folder / "slope1e36_ct.bcv", rescale_slope=1e36)
     for name in ("short_ct", "short_tissue", "short_vertebrae"):
         path = folder / f"{name}.bcv"
         path.write_bytes(path.read_bytes()[:-10])
@@ -207,7 +261,8 @@ def _runs(good: list[str]):
     def triple(sid):
         return [arg for part in ("ct", "tissue", "vertebrae") for arg in (f"--{part}", f(f"{sid}_{part}.bcv"))]
 
-    for sid in good:
+    subjects = (*good, *EDGES)
+    for sid in subjects:
         for policy in POLICIES:
             yield f"measure.{sid}.{policy}", [
                 "measure", *triple(sid), "--policy", policy, "--out", "out"
@@ -225,6 +280,11 @@ def _runs(good: list[str]):
     yield "measure.cohort", [
         "measure", "--manifest", f("manifest.csv"), "--cohort", f("demographics.csv"), "--out", "out"
     ]
+    for policy in POLICIES:
+        yield f"measure.cohort.{policy}", [
+            "measure", "--manifest", f("manifest.csv"), "--cohort", f("demographics.csv"),
+            "--policy", policy, "--out", "out",
+        ]
     for name in ("inf_height", "tiny_height", "small_height"):
         yield f"measure.cohort_{name}", [
             "measure", *triple("base"), "--cohort", f(f"demographics_{name}.csv"), "--out", "out"
@@ -244,6 +304,9 @@ def _runs(good: list[str]):
         "kind": ("base_tissue", "base_ct", "base_vertebrae"),
         "boolspacing": ("boolspacing_ct", "base_tissue", "base_vertebrae"),
         "strslope": ("strslope_ct", "base_tissue", "base_vertebrae"),
+        "unmapped_vertebrae": ("base_ct", "base_tissue", "unmapped_vertebrae"),
+        "unmapped_after": ("base_ct", "unmapped_after_tissue", "base_vertebrae"),
+        "slope1e36": ("slope1e36_ct", "base_tissue", "base_vertebrae"),
     }
     for fault, (ct, tissue, vertebrae) in measure_faults.items():
         yield f"measure.fault.{fault}", [
@@ -257,7 +320,7 @@ def _runs(good: list[str]):
         "vertebrae": ["--vertebrae", None],
         "vertebrae_regions": ["--vertebrae", None, "--regions", "l3,all"],
     }
-    for sid in good:
+    for sid in subjects:
         for policy in POLICIES:
             for variant, extra in variants.items():
                 extra = [f(f"{sid}_vertebrae.bcv") if a is None else a for a in extra]
@@ -285,6 +348,12 @@ def _runs(good: list[str]):
         "kind": ("base_tissue", "base_pred", "base_tissue", "base_vertebrae", None),
         "boolspacing": ("base_tissue", "base_pred", "boolspacing_ct", "base_vertebrae", None),
         "strslope": ("base_tissue", "base_pred", "strslope_ct", "base_vertebrae", None),
+        "unmapped_vertebrae": ("base_tissue", "base_pred", "base_ct", "unmapped_vertebrae", None),
+        # two faults: a missing requested level is refused before the masks are read
+        "unmapped_after_gt_nol4": (
+            "unmapped_after_tissue", "base_pred", "base_ct", "nol4_vertebrae", "t12l4"
+        ),
+        "slope1e36": ("base_tissue", "base_pred", "slope1e36_ct", "base_vertebrae", None),
     }
     for fault, (gt, pred, ct, vertebrae, regions) in evaluate_faults.items():
         extra = ["--vertebrae", f(f"{vertebrae}.bcv")] if vertebrae else []
@@ -294,7 +363,7 @@ def _runs(good: list[str]):
             *extra, "--out", "out",
         ]
 
-    for sid in good:
+    for sid in subjects:
         for level in ("T12", "L3", "L4"):
             yield f"select-slice.{sid}.{level}", [
                 "select-slice", "--vertebrae", f(f"{sid}_vertebrae.bcv"), "--level", level
@@ -305,13 +374,14 @@ def _runs(good: list[str]):
         ("short", "short_vertebrae", "L3"),
         ("kind", "base_ct", "L3"),
         ("spacing1e150", "spacing1e150_vertebrae", "L3"),
+        ("unmapped", "unmapped_vertebrae", "L3"),
     ):
         yield f"select-slice.fault.{fault}", [
             "select-slice", "--vertebrae", f(f"{vertebrae}.bcv"), "--level", level
         ]
 
     for mode in ("sat-skin", "mf-filter"):
-        for sid in good:
+        for sid in subjects:
             yield f"postprocess.{mode}.{sid}", [
                 "postprocess", mode, "--ct", f(f"{sid}_ct.bcv"), "--mask", f(f"{sid}_tissue.bcv"),
                 "--out", "out.bcv",
@@ -327,6 +397,7 @@ def _runs(good: list[str]):
             ("kind", "base_tissue", "base_tissue"),
             ("boolspacing", "boolspacing_ct", "base_tissue"),
             ("strslope", "strslope_ct", "base_tissue"),
+            ("slope1e36", "slope1e36_ct", "base_tissue"),
         ):
             yield f"postprocess.{mode}.fault.{fault}", [
                 "postprocess", mode, "--ct", f(f"{ct}.bcv"), "--mask", f(f"{mask}.bcv"),
@@ -342,6 +413,12 @@ def _runs(good: list[str]):
             *cohort, f(f"demographics_{name}.csv"), "--group-by", "age_bin", "--min-group", "1",
             "--out", "out",
         ]
+    for policy in POLICIES:
+        for min_group in ("1", "2", "20"):
+            yield f"cohort.{policy}.min{min_group}", [
+                "cohort", "--results", f"../measure.cohort.{policy}/out", "--demographics",
+                f("demographics.csv"), "--min-group", min_group, "--out", "out",
+            ]
 
 
 def _run(folder: Path, argv: list[str]) -> dict:
@@ -395,9 +472,24 @@ def dumps(corpus: dict) -> str:
     return json.dumps(corpus, indent=1, sort_keys=True) + "\n"
 
 
+def differences(old: dict, new: dict) -> list[str]:
+    """One line per entry added, removed or changed from ``old`` to ``new``,
+    sorted by entry name, then per changed version."""
+    runs, was = new["runs"], old["runs"]
+    lines = [
+        f"{'added' if name not in was else 'removed' if name not in runs else 'changed'}: {name}"
+        for name in sorted(runs.keys() | was.keys())
+        if runs.get(name) != was.get(name)
+    ]
+    return lines + [f"changed: {key} {old[key]} -> {new[key]}" for key in ("python", "numpy")
+                    if old[key] != new[key]]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        text = dumps(generate(Path(tmp)))
+        corpus = generate(Path(tmp))
     if sys.argv[1:] == ["--check"]:
-        sys.exit(text != CORPUS.read_text(encoding="utf-8"))
-    CORPUS.write_text(text, encoding="utf-8")
+        lines = differences(json.loads(CORPUS.read_text(encoding="utf-8")), corpus)
+        print("\n".join(lines) if lines else "the corpus is unchanged")
+        sys.exit(bool(lines))
+    CORPUS.write_text(dumps(corpus), encoding="utf-8")
