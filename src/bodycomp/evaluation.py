@@ -8,13 +8,13 @@ all slices), and ``aggregate_cases`` rolls per-case results into an
 EvalReport with both per-volume and per-slice Dice aggregations.
 
 ``evaluate_pieces`` makes one pass over both masks, a
-``measures.Piece`` of slices at a time, and counts for every slice and
-every tissue the voxels of that tissue in both masks, in the ground
-truth and in the prediction, a plane at a time as ``measure`` counts
-its class table. Every per-label, per-region number is a sum over those
-per-slice overlap counts (Taha & Hanbury 2015): Dice per volume and per
-slice, the degenerate counts, and the ground-truth and predicted areas
-and volumes. Each side's codes are selected as ``measure`` selects them,
+``measures.Piece`` of slices at a time, through the counter ``measure``
+uses (``measures._count_planes``): for every slice and every tissue it
+counts the voxels of that tissue in the ground truth, in the prediction
+and in both. Every per-label, per-region number is a sum over those
+per-slice counts (Taha & Hanbury 2015): Dice per volume and per slice,
+the degenerate counts, and the ground-truth and predicted areas and
+volumes. Each side's codes are selected as ``measure`` selects them,
 through ``measures.code_classes``: muscle, SAT and VAT under the merge
 policy, muscular fat as given. The ground-truth and predicted counts of
 the three policy tissues are the two masks' policy-applied class
@@ -47,9 +47,9 @@ from .errors import (
 from .measures import (
     N_CLASSES,
     MaskMetrics,
-    MuscleHistograms,
     Piece,
     _codes_of,
+    _count_planes,
     _ct_slices,
     code_classes,
     muscle_histograms,
@@ -59,14 +59,12 @@ from .measures import (
 from .model import (
     METRIC_FIELDS,
     MUSCULAR_FAT,
-    SKELETAL_MUSCLE,
     TISSUE_NAMES,
     LabelVolume,
     MergePolicy,
     VoxelVolume,
     require_same_geometry,
     require_tissue_vocabulary,
-    select_codes,
     slab_start,
 )
 from .regions import AllSlices, VertebraRegions, measurement_regions, region_slice
@@ -315,41 +313,6 @@ def _normalize_regions(regions) -> tuple[str, ...]:
     return tuple(dict.fromkeys(canon))
 
 
-def _count_overlaps(
-    gt_codes: np.ndarray,
-    pred_codes: np.ndarray,
-    selections: list[tuple[int, list[int], list[int]]],
-    muscle: Sequence[MuscleHistograms] = (),
-    lo: int = 0,
-    ct: VoxelVolume | None = None,
-) -> np.ndarray:
-    """Per-slice overlap counts of each tissue on the planes, ``[planes, N_CLASSES, 3]`` int64.
-
-    ``selections`` gives each tissue's class and the codes selected for it
-    on each side. Row ``tissue_class(label)`` of a slice holds the voxels
-    of ``label`` in both masks, in the ground truth and in the
-    prediction; row 0 stays 0. The muscle, SAT and VAT entries of column 1 are the ground
-    truth's class table under the policy and those of column 2 the
-    prediction's. With ``ct``, the CT over the same planes, which start
-    at slice ``lo``, each mask's muscle selection also bins its voxels'
-    values into ``muscle`` (the ground truth's, then the prediction's).
-    """
-    table = np.zeros((len(gt_codes), N_CLASSES, 3), dtype=np.int64)
-    m = tissue_class(SKELETAL_MUSCLE)
-    # one plane at a time, as ``measure`` counts: no volume-sized mask
-    for z in range(len(gt_codes)):
-        for c, gt_wanted, pred_wanted in selections:
-            a = select_codes(gt_codes[z], gt_wanted)
-            b = select_codes(pred_codes[z], pred_wanted)
-            table[z, c] = np.count_nonzero(a & b), np.count_nonzero(a), np.count_nonzero(b)
-            if c == m and ct is not None:
-                muscle[0].add(lo + z, ct, z, a)
-                muscle[1].add(lo + z, ct, z, b)
-    for histograms in muscle if ct is not None else ():
-        histograms.bin()
-    return table
-
-
 def _wanted_regions(regions: Iterable[str] | None, picked: VertebraRegions | None) -> tuple[str, ...]:
     """The canonical names of ``regions``: all three by default, or only
     "all" without vertebrae, which the L3 slice and the T12-L4 range need."""
@@ -366,8 +329,9 @@ def _wanted_regions(regions: Iterable[str] | None, picked: VertebraRegions | Non
 
 
 def _pair_result(counts: np.ndarray, geometry, region) -> PairResult:
-    """One label's result in ``region`` from its ``[nz, 3]`` overlap counts."""
-    inter, truth, pred = counts[region_slice(region, geometry.nz)].T
+    """One label's result in ``region`` from its ``[nz, 3]`` counts: ground
+    truth, prediction, both."""
+    truth, pred, inter = counts[region_slice(region, geometry.nz)].T
     total = truth + pred
     slice_dices = np.ones(total.shape)
     np.divide(2.0 * inter, total, out=slice_dices, where=total > 0)
@@ -477,10 +441,10 @@ def evaluate_pieces(
     geometry = gt.geometry
     table = np.zeros((geometry.nz, N_CLASSES, 3), dtype=np.int64)
     with_ct = False
-    for lo, (gt_codes, pred_codes), ct in pieces:
-        table[lo : lo + len(gt_codes)] = _count_overlaps(gt_codes, pred_codes, selections, muscle, lo, ct)
+    for lo, masks, ct in pieces:
+        table[lo : lo + len(masks[0])] = _count_planes(masks, selections, muscle, lo, ct)
         with_ct |= ct is not None
-        del gt_codes, pred_codes, ct  # nothing of a piece stays in this frame while the next is read
+        del masks, ct  # nothing of a piece stays in this frame while the next is read
 
     # after the pass, as after a read of both volumes: a code a label map
     # lacks is the first fault
@@ -502,8 +466,8 @@ def evaluate_pieces(
     elif picked is not None:
         truth, predicted = muscle if with_ct else (None, None)
         metric_errors, blank_reasons = _metric_errors(
-            MaskMetrics(picked, table[:, :, 1], truth),
-            MaskMetrics(picked, table[:, :, 2], predicted),
+            MaskMetrics(picked, table[:, :, 0], truth),
+            MaskMetrics(picked, table[:, :, 1], predicted),
         )
 
     l3, t12_l4 = region_objs.get("l3"), region_objs.get("t12_l4")

@@ -10,19 +10,23 @@ folded classes (``code_classes``) gives the policy-applied table
 directly, and the same folded classes give the codes whose HU the muscle
 density averages, so no merged copy of a volume is made.
 
-``measure_pieces`` makes one pass over the counted slab, from min(L3,
-T12, L4) to max(L3, T12, L4), a ``Piece`` of slices at a time: the
-tissue mask's planes with the CT's. On each plane one selection of the
-muscle class both counts it into the class table and drops the CT
-values under it into a histogram for each region
-(``MuscleHistograms``). Each metric is read through ``MaskMetrics``: the
-counted ones from that table, and each muscle density from its
-histogram, as the exact mean of the float32 HU of its voxels, correctly
-rounded (``_exact_mean_hu``). ``measure_subject`` is the one-piece case,
-on volumes that hold the whole grid or only the counted slab, and
-``muscle_density`` the one-piece case of a histogram.
-``evaluation`` makes the same pass over two masks, counting its
-per-slice overlap table, with the same selection and histograms.
+One counter, ``_count_planes``, makes the per-slice counts of
+``measure_pieces``, ``vat_sat_ratio`` and ``evaluation.evaluate_pieces``,
+for one mask or for two over the same slices. A plane at a time, it
+selects each counted class's codes once in each mask and counts each
+selection, and for two masks the voxels both select; each mask's muscle
+selection also drops the CT values under it into that mask's histogram
+for each region (``MuscleHistograms``). ``measure_pieces`` runs it over
+the counted slab, from min(L3, T12, L4) to max(L3, T12, L4), a
+``Piece`` of slices at a time: the tissue mask's planes with the CT's.
+Each metric is read through ``MaskMetrics``: the counted ones from the
+class table, and each muscle density from its histogram, as the exact
+mean of the float32 HU of its voxels, correctly rounded
+(``_exact_mean_hu``). ``measure_subject`` is the one-piece case, on
+volumes that hold the whole grid or only the counted slab.
+``muscle_density`` and ``tissue_area_2d``/``tissue_volume_3d`` keep
+loops of their own: they are the per-metric reference that
+``measure_subject`` is tested against.
 Areas are cm² (pixel area sx*sy/100), volumes cm³ (voxel volume
 sx*sy*sz/1000), densities are mean HU.
 """
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -232,35 +236,51 @@ def muscle_histograms(picked: VertebraRegions) -> MuscleHistograms:
     return MuscleHistograms({name: region_slice(picked.found[name], nz) for name in ("l3", "t12_l4")})
 
 
-def _count_slab(
-    codes: np.ndarray,
-    classes: np.ndarray,
-    muscle: MuscleHistograms | None = None,
+def _wanted(classes: np.ndarray) -> list[tuple[int, list[int]]]:
+    """Each tissue class that ``classes`` (``code_classes``) gives a code, with its codes."""
+    wanted = [(c, _codes_of(classes, c)) for c in range(1, N_CLASSES)]
+    return [(c, codes) for c, codes in wanted if codes]
+
+
+def _count_planes(
+    masks: tuple[np.ndarray, ...],
+    wanted: list[tuple],
+    muscle: Sequence[MuscleHistograms] = (),
     lo: int = 0,
     ct: VoxelVolume | None = None,
 ) -> np.ndarray:
-    """Per-slice class counts of the planes ``codes``, ``[planes, N_CLASSES]`` int64.
+    """Per-slice counts of each class of ``wanted`` on the planes of ``masks``, int64.
 
-    ``classes`` gives each code's class; column 0, background, stays 0,
-    as no metric reads it. With ``ct``, the CT over the same
-    planes, which start at slice ``lo``, the selection that counts the
-    muscle class also bins the muscle voxels' values into ``muscle``.
+    ``masks`` holds the uint8 planes of one mask, or of two over the same
+    slices; ``wanted`` lists each counted class with the codes each mask
+    selects for it, ``(class, codes, ...)``. For one mask the result is
+    its class table, ``[planes, N_CLASSES, 1]``; for two it is
+    ``[planes, N_CLASSES, 3]``: each mask's class table, then the voxels
+    that both select. Column 0, background, and a class not in
+    ``wanted`` stay 0. With ``ct``, the CT over the same planes, which
+    start at slice ``lo``, the selection that counts each mask's muscle
+    class also bins the CT values under it into that mask's ``muscle``.
     """
-    counts = np.zeros((len(codes), N_CLASSES), dtype=np.int64)
-    sets = [(c, _codes_of(classes, c)) for c in range(1, N_CLASSES)]
-    sets = [(c, wanted) for c, wanted in sets if wanted]
+    counts = np.zeros((len(masks[0]), N_CLASSES, 1 if len(masks) == 1 else 3), dtype=np.int64)
     m = tissue_class(SKELETAL_MUSCLE)
     # one plane at a time, every class counted while the plane is in
     # cache: no slab-sized mask, and a whole-plane count_nonzero is
     # several times faster than one along an axis
-    for z, plane in enumerate(codes):
-        for c, wanted in sets:
-            selected = select_codes(plane, wanted)
-            counts[z, c] = np.count_nonzero(selected)
+    for z in range(len(counts)):
+        for c, *codes in wanted:
+            selected = [select_codes(mask[z], mask_codes) for mask, mask_codes in zip(masks, codes)]
+            row = [np.count_nonzero(s) for s in selected]
+            if len(selected) == 2:
+                row.append(np.count_nonzero(selected[0] & selected[1]))
+            counts[z, c] = row
             if c == m and ct is not None:
-                muscle.add(lo + z, ct, z, selected)
+                for k, histograms in enumerate(muscle):
+                    histograms.add(lo + z, ct, z, selected[k])
+            # no selection outlives its class: none is held while bin() runs
+            del selected
     if ct is not None:
-        muscle.bin()
+        for histograms in muscle:
+            histograms.bin()
     return counts
 
 
@@ -387,7 +407,7 @@ def vat_sat_ratio(
     """
     require_tissue_vocabulary(mask)
     planes = mask.codes[region_slice(region, mask.nz)]
-    counts = _count_slab(planes, code_classes(mask, policy))
+    counts = _count_planes((planes,), _wanted(code_classes(mask, policy)))[:, :, 0]
     return vat_sat_ratio_from_counts(counts, mask, region)
 
 
@@ -493,19 +513,19 @@ def measure_pieces(
     if picked.missing:
         raise VertebraNotFoundError(next(iter(picked.missing.values())))
 
-    classes = code_classes(tissue, policy)
+    wanted = _wanted(code_classes(tissue, policy))
     muscle = muscle_histograms(picked)
     # the range and the L3 slice are counted in one pass; rows outside
     # stay 0 and are never read
-    counts = np.zeros((picked.geometry.nz, N_CLASSES), dtype=np.int64)
-    for lo, (codes,), ct in pieces:
+    counts = np.zeros((picked.geometry.nz, N_CLASSES, 1), dtype=np.int64)
+    for lo, masks, ct in pieces:
         if ct is not None:  # a tissue file's slices outside the slab are only checked
-            counts[lo : lo + len(codes)] = _count_slab(codes, classes, muscle, lo, ct)
-        del codes, ct  # nothing of a piece stays in this frame while the next is read
+            counts[lo : lo + len(masks[0])] = _count_planes(masks, wanted, (muscle,), lo, ct)
+        del masks, ct  # nothing of a piece stays in this frame while the next is read
     # after the pass, as a volume read before is checked: a code the map
     # lacks is the first fault
     require_tissue_vocabulary(tissue)
-    metrics = MaskMetrics(picked, counts, muscle)
+    metrics = MaskMetrics(picked, counts[:, :, 0], muscle)
     l3, t12_l4 = picked.found["l3"], picked.found["t12_l4"]
     return BodyCompResult(
         subject_id=subject.subject_id,
