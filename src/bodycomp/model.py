@@ -112,17 +112,20 @@ class _Grid:
             object.__setattr__(self, "z_positions_mm", tuple(float(z) for z in z_positions_mm))
         sx, sy, sz = self.spacing_mm
         z = self.z_positions_mm
+        # the thickest slab of the grid: nz slices of sz; with z positions
+        # one slice is sz thick, and a slab of two or more (slice_thickness_mm
+        # sums to its z extent plus half of each end step) at most twice
+        # the z extent, so every slab of an accepted grid is accepted
         thickness = nz * sz
         if z is not None and nz > 1:
-            # slice_thickness_mm sums to the z extent plus half of each end step
-            thickness = abs(z[-1] - z[0]) + (abs(z[1] - z[0]) + abs(z[-1] - z[-2])) / 2
-        # a whole plane's area and the whole volume, multiplied in the order
-        # the measures multiply counts, so no measure of a mask overflows
+            thickness = max(2 * abs(z[-1] - z[0]), sz)
+        # a whole plane's area and the thickest slab's volume, multiplied in
+        # the order the measures multiply counts, so no measure of a mask overflows
         if not (math.isfinite(nx * ny * self.pixel_area_cm2)
                 and math.isfinite(nx * ny * thickness * sx * sy / 1000.0)):
             raise ValueError(
-                f"dims {shape[::-1]}, spacing {spacing_mm} and {thickness} mm of slices "
-                f"overflow the area of a slice or the volume of the grid"
+                f"dims {shape[::-1]}, spacing {spacing_mm} and a slab {thickness} mm thick "
+                f"overflow the area of a slice or the volume of a slab"
             )
 
     @property

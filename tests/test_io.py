@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -220,6 +221,46 @@ def test_header_invariant_violation(tmp_path):
     _patch_header(path, z_positions_mm=[0.0])  # wrong length for nz=2
     with pytest.raises(HeaderError):
         read_volume(path)
+
+
+# grids whose whole area and volume are finite but a slab's volume is not:
+# slice 2 alone, 1e8 mm thick; and slices 1-2, 2000 mm thick against 1003
+# for the whole grid
+_SLAB_OVERFLOWS = {
+    "one slice": ((2, 2, 3), (1e150, 1e150, 1e8), (0.0, 1.0, 2.0), slice(2, 3)),
+    "two slices": ((1, 1, 4), (1.2e305**0.5, 1.2e305**0.5, 1.0), (0.0, 1.0, 1001.0, 1002.0), slice(1, 3)),
+}
+
+
+@pytest.mark.parametrize("grid", list(_SLAB_OVERFLOWS))
+def test_a_grid_with_an_overflowing_slab_is_refused_with_its_header(tmp_path, grid):
+    dims, spacing, z, slab = _SLAB_OVERFLOWS[grid]
+    path = tmp_path / "f.bcv"
+    write_volume(make_tissue(np.ones(dims[::-1]), spacing=(1.0, 1.0, 1.0), z=z), path)
+    _patch_header(path, spacing_mm=list(spacing))
+    with pytest.raises(HeaderError, match=f"^{re.escape(str(path))}: header violates volume invariants: "):
+        read_header(path)
+    with pytest.raises(ValueError, match="overflow"):
+        model.Geometry(dims, spacing, z).slab(slab)
+
+
+def test_every_slab_of_an_accepted_grid_is_accepted():
+    accepted = refused = 0
+    for z in (None, (0.0, 1.0, 2.0), (0.0, 1.0, 1001.0, 1002.0), (10.0, 3.5, 3.0, 0.25, -0.5)):
+        nz = 3 if z is None else len(z)
+        for sz in (1.0, 1e8):
+            # pixel areas from 1e300 to 1e308 mm², around where a slab's volume overflows
+            for area in 10.0 ** np.linspace(300, 308, 33):
+                try:
+                    grid = model.Geometry((1, 1, nz), (area**0.5, area**0.5, sz), z)
+                except ValueError:
+                    refused += 1
+                    continue
+                accepted += 1
+                for lo in range(nz):
+                    for hi in range(lo + 1, nz + 1):
+                        grid.slab(slice(lo, hi))
+    assert accepted > 50 and refused > 50
 
 
 @pytest.mark.parametrize("key", ["rescale_slope", "rescale_intercept"])
