@@ -32,15 +32,21 @@ import argparse
 import csv
 import json
 import sys
-from contextlib import closing
-from dataclasses import fields
+from contextlib import closing, contextmanager
+from dataclasses import fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import BodycompError
+from .errors import (
+    BodycompError,
+    GeometryMismatchError,
+    LabelVocabularyError,
+    NonFiniteHUError,
+    VertebraNotFoundError,
+)
 from .io import (
     VolumeHeader,
     format_number,
@@ -58,6 +64,7 @@ from .model import (
     code_counts,
     codes_for,
     require_same_geometry,
+    require_tissue_vocabulary,
     vertebra_label,
 )
 
@@ -90,12 +97,28 @@ def _check_kind(path, is_ct: bool, want_ct: bool) -> None:
         raise BodycompError(f"{path}: expected {wanted}, got {got}")
 
 
+@contextmanager
+def _naming(path, *errors):
+    """Re-raise an error of the types ``errors`` from the block with its
+    message after ``path``, the file at fault."""
+    try:
+        yield
+    except errors as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _same_geometry(path, a, b) -> None:
+    """``require_same_geometry(a, b)``, a mismatch naming ``path``, the file that differs."""
+    with _naming(path, GeometryMismatchError):
+        require_same_geometry(a, b)
+
+
 def _read_header(path, ct: bool, geometry: Geometry | None = None) -> VolumeHeader:
     """The header of a CT (``ct``) or label file, checked against ``geometry``."""
     head = read_header(path)
     _check_kind(path, head.kind == "ct", ct)
     if geometry is not None:
-        require_same_geometry(head.geometry, geometry)
+        _same_geometry(path, head.geometry, geometry)
     return head
 
 
@@ -110,11 +133,13 @@ def _read_counts(path) -> tuple[VolumeHeader, np.ndarray]:
 
 
 def _read_regions(path) -> VertebraRegions:
-    """The regions of a vertebra file, from one chunked scan."""
+    """The regions of a vertebra file, from one chunked scan; the message
+    of a missing level names the file."""
     from .regions import regions_from_counts
 
     head, counts = _read_counts(path)
-    return regions_from_counts(counts, head.label_map, head.geometry)
+    picked = regions_from_counts(counts, head.label_map, head.geometry)
+    return replace(picked, missing={name: f"{path}: {why}" for name, why in picked.missing.items()})
 
 
 def _write_csv(path, columns, rows) -> None:
@@ -198,11 +223,16 @@ def _subject_id(entry: dict) -> str:
 
 
 def _attempt(fn, entry: dict, *args):
-    """``fn(entry, *args)`` and no message, or None and why it failed."""
+    """``fn(entry, *args)`` and no message, or None and why it failed.
+
+    The message names the subject by its CT, first on the line, then the
+    fault, which names its file: a fault of the CT names it once.
+    """
     try:
         return fn(entry, *args), None
     except (BodycompError, OSError, ValueError) as exc:
-        return None, f"{entry['ct']}: {exc}"
+        ct, message = entry["ct"], str(exc)
+        return None, message if message.startswith(f"{ct}: ") else f"{ct}: {message}"
 
 
 def _pieces(masks: list, ct, geometry: Geometry, slab: slice):
@@ -233,7 +263,9 @@ def _measure_one(entry: dict, subject_id: str, policy: MergePolicy, cohort: dict
     if record is None:
         record = SubjectRecord(subject_id=subject_id, age_years=0.0)
     pieces = _pieces([entry["tissue"]], entry["ct"], picked.geometry, picked.counted_slab())
-    return measure_pieces(tissue, pieces, picked, record, policy)
+    # a tissue label the mask lacks names it, and a non-finite HU the CT's rescale
+    with _naming(entry["tissue"], LabelVocabularyError), _naming(entry["ct"], NonFiniteHUError):
+        return measure_pieces(tissue, pieces, picked, record, policy)
 
 
 def cmd_measure(args) -> int:
@@ -330,9 +362,9 @@ def cmd_evaluate(args) -> int:
     gt = _read_header(args.gt, ct=False)
     geometry = gt.geometry
     pred = _read_header(args.pred, ct=False)
-    require_same_geometry(geometry, pred.geometry)
+    _same_geometry(args.pred, geometry, pred.geometry)
     if args.vertebrae:
-        require_same_geometry(geometry, _read_header(args.vertebrae, ct=False).geometry)
+        _same_geometry(args.vertebrae, geometry, _read_header(args.vertebrae, ct=False).geometry)
     _read_header(args.ct, True, geometry)
     picked = _read_regions(args.vertebrae) if args.vertebrae else None
     # the masks are read a chunk at a time, and only the densities read the
@@ -342,7 +374,15 @@ def cmd_evaluate(args) -> int:
     slab = picked.counted_slab() if with_ct else slice(0, 0)
     pieces = _pieces([args.gt, args.pred], args.ct if with_ct else None, geometry, slab)
 
-    case = evaluate_pieces(gt, pred, pieces, picked, policy, regions)
+    try:
+        case = evaluate_pieces(gt, pred, pieces, picked, policy, regions)
+    except LabelVocabularyError:
+        # the masks' vocabularies are checked in turn after the pass: the
+        # first mask that fails names its file
+        for path, head in ((args.gt, gt), (args.pred, pred)):
+            with _naming(path, LabelVocabularyError):
+                require_tissue_vocabulary(head)
+        raise
     for metric, reason in case.blank_reasons.items():
         print(f"evaluate: {metric} error left blank: {reason}", file=sys.stderr)
     report = aggregate_cases([case])
@@ -358,7 +398,8 @@ def cmd_select_slice(args) -> int:
     # one chunked scan: the index and its area come from one count table
     head, counts = _read_counts(args.vertebrae)
     name = vertebra_label(args.level)
-    index = _largest_slice(counts, head.label_map, name)
+    with _naming(args.vertebrae, VertebraNotFoundError):
+        index = _largest_slice(counts, head.label_map, name)
     area = counts[index, codes_for(head.label_map, name)].sum() * head.geometry.pixel_area_cm2
     print(f"{name} index {index} area_cm2 {format_number(float(area))}")
     return 0
@@ -373,14 +414,17 @@ def cmd_postprocess(args) -> int:
     # its operand order, comes before any payload is read
     ct_head = _read_header(args.ct, ct=True)
     mask_head = _read_header(args.mask, ct=False)
+    # a mismatch names the mask, which is compared with the CT
     if args.mode == "sat-skin":
-        require_same_geometry(mask_head.geometry, ct_head.geometry)
+        _same_geometry(args.mask, mask_head.geometry, ct_head.geometry)
         kernel, geometry = (lambda ct, mask: dilate_sat_to_skin(mask, ct)), mask_head.geometry
     else:
-        require_same_geometry(ct_head.geometry, mask_head.geometry)
+        _same_geometry(args.mask, ct_head.geometry, mask_head.geometry)
         kernel, geometry = muscular_fat_candidates, ct_head.geometry
-    # map holds no chunk while the next is read
-    with closing(read_in_step([args.ct, args.mask], geometry, slice(0, geometry.nz))) as steps:
+    # map holds no chunk while the next is read; a label the kernel needs
+    # and the mask lacks names the mask
+    steps = read_in_step([args.ct, args.mask], geometry, slice(0, geometry.nz))
+    with closing(steps), _naming(args.mask, LabelVocabularyError):
         write_slabs(map(lambda step: kernel(*step[1]), steps), geometry, args.out)
     return 0
 

@@ -172,7 +172,9 @@ def test_measure_batch_partial_failure(tmp_path, capsys):
     rows = read_csv(out / "results.csv")
     assert [r["subject_id"] for r in rows] == ["a1", "a3"]
     err = capsys.readouterr().err
-    assert "a2_ct" in err and "1 of 3 inputs failed" in err
+    ct, vertebrae = tmp_path / "a2_ct.bcv", tmp_path / "a2_vertebrae.bcv"
+    assert f"measure: {ct}: {vertebrae}: label 'vertebrae_L3' has no voxels in volume\n" in err
+    assert "1 of 3 inputs failed" in err
 
 
 @pytest.mark.parametrize("tissue_z", ["slice 4 moved", "none"])
@@ -191,7 +193,7 @@ def test_measure_names_the_slice_whose_z_position_differs(tmp_path, capsys, tiss
     why = "slice 4 at z 6.25 vs 6.0" if moved else "no z positions vs z positions"
     grid = f"dims {ph.tissue.dims} spacing {ph.tissue.spacing_mm}"
     assert capsys.readouterr().err == (
-        f"measure: {paths['ct']}: geometry mismatch: {grid}; {why}\n"
+        f"measure: {paths['ct']}: {paths['tissue']}: geometry mismatch: {grid}; {why}\n"
         "measure: 1 of 1 inputs failed\n"
     )
     assert read_csv(out / "results.csv") == []
@@ -416,10 +418,10 @@ def test_select_slice_rejects_a_ct(tmp_path, capsys):
 def test_select_slice_of_a_missing_level_fails(tmp_path, capsys):
     vol = _vertebrae_with_counts([0, 5, 9], code=2)
     assert _select_slice(tmp_path, capsys, vol, "L4") == (
-        1, "", "bodycomp: label 'vertebrae_L4' has no voxels in volume\n"
+        1, "", "bodycomp: <path>: label 'vertebrae_L4' has no voxels in volume\n"
     )
     assert _select_slice(tmp_path, capsys, vol, "L5") == (
-        1, "", "bodycomp: label 'vertebrae_L5' absent from volume\n"
+        1, "", "bodycomp: <path>: label 'vertebrae_L5' absent from volume\n"
     )
 
 
@@ -790,7 +792,8 @@ def test_evaluate_reports_why_a_missing_level_blanks_every_metric(tmp_path, caps
     assert code == 0
     assert json.loads((out / "eval.json").read_text())["metric_errors"] == []
     assert capsys.readouterr().err.splitlines() == [
-        f"evaluate: {name} error left blank: label 'vertebrae_L4' has no voxels in volume"
+        f"evaluate: {name} error left blank: {paths['vertebrae']}: "
+        "label 'vertebrae_L4' has no voxels in volume"
         for name in bodycomp.METRIC_FIELDS
     ]
 
@@ -912,6 +915,26 @@ def test_postprocess_walks_each_input_once(tmp_path, monkeypatch, mode):
     assert sorted(reads, key=str) == [("p1_ct.bcv", slice(0, 12)), ("p1_tissue.bcv", slice(0, 12))]
 
 
+@pytest.mark.parametrize("mask", ["gt", "pred", "tissue"])
+def test_a_mask_without_the_tissue_vocabulary_is_named(tmp_path, capsys, mask):
+    ph, paths = write_phantom(tmp_path, sid="p1", nx=32, ny=32, nz=12)
+    # VAT relabelled as a name that is no tissue
+    lacking = tmp_path / "lacking.bcv"
+    write_volume(replace(ph.tissue, label_map={**ph.tissue.label_map, 3: "organ"}), lacking)
+    why = f"{lacking}: mask lacks tissue labels ['vat']; expected the tissue vocabulary\n"
+    if mask == "tissue":
+        argv = ["measure", "--ct", str(paths["ct"]), "--tissue", str(lacking),
+                "--vertebrae", str(paths["vertebrae"]), "--out", str(tmp_path / "out")]
+        want = f"measure: {paths['ct']}: {why}measure: 1 of 1 inputs failed\n"
+    else:
+        masks = {"gt": paths["tissue"], "pred": paths["tissue"], mask: lacking}
+        argv = ["evaluate", "--gt", str(masks["gt"]), "--pred", str(masks["pred"]),
+                "--ct", str(paths["ct"]), "--out", str(tmp_path / "out")]
+        want = f"bodycomp: {why}"
+    assert main(argv) == 1
+    assert capsys.readouterr().err == want
+
+
 def test_evaluate_refuses_a_missing_level_before_reading_the_masks(tmp_path, capsys, monkeypatch):
     ph, paths = write_phantom(tmp_path, sid="p1", nx=32, ny=32, nz=12)
     # code 9, which the label map lacks, on the last slice of gt
@@ -928,7 +951,9 @@ def test_evaluate_refuses_a_missing_level_before_reading_the_masks(tmp_path, cap
                  "--ct", str(paths["ct"]), "--vertebrae", str(paths["vertebrae"]),
                  "--regions", "t12l4", "--out", str(tmp_path / "out")])
     assert code == 1
-    assert capsys.readouterr().err == "bodycomp: label 'vertebrae_L4' has no voxels in volume\n"
+    assert capsys.readouterr().err == (
+        f"bodycomp: {paths['vertebrae']}: label 'vertebrae_L4' has no voxels in volume\n"
+    )
     assert reads == [("p1_vertebrae.bcv", slice(0, 0))]  # only the vertebra scan
 
 
@@ -959,7 +984,8 @@ def test_measure_fails_on_a_ct_cut_after_its_slab(tmp_path, capsys):
     assert code == 1
     assert [r["subject_id"] for r in read_csv(out / "results.csv")] == ["good"]
     err = capsys.readouterr().err
-    assert re.search(r"bad_ct\.bcv: .*bad_ct\.bcv: payload has \d+ bytes, dims imply \d+", err)
+    ct = re.escape(str(paths["ct"]))
+    assert re.search(rf"^measure: {ct}: payload has \d+ bytes, dims imply \d+$", err, re.M)
     assert "1 of 2 inputs failed" in err
 
 
@@ -1028,7 +1054,9 @@ def test_measure_a_non_finite_grid_fails_its_subject_alone(tmp_path, grid):
     proc = measure(["g1", "b1"], tmp_path / "out")
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    # the failure line names the CT, at fault, once
     assert f"measure: {paths['ct']}: " in proc.stderr
+    assert proc.stderr.count(str(paths["ct"])) == 1
     rows = read_csv(tmp_path / "out" / "results.csv")
     assert not any(re.search("nan|inf", cell, re.I) for row in rows for cell in row.values())
     assert (tmp_path / "out" / "results.csv").read_bytes() == (
@@ -1119,7 +1147,7 @@ def test_evaluate_checks_every_header_before_any_payload(tmp_path, capsys, monke
         inputs[name] = other_paths["tissue" if name == "pred" else name]
         # the CT's own geometry comes first, the others' after gt's
         first, second = (other.ct, ph.tissue) if name == "ct" else (ph.tissue, other.tissue)
-        want = f"geometry mismatch: {grid(first)} vs {grid(second)}"
+        want = f"{inputs[name]}: geometry mismatch: {grid(first)} vs {grid(second)}"
     argv = ["evaluate", "--out", str(tmp_path / "out")]
     for option, path in inputs.items():
         argv += [f"--{option}", str(path)]

@@ -163,13 +163,13 @@ def _fault(name, tmp_path, ct, tissue):
         write_volume(replace(tissue, spacing_mm=(0.8, 1.0, 5.0)), m)
         ours, theirs = "(48, 48, 10) spacing (0.8, 1.0, 5.0)", "(48, 48, 10) spacing (1.0, 1.0, 5.0)"
         if name == "geometry sat-skin":  # the mask, then the CT
-            return "sat-skin", {}, f"bodycomp: geometry mismatch: dims {ours} vs dims {theirs}\n"
-        return "mf-filter", {}, f"bodycomp: geometry mismatch: dims {theirs} vs dims {ours}\n"
+            return "sat-skin", {}, f"bodycomp: {m}: geometry mismatch: dims {ours} vs dims {theirs}\n"
+        return "mf-filter", {}, f"bodycomp: {m}: geometry mismatch: dims {theirs} vs dims {ours}\n"
     if name == "no sat label":
         roi = replace(tissue, codes=(tissue.codes == 1).astype(np.uint8),
                       label_map={0: "background", 1: "roi"})
         write_volume(roi, m)
-        return "sat-skin", {}, "bodycomp: label 'sat' not in label map\n"
+        return "sat-skin", {}, f"bodycomp: {m}: label 'sat' not in label map\n"
     if name.startswith("unmapped"):
         # code 11 on the last slice and code 9 on slice 1: the chunks of
         # slices before 1 are written before the first is found
