@@ -223,6 +223,13 @@ def make_inputs(folder: Path) -> list[str]:
     manifest = ["ct,tissue,vertebrae,subject_id"]
     manifest += [f"{s}_ct.bcv,{s}_tissue.bcv,{s}_vertebrae.bcv," for s in good]
     (folder / "manifest.csv").write_text("\n".join(manifest) + "\n", encoding="utf-8")
+    # a byte order mark, as Excel's "CSV UTF-8" writes, before the header;
+    # ids given, empty and blank in turn (an empty or blank id is the CT header's)
+    ids = ("m_{}", "", "  ")
+    marked = manifest[:1] + [
+        f"{s}_ct.bcv,{s}_tissue.bcv,{s}_vertebrae.bcv,{ids[i % 3].format(s)}" for i, s in enumerate(good)
+    ]
+    (folder / "manifest_bom.csv").write_text("\n".join(marked) + "\n", encoding="utf-8-sig")
     faulty = manifest + [
         "base_ct.bcv,unmapped_in_tissue.bcv,base_vertebrae.bcv,f_unmapped_in",
         "base_ct.bcv,unmapped_out_tissue.bcv,base_vertebrae.bcv,f_unmapped_out",
@@ -268,14 +275,17 @@ def _runs(good: list[str]):
                 "measure", *triple(sid), "--policy", policy, "--out", "out"
             ]
     for policy in POLICIES:
-        for jobs in ("1", "2"):
+        for jobs in ("1", "2", "3"):
             yield f"measure.manifest.{policy}.j{jobs}", [
                 "measure", "--manifest", f("manifest.csv"), "--policy", policy, "--jobs", jobs,
                 "--out", "out",
             ]
-    for jobs in ("1", "2"):
+    for jobs in ("1", "2", "3"):
         yield f"measure.manifest_faults.j{jobs}", [
             "measure", "--manifest", f("manifest_faults.csv"), "--jobs", jobs, "--out", "out"
+        ]
+        yield f"measure.manifest_bom.j{jobs}", [
+            "measure", "--manifest", f("manifest_bom.csv"), "--jobs", jobs, "--out", "out"
         ]
     yield "measure.cohort", [
         "measure", "--manifest", f("manifest.csv"), "--cohort", f("demographics.csv"), "--out", "out"
