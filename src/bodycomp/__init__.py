@@ -41,6 +41,7 @@ _HOMES = {
             "NonFiniteHUError",
             "TruncatedPayloadError",
             "UndefinedRatioError",
+            "UndefinedSMIError",
             "UnitStateError",
             "UnknownDtypeError",
             "UnknownKindError",

@@ -45,6 +45,7 @@ from .errors import (
     GeometryMismatchError,
     LabelVocabularyError,
     NonFiniteHUError,
+    UndefinedSMIError,
     VertebraNotFoundError,
 )
 from .io import (
@@ -314,8 +315,10 @@ def cmd_measure(args) -> int:
         return 2
 
     def measure_row(entry, subject_id):
-        # the row is formatted here: a metric it cannot write fails its subject alone
-        result = _measure_one(entry, subject_id, policy, cohort)
+        # the row is formatted here: a metric it cannot write fails its subject
+        # alone; a height that gives no finite SMI names the --cohort file
+        with _naming(args.cohort, UndefinedSMIError):
+            result = _measure_one(entry, subject_id, policy, cohort)
         return result, _csv_row(result)
 
     def work(entry, named):
@@ -345,6 +348,7 @@ def cmd_measure(args) -> int:
 
 def cmd_evaluate(args) -> int:
     from .evaluation import EvalRow, _normalize_regions, aggregate_cases, evaluate_pieces
+    from .measures import _NON_FINITE
 
     policy = _POLICIES[args.policy]
     regions = args.regions.split(",") if args.regions else None
@@ -384,6 +388,8 @@ def cmd_evaluate(args) -> int:
                 require_tissue_vocabulary(head)
         raise
     for metric, reason in case.blank_reasons.items():
+        # a non-finite HU comes of the CT's rescale: the reason names the CT
+        reason = f"{args.ct}: {reason}" if reason == _NON_FINITE else reason
         print(f"evaluate: {metric} error left blank: {reason}", file=sys.stderr)
     report = aggregate_cases([case])
 

@@ -29,6 +29,10 @@ class NonFiniteHUError(BodycompError):
     """A measurement met a NaN or infinite HU value (e.g. an overflowing rescale)."""
 
 
+class UndefinedSMIError(BodycompError, ValueError):
+    """A height gives no finite skeletal muscle index: its square is 0, or the index overflows."""
+
+
 class UndefinedRatioError(BodycompError):
     """VAT/SAT ratio requested while the SAT measure is zero."""
 

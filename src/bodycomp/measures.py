@@ -43,6 +43,7 @@ from .errors import (
     EmptyRegionError,
     NonFiniteHUError,
     UndefinedRatioError,
+    UndefinedSMIError,
     VertebraNotFoundError,
 )
 from .model import (
@@ -414,13 +415,14 @@ def vat_sat_ratio(
 def smi(area_cm2: float, height_m: float) -> float:
     """Skeletal muscle index: area normalized by height squared (cm²/m²).
 
-    ValueError, naming the height, unless the height is positive and the
-    index finite: the square of 1e-200 is 0, and 150 / 1e-160² overflows.
+    UndefinedSMIError (a ValueError), naming the height, unless the height
+    is positive and the index finite: the square of 1e-200 is 0, and
+    150 / 1e-160² overflows.
     """
     square = height_m * height_m if height_m > 0 else 0.0
     index = area_cm2 / square if square else math.inf
     if not math.isfinite(index):
-        raise ValueError(f"height_m {height_m} gives no finite SMI")
+        raise UndefinedSMIError(f"height_m {height_m} gives no finite SMI")
     return index
 
 

@@ -456,7 +456,7 @@ def test_non_finite_hu_leaves_density_errors_blank(tmp_path, capsys):
         warnings.simplefilter("error", RuntimeWarning)
         assert main(argv) == 0
     assert capsys.readouterr().err.splitlines() == [
-        f"evaluate: {name} error left blank: NaN or infinite HU among the skeletal-muscle voxels"
+        f"evaluate: {name} error left blank: {paths['ct']}: NaN or infinite HU among the skeletal-muscle voxels"
         for name in ("muscle_density_2d", "muscle_density_3d")
     ]
 
