@@ -252,15 +252,18 @@ def _pieces(masks: list, ct, geometry: Geometry, slab: slice):
         del ct_piece, read  # nothing of a chunk stays in this frame while the next is read
 
 
-def _measure_one(entry: dict, subject_id: str, policy: MergePolicy, cohort: dict):
-    """Measure one subject, reading of its CT only the counted slab, a chunk at a time."""
+def _measure_one(entry: dict, subject_id: str, policy: MergePolicy, record: SubjectRecord | None):
+    """Measure one subject, reading of its CT only the counted slab, a chunk at a time.
+
+    ``record`` holds the subject's demographics; without one the subject
+    has no height, so no SMI.
+    """
     from .measures import measure_pieces
 
     # the regions come first: the vertebra mask is scanned, never held
     picked = _read_regions(entry["vertebrae"])
     _read_header(entry["ct"], True, picked.geometry)
     tissue = _read_header(entry["tissue"], False, picked.geometry)
-    record = cohort.get(subject_id)
     if record is None:
         record = SubjectRecord(subject_id=subject_id, age_years=0.0)
     pieces = _pieces([entry["tissue"]], entry["ct"], picked.geometry, picked.counted_slab())
@@ -269,10 +272,59 @@ def _measure_one(entry: dict, subject_id: str, policy: MergePolicy, cohort: dict
         return measure_pieces(tissue, pieces, picked, record, policy)
 
 
-def cmd_measure(args) -> int:
-    from concurrent.futures import ThreadPoolExecutor
+def _measure_row(entry: dict, subject_id: str, policy: MergePolicy, record, cohort):
+    """One subject's result and its CSV row. The row is formatted here, so
+    a metric it cannot write fails its subject alone; a height that gives
+    no finite SMI names ``cohort``, the file it came from."""
+    with _naming(cohort, UndefinedSMIError):
+        result = _measure_one(entry, subject_id, policy, record)
+    return result, _csv_row(result)
 
-    # loaded before the workers start, so that no worker waits on another's import
+
+def _measure_task(policy: MergePolicy, cohort, task):
+    """A worker's task: ``(entry, (subject_id, failure), record)``, where
+    ``(subject_id, failure)`` comes of the header pre-pass. Returns
+    ``_attempt``'s ``((result, row), None)`` or ``(None, message)``.
+
+    A module-level function, so that a worker process can be sent it by
+    name: the task carries the subject's own record, never the cohort.
+    """
+    entry, (subject_id, failure), record = task
+    if subject_id is None:
+        return None, failure
+    return _attempt(_measure_row, entry, subject_id, policy, record, cohort)
+
+
+def _measure_all(work, tasks: list, jobs: int) -> list:
+    """``work`` over ``tasks``, in order, in up to ``jobs`` forked worker processes.
+
+    Subjects are mostly Python-level numpy calls, so threads would take
+    turns on the GIL. The workers are forked: they inherit numpy and the
+    loaded modules, where a spawned worker would import them again. No
+    thread is started before they are. With one worker, or no fork on
+    this platform, ``work`` runs here and no process is made.
+    """
+    workers = min(jobs, len(tasks))
+    if workers <= 1 or not hasattr(os, "fork"):
+        return list(map(work, tasks))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # a few chunks per worker: many small subjects travel together, and a
+    # few large ones one at a time, each on its own worker
+    chunk = max(1, len(tasks) // (4 * workers))
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(work, tasks, chunksize=chunk))
+    except BrokenProcessPool as exc:  # a worker killed, or out of memory
+        raise BodycompError(f"a worker process died: {exc}") from None
+
+
+def cmd_measure(args) -> int:
+    from functools import partial
+
+    # loaded before the workers fork, so that each inherits them
     from . import measures, regions
 
     policy = _POLICIES[args.policy]
@@ -314,21 +366,8 @@ def cmd_measure(args) -> int:
         print(f"measure: duplicate subject_id {duplicate!r}", file=sys.stderr)
         return 2
 
-    def measure_row(entry, subject_id):
-        # the row is formatted here: a metric it cannot write fails its subject
-        # alone; a height that gives no finite SMI names the --cohort file
-        with _naming(args.cohort, UndefinedSMIError):
-            result = _measure_one(entry, subject_id, policy, cohort)
-        return result, _csv_row(result)
-
-    def work(entry, named):
-        subject_id, failure = named
-        if subject_id is None:
-            return None, failure
-        return _attempt(measure_row, entry, subject_id)
-
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        outcomes = list(pool.map(work, entries, ids))
+    tasks = [(entry, named, cohort.get(named[0])) for entry, named in zip(entries, ids)]
+    outcomes = _measure_all(partial(_measure_task, policy, args.cohort), tasks, args.jobs)
 
     measured = sorted((m for m, _ in outcomes if m is not None), key=lambda m: m[0].subject_id)
     failures = [msg for _, msg in outcomes if msg is not None]

@@ -297,6 +297,49 @@ def test_measure_outputs_are_deterministic_across_jobs(tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def _small_manifest(tmp_path, n=2):
+    for sid in ("b1", "b2")[:n]:
+        write_phantom(tmp_path, sid=sid, nx=24, ny=24, nz=10)
+    return _manifest(tmp_path, ["b1", "b2"][:n])
+
+
+@pytest.mark.parametrize(
+    "subjects, fork, pools",
+    [(1, True, []), (2, False, []), (2, True, [(2, "fork")])],
+    ids=["one subject", "no fork", "two subjects"],
+)
+def test_measure_starts_one_worker_per_subject_at_most(tmp_path, monkeypatch, subjects, fork, pools):
+    import concurrent.futures
+
+    started = []
+    executor = concurrent.futures.ProcessPoolExecutor
+
+    def spy(max_workers, mp_context):
+        started.append((max_workers, mp_context.get_start_method()))
+        if not pools:
+            raise AssertionError("a process pool was started")
+        return executor(max_workers, mp_context=mp_context)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    manifest = _small_manifest(tmp_path, subjects)
+    assert main(["measure", "--manifest", str(manifest), "--jobs", "4", "--out", str(tmp_path / "out")]) == 0
+    assert started == pools
+    assert len(read_csv(tmp_path / "out" / "results.csv")) == subjects
+
+
+def test_a_worker_that_dies_fails_the_command_cleanly(tmp_path, monkeypatch, capsys):
+    # the forked workers inherit the patch
+    monkeypatch.setattr("bodycomp.cli._measure_one", lambda *a: os._exit(3))
+    out = tmp_path / "out"
+    code = main(["measure", "--manifest", str(_small_manifest(tmp_path)), "--jobs", "2", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bodycomp: a worker process died: ") and "Traceback" not in err
+    assert not (out / "results.csv").exists()
+
+
 def test_evaluate_perfect_prediction(tmp_path):
     ph, paths = write_phantom(tmp_path, sid="p1", nx=32, ny=32, nz=12)
     out = tmp_path / "eval"
@@ -390,7 +433,7 @@ def _vertebrae_with_counts(counts, code, **kw):
 
 
 def test_select_slice_prints_the_lowest_tied_slice_from_a_scan(tmp_path, capsys, monkeypatch):
-    reads = _recording_reads(monkeypatch)
+    reads = _recording_reads(monkeypatch, tmp_path)
     vol = _vertebrae_with_counts([0, 5, 9, 9, 2], code=2)
     assert _select_slice(tmp_path, capsys, vol, "L3") == (
         0, "vertebrae_L3 index 2 area_cm2 0.09\n", ""
@@ -848,16 +891,43 @@ def _manifest(tmp_path, sids, with_ids=True):
     return manifest
 
 
-def _recording_reads(monkeypatch):
-    """Record the (file name, z) of every payload read: every read is one
-    walk over a file (``io._walk``), and ``z`` names the slices it reads
-    as volumes. A label file's other slices are scanned as planes; a CT's
-    are not read at all."""
-    reads = []
+class _Walks:
+    """The (file name, z) of each walk appended to ``path``, one JSON line
+    each, read back as a list: a forked worker's walks count too."""
+
+    def __init__(self, path):
+        self.path = path
+        path.write_text("")
+
+    def _list(self):
+        lines = self.path.read_text().splitlines()
+        return [(name, slice(start, stop)) for name, start, stop in map(json.loads, lines)]
+
+    def __iter__(self):
+        return iter(self._list())
+
+    def __eq__(self, other):
+        return self._list() == other
+
+    def __repr__(self):
+        return repr(self._list())
+
+    def clear(self):
+        self.path.write_text("")
+
+
+def _recording_reads(monkeypatch, tmp_path):
+    """Record the (file name, z) of every payload read, in this process or
+    a worker forked from it: every read is one walk over a file
+    (``io._walk``), and ``z`` names the slices it reads as volumes. A
+    label file's other slices are scanned as planes; a CT's are not read
+    at all."""
+    reads = _Walks(tmp_path / "walks.jsonl")
     walk = bodycomp.io._walk
 
     def recorded(fh, head, z, step):
-        reads.append((Path(head.path).name, z))
+        with open(reads.path, "a") as log:  # one write per line: appends do not interleave
+            log.write(json.dumps([Path(head.path).name, z.start, z.stop]) + "\n")
         return walk(fh, head, z, step)
 
     monkeypatch.setattr(bodycomp.io, "_walk", recorded)
@@ -866,7 +936,7 @@ def _recording_reads(monkeypatch):
 
 def test_measure_reads_only_the_counted_slab(tmp_path, monkeypatch):
     ph, _ = write_phantom(tmp_path, sid="p1", nx=32, ny=32, nz=20, vertebra_slices=(14, 9, 5))
-    reads = _recording_reads(monkeypatch)
+    reads = _recording_reads(monkeypatch, tmp_path)
     out = tmp_path / "out"
     assert main(["measure", "--manifest", str(_manifest(tmp_path, ["p1"])), "--out", str(out)]) == 0
     # one read of each file: the vertebra mask is scanned a chunk at a time,
@@ -890,7 +960,7 @@ def test_each_input_file_is_walked_once(tmp_path, monkeypatch, ct):
             raw = np.random.default_rng(14).integers(32700, 32768, size=ph.ct.values.shape, dtype=np.int16)
             raw[:, :, ::5] = 1
             write_volume(replace(ph.ct, values=raw, rescale_intercept=0.0), paths["ct"])
-    walks = _recording_reads(monkeypatch)
+    walks = _recording_reads(monkeypatch, tmp_path)
     out = tmp_path / "out"
     assert main(["measure", "--manifest", str(_manifest(tmp_path, sids)), "--jobs", "2",
                  "--out", str(out / "m")]) == 0
@@ -909,7 +979,7 @@ def test_postprocess_walks_each_input_once(tmp_path, monkeypatch, mode):
     ph, paths = write_phantom(tmp_path, sid="p1", nx=32, ny=32, nz=12)
     # 5 slices a chunk: each walk is read in three steps
     monkeypatch.setattr(bodycomp.io, "SCAN_CHUNK_BYTES", 5 * ph.ct.values[0].nbytes)
-    reads = _recording_reads(monkeypatch)
+    reads = _recording_reads(monkeypatch, tmp_path)
     assert main(["postprocess", mode, "--ct", str(paths["ct"]), "--mask", str(paths["tissue"]),
                  "--out", str(tmp_path / "out.bcv")]) == 0
     assert sorted(reads, key=str) == [("p1_ct.bcv", slice(0, 12)), ("p1_tissue.bcv", slice(0, 12))]
@@ -946,7 +1016,7 @@ def test_evaluate_refuses_a_missing_level_before_reading_the_masks(tmp_path, cap
     vertebrae = np.where(ph.vertebrae.codes == 3, 0, ph.vertebrae.codes).astype(np.uint8)  # no L4
     write_volume(replace(ph.vertebrae, codes=vertebrae), paths["vertebrae"])
     write_volume(ph.tissue, tmp_path / "pred.bcv")
-    reads = _recording_reads(monkeypatch)
+    reads = _recording_reads(monkeypatch, tmp_path)
     code = main(["evaluate", "--gt", str(paths["tissue"]), "--pred", str(tmp_path / "pred.bcv"),
                  "--ct", str(paths["ct"]), "--vertebrae", str(paths["vertebrae"]),
                  "--regions", "t12l4", "--out", str(tmp_path / "out")])
@@ -993,7 +1063,7 @@ def test_measure_rejects_duplicate_header_ids_before_reading_payloads(tmp_path, 
     for sid in ("a1", "a2", "a3"):
         ph, paths = write_phantom(tmp_path, sid=sid, nx=24, ny=24, nz=10)
     write_volume(replace(ph.ct, subject_id="a1"), paths["ct"])  # a3's CT says a1
-    reads = _recording_reads(monkeypatch)
+    reads = _recording_reads(monkeypatch, tmp_path)
     manifest = _manifest(tmp_path, ["a1", "a2", "a3"], with_ids=False)
     out = tmp_path / "out"
     assert main(["measure", "--manifest", str(manifest), "--out", str(out), "--jobs", "2"]) == 2
@@ -1106,7 +1176,7 @@ def test_evaluate_reads_only_the_ct_slab_its_densities_read(tmp_path, monkeypatc
         argv += ["--vertebrae", str(paths["vertebrae"])]
     if regions:
         argv += ["--regions", ",".join(regions)]
-    reads = _recording_reads(monkeypatch)
+    reads = _recording_reads(monkeypatch, tmp_path)
     assert main(argv) == 0
     ct_reads = [z for name, z in reads if name == "p1_ct.bcv"]
     assert ct_reads == ([slice(5, 15)] if vertebrae == "all levels" else [])
@@ -1151,7 +1221,7 @@ def test_evaluate_checks_every_header_before_any_payload(tmp_path, capsys, monke
     argv = ["evaluate", "--out", str(tmp_path / "out")]
     for option, path in inputs.items():
         argv += [f"--{option}", str(path)]
-    reads = _recording_reads(monkeypatch)  # the vertebra scan included
+    reads = _recording_reads(monkeypatch, tmp_path)  # the vertebra scan included
     assert main(argv) == 1
     assert capsys.readouterr() == ("", f"bodycomp: {want}\n")
     assert reads == []
@@ -1210,7 +1280,7 @@ def _ct_sized_run(files, command, slab, ct="ct.bcv"):
     if command == "measure":
         entry = {"ct": paths["ct"], "tissue": paths["tissue"], "vertebrae": paths["vertebrae"],
                  "subject_id": "p1"}
-        return _traced_peak(_measure_one, entry, "p1", MergePolicy.MUSCLE, {})
+        return _traced_peak(_measure_one, entry, "p1", MergePolicy.MUSCLE, None)
     args = cli.build_parser().parse_args(
         ["evaluate", "--gt", paths["tissue"], "--pred", paths["pred"], "--ct", paths["ct"],
          "--vertebrae", paths["vertebrae"], "--out", str(files / "out")])
@@ -1249,7 +1319,7 @@ def test_measure_one_peak_memory_is_the_vertebrae_and_the_slabs(tmp_path):
     gc.collect()
     tracemalloc.start()
     try:
-        result = _measure_one(entry, "p1", MergePolicy.MUSCLE, {})
+        result = _measure_one(entry, "p1", MergePolicy.MUSCLE, None)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
