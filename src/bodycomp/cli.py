@@ -272,7 +272,8 @@ def _measure_one(entry: dict, subject_id: str, policy: MergePolicy, record: Subj
         return measure_pieces(tissue, pieces, picked, record, policy)
 
 
-def _measure_row(entry: dict, subject_id: str, policy: MergePolicy, record, cohort):
+def _measure_row(entry: dict, subject_id: str, policy: MergePolicy, record: SubjectRecord | None,
+                 cohort: str | None):
     """One subject's result and its CSV row. The row is formatted here, so
     a metric it cannot write fails its subject alone; a height that gives
     no finite SMI names ``cohort``, the file it came from."""
@@ -281,7 +282,7 @@ def _measure_row(entry: dict, subject_id: str, policy: MergePolicy, record, coho
     return result, _csv_row(result)
 
 
-def _measure_task(policy: MergePolicy, cohort, task):
+def _measure_task(policy: MergePolicy, cohort: str | None, task: tuple):
     """A worker's task: ``(entry, (subject_id, failure), record)``, where
     ``(subject_id, failure)`` comes of the header pre-pass. Returns
     ``_attempt``'s ``((result, row), None)`` or ``(None, message)``.
