@@ -14,6 +14,12 @@ invocation. Outputs are deterministic: rows are ordered by subject_id,
 floats are printed with 6 significant digits, and ``--jobs`` never
 changes any output byte. ``BODYCOMP_JOBS`` sets the default worker count.
 
+``measure --jobs N`` measures subjects in N worker processes forked from
+the command, never more than there are subjects; with one worker it
+makes no process. Each worker holds one subject's chunks at a time, and
+only the command writes files. A worker that dies fails the command
+with exit 1 and writes no ``results.csv``.
+
 Start-up: no command makes a BLAS call, so before numpy loads, this
 module sets ``OPENBLAS_NUM_THREADS`` to 1 unless the caller has set it,
 and OpenBLAS starts no worker threads. At the top it imports only

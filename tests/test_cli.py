@@ -298,9 +298,10 @@ def test_measure_outputs_are_deterministic_across_jobs(tmp_path):
 
 
 def _small_manifest(tmp_path, n=2):
-    for sid in ("b1", "b2")[:n]:
+    sids = ["b1", "b2"][:n]
+    for sid in sids:
         write_phantom(tmp_path, sid=sid, nx=24, ny=24, nz=10)
-    return _manifest(tmp_path, ["b1", "b2"][:n])
+    return _manifest(tmp_path, sids)
 
 
 @pytest.mark.parametrize(
@@ -897,7 +898,7 @@ class _Walks:
 
     def __init__(self, path):
         self.path = path
-        path.write_text("")
+        self.clear()
 
     def _list(self):
         lines = self.path.read_text().splitlines()
