@@ -14,6 +14,11 @@ invocation. Outputs are deterministic: rows are ordered by subject_id,
 floats are printed with 6 significant digits, and ``--jobs`` never
 changes any output byte. ``BODYCOMP_JOBS`` sets the default worker count.
 
+Each command reads a volume's payload a chunk of whole slices at a time
+(``io.SCAN_CHUNK_BYTES``, 1 MiB: 2 slices of a 512x512 CT) and holds
+about one chunk of each file it reads; ``postprocess`` writes its output
+a chunk at a time too.
+
 ``measure --jobs N`` measures subjects in N worker processes forked from
 the command, never more than there are subjects; with one worker it
 makes no process. Each worker holds one subject's chunks at a time, and
@@ -458,9 +463,9 @@ def cmd_select_slice(args) -> int:
 
 
 def cmd_postprocess(args) -> int:
-    from .postprocess import dilate_sat_to_skin, muscular_fat_candidates
+    from .postprocess import dilate_sat_to_skin, muscular_fat_slabs
 
-    # both kernels work slice by slice: they run on each chunk of slices
+    # both kernels work slice by slice: they run on the chunks of slices
     # that read_in_step reads of the CT and the mask side by side, and the
     # output is written as it comes; the geometry check of each kernel, in
     # its operand order, comes before any payload is read
@@ -469,15 +474,18 @@ def cmd_postprocess(args) -> int:
     # a mismatch names the mask, which is compared with the CT
     if args.mode == "sat-skin":
         _same_geometry(args.mask, mask_head.geometry, ct_head.geometry)
-        kernel, geometry = (lambda ct, mask: dilate_sat_to_skin(mask, ct)), mask_head.geometry
+        geometry = mask_head.geometry
+
+        def kernel(pieces):
+            return map(lambda piece: dilate_sat_to_skin(piece[1], piece[0]), pieces)
     else:
         _same_geometry(args.mask, ct_head.geometry, mask_head.geometry)
-        kernel, geometry = muscular_fat_candidates, ct_head.geometry
+        kernel, geometry = muscular_fat_slabs, ct_head.geometry
     # map holds no chunk while the next is read; a label the kernel needs
     # and the mask lacks names the mask
     steps = read_in_step([args.ct, args.mask], geometry, slice(0, geometry.nz))
     with closing(steps), _naming(args.mask, LabelVocabularyError):
-        write_slabs(map(lambda step: kernel(*step[1]), steps), geometry, args.out)
+        write_slabs(kernel(map(lambda step: step[1], steps)), geometry, args.out)
     return 0
 
 

@@ -74,8 +74,11 @@ from .model import (
 MAGIC = b"BCV1"
 
 # Payload bytes a chunked read takes at a time (whole slices): the label
-# codes outside a slab read, and each chunk of ``read_in_step``
-SCAN_CHUNK_BYTES = 1 << 22
+# codes outside a slab read, and each chunk of ``read_in_step``. 1 MiB is
+# 2 slices of a 512x512 CT and 4 of its label files; a command holds about
+# one chunk of each file it reads, and a stream's fixed costs are paid
+# once, not once a chunk (``_Volume.on_grid``, ``Geometry.slab``)
+SCAN_CHUNK_BYTES = 1 << 20
 
 _DTYPES = {"i16": np.dtype("<i2"), "u8": np.dtype("u1")}
 _KIND_DTYPE = {"ct": "i16", "tissue_labels": "u8", "vertebra_labels": "u8"}
@@ -90,14 +93,9 @@ def _label_kind(vol: LabelVolume) -> str:
     return "tissue_labels"
 
 
-def _encode(vol: VoxelVolume | LabelVolume, geometry: Geometry) -> tuple[dict, np.ndarray]:
-    """The header of the volume of ``geometry`` that ``vol`` is a slab of, and its payload."""
-    header: dict = {
-        "dims": list(geometry.dims),
-        "spacing_mm": list(geometry.spacing_mm),
-    }
-    if geometry.z_positions_mm is not None:
-        header["z_positions_mm"] = list(geometry.z_positions_mm)
+def _encode(vol: VoxelVolume | LabelVolume) -> tuple[dict, np.ndarray]:
+    """The header fields of ``vol`` beside its grid, and its payload."""
+    header: dict = {}
     if vol.subject_id is not None:
         header["subject_id"] = vol.subject_id
     if isinstance(vol, VoxelVolume):
@@ -167,10 +165,15 @@ def write_slabs(slabs, geometry: Geometry, path) -> None:
         # first lets the allocator hand it back to the system and fault it
         # in anew (10 times the page faults on a 512x512x400 postprocess)
         for slab in slabs:
-            fields, payload = _encode(slab, geometry)
+            fields, payload = _encode(slab)
             if header is None:
                 header = fields
-                header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+                grid = {"dims": list(geometry.dims), "spacing_mm": list(geometry.spacing_mm)}
+                if geometry.z_positions_mm is not None:
+                    grid["z_positions_mm"] = list(geometry.z_positions_mm)
+                header_bytes = json.dumps(
+                    {**grid, **header}, sort_keys=True, separators=(",", ":")
+                ).encode()
                 fh.write(MAGIC)
                 fh.write(struct.pack("<Q", len(header_bytes)))
                 fh.write(header_bytes)
@@ -356,27 +359,18 @@ def chunk_slices(head: VolumeHeader) -> int:
 
 
 def _volume(head: VolumeHeader, values: np.ndarray, geometry: Geometry):
-    """The volume of ``values``: the slices of ``head``'s payload that ``geometry`` describes."""
-    try:
-        if head.label_map is None:
-            return VoxelVolume(
-                values=values,
-                spacing_mm=geometry.spacing_mm,
-                rescale_slope=head.rescale[0],
-                rescale_intercept=head.rescale[1],
-                unit_state=UnitState.RAW,
-                z_positions_mm=geometry.z_positions_mm,
-                subject_id=head.subject_id,
-            )
-        return LabelVolume(
-            codes=values,
-            label_map=head.label_map,
-            spacing_mm=geometry.spacing_mm,
-            z_positions_mm=geometry.z_positions_mm,
+    """The volume of ``values``: the slices of ``head``'s payload that
+    ``geometry`` describes, whose codes are all mapped.
+
+    The header's checks are the volume's, so they are not made again.
+    """
+    if head.label_map is None:
+        slope, intercept = head.rescale
+        return VoxelVolume.on_grid(
+            values, geometry, rescale_slope=slope, rescale_intercept=intercept,
             subject_id=head.subject_id,
         )
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise HeaderError(f"{head.path}: header violates volume invariants: {exc}") from exc
+    return LabelVolume.on_grid(values, geometry, label_map=head.label_map, subject_id=head.subject_id)
 
 
 def _spans(lo: int, hi: int, step: int, as_volume: bool) -> list[tuple[int, int, bool]]:
@@ -392,28 +386,18 @@ def _walk(fh, head: VolumeHeader, z: slice, step: int):
     are not read, as every 16-bit value is valid. Each piece is read
     straight into its array and is not kept once it is yielded.
 
-    Each label piece is checked once against the label map: a volume by
-    its constructor, planes by ``unmapped_codes``. When the map misses a
-    code of a piece, the rest of the file is scanned, so that the
-    ``HeaderError`` names every unmapped code, as a whole read's does:
-    the pieces before held none.
+    Each label piece is checked once against the label map
+    (``unmapped_codes``). When the map misses a code of a piece, the rest
+    of the file is scanned, so that the ``HeaderError`` names every
+    unmapped code, as a whole read's does: the pieces before held none.
     """
     label_map, nz, scan = head.label_map, head.geometry.nz, chunk_slices(head)
     pieces = _spans(z.start, z.stop, step, True)
     if label_map is not None:
         pieces = _spans(0, z.start, scan, False) + pieces + _spans(z.stop, nz, scan, False)
     for lo, hi, as_volume in pieces:
-        piece, unmapped = _read_planes(fh, head, lo, hi), []
-        try:
-            if as_volume:
-                piece = _volume(head, piece, head.geometry.slab(slice(lo, hi)))
-            else:
-                unmapped = unmapped_codes(piece, label_map)
-        except HeaderError:
-            # only a label volume is refused, for a code its map misses
-            unmapped = unmapped_codes(piece, label_map)
-            if not unmapped:
-                raise
+        piece = _read_planes(fh, head, lo, hi)
+        unmapped = [] if label_map is None else unmapped_codes(piece, label_map)
         if unmapped:
             for k in range(hi, nz, scan):
                 unmapped += unmapped_codes(_read_planes(fh, head, k, min(k + scan, nz)), label_map)
@@ -421,6 +405,8 @@ def _walk(fh, head: VolumeHeader, z: slice, step: int):
                 f"{head.path}: header violates volume invariants: "
                 f"codes {sorted(set(unmapped))} present in volume but not in label_map"
             )
+        if as_volume:
+            piece = _volume(head, piece, head.geometry.slab(slice(lo, hi)))
         yield piece
         del piece  # nothing of a piece stays in this frame while the next is read
 

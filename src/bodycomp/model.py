@@ -79,6 +79,20 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _unchecked(cls, **values):
+    """An instance of the frozen dataclass ``cls`` holding ``values`` as
+    they are, its other fields at their defaults, without ``__post_init__``.
+
+    For what is known to pass every check already: a slab of a checked
+    grid, or a slab's voxels of the dtype its volume stores. A stream of
+    slabs then costs its checks once, not once a slab.
+    """
+    obj = object.__new__(cls)
+    for f in fields(cls):
+        object.__setattr__(obj, f.name, values[f.name] if f.name in values else f.default)
+    return obj
+
+
 class _Grid:
     """What a geometry and a volume share: ``dims`` (nx, ny, nz), ``spacing_mm``
     and ``z_positions_mm``, and the sizes derived from them."""
@@ -166,7 +180,11 @@ class Geometry(_Grid):
         if lo is None or hi is None or not 0 <= lo < hi <= nz or sl.step not in (None, 1):
             raise IndexError(f"slab {sl} is not a slice range inside [0, {nz})")
         z = self.z_positions_mm
-        return Geometry((nx, ny, hi - lo), self.spacing_mm, z[sl] if z is not None else None)
+        # the grid check bounds the thickest slab, so every slab passes it
+        return _unchecked(
+            Geometry, dims=(nx, ny, hi - lo), spacing_mm=self.spacing_mm,
+            z_positions_mm=z[sl] if z is not None else None,
+        )
 
 
 class _Volume(_Grid):
@@ -182,7 +200,26 @@ class _Volume(_Grid):
 
     @property
     def geometry(self) -> Geometry:
-        return Geometry(self.dims, self.spacing_mm, self.z_positions_mm)
+        # a volume's grid passed the checks a geometry makes
+        return _unchecked(
+            Geometry, dims=self.dims, spacing_mm=self.spacing_mm, z_positions_mm=self.z_positions_mm
+        )
+
+    @classmethod
+    def on_grid(cls, voxels: np.ndarray, geometry: Geometry, **meta):
+        """The volume of ``voxels`` on ``geometry``, a checked grid of their
+        shape, built without the constructor's checks.
+
+        ``voxels`` must already be of the dtype the volume stores, and
+        ``meta`` (the other fields) as the constructor would store it: a
+        raw CT's int16 values and finite rescale, or a label volume's
+        uint8 codes and the ``{int: str}`` map of every code among them.
+        ``voxels`` is frozen in place.
+        """
+        return _unchecked(
+            cls, **{cls._voxels: _freeze(voxels)}, spacing_mm=geometry.spacing_mm,
+            z_positions_mm=geometry.z_positions_mm, **meta,
+        )
 
 
 @dataclass(frozen=True)

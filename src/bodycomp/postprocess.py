@@ -18,24 +18,30 @@ neither. Neither kernel converts a raw CT to HU. The raw-to-HU rescale
 is a float32 multiply and a float32 add, each rounding monotone, so the
 raw int16 values whose HU lies in an interval form one interval too,
 found from the HU of all 65,536 int16 values once per rescale and
-threshold (a command runs a kernel once per chunk of slices, on one
-CT). An HU volume keeps the bounds as they are. Either way each slice
-costs the same two in-place comparisons of its stored values.
+threshold (a command runs on one CT, a chunk of slices at a time). An
+HU volume keeps the bounds as they are. Either way each slice costs the
+same two in-place comparisons of its stored values, into planes made
+once per call.
 
-Components are labelled in blocks of whole slices, each holding about
-2^14 candidates at their sorted flat offsets within the block. The
-8-neighbour edges come from a ``searchsorted`` for the four forward
-neighbours, with row and column bounds that keep every edge inside its
-slice. Components are joined by hooking each larger root onto the
-smaller one and shortcutting by pointer jumping until nothing changes
-(Shiloach & Vishkin 1982; the union-find labelling of Wu, Otoo & Suzuki
-2009), and their sizes are a ``bincount`` of the roots.
+``postprocess`` streams its files: ``dilate_sat_to_skin`` runs on each
+chunk of slices, and ``muscular_fat_slabs`` takes the chunks of one
+volume in turn. Components are labelled by row runs (He, Chao & Suzuki
+2008), in blocks of whole slices that may span chunks, so the labelling
+costs follow the runs, not the chunks. A run ends where the sorted
+candidate offsets skip a pixel or start a row. Laid out in rows one
+pixel wider than the slice, with an empty row between slices, the runs
+of the next row that a run touches (8-connected) are one contiguous
+range of the sorted runs, found by two ``searchsorted`` calls.
+Components are joined by hooking each larger root onto the smaller one
+and shortcutting by pointer jumping until nothing changes (Shiloach &
+Vishkin 1982; the union-find labelling of Wu, Otoo & Suzuki 2009), and
+their sizes are a ``bincount`` of the roots weighted by run length.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import lru_cache
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -48,7 +54,6 @@ from .model import (
     VoxelVolume,
     require_same_geometry,
     rescale_to_hu,
-    select_codes,
 )
 
 SKIN_HU_THRESHOLD = -800.0
@@ -60,21 +65,21 @@ SAT_DILATION_SIZE = 5
 MF_HU_RANGE = (-220.0, -50.0)
 MF_MIN_PIXELS = 7
 
-# candidates labelled at once: a block is flushed once it holds this many
-_BLOCK_CANDIDATES = 1 << 14
+# row runs labelled at once: a block is labelled once it holds this many
+_BLOCK_RUNS = 1 << 12
 
 
-def _dilate_square(plane: np.ndarray, radius: int) -> np.ndarray:
-    """Dilation of a 2-D boolean plane by a (2*radius+1)-wide square."""
-    rows = plane.copy()
+def _dilate_square(plane: np.ndarray, radius: int, rows: np.ndarray, grown: np.ndarray) -> None:
+    """Set ``grown`` to the dilation of the 2-D boolean ``plane`` by a
+    (2*radius+1)-wide square, using ``rows`` (both of its shape)."""
+    np.copyto(rows, plane)
     for d in range(1, radius + 1):
         rows[d:] |= plane[:-d]
         rows[:-d] |= plane[d:]
-    grown = rows.copy()
+    np.copyto(grown, rows)
     for d in range(1, radius + 1):
         grown[:, d:] |= rows[:, :-d]
         grown[:, :-d] |= rows[:, d:]
-    return grown
 
 
 def _within(values: np.ndarray, lo, hi, out: np.ndarray, scratch: np.ndarray) -> None:
@@ -115,26 +120,36 @@ def _stored_interval(ct: VoxelVolume, lo: float, hi: float) -> tuple:
     return _raw_interval(ct.rescale_slope, ct.rescale_intercept, lo, hi)
 
 
-def _kept(offsets: np.ndarray, ny: int, nx: int, min_pixels: int) -> np.ndarray:
-    """Which candidates lie in an 8-connected in-plane component of at
-    least ``min_pixels``, given their sorted int32 flat offsets in whole
-    slices."""
-    n = offsets.size
-    x = offsets % nx
-    right, left, below = x < nx - 1, x > 0, offsets // nx % ny < ny - 1
-    # edges (a, b) to the forward neighbours (0,+1), (+1,-1), (+1,0) and
-    # (+1,+1), each only where it lies inside the candidate's slice
-    a, b = [], []
-    for ok, step in ((right, 1), (below & left, nx - 1), (below, nx), (below & right, nx + 1)):
-        src = np.flatnonzero(ok)
-        target = offsets[src] + step
-        dst = np.minimum(np.searchsorted(offsets, target), n - 1)
-        hit = offsets[dst] == target
-        a.append(src[hit].astype(np.int32))
-        b.append(dst[hit].astype(np.int32))
-    a, b = np.concatenate(a), np.concatenate(b)
+def _runs(offsets: np.ndarray, nx: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row runs of sorted flat ``offsets`` in rows ``nx`` wide: each
+    run's first offset and its length."""
+    # a run ends where the next offset is not the next pixel or starts a
+    # row; one int64 array serves both tests
+    step = np.diff(offsets)
+    ends = step != 1
+    ends |= np.remainder(offsets[1:], nx, out=step) == 0
+    starts = np.concatenate(([0], np.flatnonzero(ends) + 1))
+    return offsets[starts], np.diff(starts, append=offsets.size)
+
+
+def _kept_runs(first: np.ndarray, length: np.ndarray, width: int, min_pixels: int) -> np.ndarray:
+    """Which row runs lie in an 8-connected component of at least ``min_pixels``.
+
+    ``first`` holds the runs' sorted first offsets in a grid of rows
+    ``width`` wide whose last column is empty, and with an empty row
+    between slices, so that no run touches one of another slice.
+    """
+    last = first + length - 1
+    # run i touches the runs lo..hi-1 of the next row: those that end at or
+    # after the column before its first and start at or before the column
+    # after its last; the empty column keeps the range inside that row
+    lo = np.searchsorted(last, first + (width - 1))
+    hi = np.searchsorted(first, last + (width + 1), side="right")
+    count = np.maximum(hi - lo, 0)
+    a = np.repeat(np.arange(first.size), count)
+    b = np.arange(a.size) + np.repeat(lo - (np.cumsum(count) - count), count)
     # every pointer leads to a smaller index, and a root points to itself
-    parent = np.arange(n, dtype=np.int32)
+    parent = np.arange(first.size)
     while True:
         ra, rb = parent[a], parent[b]
         if np.array_equal(ra, rb):
@@ -147,7 +162,50 @@ def _kept(offsets: np.ndarray, ny: int, nx: int, min_pixels: int) -> np.ndarray:
             if np.array_equal(grand, parent):
                 break
             parent = grand
-    return np.bincount(parent)[parent] >= min_pixels
+    return np.bincount(parent, weights=length)[parent] >= min_pixels
+
+
+class _Slice:
+    """The row runs of one slice's candidates, as first offsets in the
+    slice and lengths; once labelled, only the runs that are kept."""
+
+    __slots__ = ("k", "first", "length")
+
+    def __init__(self, k: int, first: np.ndarray, length: np.ndarray):
+        self.k, self.first, self.length = k, first, length
+
+
+def _label(block: list[_Slice], ny: int, nx: int, min_pixels: int) -> None:
+    """Keep, in each slice of ``block``, only the runs of its components
+    of at least ``min_pixels``."""
+    # row y of the j-th slice starts at (j * (ny + 1) + y) * (nx + 1): an
+    # empty column ends each row, and an empty row each slice
+    stride = (ny + 1) * (nx + 1)
+    first = np.concatenate([s.first + s.first // nx + j * stride for j, s in enumerate(block)])
+    kept = _kept_runs(first, np.concatenate([s.length for s in block]), nx + 1, min_pixels)
+    at = 0
+    for s in block:
+        keep = kept[at : at + s.first.size]
+        at += s.first.size
+        s.first, s.length = s.first[keep], s.length[keep]
+
+
+def _mf_volume(geometry, subject_id, slices: list[_Slice]) -> LabelVolume:
+    """The muscular-fat mask on ``geometry`` whose pixels are the kept runs of ``slices``."""
+    nx, ny, nz = geometry.dims
+    out = np.zeros((nz, ny, nx), dtype=np.uint8)
+    # half the bytes a pixel where a plane's offsets fit in int32
+    offset = np.int32 if nx * ny <= np.iinfo(np.int32).max else np.int64
+    for s in slices:
+        if s.first.size:
+            # each run's pixels: its first offset plus 0..length-1
+            shift = (s.first - (np.cumsum(s.length) - s.length)).astype(offset)
+            pixels = np.arange(int(s.length.sum()), dtype=offset)
+            pixels += np.repeat(shift, s.length)
+            out[s.k].reshape(-1)[pixels] = 1
+    return LabelVolume.on_grid(
+        out, geometry, label_map={0: BACKGROUND, 1: MUSCULAR_FAT}, subject_id=subject_id
+    )
 
 
 def dilate_sat_to_skin(mask: LabelVolume, ct: VoxelVolume) -> LabelVolume:
@@ -162,18 +220,71 @@ def dilate_sat_to_skin(mask: LabelVolume, ct: VoxelVolume) -> LabelVolume:
     sat_codes = mask.codes_for(SAT)
     skin = _stored_interval(ct, *_SKIN_HU_RANGE)
     out = mask.codes.copy()
-    passes = np.empty(mask.codes.shape[1:], dtype=bool)
-    scratch = np.empty_like(passes)
+    # the planes of a slice, made once: sat, rows, add, passes and scratch
+    sat, rows, add, passes, scratch = np.empty((5, *mask.codes.shape[1:]), dtype=bool)
     for k in range(mask.nz):
-        sat = select_codes(mask.codes[k], sat_codes)
+        np.equal(mask.codes[k], sat_codes[0], out=sat)
+        for code in sat_codes[1:]:
+            sat |= np.equal(mask.codes[k], code, out=scratch)
         if not sat.any():
             continue
-        add = _dilate_square(sat, SAT_DILATION_SIZE // 2)
+        _dilate_square(sat, SAT_DILATION_SIZE // 2, rows, add)
         add &= np.equal(mask.codes[k], 0, out=scratch)
         _within(ct.values[k], *skin, passes, scratch)
         add &= passes
         np.copyto(out[k], sat_codes[0], where=add)
-    return replace(mask, codes=out)
+    # a mapped code is written only over background: every code stays mapped
+    return LabelVolume.on_grid(out, mask.geometry, label_map=mask.label_map, subject_id=mask.subject_id)
+
+
+def muscular_fat_slabs(
+    pieces: Iterable[tuple[VoxelVolume, LabelVolume]],
+    hu_range: tuple[float, float] = MF_HU_RANGE,
+    min_pixels: int = MF_MIN_PIXELS,
+) -> Iterator[LabelVolume]:
+    """``muscular_fat_candidates`` of one CT and ROI given as pieces of
+    whole slices: yields the output of each ``(ct, roi_mask)`` piece, in order.
+
+    A component never joins along z, so the runs of many pieces are
+    labelled together, in blocks of about ``_BLOCK_RUNS`` runs; a piece
+    is put out once its last slice is labelled, and until then it holds
+    only its runs. No piece is kept here while the next is taken.
+    """
+    waiting, block, runs = [], [], 0  # pieces not yet put out; slices not yet labelled
+    candidates = scratch = None
+    for ct, roi_mask in pieces:
+        require_same_geometry(ct, roi_mask)
+        in_range = _stored_interval(ct, *hu_range)
+        nz, ny, nx = ct.values.shape
+        if candidates is None:
+            candidates, scratch = np.empty((2, ny, nx), dtype=bool)
+        slices = []
+        for k in range(nz):
+            _within(ct.values[k], *in_range, candidates, scratch)
+            candidates &= np.not_equal(roi_mask.codes[k], 0, out=scratch)
+            offsets = np.flatnonzero(candidates)
+            if not offsets.size:
+                continue
+            slices.append(_Slice(k, *_runs(offsets, nx)))
+            block.append(slices[-1])
+            runs += slices[-1].first.size
+            if runs >= _BLOCK_RUNS:
+                _label(block, ny, nx, min_pixels)
+                block, runs = [], 0
+                # the pieces before this one are labelled to their last slice
+                for piece in waiting:
+                    yield _mf_volume(*piece)
+                waiting = []
+        waiting.append((ct.geometry, roi_mask.subject_id, slices))
+        del ct, roi_mask  # nothing of a piece stays in this frame while the next is read
+        if not block:
+            for piece in waiting:
+                yield _mf_volume(*piece)
+            waiting = []
+    if block:
+        _label(block, ny, nx, min_pixels)
+    for piece in waiting:
+        yield _mf_volume(*piece)
 
 
 def muscular_fat_candidates(
@@ -189,34 +300,5 @@ def muscular_fat_candidates(
     retain components of at least ``min_pixels`` pixels. ``ct`` is raw or
     HU; a raw CT is compared in raw values.
     """
-    require_same_geometry(ct, roi_mask)
-    in_range = _stored_interval(ct, *hu_range)
-    nz, ny, nx = ct.values.shape
-    plane = ny * nx
-    out = np.zeros(ct.values.shape, dtype=np.uint8)
-    out_flat = out.reshape(-1)
-    # a block's offsets are int32: it spans at most this many slices
-    max_span = max(1, np.iinfo(np.int32).max // plane)
-    candidates = np.empty((ny, nx), dtype=bool)
-    scratch = np.empty_like(candidates)
-    start, pieces, count = 0, [], 0
-    for k in range(nz):
-        _within(ct.values[k], *in_range, candidates, scratch)
-        candidates &= np.not_equal(roi_mask.codes[k], 0, out=scratch)
-        flat = np.flatnonzero(candidates)
-        if flat.size:
-            pieces.append((flat + (k - start) * plane).astype(np.int32))
-            count += flat.size
-        if count >= _BLOCK_CANDIDATES or k + 1 - start == max_span or k + 1 == nz:
-            if pieces:
-                offsets = np.concatenate(pieces)
-                block = out_flat[start * plane : (k + 1) * plane]
-                block[offsets[_kept(offsets, ny, nx, min_pixels)]] = 1
-            start, pieces, count = k + 1, [], 0
-    return LabelVolume(
-        codes=out,
-        label_map={0: BACKGROUND, 1: MUSCULAR_FAT},
-        spacing_mm=ct.spacing_mm,
-        z_positions_mm=ct.z_positions_mm,
-        subject_id=roi_mask.subject_id,
-    )
+    [out] = muscular_fat_slabs([(ct, roi_mask)], hu_range, min_pixels)
+    return out

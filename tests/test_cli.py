@@ -17,6 +17,7 @@ import pytest
 import bodycomp
 from bodycomp import (
     BodyCompResult,
+    Geometry,
     LabelVolume,
     MergePolicy,
     SubjectRecord,
@@ -30,7 +31,7 @@ from bodycomp import (
 )
 from bodycomp import cli
 from bodycomp.cli import _measure_one, main
-from bodycomp.io import SCAN_CHUNK_BYTES
+from bodycomp.io import SCAN_CHUNK_BYTES, write_slabs
 from conftest import make_ct, make_tissue, make_vertebrae
 from test_io import _patch_header
 from test_postprocess import scipy_kept
@@ -1305,6 +1306,35 @@ def test_peak_memory_does_not_grow_with_the_counted_slab(ct_sized, command, ct):
     # a slab six times as deep, and the same peak: a few chunks of slices
     assert peaks[240] - peaks[40] <= 2 * _MiB
     assert peaks[240] <= 8 * SCAN_CHUNK_BYTES
+
+
+@pytest.fixture(scope="module")
+def vertebra_files(tmp_path_factory):
+    """512x512 vertebra label files of 60 and 360 slices, written a slab at
+    a time; each slice marks a 10x12 square with T12, L3 or L4."""
+    folder = tmp_path_factory.mktemp("vertebra_files")
+    label_map = {0: "background", 1: "vertebrae_T12", 2: "vertebrae_L3", 3: "vertebrae_L4"}
+    for nz in (60, 360):
+        geometry = Geometry((512, 512, nz), (0.7, 0.7, 1.5))
+
+        def slabs():
+            for lo in range(0, nz, 12):
+                codes = np.zeros((12, 512, 512), dtype=np.uint8)
+                codes[:, 250:260, 250:262] = (np.arange(lo, lo + 12) % 3 + 1)[:, None, None]
+                yield LabelVolume(codes, label_map, geometry.spacing_mm)
+
+        write_slabs(slabs(), geometry, folder / f"v{nz}.bcv")
+    return folder
+
+
+@pytest.mark.parametrize("nz", [60, 360])
+def test_the_vertebra_scan_holds_a_few_chunks_and_the_count_table(vertebra_files, nz):
+    (head, counts), peak = _traced_peak(cli._read_counts, str(vertebra_files / f"v{nz}.bcv"))
+    assert head.geometry.nz == nz
+    assert counts.shape == (nz, 256) and (counts[:, 1:4].sum(axis=1) == 120).all()
+    # a chunk of planes, its selections and its counts, then the table of
+    # every slice: six times the slices, and the same few chunks
+    assert peak <= 3 * SCAN_CHUNK_BYTES + counts.nbytes
 
 
 def test_measure_one_peak_memory_is_the_vertebrae_and_the_slabs(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -334,10 +336,21 @@ def scipy_kept(candidates, min_pixels):
     return sizes[labels] >= min_pixels
 
 
-def kernel_kept(candidates, min_pixels):
+def kernel_kept(candidates, min_pixels, step=None):
+    """The kernel's kept candidates: of the whole volume, or streamed in
+    pieces of ``step`` slices (``muscular_fat_slabs``)."""
     hu = make_hu(np.where(candidates, -100.0, 50.0))
-    out = muscular_fat_candidates(hu, _roi_all(candidates.shape), min_pixels=min_pixels)
-    return out.codes == 1
+    roi = _roi_all(candidates.shape)
+    if step is None:
+        return muscular_fat_candidates(hu, roi, min_pixels=min_pixels).codes == 1
+    nz = candidates.shape[0]
+    pieces = [
+        (replace(hu, values=hu.values[lo : lo + step]), replace(roi, codes=roi.codes[lo : lo + step]))
+        for lo in range(0, nz, step)
+    ]
+    outs = list(postprocess.muscular_fat_slabs(pieces, min_pixels=min_pixels))
+    assert [out.nz for out in outs] == [hu.nz for hu, _ in pieces]
+    return np.concatenate([out.codes for out in outs]) == 1
 
 
 def spiral(n):
@@ -419,7 +432,7 @@ def candidate_grids(draw):
 
     def plane():
         if kind == "random":
-            return rng.random((ny, nx)) < rng.choice([0.05, 0.2, 0.4, 0.5, 0.6, 0.8])
+            return rng.random((ny, nx)) < rng.uniform(0.05, 0.95)
         if kind == "diagonal":
             return _diagonal_chains(rng, ny, nx)
         if kind == "gaps":
@@ -444,10 +457,20 @@ def candidate_grids(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(candidate_grids())
-def test_labelling_keeps_what_scipy_label_keeps(case):
+@given(
+    candidate_grids(),
+    st.sampled_from([None, 1, 2, 3]),
+    st.sampled_from([1, 5, 40, postprocess._BLOCK_RUNS]),
+)
+def test_labelling_keeps_what_scipy_label_keeps(case, step, block_runs):
+    # streamed in pieces of 1-3 slices or whole, and labelled in blocks of
+    # a few runs up to the kernel's: blocks end inside pieces and between
+    # them, after a slice whose components lie above those of the next
     candidates, min_pixels = case
-    assert np.array_equal(kernel_kept(candidates, min_pixels), scipy_kept(candidates, min_pixels))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(postprocess, "_BLOCK_RUNS", block_runs)
+        kept = kernel_kept(candidates, min_pixels, step)
+    assert np.array_equal(kept, scipy_kept(candidates, min_pixels))
 
 
 def _cut(grid, *points):
@@ -473,29 +496,38 @@ def test_labelling_of_large_slices_matches_scipy(plane):
     assert np.array_equal(kernel_kept(candidates, 7), scipy_kept(candidates, 7))
 
 
+def _row_runs(candidates):
+    """Row runs of the candidates, counted from where each one starts."""
+    starts = candidates.copy()
+    starts[..., 1:] &= ~candidates[..., :-1]
+    return np.count_nonzero(starts)
+
+
 def test_labelling_flushes_blocks_between_slices(monkeypatch):
-    # 6,500-odd candidates per 128x128 slice: a block holds three slices
-    # before it reaches 2^14; one full slice is exactly 2^14
+    # about 3,900 row runs per random 128x128 slice: a block holds two
+    # slices before it reaches 2^12 runs; a full slice is 128 runs
     rng = np.random.default_rng(7)
     candidates = rng.random((9, 128, 128)) < 0.4
     candidates[4] = True
     candidates[6] = np.broadcast_to(candidates[5], (128, 128))
     blocks = []
-    kept = postprocess._kept
+    kept = postprocess._kept_runs
 
-    def spy(offsets, ny, nx, min_pixels):
-        blocks.append((offsets.dtype, int(offsets.size), int(offsets[-1]) // (ny * nx) + 1))
-        return kept(offsets, ny, nx, min_pixels)
+    def spy(first, length, width, min_pixels):
+        # a slice of the block spans (ny + 1) rows of the width
+        blocks.append((int(first.size), int(first[-1]) // (width * 129) + 1, int(length.sum())))
+        return kept(first, length, width, min_pixels)
 
-    monkeypatch.setattr(postprocess, "_kept", spy)
+    monkeypatch.setattr(postprocess, "_kept_runs", spy)
     for min_pixels in (1, 7):
-        assert np.array_equal(
-            kernel_kept(candidates, min_pixels), scipy_kept(candidates, min_pixels)
-        )
-    assert all(dtype == np.int32 for dtype, _, _ in blocks)
-    # every slice is in exactly one block, and some blocks span slices
-    assert sum(size for _, size, _ in blocks) == 2 * np.count_nonzero(candidates)
-    assert max(span for _, _, span in blocks) > 1 and len(blocks) > 2
+        for step in (None, 2):
+            assert np.array_equal(
+                kernel_kept(candidates, min_pixels, step), scipy_kept(candidates, min_pixels)
+            )
+    # every run is in exactly one block, and some blocks span slices
+    assert sum(runs for runs, _, _ in blocks) == 4 * _row_runs(candidates)
+    assert sum(pixels for _, _, pixels in blocks) == 4 * np.count_nonzero(candidates)
+    assert max(span for _, span, _ in blocks) > 1 and len(blocks) > 4
 
 
 # ---- thresholds in raw values over every int16 value --------------------------

@@ -68,8 +68,26 @@ def inputs(tmp_path):
     return ct, tissue
 
 
+def _recording_pieces(monkeypatch, mode):
+    """The slices of each piece the command's kernel gets, recorded as it runs."""
+    pieces = []
+    # the command imports its kernel from bodycomp.postprocess when it runs
+    if mode == "sat-skin":  # one call a piece
+        real = bodycomp.postprocess.dilate_sat_to_skin
+        monkeypatch.setattr(bodycomp.postprocess, "dilate_sat_to_skin",
+                            lambda mask, ct: pieces.append(mask.nz) or real(mask, ct))
+    else:  # one stream of every piece
+        real = bodycomp.postprocess.muscular_fat_slabs
+
+        def stream(steps):
+            return real(map(lambda step: pieces.append(step[0].nz) or step, steps))
+
+        monkeypatch.setattr(bodycomp.postprocess, "muscular_fat_slabs", stream)
+    return pieces
+
+
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("slices", [1, 3])
+@pytest.mark.parametrize("slices", [1, 3, 7, 10], ids=["1", "3", "7", "whole"])
 def test_chunked_output_is_the_whole_volume_kernel_output(tmp_path, monkeypatch, inputs, mode, slices):
     ct, tissue = inputs
     want = _kernel(mode, ct, tissue)
@@ -79,15 +97,11 @@ def test_chunked_output_is_the_whole_volume_kernel_output(tmp_path, monkeypatch,
         assert np.count_nonzero(want.codes[LONE, 3:6, 22:25]) == 7
     write_volume(want, tmp_path / "want.bcv")
 
-    calls = []
-    kernel = {"sat-skin": "dilate_sat_to_skin", "mf-filter": "muscular_fat_candidates"}[mode]
-    # the command imports its kernel from bodycomp.postprocess when it runs
-    real = getattr(bodycomp.postprocess, kernel)
-    monkeypatch.setattr(bodycomp.postprocess, kernel, lambda *a: calls.append(a) or real(*a))
+    pieces = _recording_pieces(monkeypatch, mode)
     monkeypatch.setattr(bcv_io, "SCAN_CHUNK_BYTES", slices * ct.values[0].nbytes)
     assert _postprocess(tmp_path, mode) == 0
-    # nz 10 is no multiple of 3: the last chunk is one slice
-    assert [a[0].nz for a in calls] == [slices] * (10 // slices) + [10 % slices] * (10 % slices > 0)
+    # nz 10 is no multiple of 3 or 7: the last chunk is what is left
+    assert pieces == [slices] * (10 // slices) + [10 % slices] * (10 % slices > 0)
     assert (tmp_path / "out.bcv").read_bytes() == (tmp_path / "want.bcv").read_bytes()
 
 
