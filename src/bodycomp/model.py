@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import lru_cache
 from enum import Enum
 from typing import Mapping
 
@@ -88,9 +89,15 @@ def _unchecked(cls, **values):
     slabs then costs its checks once, not once a slab.
     """
     obj = object.__new__(cls)
-    for f in fields(cls):
-        object.__setattr__(obj, f.name, values[f.name] if f.name in values else f.default)
+    # a frozen dataclass refuses setattr, not its instance dict
+    obj.__dict__.update(_defaults(cls), **values)
     return obj
+
+
+@lru_cache(maxsize=None)
+def _defaults(cls) -> dict:
+    """The fields of the dataclass ``cls`` that have a default, with it."""
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
 
 
 class _Grid:

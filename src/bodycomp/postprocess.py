@@ -208,6 +208,13 @@ def _mf_volume(geometry, subject_id, slices: list[_Slice]) -> LabelVolume:
     )
 
 
+def _put_out(waiting: list) -> Iterator[LabelVolume]:
+    """The output of each piece of ``waiting``, whose slices are all
+    labelled, in order; each leaves the list as it is put out."""
+    while waiting:
+        yield _mf_volume(*waiting.pop(0))
+
+
 def dilate_sat_to_skin(mask: LabelVolume, ct: VoxelVolume) -> LabelVolume:
     """Grow SAT into adjacent unlabeled skin pixels, slice by slice.
 
@@ -272,19 +279,14 @@ def muscular_fat_slabs(
                 _label(block, ny, nx, min_pixels)
                 block, runs = [], 0
                 # the pieces before this one are labelled to their last slice
-                for piece in waiting:
-                    yield _mf_volume(*piece)
-                waiting = []
+                yield from _put_out(waiting)
         waiting.append((ct.geometry, roi_mask.subject_id, slices))
         del ct, roi_mask  # nothing of a piece stays in this frame while the next is read
         if not block:
-            for piece in waiting:
-                yield _mf_volume(*piece)
-            waiting = []
+            yield from _put_out(waiting)
     if block:
         _label(block, ny, nx, min_pixels)
-    for piece in waiting:
-        yield _mf_volume(*piece)
+    yield from _put_out(waiting)
 
 
 def muscular_fat_candidates(
