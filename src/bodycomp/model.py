@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
-from functools import lru_cache
 from enum import Enum
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np

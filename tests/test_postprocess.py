@@ -349,7 +349,7 @@ def kernel_kept(candidates, min_pixels, step=None):
         for lo in range(0, nz, step)
     ]
     outs = list(postprocess.muscular_fat_slabs(pieces, min_pixels=min_pixels))
-    assert [out.nz for out in outs] == [hu.nz for hu, _ in pieces]
+    assert [out.nz for out in outs] == [ct.nz for ct, _ in pieces]
     return np.concatenate([out.codes for out in outs]) == 1
 
 
