@@ -366,9 +366,11 @@ def _volume(head: VolumeHeader, values: np.ndarray, geometry: Geometry):
     """
     if head.label_map is None:
         slope, intercept = head.rescale
+        # in native byte order, as the constructor stores it: no copy on a
+        # little-endian machine
         return VoxelVolume.on_grid(
-            values, geometry, rescale_slope=slope, rescale_intercept=intercept,
-            subject_id=head.subject_id,
+            values.astype(np.int16, copy=False), geometry, rescale_slope=slope,
+            rescale_intercept=intercept, subject_id=head.subject_id,
         )
     return LabelVolume.on_grid(values, geometry, label_map=head.label_map, subject_id=head.subject_id)
 
