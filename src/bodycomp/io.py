@@ -76,8 +76,9 @@ MAGIC = b"BCV1"
 # Payload bytes a chunked read takes at a time (whole slices): the label
 # codes outside a slab read, and each chunk of ``read_in_step``. 1 MiB is
 # 2 slices of a 512x512 CT and 4 of its label files; a command holds about
-# one chunk of each file it reads, and a stream's fixed costs are paid
-# once, not once a chunk (``_Volume.on_grid``, ``Geometry.slab``)
+# one chunk of each file it reads. A chunk's grid and volume are built from
+# the checked header, not checked again (``Geometry.slab``,
+# ``_Volume.on_grid``), so a small chunk adds little fixed cost
 SCAN_CHUNK_BYTES = 1 << 20
 
 _DTYPES = {"i16": np.dtype("<i2"), "u8": np.dtype("u1")}
