@@ -53,7 +53,7 @@ SPACING = (1.0, 1.0, 2.5)
 T12, L3, L4 = 24, 14, 6
 
 # subjects run as the good ones are, but left out of the manifest
-EDGES = ("degen", "nomuscle_l3", "slabgrid")
+EDGES = ("degen", "nomuscle_l3", "nosat_l3", "slabgrid")
 
 
 def _sid(slope: float, intercept: float) -> str:
@@ -152,15 +152,19 @@ def make_inputs(folder: Path) -> list[str]:
         write_volume(_prediction(base.tissue), folder / f"{sid}_pred.bcv")
         _rewrite(folder / f"{sid}_ct.bcv", rescale_slope=0.0, rescale_intercept=intercept)
     good += ["zvar", "wide", "zero_pos", "zero_neg"]
-    # edge cases, outside the manifest: T12 and L4 on one slice, and no
-    # muscle (nor muscular fat) on the L3 slice
+    # edge cases, outside the manifest: T12 and L4 on one slice, no
+    # muscle (nor muscular fat) on the L3 slice, and no SAT (nor muscular
+    # fat) on it
     degen = build_phantom(*SHAPE, SPACING, subject_id="degen", vertebra_slices=(10, L3, 10))
-    nomuscle = np.where(np.isin(base.tissue.codes, (1, 4)) & (np.arange(SHAPE[2]) == L3)[:, None, None],
-                        0, base.tissue.codes)
+
+    def without_on_l3(codes):
+        on_l3 = np.isin(base.tissue.codes, codes) & (np.arange(SHAPE[2]) == L3)[:, None, None]
+        return replace(base.tissue, codes=np.where(on_l3, 0, base.tissue.codes))
+
     edges = {
         "degen": (degen.ct, degen.tissue, degen.vertebrae),
-        "nomuscle_l3": (replace(base.ct, subject_id="nomuscle_l3"),
-                        replace(base.tissue, codes=nomuscle), base.vertebrae),
+        "nomuscle_l3": (replace(base.ct, subject_id="nomuscle_l3"), without_on_l3((1, 4)), base.vertebrae),
+        "nosat_l3": (replace(base.ct, subject_id="nosat_l3"), without_on_l3((2, 4)), base.vertebrae),
     }
     for sid, (ct, tissue, vertebrae) in edges.items():
         _write_triple(folder, sid, ct, tissue, vertebrae)
