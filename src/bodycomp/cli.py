@@ -17,7 +17,12 @@ changes any output byte. ``BODYCOMP_JOBS`` sets the default worker count.
 Each command reads a volume's payload a chunk of whole slices at a time
 (``io.SCAN_CHUNK_BYTES``, 1 MiB: 2 slices of a 512x512 CT) and holds
 about one chunk of each file it reads; ``postprocess`` writes its output
-a chunk at a time too.
+a chunk at a time too. A file's header is read and checked once
+(``_read_header``), and the header, not the path, is what the payload
+read takes (``io.read_in_step``). ``measure`` alone parses a CT header
+twice: the pass over every CT header keeps only each subject's id, so
+that the command holds no header per subject, and the subject's own
+measuring reads the header again.
 
 ``measure --jobs N`` measures subjects in N worker processes forked from
 the command, never more than there are subjects; with one worker it
@@ -134,24 +139,21 @@ def _read_header(path, ct: bool, geometry: Geometry | None = None) -> VolumeHead
     return head
 
 
-def _read_counts(path) -> tuple[VolumeHeader, np.ndarray]:
-    """A label file's header and its code counts per slice, read a chunk of slices at a time."""
-    head = _read_header(path, ct=False)
+def _read_counts(head: VolumeHeader) -> np.ndarray:
+    """The code counts per slice of the label file of ``head``, read a chunk of slices at a time."""
     # no slice as a volume: every chunk comes as planes, and map holds
     # none of them while the next is read
-    with closing(read_in_step([path], head.geometry, slice(0, 0))) as steps:
-        counts = np.concatenate(list(map(lambda step: code_counts(step[1][0]), steps)))
-    return head, counts
+    with closing(read_in_step([head], slice(0, 0))) as steps:
+        return np.concatenate(list(map(lambda step: code_counts(step[1][0]), steps)))
 
 
-def _read_regions(path) -> VertebraRegions:
-    """The regions of a vertebra file, from one chunked scan; the message
-    of a missing level names the file."""
+def _read_regions(head: VolumeHeader) -> VertebraRegions:
+    """The regions of the vertebra file of ``head``, from one chunked scan;
+    the message of a missing level names the file."""
     from .regions import regions_from_counts
 
-    head, counts = _read_counts(path)
-    picked = regions_from_counts(counts, head.label_map, head.geometry)
-    return replace(picked, missing={name: f"{path}: {why}" for name, why in picked.missing.items()})
+    picked = regions_from_counts(_read_counts(head), head.label_map, head.geometry)
+    return replace(picked, missing={name: f"{head.path}: {why}" for name, why in picked.missing.items()})
 
 
 def _write_csv(path, columns, rows) -> None:
@@ -247,8 +249,9 @@ def _attempt(fn, entry: dict, *args):
         return None, message if message.startswith(f"{ct}: ") else f"{ct}: {message}"
 
 
-def _pieces(masks: list, ct, geometry: Geometry, slab: slice):
-    """The pieces of the label files ``masks`` and, over ``slab``, of the CT file ``ct``.
+def _pieces(masks: list, ct, slab: slice):
+    """The pieces of the label files of the headers ``masks`` and, over
+    ``slab``, of the CT file of the header ``ct``.
 
     They are read as they are taken, a chunk of slices at a time
     (``read_in_step``), the CT's chunk first; with ``ct`` None no CT is
@@ -256,8 +259,8 @@ def _pieces(masks: list, ct, geometry: Geometry, slab: slice):
     """
     from .measures import Piece
 
-    paths = [ct, *masks] if ct is not None else list(masks)
-    for lo, read in read_in_step(paths, geometry, slab):
+    heads = [ct, *masks] if ct is not None else list(masks)
+    for lo, read in read_in_step(heads, slab):
         ct_piece = read.pop(0) if ct is not None else None
         yield Piece(lo, tuple(getattr(piece, "codes", piece) for piece in read), ct_piece)
         del ct_piece, read  # nothing of a chunk stays in this frame while the next is read
@@ -272,12 +275,12 @@ def _measure_one(entry: dict, subject_id: str, policy: MergePolicy, record: Subj
     from .measures import measure_pieces
 
     # the regions come first: the vertebra mask is scanned, never held
-    picked = _read_regions(entry["vertebrae"])
-    _read_header(entry["ct"], True, picked.geometry)
+    picked = _read_regions(_read_header(entry["vertebrae"], ct=False))
+    ct = _read_header(entry["ct"], True, picked.geometry)
     tissue = _read_header(entry["tissue"], False, picked.geometry)
     if record is None:
         record = SubjectRecord(subject_id=subject_id, age_years=0.0)
-    pieces = _pieces([entry["tissue"]], entry["ct"], picked.geometry, picked.counted_slab())
+    pieces = _pieces([tissue], ct, picked.counted_slab())
     # a tissue label the mask lacks names it, and a non-finite HU the CT's rescale
     with _naming(entry["tissue"], LabelVocabularyError), _naming(entry["ct"], NonFiniteHUError):
         return measure_pieces(tissue, pieces, picked, record, policy)
@@ -418,16 +421,17 @@ def cmd_evaluate(args) -> int:
     geometry = gt.geometry
     pred = _read_header(args.pred, ct=False)
     _same_geometry(args.pred, geometry, pred.geometry)
-    if args.vertebrae:
-        _same_geometry(args.vertebrae, geometry, _read_header(args.vertebrae, ct=False).geometry)
-    _read_header(args.ct, True, geometry)
-    picked = _read_regions(args.vertebrae) if args.vertebrae else None
+    vertebrae = _read_header(args.vertebrae, ct=False) if args.vertebrae else None
+    if vertebrae is not None:
+        _same_geometry(args.vertebrae, geometry, vertebrae.geometry)
+    ct = _read_header(args.ct, True, geometry)
+    picked = _read_regions(vertebrae) if vertebrae is not None else None
     # the masks are read a chunk at a time, and only the densities read the
     # CT, on the counted slab: with every vertebra level found that slab is
     # read in step with them, else no CT payload at all
     with_ct = picked is not None and not picked.missing
     slab = picked.counted_slab() if with_ct else slice(0, 0)
-    pieces = _pieces([args.gt, args.pred], args.ct if with_ct else None, geometry, slab)
+    pieces = _pieces([gt, pred], ct if with_ct else None, slab)
 
     try:
         case = evaluate_pieces(gt, pred, pieces, picked, policy, regions)
@@ -453,7 +457,8 @@ def cmd_select_slice(args) -> int:
     from .regions import _largest_slice
 
     # one chunked scan: the index and its area come from one count table
-    head, counts = _read_counts(args.vertebrae)
+    head = _read_header(args.vertebrae, ct=False)
+    counts = _read_counts(head)
     name = vertebra_label(args.level)
     with _naming(args.vertebrae, VertebraNotFoundError):
         index = _largest_slice(counts, head.label_map, name)
@@ -483,7 +488,7 @@ def cmd_postprocess(args) -> int:
         kernel, geometry = muscular_fat_slabs, ct_head.geometry
     # map holds no chunk while the next is read; a label the kernel needs
     # and the mask lacks names the mask
-    steps = read_in_step([args.ct, args.mask], geometry, slice(0, geometry.nz))
+    steps = read_in_step([ct_head, mask_head], slice(0, geometry.nz))
     with closing(steps), _naming(args.mask, LabelVocabularyError):
         write_slabs(kernel(map(lambda step: step[1], steps)), geometry, args.out)
     return 0

@@ -28,11 +28,13 @@ Every payload read is one walk over the file (``_walk``): whole slices in
 file order, the slices asked for as volumes and, in a label file, the
 rest as planes scanned a chunk at a time, each label code checked once
 against the label map. ``read_header`` reads no payload.
-``read_volume`` reads the whole file or one slab, and ``read_in_step``
-walks several files of one grid side by side, a chunk of slices at a
-time: the masks of ``measure`` and ``evaluate`` with the CT's counted
-slab, the CT and mask of ``postprocess``, and a vertebra file's code
-counts.
+``read_volume`` reads the whole file or one slab, parsing its header
+once. ``read_in_step`` walks the files of headers already read, of one
+grid, side by side, a chunk of slices at a time, and parses none of
+them again: the masks of ``measure`` and ``evaluate`` with the CT's
+counted slab, the CT and mask of ``postprocess``, and a vertebra file's
+code counts. A file that changed since its header was read (another
+device, inode, size or modification time) is refused.
 """
 
 from __future__ import annotations
@@ -236,7 +238,9 @@ class VolumeHeader:
 
     The payload starts at byte ``payload_offset``. ``rescale`` is a CT's
     (slope, intercept) and ``label_map`` a label file's; each is None for
-    the other kind.
+    the other kind. ``identity`` is the file's (device, inode, size,
+    modification time in ns) when the header was read: a payload read
+    from the header refuses a file that no longer has it.
     """
 
     path: str
@@ -247,10 +251,18 @@ class VolumeHeader:
     payload_offset: int
     rescale: tuple[float, float] | None
     label_map: dict[int, str] | None
+    identity: tuple[int, int, int, int]
+
+
+def _identity(fh) -> tuple[int, int, int, int]:
+    """The (device, inode, size, modification time in ns) of the open file ``fh``."""
+    st = os.fstat(fh.fileno())
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
 def _parse_header(fh, path) -> VolumeHeader:
-    size = os.fstat(fh.fileno()).st_size
+    identity = _identity(fh)
+    size = identity[2]
     prefix = fh.read(12)
     if len(prefix) >= 4 and prefix[:4] != MAGIC:
         raise BadMagicError(f"{path}: not a BCV1 file")
@@ -325,7 +337,7 @@ def _parse_header(fh, path) -> VolumeHeader:
             _require_finite(header, "rescale_intercept", path),
         )
     return VolumeHeader(
-        str(path), kind, dtype, geometry, subject_id, 12 + header_len, rescale, label_map
+        str(path), kind, dtype, geometry, subject_id, 12 + header_len, rescale, label_map, identity
     )
 
 
@@ -414,29 +426,35 @@ def _walk(fh, head: VolumeHeader, z: slice, step: int):
         del piece  # nothing of a piece stays in this frame while the next is read
 
 
-def read_in_step(paths, geometry: Geometry, z: slice):
-    """The payloads of the files ``paths``, all of ``geometry``, read side by side.
+def read_in_step(heads, z: slice):
+    """The payloads of the files of the headers ``heads``, all of one grid, read side by side.
 
     Yields ``(lo, pieces)`` in slice order, where ``pieces[i]`` is the
-    piece of ``paths[i]`` that starts at slice ``lo``, as ``_walk`` reads
-    it: a label file's every slice comes, the slices ``z`` as volumes and
-    the rest as planes; a CT's only the slices ``z``, and None stands for
-    it elsewhere. Inside ``z`` a piece holds ``chunk_slices`` of the
-    widest payload, outside it ``chunk_slices`` of a label file, and no
-    piece is kept here once the next is read. Every header is read and
-    compared with ``geometry`` before any payload, and each label piece
-    is checked as ``read_volume`` checks it.
+    piece of ``heads[i]``'s file that starts at slice ``lo``, as ``_walk``
+    reads it: a label file's every slice comes, the slices ``z`` as
+    volumes and the rest as planes; a CT's only the slices ``z``, and
+    None stands for it elsewhere. Inside ``z`` a piece holds
+    ``chunk_slices`` of the widest payload, outside it ``chunk_slices`` of
+    a label file, and no piece is kept here once the next is read.
+
+    No header is parsed again: the grid is ``heads[0]``'s, and every
+    header is compared with it before any payload is read. Each file is
+    opened anew and must still be the file its header was read from
+    (``VolumeHeader.identity``), else a ``HeaderError`` names it. Each
+    label piece is checked as ``read_volume`` checks it.
     """
+    geometry = heads[0].geometry
     with ExitStack() as stack:
-        walked = []
-        for path in paths:
-            fh = stack.enter_context(open(path, "rb"))
-            head = _parse_header(fh, path)
+        files = []
+        for head in heads:
             require_same_geometry(head.geometry, geometry)
-            walked.append((fh, head))
-        step = min(chunk_slices(head) for _, head in walked)
-        walks = [stack.enter_context(closing(_walk(fh, head, z, step))) for fh, head in walked]
-        labels = [head.label_map is not None for _, head in walked]
+            fh = stack.enter_context(open(head.path, "rb"))
+            if _identity(fh) != head.identity:
+                raise HeaderError(f"{head.path}: changed since its header was read")
+            files.append(fh)
+        step = min(map(chunk_slices, heads))
+        walks = [stack.enter_context(closing(_walk(fh, head, z, step))) for fh, head in zip(files, heads)]
+        labels = [head.label_map is not None for head in heads]
         lo, hi = (0, geometry.nz) if any(labels) else (z.start, z.stop)
         while lo < hi:
             inside = z.start <= lo < z.stop

@@ -987,6 +987,77 @@ def test_postprocess_walks_each_input_once(tmp_path, monkeypatch, mode):
     assert sorted(reads, key=str) == [("p1_ct.bcv", slice(0, 12)), ("p1_tissue.bcv", slice(0, 12))]
 
 
+def _header_commands(tmp_path):
+    """``(argv, parses)`` of each command on phantom files under ``tmp_path``:
+    ``parses`` is the number of times each file's header is parsed."""
+    paths = {sid: write_phantom(tmp_path, sid=sid, nx=24, ny=24, nz=10)[1] for sid in ("b1", "b2")}
+    b1 = {name: str(path) for name, path in paths["b1"].items()}
+    write_volume(read_volume(b1["tissue"]), tmp_path / "pred.bcv")
+    once = {"b1_ct.bcv": 1, "b1_tissue.bcv": 1}
+    evaluate = ["evaluate", "--gt", b1["tissue"], "--pred", str(tmp_path / "pred.bcv"), "--ct", b1["ct"]]
+    triple = ["--ct", b1["ct"], "--tissue", b1["tissue"], "--vertebrae", b1["vertebrae"]]
+    # measure parses each CT header twice: once in the pass over every CT
+    # header, and again where its subject is measured
+    measured = {f"{sid}_{name}.bcv": 1 + (name == "ct") for sid in paths for name in paths[sid]}
+    return {
+        "select-slice": (["select-slice", "--vertebrae", b1["vertebrae"], "--level", "L3"],
+                         {"b1_vertebrae.bcv": 1}),
+        **{f"postprocess {mode}": (["postprocess", mode, "--ct", b1["ct"], "--mask", b1["tissue"],
+                                    "--out", str(tmp_path / "out.bcv")], once)
+           for mode in ("sat-skin", "mf-filter")},
+        "evaluate": ([*evaluate, "--out", str(tmp_path / "e")], {**once, "pred.bcv": 1}),
+        "evaluate --vertebrae": ([*evaluate, "--vertebrae", b1["vertebrae"], "--out", str(tmp_path / "e")],
+                                 {**once, "pred.bcv": 1, "b1_vertebrae.bcv": 1}),
+        "measure": (["measure", *triple, "--out", str(tmp_path / "m")],
+                    {name: n for name, n in measured.items() if name.startswith("b1_")}),
+        "measure --manifest": (["measure", "--manifest", str(_manifest(tmp_path, list(paths))),
+                                "--jobs", "1", "--out", str(tmp_path / "m")], measured),
+    }
+
+
+@pytest.mark.parametrize("command", [
+    "select-slice", "postprocess sat-skin", "postprocess mf-filter", "evaluate", "evaluate --vertebrae",
+    "measure", "measure --manifest",
+])
+def test_each_command_parses_each_header_once(tmp_path, monkeypatch, command):
+    argv, want = _header_commands(tmp_path)[command]
+    parses = {}
+    parse = bodycomp.io._parse_header
+
+    def counted(fh, path):
+        name = Path(path).name
+        parses[name] = parses.get(name, 0) + 1
+        return parse(fh, path)
+
+    monkeypatch.setattr(bodycomp.io, "_parse_header", counted)
+    assert main(argv) == 0
+    assert parses == want
+
+
+@pytest.mark.parametrize("mode", ["sat-skin", "mf-filter"])
+def test_postprocess_refuses_a_mask_replaced_after_its_header_was_read(tmp_path, capsys, monkeypatch, mode):
+    ph, paths = write_phantom(tmp_path, sid="p1", nx=24, ny=24, nz=10)
+    # another valid mask of the same grid, put in place of the one whose
+    # header was checked just before the payloads are read
+    other = tmp_path / "other.bcv"
+    write_volume(replace(ph.tissue, codes=ph.tissue.codes[:, ::-1]), other)
+    read_in_step = cli.read_in_step
+
+    def replaced_first(heads, z):
+        os.replace(other, paths["tissue"])
+        return read_in_step(heads, z)
+
+    monkeypatch.setattr(cli, "read_in_step", replaced_first)
+    out = tmp_path / "out.bcv"
+    out.write_bytes(b"before")
+    code = main(["postprocess", mode, "--ct", str(paths["ct"]), "--mask", str(paths["tissue"]),
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"bodycomp: {paths['tissue']}: changed since its header was read\n"
+    assert out.read_bytes() == b"before"
+    assert sorted(os.listdir(tmp_path)) == ["out.bcv", "p1_ct.bcv", "p1_tissue.bcv", "p1_vertebrae.bcv"]
+
+
 @pytest.mark.parametrize("mask", ["gt", "pred", "tissue"])
 def test_a_mask_without_the_tissue_vocabulary_is_named(tmp_path, capsys, mask):
     ph, paths = write_phantom(tmp_path, sid="p1", nx=32, ny=32, nz=12)
@@ -1329,7 +1400,8 @@ def vertebra_files(tmp_path_factory):
 
 @pytest.mark.parametrize("nz", [60, 360])
 def test_the_vertebra_scan_holds_a_few_chunks_and_the_count_table(vertebra_files, nz):
-    (head, counts), peak = _traced_peak(cli._read_counts, str(vertebra_files / f"v{nz}.bcv"))
+    head = cli._read_header(str(vertebra_files / f"v{nz}.bcv"), ct=False)
+    counts, peak = _traced_peak(cli._read_counts, head)
     assert head.geometry.nz == nz
     assert counts.shape == (nz, 256) and (counts[:, 1:4].sum(axis=1) == 120).all()
     # a chunk of planes, its selections and its counts, then the table of

@@ -30,7 +30,7 @@ from bodycomp import (
     write_volume,
 )
 from bodycomp import BodycompError, model
-from bodycomp.cli import _read_counts
+from bodycomp.cli import _read_counts, _read_header
 from bodycomp.io import (
     format_number,
     read_header,
@@ -546,7 +546,12 @@ def _read_in_steps(path, slices):
     nx, ny, nz = head.geometry.dims
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("bodycomp.io.SCAN_CHUNK_BYTES", slices * nx * ny * head.dtype.itemsize)
-        return [piece for _, (piece,) in read_in_step([path], head.geometry, slice(0, nz))]
+        return [piece for _, (piece,) in read_in_step([head], slice(0, nz))]
+
+
+def _counts(path):
+    """The code counts of the label file at ``path``, as ``select-slice`` reads them."""
+    return _read_counts(_read_header(path, ct=False))
 
 
 def _set_payload_byte(path, index, value):
@@ -576,7 +581,7 @@ def test_slab_read_is_that_slab_of_the_whole_read(tmp_path, rng, lo, hi):
 PART_READS = {
     "slab": lambda path: read_volume(path, slice(3, 6)),
     **{f"slabs{n}": partial(_read_in_steps, slices=n) for n in (1, 2, 9)},
-    "counts": _read_counts,
+    "counts": _counts,
 }
 
 
@@ -632,7 +637,8 @@ def test_read_header_is_the_header_of_read_volume(tmp_path, rng):
 def test_code_counts_read_in_chunks_are_those_of_the_volume(tmp_path, rng, monkeypatch, chunk_planes):
     vol, path = _write_tissue_with_z(tmp_path, rng)
     monkeypatch.setattr("bodycomp.io.SCAN_CHUNK_BYTES", chunk_planes * 4 * 5)
-    head, counts = _read_counts(path)
+    head = _read_header(path, ct=False)
+    counts = _read_counts(head)
     assert head == read_header(path)
     assert np.array_equal(counts, code_counts(vol.codes))
     for z in range(vol.nz):
@@ -646,15 +652,15 @@ def test_code_counts_refuse_what_read_volume_refuses(tmp_path, rng, monkeypatch)
     with pytest.raises(HeaderError) as whole:
         read_volume(path)
     with pytest.raises(HeaderError) as counted:
-        _read_counts(path)
+        _counts(path)
     assert str(counted.value) == str(whole.value)
     path.write_bytes(path.read_bytes()[:-1])
     with pytest.raises(TruncatedPayloadError):
-        _read_counts(path)
+        _counts(path)
     ct_path = tmp_path / "ct.bcv"
     write_volume(make_ct(np.zeros((2, 2, 2))), ct_path)
     with pytest.raises(BodycompError, match="expected a label volume, got CT"):
-        _read_counts(ct_path)
+        _read_header(ct_path, ct=False)
 
 
 @pytest.mark.parametrize("step", [1, 2, 4, 9])
@@ -666,7 +672,7 @@ def test_slabs_read_and_written_are_the_volume_and_its_file(tmp_path, rng, monke
     # a chunk holds step slices of the CT and 2 * step of the mask: side
     # by side, as postprocess reads them, the CT's step is taken
     monkeypatch.setattr("bodycomp.io.SCAN_CHUNK_BYTES", step * ct.values[0].nbytes)
-    steps = list(read_in_step([ct_path, tissue_path], ct.geometry, slice(0, 9)))
+    steps = list(read_in_step([read_header(ct_path), read_header(tissue_path)], slice(0, 9)))
     assert [lo for lo, _ in steps] == list(range(0, 9, step))
     for k, (vol, path) in enumerate(((ct, ct_path), (tissue, tissue_path))):
         slabs = [pieces[k] for _, pieces in steps]
@@ -686,7 +692,7 @@ def test_slab_reads_name_every_unmapped_code_from_the_first_bad_slab_on(tmp_path
     with pytest.raises(HeaderError) as whole:
         read_volume(path)
     monkeypatch.setattr("bodycomp.io.SCAN_CHUNK_BYTES", 2 * plane)
-    steps = read_in_step([path], vol.geometry, slice(0, vol.nz))
+    steps = read_in_step([read_header(path)], slice(0, vol.nz))
     assert next(steps)[1][0].nz == 2
     with pytest.raises(HeaderError) as slab:
         next(steps)
@@ -713,8 +719,8 @@ def test_every_label_voxel_is_checked_once_per_read(tmp_path, rng, monkeypatch):
         "whole": partial(read_volume, path),
         **{f"slab {z}": partial(read_volume, path, z) for z in (slice(0, 3), slice(3, 6), slice(8, 9))},
         **{f"slabs {n}": partial(_read_in_steps, path, n) for n in (1, 3, vol.nz)},
-        "counts": partial(_read_counts, path),
-        **{f"in step {z}": lambda z=z: list(read_in_step([tmp_path / "ct.bcv", path], vol.geometry, z))
+        "counts": partial(_counts, path),
+        **{f"in step {z}": lambda z=z: list(read_in_step([read_header(tmp_path / "ct.bcv"), read_header(path)], z))
            for z in (slice(0, 0), slice(3, 6), slice(8, 9))},
     }
     for name, read in reads.items():
@@ -739,7 +745,8 @@ def test_read_in_step_gives_each_file_a_chunk_at_a_time(tmp_path, rng, monkeypat
     write_volume(ct, tmp_path / "ct.bcv")
     # three slices of the CT, six of a label file, per chunk
     monkeypatch.setattr("bodycomp.io.SCAN_CHUNK_BYTES", 3 * 4 * 5 * 2)
-    pieces = list(read_in_step([tmp_path / "ct.bcv", path, path], vol.geometry, z))
+    heads = [read_header(tmp_path / "ct.bcv"), read_header(path), read_header(path)]
+    pieces = list(read_in_step(heads, z))
     starts = [lo for lo, _ in pieces]
     assert starts == sorted(set(starts)) and starts[0] == 0
     inside = [(lo, ct_piece) for lo, (ct_piece, _, _) in pieces if ct_piece is not None]
@@ -749,8 +756,26 @@ def test_read_in_step_gives_each_file_a_chunk_at_a_time(tmp_path, rng, monkeypat
     for k in (1, 2):  # each label file, every slice, as volumes inside z and planes outside
         codes = [getattr(p[k], "codes", p[k]) for _, p in pieces]
         assert np.array_equal(np.concatenate(codes), vol.codes)
+    write_volume(replace(vol, z_positions_mm=None), tmp_path / "no_z.bcv")
     with pytest.raises(GeometryMismatchError):
-        next(read_in_step([path], replace(vol, z_positions_mm=None).geometry, z))
+        next(read_in_step([read_header(path), read_header(tmp_path / "no_z.bcv")], z))
+
+
+@pytest.mark.parametrize("change", ["replaced", "rewritten"])
+def test_read_in_step_refuses_a_file_changed_since_its_header_was_read(tmp_path, rng, change):
+    vol, path = _write_tissue_with_z(tmp_path, rng)
+    head = read_header(path)
+    if change == "replaced":
+        # another valid file of the same grid and size, moved onto the path
+        write_volume(replace(vol, codes=vol.codes[::-1]), tmp_path / "other.bcv")
+        os.replace(tmp_path / "other.bcv", path)
+    else:
+        # the same file, rewritten in place with more slices
+        write_volume(make_tissue(random_tissue_codes(rng, (12, 4, 5)), sid="t"), tmp_path / "more.bcv")
+        with open(path, "r+b") as fh:
+            fh.write((tmp_path / "more.bcv").read_bytes())
+    with pytest.raises(HeaderError, match=re.escape(f"{path}: changed since its header was read")):
+        next(read_in_step([head], slice(0, vol.nz)))
 
 
 def test_slabs_that_do_not_make_the_volume_leave_the_file_as_it_was(tmp_path, rng):
