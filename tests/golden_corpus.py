@@ -223,6 +223,11 @@ def make_inputs(folder: Path) -> list[str]:
     for level, code in (("nol3", 2), ("nol4", 3)):
         codes = np.where(base.vertebrae.codes == code, 0, base.vertebrae.codes)
         write_volume(replace(base.vertebrae, codes=codes), folder / f"{level}_vertebrae.bcv")
+    # a header that is valid JSON but not an object
+    data = (folder / "base_ct.bcv").read_bytes()
+    (header_len,) = struct.unpack("<Q", data[4:12])
+    body = data[12 + header_len :]
+    (folder / "notobject_ct.bcv").write_bytes(data[:4] + struct.pack("<Q", 2) + b"[]" + body)
 
     manifest = ["ct,tissue,vertebrae,subject_id"]
     manifest += [f"{s}_ct.bcv,{s}_tissue.bcv,{s}_vertebrae.bcv," for s in good]
@@ -245,6 +250,15 @@ def make_inputs(folder: Path) -> list[str]:
         "base_tissue.bcv,base_tissue.bcv,base_vertebrae.bcv,f_kind",
     ]
     (folder / "manifest_faults.csv").write_text("\n".join(faulty) + "\n", encoding="utf-8")
+    # no vertebrae column; one id given twice; one id read from two CT headers
+    nocolumn = ["ct,tissue,subject_id", f"{good[0]}_ct.bcv,{good[0]}_tissue.bcv,"]
+    (folder / "manifest_nocolumn.csv").write_text("\n".join(nocolumn) + "\n", encoding="utf-8")
+    dup = manifest[:1] + [f"{s}_ct.bcv,{s}_tissue.bcv,{s}_vertebrae.bcv,dup" for s in good[:2]]
+    (folder / "manifest_dup.csv").write_text("\n".join(dup) + "\n", encoding="utf-8")
+    dup_headers = manifest[:1] + [
+        f"{ct}.bcv,base_tissue.bcv,base_vertebrae.bcv," for ct in ("base_ct", "slope1e36_ct")
+    ]
+    (folder / "manifest_dup_headers.csv").write_text("\n".join(dup_headers) + "\n", encoding="utf-8")
 
     rows = ["subject_id,age_years,sex,race,height_m"]
     for i, sid in enumerate(good):
@@ -257,6 +271,9 @@ def make_inputs(folder: Path) -> list[str]:
         first = rows[1].split(",")
         bad = [rows[0], ",".join([first[0], age, *first[2:]]), *rows[2:]]
         (folder / f"demographics_{name}.csv").write_text("\n".join(bad) + "\n", encoding="utf-8")
+    # a row with no subject_id
+    noid = [rows[0], ",".join(["", *rows[1].split(",")[1:]]), *rows[2:]]
+    (folder / "demographics_noid.csv").write_text("\n".join(noid) + "\n", encoding="utf-8")
     heights = {"inf_height": "inf", "tiny_height": "1e-200", "small_height": "1e-160"}
     for name, height in heights.items():
         bad = [rows[0], f"base,40,Male,A,{height}"]
@@ -291,6 +308,12 @@ def _runs(good: list[str]):
         yield f"measure.manifest_bom.j{jobs}", [
             "measure", "--manifest", f("manifest_bom.csv"), "--jobs", jobs, "--out", "out"
         ]
+    for name in ("nocolumn", "dup", "dup_headers"):
+        yield f"measure.manifest_{name}", [
+            "measure", "--manifest", f(f"manifest_{name}.csv"), "--out", "out"
+        ]
+    # no triple and no manifest
+    yield "measure.no_inputs", ["measure", "--ct", f("base_ct.bcv"), "--out", "out"]
     yield "measure.cohort", [
         "measure", "--manifest", f("manifest.csv"), "--cohort", f("demographics.csv"), "--out", "out"
     ]
@@ -321,6 +344,7 @@ def _runs(good: list[str]):
         "unmapped_vertebrae": ("base_ct", "base_tissue", "unmapped_vertebrae"),
         "unmapped_after": ("base_ct", "unmapped_after_tissue", "base_vertebrae"),
         "slope1e36": ("slope1e36_ct", "base_tissue", "base_vertebrae"),
+        "notobject": ("notobject_ct", "base_tissue", "base_vertebrae"),
     }
     for fault, (ct, tissue, vertebrae) in measure_faults.items():
         yield f"measure.fault.{fault}", [
@@ -342,6 +366,10 @@ def _runs(good: list[str]):
                     "evaluate", "--gt", f(f"{sid}_tissue.bcv"), "--pred", f(f"{sid}_pred.bcv"),
                     "--ct", f(f"{sid}_ct.bcv"), *extra, "--policy", policy, "--out", "out",
                 ]
+    yield "evaluate.regions_bogus", [
+        "evaluate", "--gt", f("base_tissue.bcv"), "--pred", f("base_pred.bcv"), "--ct", f("base_ct.bcv"),
+        "--regions", "bogus", "--out", "out",
+    ]
     evaluate_faults = {
         "unmapped_in_pred": ("base_tissue", "unmapped_in_pred", "base_ct", "base_vertebrae", None),
         "unmapped_out_gt": ("unmapped_out_tissue", "base_pred", "base_ct", "base_vertebrae", None),
@@ -427,6 +455,11 @@ def _runs(good: list[str]):
             *cohort, f(f"demographics_{name}.csv"), "--group-by", "age_bin", "--min-group", "1",
             "--out", "out",
         ]
+    yield "cohort.noid", [*cohort, f("demographics_noid.csv"), "--out", "out"]
+    yield "cohort.group_by_bogus", [*cohort, f("demographics.csv"), "--group-by", "bogus", "--out", "out"]
+    yield "cohort.no_results", [
+        "cohort", "--results", "../../in", "--demographics", f("demographics.csv"), "--out", "out"
+    ]
     for policy in POLICIES:
         for min_group in ("1", "2", "20"):
             yield f"cohort.{policy}.min{min_group}", [

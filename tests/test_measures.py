@@ -42,6 +42,7 @@ from bodycomp.measures import (
     _codes_of,
     _exact_mean_hu,
     code_classes,
+    measure_pieces,
     tissue_class,
 )
 from bodycomp.model import select_codes
@@ -308,6 +309,22 @@ def test_missing_level_error_keeps_no_volume_alive(subject):
         assert alive() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("level", ["T12", "L3", "L4"])
+def test_measure_pieces_refuses_a_missing_level_before_taking_a_piece(level, subject):
+    ph = build_phantom(nx=24, ny=24, nz=10)
+    codes = ph.vertebrae.codes_for(vertebra_label(level))
+    picked = measurement_regions(
+        replace(ph.vertebrae, codes=np.where(np.isin(ph.vertebrae.codes, codes), 0, ph.vertebrae.codes))
+    )
+
+    def pieces():
+        pytest.fail("a piece was taken")
+        yield
+
+    with pytest.raises(VertebraNotFoundError, match=vertebra_label(level)):
+        measure_pieces(ph.tissue, pieces(), picked, subject)
 
 
 def test_spacing_scale_invariance(subject):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from bodycomp import (
+    AllSlices,
     LabelVocabularyError,
+    SingleSlice,
     SliceRange,
     VertebraNotFoundError,
     build_phantom,
@@ -16,6 +18,7 @@ from bodycomp import (
     vertebra_label,
 )
 from bodycomp.model import code_counts
+from bodycomp.regions import region_slice
 from conftest import make_tissue, make_vertebrae
 
 
@@ -113,6 +116,32 @@ def test_region_t12_l4_missing_l4():
     vol = vert_volume_with_areas({1: [9, 0]})
     with pytest.raises(VertebraNotFoundError):
         region_t12_l4(vol)
+
+
+def test_slice_range_refuses_a_reversed_range():
+    with pytest.raises(ValueError, match=r"z_lo must be <= z_hi, got \(5, 4\)"):
+        SliceRange(5, 4)
+
+
+@pytest.mark.parametrize(
+    "region, expected",
+    [
+        (SingleSlice(3), slice(3, 4)),
+        (SliceRange(1, 3), slice(1, 4)),
+        (AllSlices(), slice(0, 4)),
+        (SingleSlice(4), IndexError),
+        (SingleSlice(-1), IndexError),
+        (SliceRange(2, 4), IndexError),
+        (SliceRange(-1, 2), IndexError),
+        (slice(0, 4), TypeError),
+    ],
+)
+def test_region_slice_over_four_slices(region, expected):
+    if isinstance(expected, slice):
+        assert region_slice(region, 4) == expected
+    else:
+        with pytest.raises(expected):
+            region_slice(region, 4)
 
 
 def test_region_contains_l3_peak_on_ordered_phantoms(rng):
