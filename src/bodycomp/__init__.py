@@ -4,8 +4,8 @@ Measures muscle density, VAT/SAT ratio, muscle area/volume, and SMI on
 vertebra-defined regions (L3 slice for 2D, T12-L4 range for 3D), applies
 the muscular-fat merge policy before measurement, post-processes masks
 (SAT-skin dilation, muscular-fat filtering), and evaluates predicted
-masks against ground truth with Dice/MRAE/R²/Pearson plus demographic
-cohort reports.
+masks against ground truth with Dice/MRAE/R², plus demographic cohort
+reports with Pearson correlations.
 
 Importing the package loads nothing else, not even numpy: each public
 name is imported from its module on first access (PEP 562), so a command
@@ -25,6 +25,7 @@ _HOMES = {
             "age_bins",
             "correlation_matrix",
             "group_stats",
+            "pearson_r",
         ),
         "cohort",
     ),
@@ -66,7 +67,6 @@ _HOMES = {
             "metric_pct_difference",
             "mrae",
             "muscle_density_error_pct",
-            "pearson_r",
             "r_squared",
         ),
         "evaluation",

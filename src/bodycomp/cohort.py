@@ -2,20 +2,20 @@
 
 Age bins are quantile-seeded and then adjusted until every bin holds at
 least ``min_count`` subjects; when that many bins are infeasible the
-count degrades gracefully with a warning. Standard deviations are
-population form (divide by n) throughout, consistent with the Pearson
-convention used in evaluation.
+count degrades gracefully with a warning. Standard deviations and
+Pearson r (``pearson_r``, which only this report uses) are population
+form (divide by n) throughout.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import BodycompError, ConstantInputError
-from .evaluation import pearson_r, power_of_two_scaled
 from .model import GROUP_BY_CHOICES, METRIC_FIELDS, BodyCompResult, SubjectRecord
 
 
@@ -123,6 +123,44 @@ def _find_cuts(values: np.ndarray, k: int, min_count: int):
     if n - prev < min_count:
         return None
     return cuts
+
+
+def power_of_two_scaled(values: np.ndarray) -> tuple[np.ndarray, float]:
+    """``values`` divided by a power of two that keeps the squares of their
+    differences finite, and that power: 1 unless a value exceeds 2^500.
+
+    Scaling by a power of two is exact, so a mean, a standard deviation or
+    a correlation taken on the scaled values, each scaled back, is the one
+    the values give where nothing overflows.
+    """
+    top = float(np.max(np.abs(values), initial=0.0))
+    if top < 2.0**500:
+        return values, 1.0
+    k = math.frexp(top)[1] - 500
+    return np.ldexp(values, -k), math.ldexp(1.0, k)
+
+
+def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
+    """Pearson correlation Cov(X, Y) / (sigma_X sigma_Y), population form.
+
+    Finite values whose squares overflow are correlated at a scale that
+    keeps them finite (``power_of_two_scaled``).
+    """
+    xv = np.asarray(x, dtype=float)
+    yv = np.asarray(y, dtype=float)
+    if xv.shape != yv.shape:
+        raise ValueError(f"length mismatch: {xv.shape} vs {yv.shape}")
+    if xv.size < 2:
+        raise ValueError("pearson_r requires at least two observations")
+    (xv, _), (yv, _) = power_of_two_scaled(xv), power_of_two_scaled(yv)
+    dx = xv - xv.mean()
+    dy = yv - yv.mean()
+    sx = float(np.sqrt(np.mean(dx * dx)))
+    sy = float(np.sqrt(np.mean(dy * dy)))
+    if sx == 0 or sy == 0:
+        raise ConstantInputError("a series is constant; pearson_r undefined")
+    cov = float(np.mean(dx * dy))
+    return cov / (sx * sy)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Segmentation and measurement evaluation.
 
-Scalar metrics: Dice overlap, mean relative absolute error (MRAE),
-coefficient of determination, and Pearson correlation (population form).
+Scalar metrics: Dice overlap, mean relative absolute error (MRAE) and
+the coefficient of determination (Pearson r is the cohort report's).
 ``evaluate_case``/``evaluate_masks`` compare a predicted label volume
 against ground truth per label and per region (L3 slice, T12-L4 range,
 all slices), and ``aggregate_cases`` rolls per-case results into an
@@ -32,7 +32,6 @@ muscle density, so 1.79 HU of error reads as 1.00%.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -160,44 +159,6 @@ def r_squared(obs: Sequence[float], pred: Sequence[float]) -> float:
         raise ConstantInputError("observations are constant; r_squared undefined")
     ss_res = float(np.sum((y - yhat) ** 2))
     return 1.0 - ss_res / ss_tot
-
-
-def power_of_two_scaled(values: np.ndarray) -> tuple[np.ndarray, float]:
-    """``values`` divided by a power of two that keeps the squares of their
-    differences finite, and that power: 1 unless a value exceeds 2^500.
-
-    Scaling by a power of two is exact, so a mean, a standard deviation or
-    a correlation taken on the scaled values, each scaled back, is the one
-    the values give where nothing overflows.
-    """
-    top = float(np.max(np.abs(values), initial=0.0))
-    if top < 2.0**500:
-        return values, 1.0
-    k = math.frexp(top)[1] - 500
-    return np.ldexp(values, -k), math.ldexp(1.0, k)
-
-
-def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
-    """Pearson correlation Cov(X, Y) / (sigma_X sigma_Y), population form.
-
-    Finite values whose squares overflow are correlated at a scale that
-    keeps them finite (``power_of_two_scaled``).
-    """
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    if xv.shape != yv.shape:
-        raise ValueError(f"length mismatch: {xv.shape} vs {yv.shape}")
-    if xv.size < 2:
-        raise ValueError("pearson_r requires at least two observations")
-    (xv, _), (yv, _) = power_of_two_scaled(xv), power_of_two_scaled(yv)
-    dx = xv - xv.mean()
-    dy = yv - yv.mean()
-    sx = float(np.sqrt(np.mean(dx * dx)))
-    sy = float(np.sqrt(np.mean(dy * dy)))
-    if sx == 0 or sy == 0:
-        raise ConstantInputError("a series is constant; pearson_r undefined")
-    cov = float(np.mean(dx * dy))
-    return cov / (sx * sy)
 
 
 def muscle_density_error_pct(err_hu: float) -> float:

@@ -56,7 +56,7 @@ _LOADS = {
     "select-slice": _BASE | {"bodycomp.regions"},
     "sat-skin": _BASE | {"bodycomp.postprocess"},
     "mf-filter": _BASE | {"bodycomp.postprocess"},
-    "cohort": _BASE | {"bodycomp.cohort", "bodycomp.evaluation", "bodycomp.measures", "bodycomp.regions"},
+    "cohort": _BASE | {"bodycomp.cohort"},
 }
 
 # run the CLI as ``python -m bodycomp.cli`` does; argv[1] gets the modules loaded
