@@ -24,7 +24,6 @@ def test_corpus_run(regenerated, name):
     assert regenerated["runs"].get(name) == EXPECTED["runs"][name], made_with
 
 
-
 def _rule_breaks(run) -> list[str]:
     """How a recorded run breaks the robustness rules: an exit code other
     than 0, 1 or 2, a traceback on stderr, a warning, or a file written
@@ -42,5 +41,5 @@ def _rule_breaks(run) -> list[str]:
 
 
 def test_every_recorded_run_keeps_the_robustness_rules():
-    broken = {name: _rule_breaks(run) for name, run in EXPECTED["runs"].items() if _rule_breaks(run)}
+    broken = {name: breaks for name, run in EXPECTED["runs"].items() if (breaks := _rule_breaks(run))}
     assert broken == {}
