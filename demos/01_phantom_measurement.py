@@ -4,7 +4,8 @@ Measuring body composition on a synthetic phantom
 
 Builds a phantom volume with exactly known tissue geometry and measures
 all four metrics on the vertebra-defined regions, straight from the raw CT
-counts: the measures convert to Hounsfield Units only the voxels they read.
+counts: the measures bin the raw values they read and convert each distinct
+value to Hounsfield Units once.
 """
 
 import numpy as np

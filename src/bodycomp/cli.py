@@ -12,7 +12,7 @@ Subcommands::
 Exit codes: 0 success, 1 partial failure (some inputs failed), 2 invalid
 invocation. Outputs are deterministic: rows are ordered by subject_id,
 floats are printed with 6 significant digits, and ``--jobs`` never
-changes any output byte. ``BODYCOMP_JOBS`` sets the default worker count.
+changes any output byte.
 
 Each command reads a volume's payload a chunk of whole slices at a time
 (``io.SCAN_CHUNK_BYTES``, 1 MiB: 2 slices of a 512x512 CT) and holds
@@ -89,13 +89,6 @@ if TYPE_CHECKING:
     from .regions import VertebraRegions
 
 _POLICIES = {p.value: p for p in MergePolicy}
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("BODYCOMP_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def _jobs(text: str) -> int:
@@ -343,9 +336,6 @@ def cmd_measure(args) -> int:
     from . import measures, regions
 
     policy = _POLICIES[args.policy]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if args.manifest:
         entries = _load_manifest(args.manifest)
         duplicate = _first_duplicate(e["subject_id"] for e in entries if e["subject_id"])
@@ -387,6 +377,9 @@ def cmd_measure(args) -> int:
     measured = sorted((m for m, _ in outcomes if m is not None), key=lambda m: m[0].subject_id)
     failures = [msg for _, msg in outcomes if msg is not None]
 
+    # --out is made only once there is something to write
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for result, _ in measured:
         doc = json.dumps(result.to_dict(), sort_keys=True, indent=2)
         (out_dir / f"{result.subject_id}.json").write_text(doc + "\n", encoding="utf-8")
@@ -412,8 +405,6 @@ def cmd_evaluate(args) -> int:
         except ValueError as exc:
             print(f"evaluate: {exc}", file=sys.stderr)
             return 2
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     # every header is checked, in the order gt, pred, vertebrae, ct, before
     # any payload is read; pred and vertebrae are compared with gt as
     # evaluate_case compares them
@@ -448,6 +439,8 @@ def cmd_evaluate(args) -> int:
         print(f"evaluate: {metric} error left blank: {reason}", file=sys.stderr)
     report = aggregate_cases([case])
 
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "eval.json").write_text(report.to_json() + "\n", encoding="utf-8")
     _write_csv(out_dir / "eval.csv", _csv_columns(EvalRow), map(_csv_row, report.rows))
     return 0
@@ -507,8 +500,6 @@ def cmd_cohort(args) -> int:
         )
         return 2
     results_dir = Path(args.results)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     results = []
     for path in sorted(results_dir.glob("*.json")):
@@ -531,6 +522,8 @@ def cmd_cohort(args) -> int:
             group_rows.append(
                 [s.group, s.metric, str(s.count), format_number(s.mean), format_number(s.sd)]
             )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "group_stats.csv", ("group", "metric", "count", "mean", "sd"), group_rows)
 
     entries = correlation_matrix(results)
@@ -555,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--cohort", help="demographics CSV (enables SMI)")
     m.add_argument("--policy", choices=sorted(_POLICIES), default="muscle")
     m.add_argument("--out", default="out")
-    m.add_argument("--jobs", type=_jobs, default=_default_jobs())
+    m.add_argument("--jobs", type=_jobs, default=1)
     m.set_defaults(func=cmd_measure)
 
     e = sub.add_parser("evaluate", help="evaluate predicted masks against ground truth")

@@ -549,8 +549,9 @@ def to_hu(vol: VoxelVolume) -> VoxelVolume:
     Applies ``hu = rescale_slope * raw + rescale_intercept`` voxelwise;
     geometry and rescale metadata are unchanged. Converting an already-HU
     volume raises (no double conversion). The measures and kernels take
-    the CT as read and convert only the voxels they read
-    (``VoxelVolume.hu_of``); this is for callers that want the whole array.
+    the CT as read and convert no voxel: the measures bin raw values and
+    convert each distinct value once, and the kernels compare raw values
+    with a raw interval. This is for callers that want the whole array.
     """
     if vol.unit_state is not UnitState.RAW:
         raise UnitStateError("volume is already in HU")

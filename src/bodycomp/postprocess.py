@@ -25,10 +25,12 @@ once per call.
 
 ``postprocess`` streams its files: ``dilate_sat_to_skin`` runs on each
 chunk of slices, and ``muscular_fat_slabs`` takes the chunks of one
-volume in turn. Components are labelled by row runs (He, Chao & Suzuki
-2008), in blocks of whole slices that may span chunks, so the labelling
-costs follow the runs, not the chunks. A run ends where the sorted
-candidate offsets skip a pixel or start a row. Laid out in rows one
+volume in turn, labelling and putting out each chunk once its slices
+are scanned. The stream is kept, rather than a call per chunk, so that
+its candidate planes are made once per volume. Components are labelled
+by row runs (He, Chao & Suzuki 2008), all the slices of a chunk at
+once. A run ends where the sorted candidate offsets skip a pixel or
+start a row. Laid out in rows one
 pixel wider than the slice, with an empty row between slices, the runs
 of the next row that a run touches (8-connected) are one contiguous
 range of the sorted runs, found by two ``searchsorted`` calls.
@@ -64,9 +66,6 @@ SAT_DILATION_SIZE = 5
 
 MF_HU_RANGE = (-220.0, -50.0)
 MF_MIN_PIXELS = 7
-
-# row runs labelled at once: a block is labelled once it holds this many
-_BLOCK_RUNS = 1 << 12
 
 
 def _dilate_square(plane: np.ndarray, radius: int, rows: np.ndarray, grown: np.ndarray) -> None:
@@ -165,54 +164,37 @@ def _kept_runs(first: np.ndarray, length: np.ndarray, width: int, min_pixels: in
     return np.bincount(parent, weights=length)[parent] >= min_pixels
 
 
-class _Slice:
-    """The row runs of one slice's candidates, as first offsets in the
-    slice and lengths; once labelled, only the runs that are kept."""
-
-    __slots__ = ("k", "first", "length")
-
-    def __init__(self, k: int, first: np.ndarray, length: np.ndarray):
-        self.k, self.first, self.length = k, first, length
-
-
-def _label(block: list[_Slice], ny: int, nx: int, min_pixels: int) -> None:
-    """Keep, in each slice of ``block``, only the runs of its components
-    of at least ``min_pixels``."""
+def _label(slices: list[tuple], ny: int, nx: int, min_pixels: int) -> list[tuple]:
+    """The slices ``(k, first, length)``, each holding only the runs of
+    its components of at least ``min_pixels``."""
+    if not slices:
+        return slices
     # row y of the j-th slice starts at (j * (ny + 1) + y) * (nx + 1): an
     # empty column ends each row, and an empty row each slice
     stride = (ny + 1) * (nx + 1)
-    first = np.concatenate([s.first + s.first // nx + j * stride for j, s in enumerate(block)])
-    kept = _kept_runs(first, np.concatenate([s.length for s in block]), nx + 1, min_pixels)
-    at = 0
-    for s in block:
-        keep = kept[at : at + s.first.size]
-        at += s.first.size
-        s.first, s.length = s.first[keep], s.length[keep]
+    first = np.concatenate([f + f // nx + j * stride for j, (_, f, _) in enumerate(slices)])
+    kept = _kept_runs(first, np.concatenate([n for _, _, n in slices]), nx + 1, min_pixels)
+    ends = np.cumsum([f.size for _, f, _ in slices])
+    return [(k, f[keep], n[keep]) for (k, f, n), keep in zip(slices, np.split(kept, ends[:-1]))]
 
 
-def _mf_volume(geometry, subject_id, slices: list[_Slice]) -> LabelVolume:
-    """The muscular-fat mask on ``geometry`` whose pixels are the kept runs of ``slices``."""
+def _mf_volume(geometry, subject_id, slices: list[tuple]) -> LabelVolume:
+    """The muscular-fat mask on ``geometry`` whose pixels are the runs of
+    ``slices``, given as ``(k, first, length)``."""
     nx, ny, nz = geometry.dims
     out = np.zeros((nz, ny, nx), dtype=np.uint8)
     # half the bytes a pixel where a plane's offsets fit in int32
     offset = np.int32 if nx * ny <= np.iinfo(np.int32).max else np.int64
-    for s in slices:
-        if s.first.size:
+    for k, first, length in slices:
+        if first.size:
             # each run's pixels: its first offset plus 0..length-1
-            shift = (s.first - (np.cumsum(s.length) - s.length)).astype(offset)
-            pixels = np.arange(int(s.length.sum()), dtype=offset)
-            pixels += np.repeat(shift, s.length)
-            out[s.k].reshape(-1)[pixels] = 1
+            shift = (first - (np.cumsum(length) - length)).astype(offset)
+            pixels = np.arange(int(length.sum()), dtype=offset)
+            pixels += np.repeat(shift, length)
+            out[k].reshape(-1)[pixels] = 1
     return LabelVolume.on_grid(
         out, geometry, label_map={0: BACKGROUND, 1: MUSCULAR_FAT}, subject_id=subject_id
     )
-
-
-def _put_out(waiting: list) -> Iterator[LabelVolume]:
-    """The output of each piece of ``waiting``, whose slices are all
-    labelled, in order; each leaves the list as it is put out."""
-    while waiting:
-        yield _mf_volume(*waiting.pop(0))
 
 
 def dilate_sat_to_skin(mask: LabelVolume, ct: VoxelVolume) -> LabelVolume:
@@ -252,12 +234,9 @@ def muscular_fat_slabs(
     """``muscular_fat_candidates`` of one CT and ROI given as pieces of
     whole slices: yields the output of each ``(ct, roi_mask)`` piece, in order.
 
-    A component never joins along z, so the runs of many pieces are
-    labelled together, in blocks of about ``_BLOCK_RUNS`` runs; a piece
-    is put out once its last slice is labelled, and until then it holds
-    only its runs. No piece is kept here while the next is taken.
+    A component never joins along z, so each piece is labelled alone and
+    put out before the next is taken; no piece is kept here meanwhile.
     """
-    waiting, block, runs = [], [], 0  # pieces not yet put out; slices not yet labelled
     candidates = scratch = None
     for ct, roi_mask in pieces:
         require_same_geometry(ct, roi_mask)
@@ -270,23 +249,11 @@ def muscular_fat_slabs(
             _within(ct.values[k], *in_range, candidates, scratch)
             candidates &= np.not_equal(roi_mask.codes[k], 0, out=scratch)
             offsets = np.flatnonzero(candidates)
-            if not offsets.size:
-                continue
-            slices.append(_Slice(k, *_runs(offsets, nx)))
-            block.append(slices[-1])
-            runs += slices[-1].first.size
-            if runs >= _BLOCK_RUNS:
-                _label(block, ny, nx, min_pixels)
-                block, runs = [], 0
-                # the pieces before this one are labelled to their last slice
-                yield from _put_out(waiting)
-        waiting.append((ct.geometry, roi_mask.subject_id, slices))
+            if offsets.size:
+                slices.append((k, *_runs(offsets, nx)))
+        geometry, subject_id = ct.geometry, roi_mask.subject_id
         del ct, roi_mask  # nothing of a piece stays in this frame while the next is read
-        if not block:
-            yield from _put_out(waiting)
-    if block:
-        _label(block, ny, nx, min_pixels)
-    yield from _put_out(waiting)
+        yield _mf_volume(geometry, subject_id, _label(slices, ny, nx, min_pixels))
 
 
 def muscular_fat_candidates(

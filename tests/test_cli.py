@@ -788,20 +788,23 @@ def test_bad_region_and_group_by_exit_two(tmp_path, capsys):
     assert code == 2
 
 
-def test_jobs_default_comes_from_environment(tmp_path, monkeypatch):
-    monkeypatch.setenv("BODYCOMP_JOBS", "3")
-    from bodycomp.cli import build_parser
-
-    args = build_parser().parse_args(
-        ["measure", "--ct", "a", "--tissue", "b", "--vertebrae", "c"]
-    )
-    assert args.jobs == 3
-    for value in ("not-a-number", "0", "-2"):
-        monkeypatch.setenv("BODYCOMP_JOBS", value)
-        args = build_parser().parse_args(
-            ["measure", "--ct", "a", "--tissue", "b", "--vertebrae", "c"]
-        )
-        assert args.jobs == 1
+def test_a_refused_invocation_makes_no_out_directory(tmp_path, capsys):
+    ph, paths = write_phantom(tmp_path, sid="p1", nx=16, ny=16, nz=8)
+    row = f"{paths['ct']},{paths['tissue']},{paths['vertebrae']},p1\n"
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("ct,tissue,vertebrae,subject_id\n" + row + row)
+    runs = [
+        (2, ["measure", "--ct", str(paths["ct"])]),
+        (1, ["evaluate", "--gt", str(tmp_path / "missing.bcv"), "--pred", str(paths["tissue"]),
+             "--ct", str(paths["ct"])]),
+        (2, ["measure", "--manifest", str(manifest)]),
+        # tmp_path holds no result JSON
+        (2, ["cohort", "--results", str(tmp_path), "--demographics", str(tmp_path / "none.csv")]),
+    ]
+    for i, (code, argv) in enumerate(runs):
+        out = tmp_path / "out" / str(i)
+        assert main([*argv, "--out", str(out)]) == code, argv
+        assert not (tmp_path / "out").exists(), argv
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1", "two"])

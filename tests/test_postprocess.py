@@ -457,20 +457,13 @@ def candidate_grids(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    candidate_grids(),
-    st.sampled_from([None, 1, 2, 3]),
-    st.sampled_from([1, 5, 40, postprocess._BLOCK_RUNS]),
-)
-def test_labelling_keeps_what_scipy_label_keeps(case, step, block_runs):
-    # streamed in pieces of 1-3 slices or whole, and labelled in blocks of
-    # a few runs up to the kernel's: blocks end inside pieces and between
-    # them, after a slice whose components lie above those of the next
+@given(candidate_grids(), st.sampled_from([None, 1, 2, 3]))
+def test_labelling_keeps_what_scipy_label_keeps(case, step):
+    # streamed in pieces of 1-3 slices or whole: a piece's slices are
+    # labelled together, after a slice whose components lie above those
+    # of the next
     candidates, min_pixels = case
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(postprocess, "_BLOCK_RUNS", block_runs)
-        kept = kernel_kept(candidates, min_pixels, step)
-    assert np.array_equal(kept, scipy_kept(candidates, min_pixels))
+    assert np.array_equal(kernel_kept(candidates, min_pixels, step), scipy_kept(candidates, min_pixels))
 
 
 def _cut(grid, *points):
@@ -503,31 +496,37 @@ def _row_runs(candidates):
     return np.count_nonzero(starts)
 
 
-def test_labelling_flushes_blocks_between_slices(monkeypatch):
-    # about 3,900 row runs per random 128x128 slice: a block holds two
-    # slices before it reaches 2^12 runs; a full slice is 128 runs
+def test_labelling_takes_each_piece_alone(monkeypatch):
+    # about 3,900 row runs per random 128x128 slice, a full slice of 128
+    # runs, a slice that repeats the one before it and an empty slice
     rng = np.random.default_rng(7)
     candidates = rng.random((9, 128, 128)) < 0.4
     candidates[4] = True
-    candidates[6] = np.broadcast_to(candidates[5], (128, 128))
-    blocks = []
+    candidates[6] = candidates[5]
+    candidates[8] = False
+    calls = []
     kept = postprocess._kept_runs
 
     def spy(first, length, width, min_pixels):
-        # a slice of the block spans (ny + 1) rows of the width
-        blocks.append((int(first.size), int(first[-1]) // (width * 129) + 1, int(length.sum())))
+        # a slice of the call spans (ny + 1) rows of the width
+        calls.append((int(first.size), int(length.sum()), int(first[-1]) // (width * 129) + 1))
         return kept(first, length, width, min_pixels)
 
     monkeypatch.setattr(postprocess, "_kept_runs", spy)
     for min_pixels in (1, 7):
-        for step in (None, 2):
+        for step in (1, 2, 3):
+            calls.clear()
             assert np.array_equal(
                 kernel_kept(candidates, min_pixels, step), scipy_kept(candidates, min_pixels)
             )
-    # every run is in exactly one block, and some blocks span slices
-    assert sum(runs for runs, _, _ in blocks) == 4 * _row_runs(candidates)
-    assert sum(pixels for _, _, pixels in blocks) == 4 * np.count_nonzero(candidates)
-    assert max(span for _, span, _ in blocks) > 1 and len(blocks) > 4
+            # one call for each piece with candidates, holding the runs,
+            # pixels and slices of that piece alone
+            pieces = [candidates[lo : lo + step] for lo in range(0, 9, step)]
+            assert calls == [
+                (_row_runs(p), np.count_nonzero(p), np.count_nonzero(p.any(axis=(1, 2))))
+                for p in pieces
+                if p.any()
+            ]
 
 
 # ---- thresholds in raw values over every int16 value --------------------------
