@@ -25,19 +25,19 @@ once per call.
 
 ``postprocess`` streams its files: ``dilate_sat_to_skin`` runs on each
 chunk of slices, and ``muscular_fat_slabs`` takes the chunks of one
-volume in turn, labelling and putting out each chunk once its slices
-are scanned. The stream is kept, rather than a call per chunk, so that
-its candidate planes are made once per volume. Components are labelled
-by row runs (He, Chao & Suzuki 2008), all the slices of a chunk at
-once. A run ends where the sorted candidate offsets skip a pixel or
-start a row. Laid out in rows one
-pixel wider than the slice, with an empty row between slices, the runs
-of the next row that a run touches (8-connected) are one contiguous
-range of the sorted runs, found by two ``searchsorted`` calls.
-Components are joined by hooking each larger root onto the smaller one
-and shortcutting by pointer jumping until nothing changes (Shiloach &
-Vishkin 1982; the union-find labelling of Wu, Otoo & Suzuki 2009), and
-their sizes are a ``bincount`` of the roots weighted by run length.
+volume in turn, labelling and putting out each chunk once its slices are
+scanned. The stream is kept, rather than a call per chunk, so that its
+candidate planes are made once per volume. Components are labelled by
+row runs (He, Chao & Suzuki 2008), all the slices of a chunk at once. A
+run ends where the sorted candidate offsets skip a pixel or start a row.
+Laid out in rows one pixel wider than the slice, with an empty row
+between slices, the runs of the next row that a run touches
+(8-connected) are one contiguous range of the sorted runs, found by two
+``searchsorted`` calls. Components are joined by hooking each larger
+root onto the smaller one and shortcutting by pointer jumping until
+nothing changes (Shiloach & Vishkin 1982; the union-find labelling of
+Wu, Otoo & Suzuki 2009), and their sizes are a ``bincount`` of the roots
+weighted by run length.
 """
 
 from __future__ import annotations

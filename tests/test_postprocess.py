@@ -459,9 +459,7 @@ def candidate_grids(draw):
 @settings(max_examples=300, deadline=None)
 @given(candidate_grids(), st.sampled_from([None, 1, 2, 3]))
 def test_labelling_keeps_what_scipy_label_keeps(case, step):
-    # streamed in pieces of 1-3 slices or whole: a piece's slices are
-    # labelled together, after a slice whose components lie above those
-    # of the next
+    # streamed whole or in pieces of 1-3 slices, each piece labelled alone
     candidates, min_pixels = case
     assert np.array_equal(kernel_kept(candidates, min_pixels, step), scipy_kept(candidates, min_pixels))
 
