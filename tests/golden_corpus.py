@@ -345,6 +345,8 @@ def _runs(good: list[str]):
         "unmapped_after": ("base_ct", "unmapped_after_tissue", "base_vertebrae"),
         "slope1e36": ("slope1e36_ct", "base_tissue", "base_vertebrae"),
         "notobject": ("notobject_ct", "base_tissue", "base_vertebrae"),
+        # two faults: the cut-short CT's header is refused before a mask code is met
+        "short_ct_unmapped_in": ("short_ct", "unmapped_in_tissue", "base_vertebrae"),
     }
     for fault, (ct, tissue, vertebrae) in measure_faults.items():
         yield f"measure.fault.{fault}", [
@@ -396,6 +398,10 @@ def _runs(good: list[str]):
             "unmapped_after_tissue", "base_pred", "base_ct", "nol4_vertebrae", "t12l4"
         ),
         "slope1e36": ("base_tissue", "base_pred", "slope1e36_ct", "base_vertebrae", None),
+        # two faults: the cut-short CT's header is refused before a mask code is met
+        "short_ct_unmapped_in_pred": (
+            "base_tissue", "unmapped_in_pred", "short_ct", "base_vertebrae", None
+        ),
     }
     for fault, (gt, pred, ct, vertebrae, regions) in evaluate_faults.items():
         extra = ["--vertebrae", f(f"{vertebrae}.bcv")] if vertebrae else []
