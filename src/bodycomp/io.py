@@ -67,6 +67,7 @@ from .model import (
     SubjectRecord,
     UnitState,
     VoxelVolume,
+    _checked_label_map,
     _is_finite_number,
     _is_int,
     require_same_geometry,
@@ -325,9 +326,7 @@ def _parse_header(fh, path) -> VolumeHeader:
             tuple(dims), tuple(spacing), tuple(z_positions) if z_positions is not None else None
         )
         if label_map is not None:
-            label_map = {int(c): str(n) for c, n in label_map.items()}
-            if any(not 0 <= k <= 255 for k in label_map):
-                raise ValueError("label_map codes must fit in unsigned 8 bits")
+            label_map = _checked_label_map(label_map)
     except (ValueError, TypeError, OverflowError) as exc:
         raise HeaderError(f"{path}: header violates volume invariants: {exc}") from exc
     rescale = None
@@ -547,7 +546,7 @@ def read_cohort_csv(path) -> list[SubjectRecord]:
     return records
 
 
-def format_number(x: float, sig: int = 6) -> str:
+def format_number(x: float) -> str:
     """Render a number with 6 significant digits for CSV output.
 
     A NaN or infinite value raises ValueError: no CSV cell reads ``nan``.
@@ -558,4 +557,4 @@ def format_number(x: float, sig: int = 6) -> str:
         return str(int(x))
     if not math.isfinite(x):
         raise ValueError(f"refusing to write the non-finite number {x!r}")
-    return f"{x:.{sig}g}"
+    return f"{x:.6g}"

@@ -165,10 +165,10 @@ def _exact_mean_hu(hu: np.ndarray, counts: np.ndarray) -> float:
 class MuscleHistograms:
     """The CT values under one mask's post-policy muscle voxels, one histogram per region.
 
-    ``regions`` maps each region's name to its slices. The values of a
-    piece's planes are binned together (``bin``): a raw CT's over the
-    span of the raw values they hold, not the whole int16 range; an HU
-    CT's, which exists only in memory, as a table of the values present
+    ``regions`` maps each region's name to its slices. Each plane's values
+    are binned as they are added: a raw CT's into a histogram over the
+    span of the raw values seen so far, not the whole int16 range; an HU
+    CT's, which exists only in memory, as a table of the plane's values
     and their counts. Each density is the exact mean of its histogram.
     """
 
@@ -176,39 +176,30 @@ class MuscleHistograms:
         self.regions = regions
         # a raw CT's histogram of each region, as its first bin and the counts from there
         self.counts = dict.fromkeys(regions, (0, np.zeros(0, dtype=np.int64)))
-        # an HU CT's table of each region: values and their counts, a value
-        # listed once per piece that holds it
-        self.tables = dict.fromkeys(regions, (np.zeros(0, np.float32), np.zeros(0, np.int64)))
-        self.pending: dict[str, list[np.ndarray]] = {name: [] for name in regions}  # not yet binned
+        # an HU CT's tables of each region, one per plane: values and their counts
+        empty = (np.zeros(0, np.float32), np.zeros(0, np.int64))
+        self.tables = {name: [empty] for name in regions}
         self.rescale: tuple[float, float] | None = None  # a raw CT's
 
     def add(self, z: int, ct: VoxelVolume, k: int, selected: np.ndarray) -> None:
-        """Take the values of plane ``k`` of ``ct``, slice ``z``, where ``selected``."""
+        """Bin the values of plane ``k`` of ``ct``, slice ``z``, where ``selected``."""
         names = [name for name, sl in self.regions.items() if sl.start <= z < sl.stop]
         if not names:
             return
         if ct.unit_state is UnitState.RAW:
             self.rescale = (ct.rescale_slope, ct.rescale_intercept)
         values = ct.values[k][selected]
+        if values.size == 0:
+            return
+        if self.rescale is None:
+            table = np.unique(values, return_counts=True)
+            for name in names:
+                self.tables[name].append(table)
+            return
+        binned = values.view(np.uint16)
+        binned ^= _RAW_OFFSET
+        start, stop = int(binned.min()), int(binned.max()) + 1
         for name in names:
-            self.pending[name].append(values)
-
-    def bin(self) -> None:
-        """Bin the values taken since the last call."""
-        for name, pieces in self.pending.items():
-            if not pieces:
-                continue
-            values = np.concatenate(pieces)
-            pieces.clear()
-            if values.size == 0:
-                continue
-            if self.rescale is None:
-                table = zip(self.tables[name], np.unique(values, return_counts=True))
-                self.tables[name] = tuple(np.concatenate(pair) for pair in table)
-                continue
-            binned = values.view(np.uint16)
-            binned ^= _RAW_OFFSET
-            start, stop = int(binned.min()), int(binned.max()) + 1
             lo, hist = self.counts[name]
             if hist.size == 0:
                 lo = start
@@ -216,15 +207,14 @@ class MuscleHistograms:
                 wide = np.zeros(max(lo + hist.size, stop) - min(lo, start), np.int64)
                 wide[max(lo - start, 0) :][: hist.size] = hist
                 lo, hist = min(lo, start), wide
-            binned -= lo
             # unlike bincount, add.at makes no intp copy of the values
-            np.add.at(hist, binned, 1)
+            np.add.at(hist, binned - lo, 1)
             self.counts[name] = (lo, hist)
 
     def density(self, name: str) -> float:
         """Mean HU of region ``name``, the exact mean of its histogram."""
         if self.rescale is None:
-            return _exact_mean_hu(*self.tables[name])
+            return _exact_mean_hu(*map(np.concatenate, zip(*self.tables[name])))
         lo, hist = self.counts[name]
         present = np.flatnonzero(hist)
         raw = (present + (lo - _RAW_OFFSET)).astype(np.int16)
@@ -277,11 +267,9 @@ def _count_planes(
             if c == m and ct is not None:
                 for k, histograms in enumerate(muscle):
                     histograms.add(lo + z, ct, z, selected[k])
-            # no selection outlives its class: none is held while bin() runs
+            # no selection outlives its class: the next class's selections
+            # reuse its freed memory instead of faulting in fresh pages
             del selected
-    if ct is not None:
-        for histograms in muscle:
-            histograms.bin()
     return counts
 
 
@@ -293,8 +281,8 @@ def muscle_density(
 ) -> float:
     """Mean HU over skeletal-muscle voxels (post-policy) within the region.
 
-    ``ct`` is raw or HU. The mean is that of ``MuscleHistograms``, over
-    one piece: the exact mean of the voxels' float32 HU, correctly
+    ``ct`` is raw or HU. The mean is that of ``MuscleHistograms``, a plane
+    binned at a time: the exact mean of the voxels' float32 HU, correctly
     rounded. A NaN or infinite HU value among those voxels raises
     NonFiniteHUError.
     """
@@ -305,7 +293,6 @@ def muscle_density(
     histograms = MuscleHistograms({"region": sl})
     for z in range(sl.start, sl.stop):
         histograms.add(z, ct, z, select_codes(mask.codes[z], muscle))
-    histograms.bin()
     return histograms.density("region")
 
 

@@ -331,6 +331,14 @@ def codes_for(label_map: Mapping[int, str], label_name: str) -> list[int]:
     return found
 
 
+def _checked_label_map(label_map: Mapping) -> dict[int, str]:
+    """``label_map`` as int codes to str names; a code outside 0..255 raises ValueError."""
+    label_map = {int(c): str(n) for c, n in dict(label_map).items()}
+    if any(not 0 <= c <= 255 for c in label_map):
+        raise ValueError("label_map codes must fit in unsigned 8 bits")
+    return label_map
+
+
 def unmapped_codes(codes: np.ndarray, label_map: Mapping[int, str]) -> list[int]:
     """Sorted nonzero codes of ``codes`` (uint8) that ``label_map`` lacks."""
     mapped = np.zeros(256, dtype=bool)
@@ -368,9 +376,7 @@ class LabelVolume(_Volume):
         if codes.dtype != np.uint8 and codes.size and (codes.min() < 0 or codes.max() > 255):
             raise ValueError("label codes exceed the unsigned 8-bit range")
         codes = codes.astype(np.uint8, copy=False)
-        label_map = {int(k): str(v) for k, v in dict(self.label_map).items()}
-        if any(not 0 <= k <= 255 for k in label_map):
-            raise ValueError("label_map codes must fit in unsigned 8 bits")
+        label_map = _checked_label_map(self.label_map)
         unmapped = unmapped_codes(codes, label_map)
         if unmapped:
             raise ValueError(f"codes {unmapped} present in volume but not in label_map")

@@ -577,13 +577,12 @@ def _raw_values(rng, n, spread):
 
 
 def _histogram_density(ct, mask, policy, reverse=False):
-    """The density of a whole-volume region from ``MuscleHistograms``, a piece per plane."""
+    """The density of a whole-volume region from ``MuscleHistograms``, a plane at a time."""
     muscle = _codes_of(code_classes(mask, policy), tissue_class("skeletal_muscle"))
     histograms = MuscleHistograms({"all": slice(0, mask.nz)})
     planes = range(mask.nz)
-    for z in reversed(planes) if reverse else planes:  # each piece widens the span
+    for z in reversed(planes) if reverse else planes:  # each plane widens the span
         histograms.add(z, ct, z, select_codes(mask.codes[z], muscle))
-        histograms.bin()
     return _outcome(histograms.density, "all")
 
 
@@ -622,6 +621,21 @@ def test_histogram_mean_is_the_exact_mean(seed, n, slope, intercept, spread, pol
     # where numpy's float64 mean is exact, the two are the same bits
     if isinstance(density, float) and _float64_sum_is_exact(gathered):
         assert _bits(density) == float(gathered.mean(dtype=np.float64)).hex()
+
+
+@pytest.mark.parametrize("hu", [False, True])
+def test_each_added_plane_is_binned_at_once(hu):
+    # the middle planes widen the raw span downward, then upward
+    raw = np.array([[[7, 9, 8]], [[-300, 5, 2]], [[30000, -2, 1]], [[4, 4, 4]]], dtype=np.int16)
+    ct, mask = make_ct(raw, slope=0.7, intercept=-1024.0), make_tissue(np.ones(raw.shape))
+    if hu:
+        ct = to_hu(ct)
+    histograms = MuscleHistograms({"l3": slice(0, 1), "all": slice(0, 4)})
+    for z in range(4):
+        histograms.add(z, ct, z, mask.codes[z] == 1)
+        so_far = ct.hu_of(ct.values[: z + 1]).ravel()
+        assert _bits(histograms.density("all")) == _bits(_fraction_mean(so_far))
+        assert _bits(histograms.density("l3")) == _bits(_fraction_mean(so_far[:3]))
 
 
 def test_a_sum_past_53_bits_is_exact():
