@@ -208,8 +208,13 @@ def _load_manifest(path) -> list[dict]:
 
 
 def _check_subject_id(subject_id: str) -> str:
-    """Reject an id that would not name a file directly inside ``--out``."""
-    if subject_id in ("", ".", "..") or any(c in subject_id for c in "/\\\0"):
+    """Reject an id that would not name a file directly inside ``--out``:
+    its ``<id>.json`` must be UTF-8 and at most 255 bytes (NAME_MAX)."""
+    try:
+        fits = len(f"{subject_id}.json".encode()) <= 255
+    except UnicodeEncodeError:  # a lone surrogate
+        fits = False
+    if not fits or subject_id in ("", ".", "..") or any(c in subject_id for c in "/\\\0"):
         raise BodycompError(f"subject_id {subject_id!r} is not a valid file name")
     return subject_id
 

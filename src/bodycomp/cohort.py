@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -79,30 +79,26 @@ def age_bins(ages: Sequence[float], n_bins: int = 6, min_count: int = 20) -> Age
         for c in list(cuts) + [n]:
             counts.append(c - prev)
             prev = c
-        if k == 1 and n_bins > 1 and warning is None:
-            warning = f"single bin (requested {n_bins})"
         return AgeBinning(edges=tuple(edges), counts=tuple(counts), warning=warning)
     raise AssertionError("unreachable: a single bin is always feasible")
 
 
 def _find_cuts(values: np.ndarray, k: int, min_count: int):
-    """Cut indices for k bins of >= min_count, or None when infeasible.
+    """Cut indices for k bins of >= min_count, or None when ties leave no cut.
 
-    Cuts are seeded at quantile positions and clamped to feasibility; a
-    cut may only fall between two distinct values, so tied runs shift it.
+    For k >= 2 the caller asks only for k <= n // min_count, so every cut
+    has a feasible span. Cuts are seeded at quantile positions and clamped
+    to it; a cut may only fall between two distinct values, so tied runs
+    shift it.
     """
     n = values.size
     if k == 1:
         return []
-    if n < k * min_count:
-        return None
     cuts = []
     prev = 0
     for i in range(1, k):
         lo = prev + min_count
         hi = n - (k - i) * min_count
-        if lo > hi:
-            return None
         seed = int(round(i * n / k))
         c = min(max(seed, lo), hi)
         # never split a run of equal values: push right, then try left
@@ -120,8 +116,6 @@ def _find_cuts(values: np.ndarray, k: int, min_count: int):
             c = backward
         cuts.append(c)
         prev = c
-    if n - prev < min_count:
-        return None
     return cuts
 
 
@@ -175,7 +169,7 @@ class GroupStat:
 
 def group_stats(
     results: Sequence[BodyCompResult],
-    records: Iterable[SubjectRecord] | Mapping[str, SubjectRecord],
+    records: Iterable[SubjectRecord],
     group_by: str,
     min_group_size: int = 20,
     binning: AgeBinning | None = None,
@@ -189,10 +183,7 @@ def group_stats(
     """
     if group_by not in GROUP_BY_CHOICES:
         raise ValueError(f"group_by must be one of {GROUP_BY_CHOICES}, got {group_by!r}")
-    if isinstance(records, Mapping):
-        by_id = dict(records)
-    else:
-        by_id = {r.subject_id: r for r in records}
+    by_id = {r.subject_id: r for r in records}
     unresolved = [r.subject_id for r in results if r.subject_id not in by_id]
     if unresolved:
         raise BodycompError(f"subject ids without demographics: {unresolved}")

@@ -23,7 +23,7 @@ tables, so the metric-error table reads them through
 densities read the CT, over the counted slab and in step with the
 masks: the muscle selection that counts each mask also drops the CT
 values under it into that mask's ``measures.MuscleHistograms``.
-``evaluate_case`` is the pass over volumes held in memory.
+``evaluate_case`` is the one-piece pass over whole volumes.
 
 Muscle-density errors are normalized to the -29..+150 HU range of normal
 muscle density, so 1.79 HU of error reads as 1.00%.
@@ -49,7 +49,6 @@ from .measures import (
     Piece,
     _codes_of,
     _count_planes,
-    _ct_slices,
     code_classes,
     muscle_histograms,
     tissue_class,
@@ -64,7 +63,6 @@ from .model import (
     VoxelVolume,
     require_same_geometry,
     require_tissue_vocabulary,
-    slab_start,
 )
 from .regions import AllSlices, VertebraRegions, measurement_regions, region_slice
 
@@ -311,49 +309,28 @@ def evaluate_case(
     gt: LabelVolume,
     pred: LabelVolume,
     ct: VoxelVolume | None = None,
-    vertebrae: LabelVolume | VertebraRegions | None = None,
+    vertebrae: LabelVolume | None = None,
     policy: MergePolicy = MergePolicy.MUSCLE,
     regions: Iterable[str] | None = None,
 ) -> CaseEvaluation:
-    """Compare one predicted mask against ground truth.
+    """Compare one predicted mask against ground truth, on whole volumes.
 
     Muscle, SAT, and VAT are compared after the merge policy is applied to
     both volumes; muscular fat is always compared in its separate form.
     Without a vertebrae volume only the all-slices region is evaluated and
-    the metric-error table is skipped; ``vertebrae`` may also be the
-    regions already picked from one (``measurement_regions``). ``ct`` is
-    raw or HU, as read, and only the muscle densities read it: with every
-    vertebra level found it may hold just the counted slab
-    (``VertebraRegions.counted_slab``). The volumes are the pieces of
-    ``evaluate_pieces``: the counted slab, with the CT, and the slices
-    around it.
+    the metric-error table is skipped. ``ct`` is raw or HU, as read, and
+    only the muscle densities read it. The volumes are the one piece of
+    ``evaluate_pieces``.
     """
     require_same_geometry(gt, pred)
-    picked = vertebrae
-    if isinstance(vertebrae, LabelVolume):
+    picked = None
+    if vertebrae is not None:
+        require_same_geometry(gt, vertebrae)
         picked = measurement_regions(vertebrae)
-    if picked is not None:
-        require_same_geometry(gt, picked.geometry)
     _wanted_regions(regions, picked)  # refused before the CT is looked at
-    with_ct = ct is not None and picked is not None and not picked.missing
-    edges, z0 = [0, gt.nz], 0
-    if with_ct:
-        slab = picked.counted_slab()
-        z0 = slab_start(ct, gt.geometry, slab)  # ct holds the volume or the slab
-        edges = [0, slab.start, slab.stop, gt.nz]
-    elif ct is not None:
+    if ct is not None:
         require_same_geometry(gt, ct)
-
-    pieces = [
-        Piece(
-            lo,
-            (gt.codes[lo:hi], pred.codes[lo:hi]),
-            _ct_slices(ct, lo - z0, hi - z0) if with_ct and lo == edges[1] else None,
-        )
-        for lo, hi in zip(edges, edges[1:])
-        if lo < hi
-    ]
-    return evaluate_pieces(gt, pred, pieces, picked, policy, regions)
+    return evaluate_pieces(gt, pred, [Piece(0, (gt.codes, pred.codes), ct)], picked, policy, regions)
 
 
 def evaluate_pieces(
@@ -370,11 +347,11 @@ def evaluate_pieces(
     label maps, geometry and subject ids are read. ``pieces`` gives
     every slice of both (``Piece``), in slice order, and is read once.
     With every vertebra level of ``picked`` found, the muscle densities
-    are compared when a piece holds the CT: the pieces of the counted
-    slab hold it, or none does. A requested
-    region whose vertebra level is missing is refused before any piece
-    is read. Each plane's overlaps are counted, and each mask's muscle
-    voxels binned, with one selection.
+    are compared when the pieces hold the CT: every piece over the
+    counted slab holds it, or none does, and the CT of other slices is
+    not read. A requested region whose vertebra level is missing is
+    refused before any piece is read. Each plane's overlaps are counted,
+    and each mask's muscle voxels binned, with one selection.
     """
     # the L3 slice and the T12-L4 range are picked once and serve both the
     # requested regions and the metric-error table
@@ -545,7 +522,7 @@ def evaluate_masks(
     gt: LabelVolume,
     pred: LabelVolume,
     ct: VoxelVolume | None = None,
-    vertebrae: LabelVolume | VertebraRegions | None = None,
+    vertebrae: LabelVolume | None = None,
     policy: MergePolicy = MergePolicy.MUSCLE,
     regions: Iterable[str] | None = None,
 ) -> EvalReport:

@@ -23,7 +23,8 @@ Each metric is read through ``MaskMetrics``: the counted ones from the
 class table, and each muscle density from its histogram, as the exact
 mean of the float32 HU of its voxels, correctly rounded
 (``_exact_mean_hu``). ``measure_subject`` is the one-piece case, on
-volumes that hold the whole grid or only the counted slab.
+whole volumes; ``bodycomp measure`` reads only the counted slab, a chunk
+at a time.
 ``muscle_density`` and ``tissue_area_2d``/``tissue_volume_3d`` keep
 loops of their own: they are the per-metric reference that
 ``measure_subject`` is tested against.
@@ -64,7 +65,6 @@ from .model import (
     require_tissue_vocabulary,
     rescale_to_hu,
     select_codes,
-    slab_start,
 )
 from .regions import (
     AllSlices,
@@ -453,34 +453,23 @@ class MaskMetrics:
 def measure_subject(
     ct: VoxelVolume,
     tissue_mask: LabelVolume,
-    vertebra_mask: LabelVolume | VertebraRegions,
+    vertebra_mask: LabelVolume,
     subject: SubjectRecord,
     policy: MergePolicy = MergePolicy.MUSCLE,
 ) -> BodyCompResult:
-    """Compute all metrics for one subject.
+    """Compute all metrics for one subject from its whole volumes.
 
     2D metrics are measured on the largest-L3 slice, 3D metrics over the
     T12-L4 range. SMI is omitted when the subject's height is unknown;
-    no 3D SMI is computed. ``ct`` is raw or HU, as read.
-
-    ``vertebra_mask`` is the vertebra label volume, or the regions already
-    picked from it by ``measurement_regions``. ``ct`` and ``tissue_mask``
-    hold every slice of it, or only its counted slab
-    (``VertebraRegions.counted_slab``), as ``read_volume(path, z=...)``
-    reads it; the metrics are the same either way. The counted slab is
-    the one piece of ``measure_pieces``.
+    no 3D SMI is computed. ``ct`` is raw or HU, as read. The counted
+    slab of ``vertebra_mask`` is the one piece of ``measure_pieces``.
     """
     require_same_geometry(ct, tissue_mask)
-    if isinstance(vertebra_mask, VertebraRegions):
-        picked = vertebra_mask
-    else:
-        require_same_geometry(ct, vertebra_mask)
-        picked = measurement_regions(vertebra_mask)
-
+    require_same_geometry(ct, vertebra_mask)
+    picked = measurement_regions(vertebra_mask)
     counted = picked.counted_slab()
-    z0 = slab_start(ct, picked.geometry, counted)
-    lo, hi = counted.start - z0, counted.stop - z0
-    piece = Piece(counted.start, (tissue_mask.codes[lo:hi],), _ct_slices(ct, lo, hi))
+    lo, hi = counted.start, counted.stop
+    piece = Piece(lo, (tissue_mask.codes[lo:hi],), _ct_slices(ct, lo, hi))
     return measure_pieces(tissue_mask, [piece], picked, subject, policy)
 
 
@@ -497,7 +486,9 @@ def measure_pieces(
     map is read. ``pieces`` gives the mask and the CT over the counted
     slab of ``picked`` (``Piece``), in slice order, and is read once;
     pieces without a CT are passed over. Each plane's classes are
-    counted, and its muscle voxels binned, with one selection.
+    counted, and its muscle voxels binned, with one selection. This is
+    the one way to measure without holding whole volumes: ``bodycomp
+    measure`` reads the counted slab a chunk at a time (``io.read_in_step``).
     """
     if picked.missing:
         raise VertebraNotFoundError(next(iter(picked.missing.values())))

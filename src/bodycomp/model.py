@@ -535,20 +535,6 @@ def require_same_geometry(a, b) -> None:
     raise GeometryMismatchError(f"geometry mismatch: {differs}")
 
 
-def slab_start(volume, geometry: Geometry, slab: slice) -> int:
-    """Index, in ``geometry``'s slices, of the first slice ``volume`` holds.
-
-    ``volume`` holds either every slice of ``geometry`` (0) or only the
-    slices of ``slab`` (``slab.start``), as ``read_volume(path, z=slab)``
-    reads them. Anything else raises GeometryMismatchError.
-    """
-    if volume.nz != geometry.nz and volume.nz == slab.stop - slab.start:
-        require_same_geometry(volume, geometry.slab(slab))
-        return slab.start
-    require_same_geometry(volume, geometry)
-    return 0
-
-
 def to_hu(vol: VoxelVolume) -> VoxelVolume:
     """Convert raw CT counts to Hounsfield Units.
 

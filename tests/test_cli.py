@@ -215,7 +215,15 @@ def test_a_manifest_with_a_byte_order_mark_measures_as_without(tmp_path):
 
 @pytest.mark.parametrize(
     "manifest_id, header_id",
-    [("../x", None), ("a/b", None), ("", "../x")],
+    [
+        ("../x", None),
+        ("a/b", None),
+        ("a\\b", None),
+        ("", "../x"),
+        # no file name holds these: longer than NAME_MAX, or not UTF-8
+        pytest.param("x" * 300, None, id="x*300-None"),
+        pytest.param("", "\ud800", id="-lone-surrogate"),
+    ],
 )
 def test_measure_rejects_ids_outside_out(tmp_path, capsys, manifest_id, header_id):
     # the id comes from the manifest, or from the CT header when the

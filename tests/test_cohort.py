@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bodycomp import (
     BodycompError,
@@ -84,6 +86,25 @@ def test_age_bins_partition_properties():
         assert bin_counts(binning, ages) == list(binning.counts)
         if n >= binning.n_bins * 20:
             assert all(c >= 20 for c in binning.counts)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(st.integers(18, 30), min_size=1, max_size=120),
+    st.integers(1, 9),
+    st.integers(1, 40),
+)
+# ties cost one bin of three; ties leave a cut only one age short of min_count
+@example([20] * 5 + [21] * 5 + [22] * 10, 3, 5)
+@example([20] * 4 + [21] * 6, 2, 5)
+def test_age_bins_count_warning_and_minimum_with_ties(ages, n_bins, min_count):
+    # integer ages over a narrow range tie heavily
+    binning = age_bins(ages, n_bins=n_bins, min_count=min_count)
+    assert sum(binning.counts) == len(ages)
+    assert bin_counts(binning, ages) == list(binning.counts)
+    if binning.n_bins > 1:
+        assert all(c >= min_count for c in binning.counts)
+    assert (binning.warning is not None) == (binning.n_bins < n_bins)
 
 
 def test_age_bins_heavy_ties_never_split_values():
@@ -260,6 +281,17 @@ def test_correlation_default_pairs_cover_2d_3d():
     assert ("muscle_density_2d", "muscle_density_3d") in pairs
     assert ("vat_sat_ratio_2d", "vat_sat_ratio_3d") in pairs
     assert len(entries) == 21  # all unordered pairs of the 7 metrics
+
+
+def test_correlation_of_exactly_two_cases_is_plus_or_minus_one():
+    two = [
+        make_result("p0", area=1.0, volume=5.0, density=3.0),
+        make_result("p1", area=2.0, volume=7.0, density=1.0),
+    ]
+    pairs = [("muscle_area_2d", "muscle_volume_3d"), ("muscle_area_2d", "muscle_density_2d")]
+    up, down = correlation_matrix(two, pairs)
+    assert (up.r, up.n) == (pytest.approx(1.0), 2)
+    assert (down.r, down.n) == (pytest.approx(-1.0), 2)
 
 
 def test_correlation_requires_two_cases():

@@ -495,21 +495,18 @@ def _float64_sum_is_exact(hu):
 
 @settings(max_examples=300, deadline=None)
 @given(subject_inputs(), st.sampled_from([None, 1.0, 0.7]))
-def test_measure_subject_on_the_counted_slab_is_that_on_the_volume(inputs, slope):
+def test_every_density_on_the_whole_volumes_is_the_exact_mean(inputs, slope):
     hu, tissue, vertebrae, subject, policy = inputs
     ct = hu  # an HU volume, or a raw one read at ``slope``
     if slope is not None:
         raw = np.rint(hu.values + 1024).astype(np.int16)
         ct = make_ct(raw, hu.spacing_mm, slope, -1024.0, hu.z_positions_mm)
     picked = measurement_regions(vertebrae)
-    slab = picked.counted_slab()
-    got = _outcome(measure_subject, _slab(ct, slab), _slab(tissue, slab), picked, subject, policy)
     want = _outcome(measure_subject, ct, tissue, vertebrae, subject, policy)
-    assert got == want
     # every density is the exact mean: measure_subject's, muscle_density's,
-    # and each side of evaluate_case's, on the volume or on the counted slab
+    # and each side of evaluate_case's
     pred = replace(tissue, codes=np.roll(tissue.codes, 1, axis=2))
-    case = evaluate_case(tissue, pred, _slab(ct, slab), picked, policy)
+    case = evaluate_case(tissue, pred, ct, vertebrae, policy)
     for name, key in (("muscle_density_2d", "l3"), ("muscle_density_3d", "t12_l4")):
         region = picked.found[key]
         densities = [_outcome(muscle_density, ct, mask, region, policy) for mask in (tissue, pred)]
@@ -537,25 +534,32 @@ def test_slab_end_slices_keep_the_volume_thickness(policy, subject):
     picked = measurement_regions(vertebrae)
     slab = picked.counted_slab()
     assert 0 < slab.start and slab.stop < ct.nz  # both end slices are inside the volume
-    want = measure_subject(ct, tissue, vertebrae, subject, policy)
-    got = measure_subject(_slab(ct, slab), _slab(tissue, slab), picked, subject, policy)
-    assert got == want
+    # measure_subject counts only the counted slab, in the volume's geometry
+    want = tissue_volume_3d(tissue, "skeletal_muscle", picked.found["t12_l4"], policy)
+    assert measure_subject(ct, tissue, vertebrae, subject, policy).muscle_volume_3d == want
     # the slab's own geometry would give its end slices another thickness
     alone = tissue_volume_3d(_slab(tissue, slab), "skeletal_muscle", AllSlices(), policy)
-    assert alone != pytest.approx(want.muscle_volume_3d)
+    assert alone != pytest.approx(want)
 
 
-def test_measure_subject_refuses_a_ct_that_is_neither_volume_nor_slab(subject):
+def test_measure_and_evaluate_refuse_a_ct_that_is_not_the_volume(subject):
     ph = build_phantom(nx=32, ny=32, nz=14, vertebra_slices=(10, 6, 3))
     z = _UNEVEN_Z
     ct, tissue, vertebrae = (replace(v, z_positions_mm=z) for v in (ph.ct, ph.tissue, ph.vertebrae))
-    picked = measurement_regions(vertebrae)
-    slab = picked.counted_slab()
-    # a slab one slice off is told apart by its z positions; one slice
-    # short, by its size
-    for sl in (slice(slab.start + 1, slab.stop + 1), slice(slab.start, slab.stop - 1)):
+    slab = measurement_regions(vertebrae).counted_slab()
+    # the counted slab itself, a slab one slice off and one a slice short;
+    # the volume with its slices shifted is told apart by its z positions
+    shifted = replace(ct, z_positions_mm=tuple(p + 1.0 for p in z))
+    slabs = (slab, slice(slab.start + 1, slab.stop + 1), slice(slab.start, slab.stop - 1))
+    for part in (*(_slab(ct, sl) for sl in slabs), shifted):
         with pytest.raises(GeometryMismatchError):
-            measure_subject(_slab(ct, sl), _slab(tissue, sl), picked, subject)
+            measure_subject(part, tissue, vertebrae, subject)
+        for with_vertebrae in (vertebrae, None):
+            with pytest.raises(GeometryMismatchError):
+                evaluate_case(tissue, tissue, part, with_vertebrae)
+    for sl in slabs:  # a tissue mask cut as the CT is, too
+        with pytest.raises(GeometryMismatchError):
+            measure_subject(_slab(ct, sl), _slab(tissue, sl), vertebrae, subject)
 
 
 # ---- muscle densities from raw histograms ----------------------------------

@@ -245,6 +245,12 @@ def test_sampling_interval_below_spacing_selects_all():
     assert sample_slices_by_interval(vol, 0.4) == [0, 1, 2, 3, 4, 5]
 
 
+def test_sampling_interval_at_a_multiple_of_the_spacing_keeps_that_slice():
+    # 3 * 0.7 mm rounds to 2.0999999999999996, a hair below 0.21 cm
+    vol = make_tissue(np.zeros((10, 2, 2)), spacing=(1.0, 1.0, 0.7))
+    assert sample_slices_by_interval(vol, 0.21) == [0, 3, 6, 9]
+
+
 def test_sampling_single_slice():
     vol = make_tissue(np.zeros((1, 2, 2)))
     assert sample_slices_by_interval(vol, 2.5) == [0]
