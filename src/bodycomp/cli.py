@@ -51,6 +51,7 @@ import sys
 from contextlib import closing, contextmanager
 from dataclasses import fields, replace
 from enum import Enum
+from io import StringIO
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -66,6 +67,7 @@ from .errors import (
 )
 from .io import (
     VolumeHeader,
+    _replacing,
     format_number,
     read_cohort_csv,
     read_header,
@@ -149,12 +151,21 @@ def _read_regions(head: VolumeHeader) -> VertebraRegions:
     return replace(picked, missing={name: f"{head.path}: {why}" for name, why in picked.missing.items()})
 
 
-def _write_csv(path, columns, rows) -> None:
-    rows = list(rows)  # format every cell before the file is opened
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
+def _csv_text(columns, rows) -> str:
+    text = StringIO()
+    csv.writer(text, lineterminator="\n").writerows([columns, *rows])
+    return text.getvalue()
+
+
+def _write_out(out, files) -> None:
+    """Write ``files``, ``(name, text)`` pairs, in order into the directory
+    ``out``, made just before the first; each file is replaced whole
+    (``io._replacing``), so a killed run leaves it old or new."""
+    for k, (name, text) in enumerate(files):
+        if k == 0:
+            Path(out).mkdir(parents=True, exist_ok=True)
+        with _replacing(os.path.join(out, name)) as fh:
+            fh.write(text.encode("utf-8"))
 
 
 def _csv_columns(cls) -> tuple[str, ...]:
@@ -382,13 +393,12 @@ def cmd_measure(args) -> int:
     measured = sorted((m for m, _ in outcomes if m is not None), key=lambda m: m[0].subject_id)
     failures = [msg for _, msg in outcomes if msg is not None]
 
-    # --out is made only once there is something to write
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for result, _ in measured:
-        doc = json.dumps(result.to_dict(), sort_keys=True, indent=2)
-        (out_dir / f"{result.subject_id}.json").write_text(doc + "\n", encoding="utf-8")
-    _write_csv(out_dir / "results.csv", RESULTS_CSV_COLUMNS, [row for _, row in measured])
+    def outputs():  # the run's index, results.csv, last
+        for result, _ in measured:
+            yield f"{result.subject_id}.json", json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n"
+        yield "results.csv", _csv_text(RESULTS_CSV_COLUMNS, [row for _, row in measured])
+
+    _write_out(args.out, outputs())
 
     for message in failures:
         print(f"measure: {message}", file=sys.stderr)
@@ -444,10 +454,8 @@ def cmd_evaluate(args) -> int:
         print(f"evaluate: {metric} error left blank: {reason}", file=sys.stderr)
     report = aggregate_cases([case])
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "eval.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    _write_csv(out_dir / "eval.csv", _csv_columns(EvalRow), map(_csv_row, report.rows))
+    eval_csv = _csv_text(_csv_columns(EvalRow), map(_csv_row, report.rows))
+    _write_out(args.out, [("eval.json", report.to_json() + "\n"), ("eval.csv", eval_csv)])
     return 0
 
 
@@ -506,8 +514,8 @@ def cmd_cohort(args) -> int:
         return 2
     results_dir = Path(args.results)
 
-    results = []
-    for path in sorted(results_dir.glob("*.json")):
+    paths, results = sorted(results_dir.glob("*.json")), []
+    for path in paths:
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
             results.append(BodyCompResult.from_dict(doc))
@@ -518,6 +526,22 @@ def cmd_cohort(args) -> int:
     if not results:
         print(f"cohort: no result JSON files in {results_dir}", file=sys.stderr)
         return 2
+    # the results of one run: no subject twice, one policy
+    ids = [r.subject_id for r in results]
+    duplicate = _first_duplicate(ids)
+    if duplicate is not None:
+        first, second = [path for path, sid in zip(paths, ids) if sid == duplicate][:2]
+        print(f"cohort: {first} and {second}: both hold subject_id {duplicate!r}", file=sys.stderr)
+        return 1
+    policy = results[0].policy
+    other = next((k for k, r in enumerate(results) if r.policy is not policy), None)
+    if other is not None:
+        print(
+            f"cohort: {paths[0]} and {paths[other]}: results under two policies, "
+            f"{policy.value!r} and {results[other].policy.value!r}",
+            file=sys.stderr,
+        )
+        return 1
     records = read_cohort_csv(args.demographics)
 
     group_rows = []
@@ -527,14 +551,11 @@ def cmd_cohort(args) -> int:
             group_rows.append(
                 [s.group, s.metric, str(s.count), format_number(s.mean), format_number(s.sd)]
             )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "group_stats.csv", ("group", "metric", "count", "mean", "sd"), group_rows)
-
-    entries = correlation_matrix(results)
-    _write_csv(
-        out_dir / "correlations.csv", _csv_columns(CorrelationEntry), map(_csv_row, entries)
-    )
+    correlations = map(_csv_row, correlation_matrix(results))
+    _write_out(args.out, [
+        ("group_stats.csv", _csv_text(("group", "metric", "count", "mean", "sd"), group_rows)),
+        ("correlations.csv", _csv_text(_csv_columns(CorrelationEntry), correlations)),
+    ])
     return 0
 
 

@@ -320,16 +320,15 @@ def evaluate_case(
     Without a vertebrae volume only the all-slices region is evaluated and
     the metric-error table is skipped. ``ct`` is raw or HU, as read, and
     only the muscle densities read it. The volumes are the one piece of
-    ``evaluate_pieces``.
+    ``evaluate_pieces``. The first fault is the CLI's: an unknown region
+    name, then a grid that differs from ``gt``'s (``pred``, ``vertebrae``,
+    ``ct``), then a region that the vertebrae do not give.
     """
-    require_same_geometry(gt, pred)
-    picked = None
-    if vertebrae is not None:
-        require_same_geometry(gt, vertebrae)
-        picked = measurement_regions(vertebrae)
-    _wanted_regions(regions, picked)  # refused before the CT is looked at
-    if ct is not None:
-        require_same_geometry(gt, ct)
+    _normalize_regions(regions)
+    for other in (pred, vertebrae, ct):
+        if other is not None:
+            require_same_geometry(gt, other)
+    picked = measurement_regions(vertebrae) if vertebrae is not None else None
     return evaluate_pieces(gt, pred, [Piece(0, (gt.codes, pred.codes), ct)], picked, policy, regions)
 
 

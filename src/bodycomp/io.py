@@ -28,13 +28,14 @@ Every payload read is one walk over the file (``_walk``): whole slices in
 file order, the slices asked for as volumes and, in a label file, the
 rest as planes scanned a chunk at a time, each label code checked once
 against the label map. ``read_header`` reads no payload.
-``read_volume`` reads the whole file or one slab, parsing its header
-once. ``read_in_step`` walks the files of headers already read, of one
-grid, side by side, a chunk of slices at a time, and parses none of
-them again: the masks of ``measure`` and ``evaluate`` with the CT's
-counted slab, the CT and mask of ``postprocess``, and a vertebra file's
-code counts. A file that changed since its header was read (another
-device, inode, size or modification time) is refused.
+``read_volume`` reads a whole file, parsing its header once.
+``read_in_step``, the one reader of part of a file, walks the files of
+headers already read, of one grid, side by side, a chunk of slices at a
+time, and parses none of them again: the masks of ``measure`` and
+``evaluate`` with the CT's counted slab, the CT and mask of
+``postprocess``, and a vertebra file's code counts. A file that changed
+since its header was read (another device, inode, size or modification
+time) is refused.
 """
 
 from __future__ import annotations
@@ -76,12 +77,12 @@ from .model import (
 
 MAGIC = b"BCV1"
 
-# Payload bytes a chunked read takes at a time (whole slices): the label
-# codes outside a slab read, and each chunk of ``read_in_step``. 1 MiB is
-# 2 slices of a 512x512 CT and 4 of its label files; a command holds about
-# one chunk of each file it reads. A chunk's grid and volume are built from
-# the checked header, not checked again (``Geometry.slab``,
-# ``_Volume.on_grid``), so a small chunk adds little fixed cost
+# Payload bytes a chunked read takes at a time (whole slices): each chunk
+# of ``read_in_step``, inside its slab or not. 1 MiB is 2 slices of a
+# 512x512 CT and 4 of its label files; a command holds about one chunk of
+# each file it reads. A chunk's grid and volume are built from the checked
+# header, not checked again (``Geometry.slab``, ``_Volume.on_grid``), so a
+# small chunk adds little fixed cost
 SCAN_CHUNK_BYTES = 1 << 20
 
 _DTYPES = {"i16": np.dtype("<i2"), "u8": np.dtype("u1")}
@@ -436,13 +437,19 @@ def read_in_step(heads, z: slice):
     ``chunk_slices`` of the widest payload, outside it ``chunk_slices`` of
     a label file, and no piece is kept here once the next is read.
 
-    No header is parsed again: the grid is ``heads[0]``'s, and every
-    header is compared with it before any payload is read. Each file is
-    opened anew and must still be the file its header was read from
-    (``VolumeHeader.identity``), else a ``HeaderError`` names it. Each
-    label piece is checked as ``read_volume`` checks it.
+    ``z`` is a ``slice(lo, hi)`` with ``0 <= lo <= hi <= nz`` and step
+    1, else an ``IndexError`` is raised before any file is opened; an
+    empty slab reads no CT. No header is parsed again: the grid is
+    ``heads[0]``'s, and every header is compared with it before any
+    payload is read. Each file is opened anew and must still be the file
+    its header was read from (``VolumeHeader.identity``), else a
+    ``HeaderError`` names it. Each label piece is checked as
+    ``read_volume`` checks it.
     """
     geometry = heads[0].geometry
+    nz = geometry.nz
+    if z.start is None or z.stop is None or not 0 <= z.start <= z.stop <= nz or z.step not in (None, 1):
+        raise IndexError(f"slab {z} is not a slice(lo, hi) with 0 <= lo <= hi <= {nz}")
     with ExitStack() as stack:
         files = []
         for head in heads:
@@ -454,7 +461,7 @@ def read_in_step(heads, z: slice):
         step = min(map(chunk_slices, heads))
         walks = [stack.enter_context(closing(_walk(fh, head, z, step))) for fh, head in zip(files, heads)]
         labels = [head.label_map is not None for head in heads]
-        lo, hi = (0, geometry.nz) if any(labels) else (z.start, z.stop)
+        lo, hi = (0, nz) if any(labels) else (z.start, z.stop)
         while lo < hi:
             inside = z.start <= lo < z.stop
             pieces = [next(w) if label or inside else None for w, label in zip(walks, labels)]
@@ -463,29 +470,19 @@ def read_in_step(heads, z: slice):
             del pieces  # nothing of a chunk stays in this frame while the next is read
 
 
-def read_volume(path, z: slice | None = None) -> VoxelVolume | LabelVolume:
-    """Read a `.bcv` file; raw CT volumes load with ``unit_state=Raw``.
+def read_volume(path) -> VoxelVolume | LabelVolume:
+    """Read a whole `.bcv` file; raw CT volumes load with ``unit_state=Raw``.
 
     A malformed file raises a ``VolumeFormatError`` subclass, whatever
     its bytes. The payload size is checked against the file size before
     the payload is read, and the payload is read straight into the array,
-    with no bytes copy and no mapping of the file.
-
-    With ``z``, a ``slice(lo, hi)`` of the slices, only those slices are
-    read, into a volume of their geometry (``Geometry.slab``). Every
-    header check still runs, and a label volume must still map every
-    code of the slices outside ``z``: those are scanned a bounded chunk
-    at a time. A CT needs no scan.
+    with no bytes copy and no mapping of the file. ``read_in_step`` reads
+    part of a file.
     """
     with open(path, "rb") as fh:
         head = _parse_header(fh, path)
-        if z is None:
-            z = slice(0, head.geometry.nz)
-        head.geometry.slab(z)  # an IndexError before any read
-        pieces = _walk(fh, head, z, z.stop - z.start)
-        # the one volume among the planes scanned around it; filter holds
-        # none of those while the next is read
-        [vol] = filter(lambda piece: not isinstance(piece, np.ndarray), pieces)
+        nz = head.geometry.nz
+        [vol] = _walk(fh, head, slice(0, nz), nz)
         return vol
 
 

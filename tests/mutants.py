@@ -12,9 +12,10 @@ directory, applies the mutant there, and runs its tests with ``-x``. It
 prints each mutant as killed or survived and exits 1 if any survived.
 The repository itself is never changed.
 
-A mutant that changes no output is an equivalent one: it is not listed
-here, as no test can kill it. ``tests/test_mutants.py`` checks that each
-entry's text still occurs exactly once, so the list cannot rot unseen.
+A mutant that changes no output is an equivalent one: no test can kill
+it, so it is listed apart, in ``EQUIVALENT``, with the reason, and never
+run. ``tests/test_mutants.py`` checks that the text of each entry of
+both lists still occurs exactly once, so the lists cannot rot unseen.
 """
 
 from __future__ import annotations
@@ -58,6 +59,59 @@ MUTANTS = [
     Mutant("src/bodycomp/cohort.py", "lo = prev + min_count", "lo = prev + min_count - 1", ("tests/test_cohort.py",)),
     # without the tolerance 3 * 0.7 mm falls short of 0.21 cm
     Mutant("src/bodycomp/regions.py", "eps = 1e-9", "eps = 0.0", ("tests/test_regions.py",)),
+    # the counted slab ends after the higher of L3 and the range's end
+    Mutant(
+        "src/bodycomp/regions.py",
+        "max(l3.z, t12_l4.z_hi) + 1)",
+        "max(l3.z, t12_l4.z_hi))",
+        ("tests/test_regions.py",),
+    ),
+    # of slices of one largest area, the lowest is picked
+    Mutant(
+        "src/bodycomp/regions.py",
+        "return int(np.argmax(voxels))",
+        "return int(voxels.size - 1 - np.argmax(voxels[::-1]))",
+        ("tests/test_regions.py",),
+    ),
+    # a range holds its last slice
+    Mutant(
+        "src/bodycomp/regions.py",
+        "return slice(region.z_lo, region.z_hi + 1)",
+        "return slice(region.z_lo, region.z_hi)",
+        ("tests/test_regions.py",),
+    ),
+    # a slab may end at the last slice
+    Mutant("src/bodycomp/io.py", "z.stop <= nz", "z.stop < nz", ("tests/test_io.py",)),
+]
+
+
+class Equivalent(NamedTuple):
+    path: str
+    old: str
+    new: str
+    reason: str
+
+
+EQUIVALENT = [
+    Equivalent(
+        "src/bodycomp/cohort.py",
+        'side="right"',
+        'side="left"',
+        "an inner edge is the midpoint of two neighbouring distinct ages, so no age of the "
+        "cohort equals it unless the two are one float apart and the midpoint rounds onto one",
+    ),
+    Equivalent(
+        "src/bodycomp/io.py",
+        "if values.size < count:",
+        "if values.size != count:",
+        "np.fromfile never reads more than count values, so != and < agree",
+    ),
+    Equivalent(
+        "src/bodycomp/cli.py",
+        "chunk = max(1, len(tasks) // (4 * workers))",
+        "chunk = 1",
+        "the chunk size sets only how tasks travel to the workers; pool.map keeps their order",
+    ),
 ]
 
 

@@ -1501,3 +1501,168 @@ def test_cohort_refuses_a_non_finite_age(tmp_path, capsys, age):
     err = capsys.readouterr().err
     assert err.startswith(f"bodycomp: {demo}:2: age_years must be finite")
     assert not (tmp_path / "out" / "group_stats.csv").exists()
+
+
+# ---- one run's outputs: each file replaced whole ----------------------------
+
+def _two_runs(tmp_path, command):
+    """The argv of two runs of ``command`` into one ``--out`` that write
+    different bytes to the file that the run writes last, and its name."""
+    ph, paths = write_phantom(tmp_path, sid="p1", nx=24, ny=24, nz=10)
+    out = str(tmp_path / "out")
+    if command == "measure":
+        argv = ["measure", "--ct", str(paths["ct"]), "--tissue", str(paths["tissue"]),
+                "--vertebrae", str(paths["vertebrae"]), "--out", out]
+        return [argv + ["--policy", "muscle"], argv + ["--policy", "sat"]], "results.csv"
+    if command == "evaluate":
+        pred = tmp_path / "pred.bcv"
+        write_volume(replace(ph.tissue, codes=np.roll(ph.tissue.codes, 1, axis=2)), pred)
+        argv = ["evaluate", "--gt", str(paths["tissue"]), "--pred", str(pred), "--ct", str(paths["ct"]),
+                "--vertebrae", str(paths["vertebrae"]), "--out", out]
+        return [argv + ["--policy", "muscle"], argv + ["--policy", "separate"]], "eval.csv"
+    demo = tmp_path / "demo.csv"
+    rows = "".join(f"s{i},{40 + i},Male,W,1.7\n" for i in range(4))
+    demo.write_text("subject_id,age_years,sex,race,height_m\n" + rows)
+    runs = []
+    for subjects in (3, 4):
+        results = tmp_path / f"results{subjects}"
+        results.mkdir()
+        for i in range(subjects):
+            doc = {**_RESULT, "subject_id": f"s{i}", "muscle_area_2d": 100.0 + i * i,
+                   "muscle_volume_3d": 900.0 + i}
+            (results / f"s{i}.json").write_text(json.dumps(doc))
+        runs.append(["cohort", "--results", str(results), "--demographics", str(demo), "--out", out])
+    return runs, "correlations.csv"
+
+
+@pytest.mark.parametrize("command", ["measure", "evaluate", "cohort"])
+def test_a_failed_replace_leaves_the_last_file_of_the_run_before(tmp_path, capsys, monkeypatch, command):
+    (first, second), last = _two_runs(tmp_path, command)
+    out = tmp_path / "out"
+    assert main(first) == 0
+    before = (out / last).read_bytes()
+    replace_file = os.replace
+
+    def failing(src, dst):
+        if os.path.basename(dst) == last:
+            raise OSError(5, "Input/output error")
+        return replace_file(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing)
+    capsys.readouterr()
+    assert main(second) == 1
+    assert capsys.readouterr().err == f"bodycomp: [Errno 5] Input/output error: '{out / last}'\n"
+    assert (out / last).read_bytes() == before
+    assert list(out.glob(".*.tmp")) == []
+    # the run that failed would have changed the file
+    monkeypatch.setattr(os, "replace", replace_file)
+    assert main(second) == 0
+    assert (out / last).read_bytes() != before
+
+
+def test_an_output_is_replaced_with_a_new_files_mode_and_not_written_through_a_symlink(tmp_path):
+    (first, _), last = _two_runs(tmp_path, "measure")
+    out = tmp_path / "out"
+    out.mkdir()
+    elsewhere = tmp_path / "elsewhere.csv"
+    elsewhere.write_text("not an output\n")
+    elsewhere.chmod(0o600)
+    (out / last).symlink_to(elsewhere)
+    old = os.umask(0o027)
+    try:
+        assert main(first) == 0
+    finally:
+        os.umask(old)
+    assert elsewhere.read_text() == "not an output\n"
+    assert not (out / last).is_symlink()
+    assert sorted(p.name for p in out.iterdir()) == ["p1.json", "results.csv"]
+    assert all(p.stat().st_mode & 0o777 == 0o640 for p in out.iterdir())
+
+
+def test_no_command_opens_a_file_to_write_in_place(tmp_path, monkeypatch):
+    import builtins
+    import io
+
+    ph, paths = write_phantom(tmp_path, sid="p1", nx=24, ny=24, nz=10)
+    demo = tmp_path / "demo.csv"
+    demo.write_text("subject_id,age_years,sex,race,height_m\np1,60,Female,W,1.7\n")
+    inputs = ["--ct", str(paths["ct"]), "--vertebrae", str(paths["vertebrae"])]
+    runs = [
+        ["measure", "--tissue", str(paths["tissue"]), *inputs, "--out", str(tmp_path / "m")],
+        ["evaluate", "--gt", str(paths["tissue"]), "--pred", str(paths["tissue"]), *inputs,
+         "--out", str(tmp_path / "e")],
+        ["postprocess", "sat-skin", "--ct", str(paths["ct"]), "--mask", str(paths["tissue"]),
+         "--out", str(tmp_path / "p.bcv")],
+        ["cohort", "--results", str(tmp_path / "m"), "--demographics", str(demo), "--min-group", "1",
+         "--out", str(tmp_path / "c")],
+    ]
+    opened = builtins.open
+
+    def guarded(file, mode="r", *args, **kwargs):
+        if set(mode) & set("wa+"):
+            raise PermissionError(f"opened to write in place: {file} ({mode})")
+        return opened(file, mode, *args, **kwargs)
+
+    # pathlib opens through io.open
+    monkeypatch.setattr(builtins, "open", guarded)
+    monkeypatch.setattr(io, "open", guarded)
+    for argv in runs:
+        assert main(argv) == 0, argv
+    monkeypatch.undo()
+    assert sorted(p.name for p in (tmp_path / "m").iterdir()) == ["p1.json", "results.csv"]
+    assert sorted(p.name for p in (tmp_path / "e").iterdir()) == ["eval.csv", "eval.json"]
+    assert sorted(p.name for p in (tmp_path / "c").iterdir()) == ["correlations.csv", "group_stats.csv"]
+
+
+@pytest.mark.parametrize("clash", ["copy", "policies"])
+def test_cohort_refuses_one_subject_twice_or_two_policies(tmp_path, capsys, clash):
+    results = tmp_path / "results"
+    results.mkdir()
+    (results / "a.json").write_text(json.dumps(_RESULT))
+    if clash == "copy":
+        (results / "a_copy.json").write_text(json.dumps(_RESULT))
+        want = f"{results / 'a.json'} and {results / 'a_copy.json'}: both hold subject_id 'a'"
+    else:
+        (results / "b.json").write_text(json.dumps({**_RESULT, "subject_id": "b", "policy": "sat"}))
+        want = f"{results / 'a.json'} and {results / 'b.json'}: results under two policies, 'muscle' and 'sat'"
+    demo = tmp_path / "demo.csv"
+    demo.write_text("subject_id,age_years,sex,race,height_m\na,60,Male,W,1.7\nb,50,Male,W,1.7\n")
+    code = main(["cohort", "--results", str(results), "--demographics", str(demo), "--min-group", "1",
+                 "--out", str(tmp_path / "out")])
+    assert (code, capsys.readouterr().err) == (1, f"cohort: {want}\n")
+    assert not (tmp_path / "out").exists()
+
+
+# ---- evaluate and evaluate_case: one first fault ----------------------------
+
+@pytest.mark.parametrize("fault", ["no vertebrae", "unknown region"])
+def test_evaluate_and_evaluate_case_report_one_first_fault(tmp_path, capsys, fault):
+    from bodycomp import evaluate_case
+
+    ph, paths = write_phantom(tmp_path, sid="p1", nx=24, ny=24, nz=10)
+    # a second fault beside the first: a CT, or a prediction, of another spacing
+    other = tmp_path / "other.bcv"
+    if fault == "unknown region":
+        regions, vertebrae = ["l3", "l5"], ph.vertebrae
+        write_volume(replace(ph.tissue, spacing_mm=(1.0, 1.0, 9.0)), other)
+        args = {"gt": paths["tissue"], "pred": other, "ct": paths["ct"], "vertebrae": paths["vertebrae"]}
+    else:
+        regions, vertebrae = ["l3"], None
+        write_volume(replace(ph.ct, spacing_mm=(1.0, 1.0, 9.0)), other)
+        args = {"gt": paths["tissue"], "pred": paths["tissue"], "ct": other}
+    argv = ["evaluate", "--regions", ",".join(regions), "--out", str(tmp_path / "out")]
+    for option, path in args.items():
+        argv += [f"--{option}", str(path)]
+    parsed = cli.build_parser().parse_args(argv)
+    volumes = {name: read_volume(path) for name, path in args.items()}
+    with pytest.raises(Exception) as direct:
+        evaluate_case(volumes["gt"], volumes["pred"], volumes["ct"], vertebrae, regions=regions)
+    if fault == "unknown region":
+        # the CLI refuses the invocation, with the library's message
+        assert parsed.func(parsed) == 2
+        assert capsys.readouterr().err == f"evaluate: {direct.value}\n"
+        assert direct.type is ValueError
+    else:
+        with pytest.raises(Exception) as command:
+            parsed.func(parsed)
+        assert command.type is direct.type is bodycomp.GeometryMismatchError

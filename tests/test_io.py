@@ -549,6 +549,19 @@ def _read_in_steps(path, slices):
         return [piece for _, (piece,) in read_in_step([head], slice(0, nz))]
 
 
+def _slab_pieces(path, z):
+    """The slices ``z`` of the file at ``path``, as ``read_in_step`` reads them alone: its volumes."""
+    pieces = read_in_step([read_header(path)], z)
+    return [piece for _, (piece,) in pieces if not isinstance(piece, np.ndarray)]
+
+
+def _slab_of(vol, lo, hi):
+    """The slices ``lo`` to ``hi`` of the volume ``vol``, made in memory."""
+    voxels = {"values": vol.values[lo:hi]} if isinstance(vol, VoxelVolume) else {"codes": vol.codes[lo:hi]}
+    z = vol.z_positions_mm
+    return replace(vol, **voxels, z_positions_mm=z[lo:hi] if z is not None else None)
+
+
 def _counts(path):
     """The code counts of the label file at ``path``, as ``select-slice`` reads them."""
     return _read_counts(_read_header(path, ct=False))
@@ -568,7 +581,8 @@ def test_slab_read_is_that_slab_of_the_whole_read(tmp_path, rng, lo, hi):
     ct_path = tmp_path / "ct.bcv"
     write_volume(ct, ct_path)
     for vol, path in ((tissue, tissue_path), (ct, ct_path)):
-        slab = read_volume(path, slice(lo, hi))
+        # the slab fits in one chunk
+        [slab] = _slab_pieces(path, slice(lo, hi))
         assert slab.geometry == vol.geometry.slab(slice(lo, hi))
         assert slab.z_positions_mm == vol.z_positions_mm[lo:hi]
         assert slab.subject_id == vol.subject_id
@@ -579,7 +593,7 @@ def test_slab_read_is_that_slab_of_the_whole_read(tmp_path, rng, lo, hi):
 
 # every read of part of a file, or of it a part at a time
 PART_READS = {
-    "slab": lambda path: read_volume(path, slice(3, 6)),
+    "slab": lambda path: _slab_pieces(path, slice(3, 6)),
     **{f"slabs{n}": partial(_read_in_steps, slices=n) for n in (1, 2, 9)},
     "counts": _counts,
 }
@@ -611,16 +625,27 @@ def test_slab_read_of_a_file_cut_after_its_slab(tmp_path, rng):
     write_volume(ct, path)
     # the slices 0-5 are all there; 6-8 are cut
     path.write_bytes(path.read_bytes()[: -3 * 4 * 5 * 2])
-    for read in (lambda: read_header(path), lambda: read_volume(path, slice(2, 5))):
+    for read in (lambda: read_header(path), lambda: _slab_pieces(path, slice(2, 5))):
         with pytest.raises(TruncatedPayloadError):
             read()
 
 
 def test_slab_outside_the_volume_is_refused(tmp_path, rng):
-    _, path = _write_tissue_with_z(tmp_path, rng)
-    for z in (slice(5, 10), slice(4, 4), slice(-1, 3), slice(None, 5), slice(2, None)):
-        with pytest.raises(IndexError):
-            read_volume(path, z)
+    tissue, path = _write_tissue_with_z(tmp_path, rng)
+    write_volume(make_ct(np.zeros((9, 4, 5)), z=tissue.z_positions_mm), tmp_path / "ct.bcv")
+    heads = [read_header(tmp_path / "ct.bcv"), read_header(path)]
+    # an empty slab is no volume's, but read_in_step reads the mask alone
+    with pytest.raises(IndexError):
+        tissue.geometry.slab(slice(4, 4))
+    for z in (slice(4, 4), slice(0, 0), slice(9, 9), slice(0, 9)):
+        steps = list(read_in_step(heads, z))
+        assert sum(ct.nz for _, (ct, _) in steps if ct is not None) == z.stop - z.start
+    # refused before any file is opened: the files are gone
+    for head in heads:
+        os.remove(head.path)
+    for z in (slice(5, 10), slice(-1, 3), slice(None, 5), slice(2, None), slice(3, 1), slice(0, 9, 2)):
+        with pytest.raises(IndexError, match=re.escape(f"slab {z} is not a slice(lo, hi) with 0 <= lo <= hi <= 9")):
+            next(read_in_step(heads, z))
 
 
 def test_read_header_is_the_header_of_read_volume(tmp_path, rng):
@@ -678,7 +703,7 @@ def test_slabs_read_and_written_are_the_volume_and_its_file(tmp_path, rng, monke
         slabs = [pieces[k] for _, pieces in steps]
         assert [s.nz for s in slabs] == [min(step, 9 - lo) for lo, _ in steps]
         for (lo, _), slab in zip(steps, slabs):
-            assert volumes_equal(slab, read_volume(path, slice(lo, lo + slab.nz)))
+            assert volumes_equal(slab, _slab_of(vol, lo, lo + slab.nz))
         out = tmp_path / "out.bcv"
         write_slabs(iter(slabs), vol.geometry, out)
         assert out.read_bytes() == path.read_bytes()
@@ -717,7 +742,7 @@ def test_every_label_voxel_is_checked_once_per_read(tmp_path, rng, monkeypatch):
     monkeypatch.setattr("bodycomp.io.unmapped_codes", spy)
     reads = {
         "whole": partial(read_volume, path),
-        **{f"slab {z}": partial(read_volume, path, z) for z in (slice(0, 3), slice(3, 6), slice(8, 9))},
+        **{f"slab {z}": partial(_slab_pieces, path, z) for z in (slice(0, 3), slice(3, 6), slice(8, 9))},
         **{f"slabs {n}": partial(_read_in_steps, path, n) for n in (1, 3, vol.nz)},
         "counts": partial(_counts, path),
         **{f"in step {z}": lambda z=z: list(read_in_step([read_header(tmp_path / "ct.bcv"), read_header(path)], z))
@@ -733,7 +758,7 @@ def test_every_label_voxel_is_checked_once_per_read(tmp_path, rng, monkeypatch):
         ]
         assert sorted(slices) == list(range(vol.nz)), name
     checked.clear()
-    read_volume(tmp_path / "ct.bcv", slice(3, 6))
+    _slab_pieces(tmp_path / "ct.bcv", slice(3, 6))
     _read_in_steps(tmp_path / "ct.bcv", 2)
     assert checked == []
 

@@ -428,7 +428,7 @@ def test_measure_subject_matches_per_metric_reference(inputs):
 # ---- slabs: measuring only the counted slices ------------------------------
 
 def _slab(vol, sl):
-    """The slices ``sl`` of ``vol``, as ``read_volume(path, z=sl)`` reads them."""
+    """The slices ``sl`` of ``vol``, as ``read_in_step`` reads them of its file."""
     z = vol.z_positions_mm
     z = z[sl] if z is not None else None
     if isinstance(vol, LabelVolume):

@@ -17,7 +17,7 @@ from bodycomp import (
     vertebra_label,
 )
 from bodycomp.model import code_counts
-from bodycomp.regions import region_slice
+from bodycomp.regions import AllSlices, measurement_regions, region_slice
 from conftest import make_tissue, make_vertebrae
 
 
@@ -136,6 +136,30 @@ def test_slice_range_refuses_a_reversed_range():
 def test_region_slice_refuses_what_is_not_a_region_of_the_slices(region, error):
     with pytest.raises(error):
         region_slice(region, 4)
+
+
+@pytest.mark.parametrize(
+    "region, want",
+    [
+        (SingleSlice(3), slice(3, 4)),
+        (SliceRange(0, 3), slice(0, 4)),
+        (SliceRange(2, 2, degenerate=True), slice(2, 3)),
+        (AllSlices(), slice(0, 4)),
+    ],
+    ids=["slice3", "range0-3", "range2-2", "all"],
+)
+def test_region_slice_holds_every_slice_of_the_region(region, want):
+    assert region_slice(region, 4) == want
+
+
+@pytest.mark.parametrize(
+    "t12, l3, l4, want",
+    [(1, 3, 5, slice(1, 6)), (1, 6, 4, slice(1, 7)), (6, 2, 4, slice(2, 7)), (0, 0, 0, slice(0, 1))],
+    ids=["l4 last", "l3 last", "t12 last", "one slice"],
+)
+def test_counted_slab_runs_from_the_lowest_level_through_the_highest(t12, l3, l4, want):
+    areas = {code: [9 if k == z else 0 for k in range(7)] for code, z in ((1, t12), (2, l3), (3, l4))}
+    assert measurement_regions(vert_volume_with_areas(areas)).counted_slab() == want
 
 
 def test_region_contains_l3_peak_on_ordered_phantoms(rng):
