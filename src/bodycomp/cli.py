@@ -14,15 +14,14 @@ invocation. Outputs are deterministic: rows are ordered by subject_id,
 floats are printed with 6 significant digits, and ``--jobs`` never
 changes any output byte.
 
-Each command reads a volume's payload a chunk of whole slices at a time
-(``io.SCAN_CHUNK_BYTES``, 1 MiB: 2 slices of a 512x512 CT) and holds
-about one chunk of each file it reads; ``postprocess`` writes its output
-a chunk at a time too. A file's header is read and checked once
-(``_read_header``), and the header, not the path, is what the payload
-read takes (``io.read_in_step``). ``measure`` alone parses a CT header
-twice: the pass over every CT header keeps only each subject's id, so
-that the command holds no header per subject, and the subject's own
-measuring reads the header again.
+Every command checks the kind of each file's header (``_read_header``)
+before any grid check. ``measure`` and ``evaluate`` then hand the
+headers to ``measures.measure_subject`` and ``evaluation.evaluate_case``,
+which check the grids, pick the regions and read the payloads a chunk of
+whole slices at a time (``io.SCAN_CHUNK_BYTES``, 1 MiB: 2 slices of a
+512x512 CT); no command holds more than about one chunk of each file.
+``measure`` parses each CT header twice: its pass over every CT header
+keeps only the ids.
 
 ``measure --jobs N`` measures subjects in N worker processes forked from
 the command, never more than there are subjects; with one worker it
@@ -48,18 +47,14 @@ import argparse
 import csv
 import json
 import sys
-from contextlib import closing, contextmanager
-from dataclasses import fields, replace
+from contextlib import closing
+from dataclasses import fields
 from enum import Enum
 from io import StringIO
 from pathlib import Path
-from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .errors import (
     BodycompError,
-    GeometryMismatchError,
     LabelVocabularyError,
     NonFiniteHUError,
     UndefinedSMIError,
@@ -77,18 +72,13 @@ from .io import (
 from .model import (
     GROUP_BY_CHOICES,
     BodyCompResult,
-    Geometry,
     MergePolicy,
     SubjectRecord,
-    code_counts,
+    _naming,
+    _same_geometry,
     codes_for,
-    require_same_geometry,
-    require_tissue_vocabulary,
     vertebra_label,
 )
-
-if TYPE_CHECKING:
-    from .regions import VertebraRegions
 
 _POLICIES = {p.value: p for p in MergePolicy}
 
@@ -103,52 +93,13 @@ def _jobs(text: str) -> int:
     return jobs
 
 
-def _check_kind(path, is_ct: bool, want_ct: bool) -> None:
-    if is_ct != want_ct:
-        wanted, got = ("a CT volume", "labels") if want_ct else ("a label volume", "CT")
-        raise BodycompError(f"{path}: expected {wanted}, got {got}")
-
-
-@contextmanager
-def _naming(path, *errors):
-    """Re-raise an error of the types ``errors`` from the block with its
-    message after ``path``, the file at fault."""
-    try:
-        yield
-    except errors as exc:
-        raise type(exc)(f"{path}: {exc}") from None
-
-
-def _same_geometry(path, a, b) -> None:
-    """``require_same_geometry(a, b)``, a mismatch naming ``path``, the file that differs."""
-    with _naming(path, GeometryMismatchError):
-        require_same_geometry(a, b)
-
-
-def _read_header(path, ct: bool, geometry: Geometry | None = None) -> VolumeHeader:
-    """The header of a CT (``ct``) or label file, checked against ``geometry``."""
+def _read_header(path, ct: bool) -> VolumeHeader:
+    """The header of a CT (``ct``) or label file, its kind checked."""
     head = read_header(path)
-    _check_kind(path, head.kind == "ct", ct)
-    if geometry is not None:
-        _same_geometry(path, head.geometry, geometry)
+    if (head.kind == "ct") != ct:
+        wanted, got = ("a CT volume", "labels") if ct else ("a label volume", "CT")
+        raise BodycompError(f"{path}: expected {wanted}, got {got}")
     return head
-
-
-def _read_counts(head: VolumeHeader) -> np.ndarray:
-    """The code counts per slice of the label file of ``head``, read a chunk of slices at a time."""
-    # no slice as a volume: every chunk comes as planes, and map holds
-    # none of them while the next is read
-    with closing(read_in_step([head], slice(0, 0))) as steps:
-        return np.concatenate(list(map(lambda step: code_counts(step[1][0]), steps)))
-
-
-def _read_regions(head: VolumeHeader) -> VertebraRegions:
-    """The regions of the vertebra file of ``head``, from one chunked scan;
-    the message of a missing level names the file."""
-    from .regions import regions_from_counts
-
-    picked = regions_from_counts(_read_counts(head), head.label_map, head.geometry)
-    return replace(picked, missing={name: f"{head.path}: {why}" for name, why in picked.missing.items()})
 
 
 def _csv_text(columns, rows) -> str:
@@ -258,41 +209,22 @@ def _attempt(fn, entry: dict, *args):
         return None, message if message.startswith(f"{ct}: ") else f"{ct}: {message}"
 
 
-def _pieces(masks: list, ct, slab: slice):
-    """The pieces of the label files of the headers ``masks`` and, over
-    ``slab``, of the CT file of the header ``ct``.
-
-    They are read as they are taken, a chunk of slices at a time
-    (``read_in_step``), the CT's chunk first; with ``ct`` None no CT is
-    read.
-    """
-    from .measures import Piece
-
-    heads = [ct, *masks] if ct is not None else list(masks)
-    for lo, read in read_in_step(heads, slab):
-        ct_piece = read.pop(0) if ct is not None else None
-        yield Piece(lo, tuple(getattr(piece, "codes", piece) for piece in read), ct_piece)
-        del ct_piece, read  # nothing of a chunk stays in this frame while the next is read
-
-
 def _measure_one(entry: dict, subject_id: str, policy: MergePolicy, record: SubjectRecord | None):
-    """Measure one subject, reading of its CT only the counted slab, a chunk at a time.
+    """Measure one subject from the headers of its files (``measure_subject``).
 
     ``record`` holds the subject's demographics; without one the subject
     has no height, so no SMI.
     """
-    from .measures import measure_pieces
+    from .measures import measure_subject
 
-    # the regions come first: the vertebra mask is scanned, never held
-    picked = _read_regions(_read_header(entry["vertebrae"], ct=False))
-    ct = _read_header(entry["ct"], True, picked.geometry)
-    tissue = _read_header(entry["tissue"], False, picked.geometry)
+    vertebrae = _read_header(entry["vertebrae"], ct=False)
+    ct = _read_header(entry["ct"], ct=True)
+    tissue = _read_header(entry["tissue"], ct=False)
     if record is None:
         record = SubjectRecord(subject_id=subject_id, age_years=0.0)
-    pieces = _pieces([tissue], ct, picked.counted_slab())
-    # a tissue label the mask lacks names it, and a non-finite HU the CT's rescale
-    with _naming(entry["tissue"], LabelVocabularyError), _naming(entry["ct"], NonFiniteHUError):
-        return measure_pieces(tissue, pieces, picked, record, policy)
+    # a non-finite HU comes of the CT's rescale: it names the CT
+    with _naming(entry["ct"], NonFiniteHUError):
+        return measure_subject(ct, tissue, vertebrae, record, policy)
 
 
 def _measure_row(entry: dict, subject_id: str, policy: MergePolicy, record: SubjectRecord | None,
@@ -409,7 +341,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .evaluation import EvalRow, _normalize_regions, aggregate_cases, evaluate_pieces
+    from .evaluation import EvalRow, _normalize_regions, aggregate_cases, evaluate_case
     from .measures import _NON_FINITE
 
     policy = _POLICIES[args.policy]
@@ -420,34 +352,11 @@ def cmd_evaluate(args) -> int:
         except ValueError as exc:
             print(f"evaluate: {exc}", file=sys.stderr)
             return 2
-    # every header is checked, in the order gt, pred, vertebrae, ct, before
-    # any payload is read; pred and vertebrae are compared with gt as
-    # evaluate_case compares them
+    # every header is read, and its kind checked, before evaluate_case checks the grids
     gt = _read_header(args.gt, ct=False)
-    geometry = gt.geometry
     pred = _read_header(args.pred, ct=False)
-    _same_geometry(args.pred, geometry, pred.geometry)
     vertebrae = _read_header(args.vertebrae, ct=False) if args.vertebrae else None
-    if vertebrae is not None:
-        _same_geometry(args.vertebrae, geometry, vertebrae.geometry)
-    ct = _read_header(args.ct, True, geometry)
-    picked = _read_regions(vertebrae) if vertebrae is not None else None
-    # the masks are read a chunk at a time, and only the densities read the
-    # CT, on the counted slab: with every vertebra level found that slab is
-    # read in step with them, else no CT payload at all
-    with_ct = picked is not None and not picked.missing
-    slab = picked.counted_slab() if with_ct else slice(0, 0)
-    pieces = _pieces([gt, pred], ct if with_ct else None, slab)
-
-    try:
-        case = evaluate_pieces(gt, pred, pieces, picked, policy, regions)
-    except LabelVocabularyError:
-        # the masks' vocabularies are checked in turn after the pass: the
-        # first mask that fails names its file
-        for path, head in ((args.gt, gt), (args.pred, pred)):
-            with _naming(path, LabelVocabularyError):
-                require_tissue_vocabulary(head)
-        raise
+    case = evaluate_case(gt, pred, _read_header(args.ct, ct=True), vertebrae, policy, regions)
     for metric, reason in case.blank_reasons.items():
         # a non-finite HU comes of the CT's rescale: the reason names the CT
         reason = f"{args.ct}: {reason}" if reason == _NON_FINITE else reason
@@ -460,7 +369,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_select_slice(args) -> int:
-    from .regions import _largest_slice
+    from .regions import _largest_slice, _read_counts
 
     # one chunked scan: the index and its area come from one count table
     head = _read_header(args.vertebrae, ct=False)
@@ -484,13 +393,13 @@ def cmd_postprocess(args) -> int:
     mask_head = _read_header(args.mask, ct=False)
     # a mismatch names the mask, which is compared with the CT
     if args.mode == "sat-skin":
-        _same_geometry(args.mask, mask_head.geometry, ct_head.geometry)
+        _same_geometry(mask_head, mask_head, ct_head)
         geometry = mask_head.geometry
 
         def kernel(pieces):
             return map(lambda piece: dilate_sat_to_skin(piece[1], piece[0]), pieces)
     else:
-        _same_geometry(args.mask, ct_head.geometry, mask_head.geometry)
+        _same_geometry(mask_head, ct_head, mask_head)
         kernel, geometry = muscular_fat_slabs, ct_head.geometry
     # map holds no chunk while the next is read; a label the kernel needs
     # and the mask lacks names the mask

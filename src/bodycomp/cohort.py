@@ -70,9 +70,12 @@ def age_bins(ages: Sequence[float], n_bins: int = 6, min_count: int = 20) -> Age
             continue
         if k < target and warning is None:
             warning = f"tied ages reduced the bin count to {k} (requested {n_bins})"
+        # each inner edge lies above the lower bin's last age, even where
+        # the midpoint of two ages one float apart rounds onto it
         edges = [float(values[0])]
         for c in cuts:
-            edges.append(float((values[c - 1] + values[c]) / 2.0))
+            lower, upper = values[c - 1], values[c]
+            edges.append(float(max((lower + upper) / 2.0, np.nextafter(lower, upper))))
         edges.append(float(values[-1]))
         counts = []
         prev = 0
@@ -120,25 +123,27 @@ def _find_cuts(values: np.ndarray, k: int, min_count: int):
 
 
 def power_of_two_scaled(values: np.ndarray) -> tuple[np.ndarray, float]:
-    """``values`` divided by a power of two that keeps the squares of their
-    differences finite, and that power: 1 unless a value exceeds 2^500.
+    """``values`` divided by a power of two, and that power: 1 unless the
+    largest magnitude, not 0, lies outside [2^-500, 2^500), else the power
+    that brings it into [1, 2), where the squares of the differences
+    neither overflow nor underflow.
 
     Scaling by a power of two is exact, so a mean, a standard deviation or
     a correlation taken on the scaled values, each scaled back, is the one
-    the values give where nothing overflows.
+    the values give where nothing overflows or underflows.
     """
     top = float(np.max(np.abs(values), initial=0.0))
-    if top < 2.0**500:
+    if top == 0 or 2.0**-500 <= top < 2.0**500:
         return values, 1.0
-    k = math.frexp(top)[1] - 500
+    k = math.frexp(top)[1] - 1
     return np.ldexp(values, -k), math.ldexp(1.0, k)
 
 
 def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
     """Pearson correlation Cov(X, Y) / (sigma_X sigma_Y), population form.
 
-    Finite values whose squares overflow are correlated at a scale that
-    keeps them finite (``power_of_two_scaled``).
+    Finite values whose squares overflow or underflow are correlated at a
+    scale that keeps them finite and normal (``power_of_two_scaled``).
     """
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
@@ -213,8 +218,8 @@ def group_stats(
             if not vals:
                 continue
             # sort before summing so the stats are exactly permutation
-            # invariant in input order; values whose squares overflow are
-            # summed at a scale that keeps them finite
+            # invariant in input order; values whose squares overflow or
+            # underflow are summed at a scale that keeps them finite and normal
             arr, scale = power_of_two_scaled(np.sort(np.asarray(vals, dtype=float)))
             rows.append(
                 GroupStat(

@@ -23,7 +23,10 @@ tables, so the metric-error table reads them through
 densities read the CT, over the counted slab and in step with the
 masks: the muscle selection that counts each mask also drops the CT
 values under it into that mask's ``measures.MuscleHistograms``.
-``evaluate_case`` is the one-piece pass over whole volumes.
+``evaluate_case``, which ``bodycomp evaluate`` calls on the files'
+headers, checks the grids, picks the regions and gives
+``evaluate_pieces`` the masks' pieces (``measures._pieces``): read a
+chunk at a time from files, or sliced from volumes in memory.
 
 Muscle-density errors are normalized to the -29..+150 HU range of normal
 muscle density, so 1.79 HU of error reads as 1.00%.
@@ -49,6 +52,7 @@ from .measures import (
     Piece,
     _codes_of,
     _count_planes,
+    _pieces,
     code_classes,
     muscle_histograms,
     tissue_class,
@@ -58,10 +62,8 @@ from .model import (
     METRIC_FIELDS,
     MUSCULAR_FAT,
     TISSUE_NAMES,
-    LabelVolume,
     MergePolicy,
-    VoxelVolume,
-    require_same_geometry,
+    _same_geometry,
     require_tissue_vocabulary,
 )
 from .regions import AllSlices, VertebraRegions, measurement_regions, region_slice
@@ -306,30 +308,45 @@ def _pair_result(counts: np.ndarray, geometry, region) -> PairResult:
 
 
 def evaluate_case(
-    gt: LabelVolume,
-    pred: LabelVolume,
-    ct: VoxelVolume | None = None,
-    vertebrae: LabelVolume | None = None,
+    gt,
+    pred,
+    ct=None,
+    vertebrae=None,
     policy: MergePolicy = MergePolicy.MUSCLE,
     regions: Iterable[str] | None = None,
 ) -> CaseEvaluation:
-    """Compare one predicted mask against ground truth, on whole volumes.
+    """Compare one predicted mask against ground truth.
 
     Muscle, SAT, and VAT are compared after the merge policy is applied to
     both volumes; muscular fat is always compared in its separate form.
     Without a vertebrae volume only the all-slices region is evaluated and
-    the metric-error table is skipped. ``ct`` is raw or HU, as read, and
-    only the muscle densities read it. The volumes are the one piece of
-    ``evaluate_pieces``. The first fault is the CLI's: an unknown region
-    name, then a grid that differs from ``gt``'s (``pred``, ``vertebrae``,
-    ``ct``), then a region that the vertebrae do not give.
+    the metric-error table is skipped. ``ct`` is raw or HU, as read.
+
+    Each input is a volume in memory or the checked `.bcv` header of its
+    file (``io.read_header``); ``gt``, ``pred`` and ``ct`` are all volumes
+    or all headers. Of headers, each file is read a chunk of slices at a
+    time and none is held whole. Only the muscle densities read the CT,
+    over the counted slab, when every vertebra level is found; else no
+    CT payload is read. The first fault is, in this order: an unknown
+    region name; a grid that differs from ``gt``'s (``pred``,
+    ``vertebrae``, ``ct``), naming a header's file; a fault of the
+    vertebrae, a level that a requested region needs included; a fault of
+    a mask's or the CT's payload; a tissue label that ``gt``, then
+    ``pred``, lacks.
     """
     _normalize_regions(regions)
-    for other in (pred, vertebrae, ct):
-        if other is not None:
-            require_same_geometry(gt, other)
+    _same_geometry(pred, gt, pred)
+    if vertebrae is not None:
+        _same_geometry(vertebrae, gt, vertebrae)
+    if ct is not None:
+        _same_geometry(ct, ct, gt)
     picked = measurement_regions(vertebrae) if vertebrae is not None else None
-    return evaluate_pieces(gt, pred, [Piece(0, (gt.codes, pred.codes), ct)], picked, policy, regions)
+    # with every vertebra level found, the CT is read in step with the
+    # masks over the counted slab, else not at all
+    with_ct = ct is not None and picked is not None and not picked.missing
+    slab = picked.counted_slab() if with_ct else slice(0, 0)
+    pieces = _pieces(slab, ct if with_ct else None, [gt, pred])
+    return evaluate_pieces(gt, pred, pieces, picked, policy, regions)
 
 
 def evaluate_pieces(
@@ -518,10 +535,10 @@ def aggregate_cases(cases: Sequence[CaseEvaluation]) -> EvalReport:
 
 
 def evaluate_masks(
-    gt: LabelVolume,
-    pred: LabelVolume,
-    ct: VoxelVolume | None = None,
-    vertebrae: LabelVolume | None = None,
+    gt,
+    pred,
+    ct=None,
+    vertebrae=None,
     policy: MergePolicy = MergePolicy.MUSCLE,
     regions: Iterable[str] | None = None,
 ) -> EvalReport:

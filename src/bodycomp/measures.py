@@ -22,9 +22,10 @@ the counted slab, from min(L3, T12, L4) to max(L3, T12, L4), a
 Each metric is read through ``MaskMetrics``: the counted ones from the
 class table, and each muscle density from its histogram, as the exact
 mean of the float32 HU of its voxels, correctly rounded
-(``_exact_mean_hu``). ``measure_subject`` is the one-piece case, on
-whole volumes; ``bodycomp measure`` reads only the counted slab, a chunk
-at a time.
+(``_exact_mean_hu``). ``measure_subject``, which ``bodycomp measure``
+calls on the files' headers, checks the grids, picks the regions and
+gives ``measure_pieces`` the pieces of the counted slab (``_pieces``):
+read a chunk at a time from files, or sliced from volumes in memory.
 ``muscle_density`` and ``tissue_area_2d``/``tissue_volume_3d`` keep
 loops of their own: they are the per-metric reference that
 ``measure_subject`` is tested against.
@@ -60,12 +61,14 @@ from .model import (
     SubjectRecord,
     UnitState,
     VoxelVolume,
+    _same_geometry,
     merge_target,
     require_same_geometry,
     require_tissue_vocabulary,
     rescale_to_hu,
     select_codes,
 )
+from .io import VolumeHeader, read_in_step
 from .regions import (
     AllSlices,
     MeasurementRegion,
@@ -125,10 +128,31 @@ class Piece(NamedTuple):
     ct: VoxelVolume | None
 
 
-def _ct_slices(ct: VoxelVolume, lo: int, hi: int) -> VoxelVolume:
-    """Slices ``lo`` to ``hi`` of ``ct``, as a volume that shares its array."""
-    z = ct.z_positions_mm
-    return replace(ct, values=ct.values[lo:hi], z_positions_mm=z[lo:hi] if z is not None else None)
+def _pieces(z: slice, ct, masks: list):
+    """The pieces of the masks ``masks`` over every slice and of the CT
+    ``ct`` over the slab ``z``; with ``ct`` None no CT is given.
+
+    The inputs are all `.bcv` headers or all volumes. Of headers, the
+    pieces are read as they are taken, a chunk of slices at a time
+    (``io.read_in_step``), the CT's chunk first. Of volumes, they are
+    what ``read_in_step`` would give, in three pieces: the slices before
+    ``z``, in it and after it, with the CT's slices in ``z`` alone.
+    """
+    inputs = [ct, *masks] if ct is not None else list(masks)
+    if len({isinstance(vol, VolumeHeader) for vol in inputs}) > 1:
+        raise TypeError("give every input as a volume or every input as a .bcv header")
+    if not isinstance(masks[0], VolumeHeader):
+        for lo, hi, inside in ((0, z.start, False), (z.start, z.stop, True), (z.stop, masks[0].nz, False)):
+            if lo < hi:
+                sl = slice(lo, hi)
+                ct_slab = (replace(ct, values=ct.values[sl], z_positions_mm=ct.geometry.slab(sl).z_positions_mm)
+                           if inside and ct is not None else None)
+                yield Piece(lo, tuple(mask.codes[sl] for mask in masks), ct_slab)
+        return
+    for lo, read in read_in_step(inputs, z):
+        ct_piece = read.pop(0) if ct is not None else None
+        yield Piece(lo, tuple(getattr(piece, "codes", piece) for piece in read), ct_piece)
+        del ct_piece, read  # nothing of a chunk stays in this frame while the next is read
 
 
 _NO_MUSCLE = "no skeletal-muscle voxels in the requested region"
@@ -153,13 +177,9 @@ def _exact_mean_hu(hu: np.ndarray, counts: np.ndarray) -> float:
         raise NonFiniteHUError(_NON_FINITE)
     hu = hu.astype(np.float64)
     e = int(np.frexp(hu)[1].min()) - 24
-    multiples, n = np.ldexp(hu, -e), int(counts.sum())
-    if float(np.abs(multiples).max()) * n < 2.0**63:  # no int64 product or partial sum overflows
-        total = int(counts @ multiples.astype(np.int64))
-    else:  # a rescale that spreads the HU over many magnitudes: Python ints
-        total = sum(map(int.__mul__, counts.tolist(), map(int, multiples.tolist())))
+    total = sum(map(int.__mul__, counts.tolist(), map(int, np.ldexp(hu, -e).tolist())))
     # int / int rounds correctly, and scaling by 2^e is exact
-    return math.ldexp(total / n, e)
+    return math.ldexp(total / int(counts.sum()), e)
 
 
 class MuscleHistograms:
@@ -451,26 +471,33 @@ class MaskMetrics:
 
 
 def measure_subject(
-    ct: VoxelVolume,
-    tissue_mask: LabelVolume,
-    vertebra_mask: LabelVolume,
+    ct,
+    tissue_mask,
+    vertebra_mask,
     subject: SubjectRecord,
     policy: MergePolicy = MergePolicy.MUSCLE,
 ) -> BodyCompResult:
-    """Compute all metrics for one subject from its whole volumes.
+    """Compute all metrics for one subject.
 
     2D metrics are measured on the largest-L3 slice, 3D metrics over the
     T12-L4 range. SMI is omitted when the subject's height is unknown;
-    no 3D SMI is computed. ``ct`` is raw or HU, as read. The counted
-    slab of ``vertebra_mask`` is the one piece of ``measure_pieces``.
+    no 3D SMI is computed. ``ct`` is raw or HU, as read.
+
+    Each input is a volume in memory or the checked `.bcv` header of its
+    file (``io.read_header``); the CT and the tissue mask are both
+    volumes or both headers. Of headers, each file is read a chunk of
+    slices at a time and none is held whole: the vertebra mask is
+    scanned, and of the CT only the counted slab is read. The first
+    fault is, in this order: a CT grid, then a tissue grid, that differs
+    from the vertebra mask's, naming a header's file; a fault of the
+    vertebra mask, a level it lacks included; a fault of the CT's or the
+    tissue mask's payload; a tissue label the mask lacks.
     """
-    require_same_geometry(ct, tissue_mask)
-    require_same_geometry(ct, vertebra_mask)
+    for vol in (ct, tissue_mask):
+        _same_geometry(vol, vol, vertebra_mask)
     picked = measurement_regions(vertebra_mask)
-    counted = picked.counted_slab()
-    lo, hi = counted.start, counted.stop
-    piece = Piece(lo, (tissue_mask.codes[lo:hi],), _ct_slices(ct, lo, hi))
-    return measure_pieces(tissue_mask, [piece], picked, subject, policy)
+    pieces = _pieces(picked.counted_slab(), ct, [tissue_mask])
+    return measure_pieces(tissue_mask, pieces, picked, subject, policy)
 
 
 def measure_pieces(
@@ -486,9 +513,7 @@ def measure_pieces(
     map is read. ``pieces`` gives the mask and the CT over the counted
     slab of ``picked`` (``Piece``), in slice order, and is read once;
     pieces without a CT are passed over. Each plane's classes are
-    counted, and its muscle voxels binned, with one selection. This is
-    the one way to measure without holding whole volumes: ``bodycomp
-    measure`` reads the counted slab a chunk at a time (``io.read_in_step``).
+    counted, and its muscle voxels binned, with one selection.
     """
     if picked.missing:
         raise VertebraNotFoundError(next(iter(picked.missing.values())))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
 from functools import lru_cache
@@ -515,6 +516,26 @@ def same_geometry(a, b) -> bool:
     )
 
 
+@contextmanager
+def _naming(path, *errors):
+    """Re-raise an error of the types ``errors`` from the block with its
+    message after ``path``, the file at fault; a ``path`` of None, as of
+    a volume in memory, leaves the error as it is."""
+    try:
+        yield
+    except errors as exc:
+        if path is None:
+            raise
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _same_geometry(named, a, b) -> None:
+    """``require_same_geometry`` of the grids of ``a`` and ``b``, each a volume
+    or a `.bcv` header; a mismatch names the file of ``named``, the one that differs."""
+    with _naming(getattr(named, "path", None), GeometryMismatchError):
+        require_same_geometry(a.geometry, b.geometry)
+
+
 def require_same_geometry(a, b) -> None:
     """Raise GeometryMismatchError naming how ``a``'s grid differs from ``b``'s.
 
@@ -551,13 +572,13 @@ def to_hu(vol: VoxelVolume) -> VoxelVolume:
 
 
 def require_tissue_vocabulary(mask) -> None:
-    """Raise unless the label map of ``mask`` (a volume or header) covers all four tissue names."""
+    """Raise unless the label map of ``mask`` (a volume or header) covers all
+    four tissue names; the error of a header names its file."""
     names = set(mask.label_map.values())
     missing = [n for n in TISSUE_NAMES if n not in names]
     if missing:
-        raise LabelVocabularyError(
-            f"mask lacks tissue labels {missing}; expected the tissue vocabulary"
-        )
+        with _naming(getattr(mask, "path", None), LabelVocabularyError):
+            raise LabelVocabularyError(f"mask lacks tissue labels {missing}; expected the tissue vocabulary")
 
 
 _POLICY_TARGET = {

@@ -3,16 +3,20 @@
 The 2D measurement slice is the one with the largest L3 label area; the
 3D measurement range runs between the largest-T12 and largest-L4 slices,
 endpoints inclusive. Ties in per-slice area break to the lowest index.
+``measurement_regions`` picks both from one count of each slice's
+codes: of a mask in memory, or of a `.bcv` file read a chunk at a time.
 """
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .errors import LabelVocabularyError, VertebraNotFoundError
+from .io import read_in_step
 from .model import Geometry, LabelVolume, code_counts, codes_for, vertebra_label
 
 
@@ -125,18 +129,26 @@ class VertebraRegions:
         return slice(min(l3.z, t12_l4.z_lo), max(l3.z, t12_l4.z_hi) + 1)
 
 
-def regions_from_counts(
-    counts: np.ndarray, label_map: Mapping[int, str], geometry: Geometry
-) -> VertebraRegions:
-    """The regions of a vertebra mask, from its per-slice code counts.
+def _read_counts(head) -> np.ndarray:
+    """The code counts per slice of the label file of the header ``head``, read a chunk of slices at a time."""
+    # no slice as a volume: every chunk comes as planes, and map holds
+    # none of them while the next is read
+    with closing(read_in_step([head], slice(0, 0))) as steps:
+        return np.concatenate(list(map(lambda step: code_counts(step[1][0]), steps)))
 
-    ``counts`` is the mask's ``code_counts``; each level is picked at the
-    lowest slice of its largest area.
+
+def measurement_regions(vertebrae) -> VertebraRegions:
+    """The largest-L3 slice and the T12-L4 range, from one scan of the mask.
+
+    ``vertebrae`` is a vertebra mask or the `.bcv` header of one, whose
+    file is scanned a chunk of slices at a time (``_read_counts``) and
+    never held; the message of a level it lacks then names the file.
     """
+    in_memory = isinstance(vertebrae, LabelVolume)
+    counts = code_counts(vertebrae.codes) if in_memory else _read_counts(vertebrae)
     # messages, not the exceptions: a stored exception's traceback would
     # keep this frame, and the callers' volumes, alive until a gc pass
-    found: dict[str, MeasurementRegion] = {}
-    missing: dict[str, str] = {}
+    label_map, found, missing = vertebrae.label_map, {}, {}
     try:
         found["l3"] = SingleSlice(_largest_slice(counts, label_map, vertebra_label("L3")))
     except VertebraNotFoundError as exc:
@@ -145,13 +157,9 @@ def regions_from_counts(
         found["t12_l4"] = _t12_l4(counts, label_map)
     except VertebraNotFoundError as exc:
         missing["t12_l4"] = str(exc)
-    return VertebraRegions(geometry, found, missing)
-
-
-def measurement_regions(vertebrae: LabelVolume) -> VertebraRegions:
-    """The largest-L3 slice and the T12-L4 range, from one scan of the mask."""
-    counts = code_counts(vertebrae.codes)
-    return regions_from_counts(counts, vertebrae.label_map, vertebrae.geometry)
+    if not in_memory:
+        missing = {name: f"{vertebrae.path}: {why}" for name, why in missing.items()}
+    return VertebraRegions(vertebrae.geometry, found, missing)
 
 
 def slice_positions_mm(geometry) -> np.ndarray:

@@ -82,6 +82,60 @@ MUTANTS = [
     ),
     # a slab may end at the last slice
     Mutant("src/bodycomp/io.py", "z.stop <= nz", "z.stop < nz", ("tests/test_io.py",)),
+    # an age one float above its neighbour is in the bin whose count holds it
+    Mutant("src/bodycomp/cohort.py", 'side="right"', 'side="left"', ("tests/test_cohort.py",)),
+    # every float32 HU is a whole multiple of 2^e: its significand has 24 bits
+    Mutant(
+        "src/bodycomp/measures.py",
+        "e = int(np.frexp(hu)[1].min()) - 24",
+        "e = int(np.frexp(hu)[1].min()) - 23",
+        ("tests/test_measures.py",),
+    ),
+    # a histogram widened downwards keeps its counts at their values
+    Mutant(
+        "src/bodycomp/measures.py",
+        "wide[max(lo - start, 0) :][: hist.size] = hist",
+        "wide[: hist.size] = hist",
+        ("tests/test_measures.py",),
+    ),
+    # a run touches the run of the next row that ends one column before it starts
+    Mutant(
+        "src/bodycomp/postprocess.py",
+        "np.searchsorted(last, first + (width - 1))",
+        "np.searchsorted(last, first + width)",
+        ("tests/test_postprocess.py",),
+    ),
+    # and the run of the next row that starts one column after it ends
+    Mutant(
+        "src/bodycomp/postprocess.py",
+        'last + (width + 1), side="right"',
+        'last + width, side="right"',
+        ("tests/test_postprocess.py",),
+    ),
+    # an empty row between slices: no run touches one of the next slice
+    Mutant(
+        "src/bodycomp/postprocess.py",
+        "stride = (ny + 1) * (nx + 1)",
+        "stride = ny * (nx + 1)",
+        ("tests/test_postprocess.py",),
+    ),
+    # the HU intervals are closed at both ends, on stored values and on raw ones
+    Mutant(
+        "src/bodycomp/postprocess.py",
+        "np.greater_equal(values, lo, out=out)",
+        "np.greater(values, lo, out=out)",
+        ("tests/test_postprocess.py",),
+    ),
+    Mutant(
+        "src/bodycomp/postprocess.py",
+        "np.less_equal(values, hi, out=scratch)",
+        "np.less(values, hi, out=scratch)",
+        ("tests/test_postprocess.py",),
+    ),
+    Mutant("src/bodycomp/postprocess.py", "ok = hu >= lo", "ok = hu > lo", ("tests/test_postprocess.py",)),
+    Mutant("src/bodycomp/postprocess.py", "ok &= hu <= hi", "ok &= hu < hi", ("tests/test_postprocess.py",)),
+    # a CSV number has 6 significant digits
+    Mutant("src/bodycomp/io.py", 'return f"{x:.6g}"', 'return f"{x:.7g}"', ("tests/test_io.py",)),
 ]
 
 
@@ -93,13 +147,6 @@ class Equivalent(NamedTuple):
 
 
 EQUIVALENT = [
-    Equivalent(
-        "src/bodycomp/cohort.py",
-        'side="right"',
-        'side="left"',
-        "an inner edge is the midpoint of two neighbouring distinct ages, so no age of the "
-        "cohort equals it unless the two are one float apart and the midpoint rounds onto one",
-    ),
     Equivalent(
         "src/bodycomp/io.py",
         "if values.size < count:",

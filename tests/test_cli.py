@@ -23,13 +23,15 @@ from bodycomp import (
     SubjectRecord,
     build_phantom,
     dice,
+    evaluate_case,
     evaluate_masks,
     measure_subject,
+    read_header,
     read_volume,
     to_hu,
     write_volume,
 )
-from bodycomp import cli
+from bodycomp import cli, regions
 from bodycomp.cli import _measure_one, main
 from bodycomp.io import SCAN_CHUNK_BYTES, write_slabs
 from conftest import make_ct, make_tissue, make_vertebrae
@@ -1358,17 +1360,24 @@ def _traced_peak(fn, *args):
 
 
 def _ct_sized_run(files, command, slab, ct="ct.bcv"):
-    """Run ``command`` (measure or evaluate) on the ``ct_sized`` files; the result and the traced peak."""
+    """Run ``command`` (measure or evaluate, or measure_subject or evaluate_case
+    on the headers) on the ``ct_sized`` files; the result and the traced peak."""
     paths = {name: str(files / f"{name}.bcv") for name in ("tissue", "pred")}
     paths.update(ct=str(files / ct), vertebrae=str(files / f"v{slab}.bcv"))
     if command == "measure":
         entry = {"ct": paths["ct"], "tissue": paths["tissue"], "vertebrae": paths["vertebrae"],
                  "subject_id": "p1"}
         return _traced_peak(_measure_one, entry, "p1", MergePolicy.MUSCLE, None)
-    args = cli.build_parser().parse_args(
-        ["evaluate", "--gt", paths["tissue"], "--pred", paths["pred"], "--ct", paths["ct"],
-         "--vertebrae", paths["vertebrae"], "--out", str(files / "out")])
-    return _traced_peak(cli.cmd_evaluate, args)
+    if command == "evaluate":
+        args = cli.build_parser().parse_args(
+            ["evaluate", "--gt", paths["tissue"], "--pred", paths["pred"], "--ct", paths["ct"],
+             "--vertebrae", paths["vertebrae"], "--out", str(files / "out")])
+        return _traced_peak(cli.cmd_evaluate, args)
+    heads = {name: read_header(path) for name, path in paths.items()}
+    if command == "measure_subject":
+        return _traced_peak(measure_subject, heads["ct"], heads["tissue"], heads["vertebrae"],
+                            SubjectRecord("p1", 0.0))
+    return _traced_peak(evaluate_case, heads["tissue"], heads["pred"], heads["ct"], heads["vertebrae"])
 
 
 @pytest.mark.parametrize(
@@ -1378,6 +1387,9 @@ def _ct_sized_run(files, command, slab, ct="ct.bcv"):
         pytest.param("evaluate", "ct.bcv", id="evaluate"),
         pytest.param("measure", "wide_ct.bcv", id="measure-wide_ct"),
         pytest.param("evaluate", "wide_ct.bcv", id="evaluate-wide_ct"),
+        # the library on the files' headers
+        pytest.param("measure_subject", "ct.bcv", id="measure_subject"),
+        pytest.param("evaluate_case", "ct.bcv", id="evaluate_case"),
     ],
 )
 def test_peak_memory_does_not_grow_with_the_counted_slab(ct_sized, command, ct):
@@ -1412,7 +1424,7 @@ def vertebra_files(tmp_path_factory):
 @pytest.mark.parametrize("nz", [60, 360])
 def test_the_vertebra_scan_holds_a_few_chunks_and_the_count_table(vertebra_files, nz):
     head = cli._read_header(str(vertebra_files / f"v{nz}.bcv"), ct=False)
-    counts, peak = _traced_peak(cli._read_counts, head)
+    counts, peak = _traced_peak(regions._read_counts, head)
     assert head.geometry.nz == nz
     assert counts.shape == (nz, 256) and (counts[:, 1:4].sum(axis=1) == 120).all()
     # a chunk of planes, its selections and its counts, then the table of
@@ -1666,3 +1678,65 @@ def test_evaluate_and_evaluate_case_report_one_first_fault(tmp_path, capsys, fau
         with pytest.raises(Exception) as command:
             parsed.func(parsed)
         assert command.type is direct.type is bodycomp.GeometryMismatchError
+
+
+# ---- measure and measure_subject: one first fault ---------------------------
+
+@pytest.mark.parametrize("fault", ["tissue spacing", "ct spacing", "vertebrae spacing",
+                                   "no L4 beside tissue spacing"])
+def test_measure_and_measure_subject_report_one_first_fault(tmp_path, capsys, fault):
+    ph, paths = write_phantom(tmp_path, sid="p1", nx=24, ny=24, nz=10)
+    volumes = {"ct": ph.ct, "tissue": ph.tissue, "vertebrae": ph.vertebrae}
+    if fault.startswith("no L4"):
+        codes = np.where(ph.vertebrae.codes == 3, 0, ph.vertebrae.codes).astype(np.uint8)
+        volumes["vertebrae"] = replace(ph.vertebrae, codes=codes)
+    other = fault.split()[-2]
+    volumes[other] = replace(volumes[other], spacing_mm=(1.0, 1.0, 9.0))
+    for name, vol in volumes.items():
+        write_volume(vol, paths[name])
+    names = ("ct", "tissue", "vertebrae")
+    record = SubjectRecord("p1", 0.0)
+    with pytest.raises(bodycomp.GeometryMismatchError) as direct:
+        measure_subject(*(volumes[name] for name in names), record)
+    with pytest.raises(bodycomp.GeometryMismatchError) as headed:
+        measure_subject(*(read_header(paths[name]) for name in names), record)
+    # the grid that differs from the vertebrae's names its file: the CT's first
+    named = paths["tissue" if other == "tissue" else "ct"]
+    assert str(headed.value) == f"{named}: {direct.value}"
+    argv = ["measure", "--out", str(tmp_path / "out")]
+    for name in names:
+        argv += [f"--{name}", str(paths[name])]
+    assert main(argv) == 1
+    subject = "" if named == paths["ct"] else f"{paths['ct']}: "
+    assert capsys.readouterr().err == f"measure: {subject}{headed.value}\nmeasure: 1 of 1 inputs failed\n"
+
+
+# ---- the library on headers and on volumes: one result ------------------------
+
+@pytest.mark.parametrize("vertebrae", ["all levels", "no L4", "none"])
+def test_the_library_gives_one_result_on_headers_and_on_volumes(tmp_path, monkeypatch, vertebrae):
+    ph, paths = write_phantom(tmp_path, sid="p1", nx=32, ny=32, nz=20, vertebra_slices=(14, 9, 5),
+                              rescale_slope=0.7)
+    paths["pred"] = tmp_path / "pred.bcv"
+    write_volume(replace(ph.tissue, codes=np.roll(ph.tissue.codes, 1, axis=2)), paths["pred"])
+    if vertebrae == "no L4":
+        codes = np.where(ph.vertebrae.codes == 3, 0, ph.vertebrae.codes).astype(np.uint8)
+        write_volume(replace(ph.vertebrae, codes=codes), paths["vertebrae"])
+    # 3 CT slices a chunk: the headers' files are read in several pieces
+    monkeypatch.setattr(bodycomp.io, "SCAN_CHUNK_BYTES", 3 * ph.ct.values[0].nbytes)
+    heads = {name: read_header(path) for name, path in paths.items()}
+    vols = {name: read_volume(path) for name, path in paths.items()}
+    if vertebrae == "none":
+        heads["vertebrae"] = vols["vertebrae"] = None
+    regions = ["l3", "all"] if vertebrae == "no L4" else None
+    for inputs in (heads, vols):
+        inputs["case"] = evaluate_case(inputs["tissue"], inputs["pred"], inputs["ct"], inputs["vertebrae"],
+                                       MergePolicy.SAT, regions)
+    if vertebrae == "no L4":  # the reason a metric is left blank names the vertebra file
+        named = {metric: f"{paths['vertebrae']}: {why}" for metric, why in vols["case"].blank_reasons.items()}
+        vols["case"] = replace(vols["case"], blank_reasons=named)
+    assert heads["case"] == vols["case"]
+    if vertebrae == "all levels":
+        record = SubjectRecord("p1", 60.0, height_m=1.7)
+        assert (measure_subject(heads["ct"], heads["tissue"], heads["vertebrae"], record)
+                == measure_subject(vols["ct"], vols["tissue"], vols["vertebrae"], record))

@@ -13,6 +13,7 @@ from bodycomp import (
     age_bins,
     correlation_matrix,
     group_stats,
+    pearson_r,
 )
 
 
@@ -117,6 +118,17 @@ def test_age_bins_heavy_ties_never_split_values():
     assert all(c >= 20 for c in binning.counts)
 
 
+@pytest.mark.parametrize("lower", [1.0, 60.0])
+def test_bin_index_agrees_with_the_counts_when_two_ages_are_one_float_apart(lower):
+    # the midpoint of two neighbouring floats rounds onto one of them
+    upper = float(np.nextafter(lower, 2 * lower))
+    ages = [lower, lower, upper, upper]
+    binning = age_bins(ages, n_bins=2, min_count=2)
+    assert binning.counts == (2, 2)
+    assert [binning.bin_index(a) for a in ages] == [0, 0, 1, 1]
+    assert binning.bin_label(0) == f"age1 {lower:.1f}-{lower:.1f}"
+
+
 # ---- group_stats --------------------------------------------------------------
 
 def _records(n, sex=Sex.FEMALE, race="White", height=1.7, age=None):
@@ -153,6 +165,22 @@ def test_group_stats_population_sd():
     area = [r for r in rows if r.metric == "muscle_area_2d"][0]
     assert area.mean == 15.0
     assert area.sd == 5.0  # population SD, divide by n
+
+
+def test_group_stats_sd_of_values_whose_squares_underflow():
+    # the squared deviations of 1e-200 and 3e-200 are below the smallest float
+    records = _records(2)
+    results = [make_result("p0", area=1e-200), make_result("p1", area=3e-200)]
+    area = [r for r in group_stats(results, records, "race", min_group_size=1)
+            if r.metric == "muscle_area_2d"][0]
+    assert (area.mean, area.sd) == (2e-200, 1e-200)
+
+
+def test_pearson_r_of_values_whose_squares_underflow():
+    assert pearson_r([1e-200, 2e-200, 3e-200], [1e-200, 3e-200, 2e-200]) == pytest.approx(0.5, rel=1e-15)
+    # a power of two scales exactly: the correlation of 1, 2, 3 and 1, 3, 2
+    tiny = np.ldexp([[1.0, 2.0, 3.0], [1.0, 3.0, 2.0]], -1060)
+    assert pearson_r(*tiny) == pearson_r([1.0, 2.0, 3.0], [1.0, 3.0, 2.0]) == 0.5
 
 
 def test_group_stats_smi_excluded_when_absent():

@@ -30,7 +30,7 @@ from bodycomp import (
     write_volume,
 )
 from bodycomp import BodycompError, model
-from bodycomp.cli import _read_counts, _read_header
+from bodycomp.cli import _read_header
 from bodycomp.io import (
     format_number,
     read_header,
@@ -38,6 +38,7 @@ from bodycomp.io import (
     write_slabs,
 )
 from bodycomp.model import code_counts
+from bodycomp.regions import _read_counts
 from conftest import make_ct, make_tissue, make_vertebrae, random_tissue_codes
 
 
