@@ -1740,3 +1740,14 @@ def test_the_library_gives_one_result_on_headers_and_on_volumes(tmp_path, monkey
         record = SubjectRecord("p1", 60.0, height_m=1.7)
         assert (measure_subject(heads["ct"], heads["tissue"], heads["vertebrae"], record)
                 == measure_subject(vols["ct"], vols["tissue"], vols["vertebrae"], record))
+
+
+def test_the_library_refuses_a_ct_and_masks_given_as_both_volumes_and_headers(tmp_path):
+    ph, paths = write_phantom(tmp_path, sid="p1", nx=24, ny=24, nz=10)
+    mixed = "give every input as a volume or every input as a .bcv header"
+    with pytest.raises(TypeError, match=mixed):
+        measure_subject(read_header(paths["ct"]), ph.tissue, ph.vertebrae, SubjectRecord("p1", 0.0))
+    with pytest.raises(TypeError, match=mixed):
+        evaluate_case(ph.tissue, read_header(paths["tissue"]), ph.ct, ph.vertebrae)
+    # the vertebrae may be either
+    assert evaluate_case(ph.tissue, ph.tissue, ph.ct, read_header(paths["vertebrae"])).region_2d is not None
