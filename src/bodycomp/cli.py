@@ -422,8 +422,18 @@ def cmd_cohort(args) -> int:
         )
         return 2
     results_dir = Path(args.results)
-
+    index = results_dir / "results.csv"
     paths, results = sorted(results_dir.glob("*.json")), []
+    if index.is_file():
+        # the subjects of the run that wrote results.csv: a JSON that an
+        # earlier run left beside them is not pooled
+        with open(index, newline="", encoding="utf-8-sig") as fh, _naming(index, BodycompError):
+            ids = [_check_subject_id(row.get("subject_id") or "") for row in csv.DictReader(fh)]
+        paths = sorted(results_dir / f"{sid}.json" for sid in ids)
+        absent = next((path for path in paths if not path.is_file()), None)
+        if absent is not None:
+            print(f"cohort: {absent}: listed in {index}, but no such file", file=sys.stderr)
+            return 1
     for path in paths:
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))

@@ -7,26 +7,25 @@ against ground truth per label and per region (L3 slice, T12-L4 range,
 all slices), and ``aggregate_cases`` rolls per-case results into an
 EvalReport with both per-volume and per-slice Dice aggregations.
 
-``evaluate_pieces`` makes one pass over both masks, a
-``measures.Piece`` of slices at a time, through the counter ``measure``
-uses (``measures._count_planes``): for every slice and every tissue it
-counts the voxels of that tissue in the ground truth, in the prediction
-and in both. Every per-label, per-region number is a sum over those
-per-slice counts (Taha & Hanbury 2015): Dice per volume and per slice,
-the degenerate counts, and the ground-truth and predicted areas and
-volumes. Each side's codes are selected as ``measure`` selects them,
-through ``measures.code_classes``: muscle, SAT and VAT under the merge
-policy, muscular fat as given. The ground-truth and predicted counts of
-the three policy tissues are the two masks' policy-applied class
-tables, so the metric-error table reads them through
-``measures.MaskMetrics``, built as ``measure`` builds it. Only the muscle
-densities read the CT, over the counted slab and in step with the
-masks: the muscle selection that counts each mask also drops the CT
-values under it into that mask's ``measures.MuscleHistograms``.
 ``evaluate_case``, which ``bodycomp evaluate`` calls on the files'
-headers, checks the grids, picks the regions and gives
-``evaluate_pieces`` the masks' pieces (``measures._pieces``): read a
-chunk at a time from files, or sliced from volumes in memory.
+headers, checks the grids, picks the regions and makes one pass over
+both masks, a piece of slices at a time (``measures._pieces``: read a
+chunk at a time from files, or sliced from volumes in memory), through
+the counter ``measure`` uses (``measures._count_planes``): for every
+slice and every tissue it counts the voxels of that tissue in the
+ground truth, in the prediction and in both. Every per-label,
+per-region number is a sum over those per-slice counts (Taha & Hanbury
+2015): Dice per volume and per slice, the degenerate counts, and the
+ground-truth and predicted areas and volumes. Each side's codes are
+selected as ``measure`` selects them, through ``measures.code_classes``:
+muscle, SAT and VAT under the merge policy, muscular fat as given. The
+ground-truth and predicted counts of the three policy tissues are the
+two masks' policy-applied class tables, so the metric-error table reads
+them through ``measures.MaskMetrics``, built as ``measure`` builds it.
+Only the muscle densities read the CT, over the counted slab and in
+step with the masks: the muscle selection that counts each mask also
+drops the CT values under it into that mask's
+``measures.MuscleHistograms``.
 
 Muscle-density errors are normalized to the -29..+150 HU range of normal
 muscle density, so 1.79 HU of error reads as 1.00%.
@@ -49,7 +48,6 @@ from .errors import (
 from .measures import (
     N_CLASSES,
     MaskMetrics,
-    Piece,
     _codes_of,
     _count_planes,
     _pieces,
@@ -66,7 +64,7 @@ from .model import (
     _same_geometry,
     require_tissue_vocabulary,
 )
-from .regions import AllSlices, VertebraRegions, measurement_regions, region_slice
+from .regions import AllSlices, measurement_regions, region_slice
 
 # Normal muscle density spans -29 to +150 HU; errors are reported as a
 # percentage of this 179-HU width.
@@ -274,21 +272,6 @@ def _normalize_regions(regions) -> tuple[str, ...]:
     return tuple(dict.fromkeys(canon))
 
 
-def _wanted_regions(regions: Iterable[str] | None, picked: VertebraRegions | None) -> tuple[str, ...]:
-    """The canonical names of ``regions``: all three by default, or only
-    "all" without vertebrae, which the L3 slice and the T12-L4 range need."""
-    wanted = _normalize_regions(regions)
-    if picked is None:
-        if regions is None:
-            wanted = ("all",)
-        elif any(r != "all" for r in wanted):
-            needed = [r for r in wanted if r != "all"]
-            raise VertebraNotFoundError(
-                f"regions {needed} require a vertebrae volume"
-            )
-    return wanted
-
-
 def _pair_result(counts: np.ndarray, geometry, region) -> PairResult:
     """One label's result in ``region`` from its ``[nz, 3]`` counts: ground
     truth, prediction, both."""
@@ -334,53 +317,35 @@ def evaluate_case(
     a mask's or the CT's payload; a tissue label that ``gt``, then
     ``pred``, lacks.
     """
-    _normalize_regions(regions)
+    wanted = _normalize_regions(regions)
     _same_geometry(pred, gt, pred)
     if vertebrae is not None:
         _same_geometry(vertebrae, gt, vertebrae)
     if ct is not None:
         _same_geometry(ct, ct, gt)
-    picked = measurement_regions(vertebrae) if vertebrae is not None else None
-    # with every vertebra level found, the CT is read in step with the
-    # masks over the counted slab, else not at all
-    with_ct = ct is not None and picked is not None and not picked.missing
-    slab = picked.counted_slab() if with_ct else slice(0, 0)
-    pieces = _pieces(slab, ct if with_ct else None, [gt, pred])
-    return evaluate_pieces(gt, pred, pieces, picked, policy, regions)
-
-
-def evaluate_pieces(
-    gt,
-    pred,
-    pieces: Iterable[Piece],
-    picked: VertebraRegions | None = None,
-    policy: MergePolicy = MergePolicy.MUSCLE,
-    regions: Iterable[str] | None = None,
-) -> CaseEvaluation:
-    """``evaluate_case`` from one pass over the two masks, a piece at a time.
-
-    ``gt`` and ``pred`` are the masks or their `.bcv` headers: their
-    label maps, geometry and subject ids are read. ``pieces`` gives
-    every slice of both (``Piece``), in slice order, and is read once.
-    With every vertebra level of ``picked`` found, the muscle densities
-    are compared when the pieces hold the CT: every piece over the
-    counted slab holds it, or none does, and the CT of other slices is
-    not read. A requested region whose vertebra level is missing is
-    refused before any piece is read. Each plane's overlaps are counted,
-    and each mask's muscle voxels binned, with one selection.
-    """
     # the L3 slice and the T12-L4 range are picked once and serve both the
     # requested regions and the metric-error table
-    wanted = _wanted_regions(regions, picked)
     found: dict[str, object] = {"all": AllSlices()}
     missing: dict[str, str] = {}
-    if picked is not None:
+    if vertebrae is None:
+        picked = None
+        needed = [r for r in wanted if r != "all"]
+        if regions is None:
+            wanted = ("all",)
+        elif needed:
+            raise VertebraNotFoundError(f"regions {needed} require a vertebrae volume")
+    else:
+        picked = measurement_regions(vertebrae)
         found.update(picked.found)
         missing = picked.missing
     for name in wanted:
         if name in missing:
             raise VertebraNotFoundError(missing[name])
     region_objs = {name: found[name] for name in wanted}
+    found_all = picked is not None and not missing
+    # with every vertebra level found, the CT is read in step with the
+    # masks over the counted slab, else not at all
+    with_ct = found_all and ct is not None
 
     # each tissue's class and the codes of each side selected for it:
     # muscular fat under SEPARATE and the others under the policy, as
@@ -390,15 +355,15 @@ def evaluate_pieces(
         c = tissue_class(label)
         label_policy = MergePolicy.SEPARATE if label == MUSCULAR_FAT else policy
         selections.append((c, *(_codes_of(code_classes(m, label_policy), c) for m in (gt, pred))))
-    found_all = picked is not None and not missing
     muscle = [muscle_histograms(picked), muscle_histograms(picked)] if found_all else []
     geometry = gt.geometry
+    # one pass over both masks, a piece at a time: each plane's overlaps
+    # are counted, and each mask's muscle voxels binned, with one selection
     table = np.zeros((geometry.nz, N_CLASSES, 3), dtype=np.int64)
-    with_ct = False
-    for lo, masks, ct in pieces:
-        table[lo : lo + len(masks[0])] = _count_planes(masks, selections, muscle, lo, ct)
-        with_ct |= ct is not None
-        del masks, ct  # nothing of a piece stays in this frame while the next is read
+    slab = picked.counted_slab() if with_ct else slice(0, 0)
+    for lo, masks, ct_piece in _pieces(slab, ct if with_ct else None, [gt, pred]):
+        table[lo : lo + len(masks[0])] = _count_planes(masks, selections, muscle, lo, ct_piece)
+        del masks, ct_piece  # nothing of a piece stays in this frame while the next is read
 
     # after the pass, as after a read of both volumes: a code a label map
     # lacks is the first fault
@@ -412,17 +377,17 @@ def evaluate_pieces(
 
     metric_errors: dict[str, float | None] = {}
     blank_reasons: dict[str, str] = {}
-    if picked is not None and missing:
-        # without all three levels the metric table is unavailable; the
-        # Dice rows of the requested regions stand on their own
-        metric_errors = dict.fromkeys(METRIC_FIELDS)
-        blank_reasons = dict.fromkeys(METRIC_FIELDS, next(iter(missing.values())))
-    elif picked is not None:
+    if found_all:
         truth, predicted = muscle if with_ct else (None, None)
         metric_errors, blank_reasons = _metric_errors(
             MaskMetrics(picked, table[:, :, 0], truth),
             MaskMetrics(picked, table[:, :, 1], predicted),
         )
+    elif picked is not None:
+        # without all three levels the metric table is unavailable; the
+        # Dice rows of the requested regions stand on their own
+        metric_errors = dict.fromkeys(METRIC_FIELDS)
+        blank_reasons = dict.fromkeys(METRIC_FIELDS, next(iter(missing.values())))
 
     l3, t12_l4 = region_objs.get("l3"), region_objs.get("t12_l4")
     return CaseEvaluation(

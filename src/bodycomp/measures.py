@@ -11,21 +11,20 @@ directly, and the same folded classes give the codes whose HU the muscle
 density averages, so no merged copy of a volume is made.
 
 One counter, ``_count_planes``, makes the per-slice counts of
-``measure_pieces``, ``vat_sat_ratio`` and ``evaluation.evaluate_pieces``,
+``measure_subject``, ``vat_sat_ratio`` and ``evaluation.evaluate_case``,
 for one mask or for two over the same slices. A plane at a time, it
 selects each counted class's codes once in each mask and counts each
 selection, and for two masks the voxels both select; each mask's muscle
 selection also drops the CT values under it into that mask's histogram
-for each region (``MuscleHistograms``). ``measure_pieces`` runs it over
-the counted slab, from min(L3, T12, L4) to max(L3, T12, L4), a
-``Piece`` of slices at a time: the tissue mask's planes with the CT's.
-Each metric is read through ``MaskMetrics``: the counted ones from the
-class table, and each muscle density from its histogram, as the exact
-mean of the float32 HU of its voxels, correctly rounded
-(``_exact_mean_hu``). ``measure_subject``, which ``bodycomp measure``
-calls on the files' headers, checks the grids, picks the regions and
-gives ``measure_pieces`` the pieces of the counted slab (``_pieces``):
-read a chunk at a time from files, or sliced from volumes in memory.
+for each region (``MuscleHistograms``). ``measure_subject``, which
+``bodycomp measure`` calls on the files' headers, checks the grids,
+picks the regions and runs the counter over the counted slab, from
+min(L3, T12, L4) to max(L3, T12, L4), in one pass: the tissue mask's
+planes with the CT's, a piece of slices at a time (``_pieces``), read a
+chunk at a time from files, or sliced from volumes in memory. Each
+metric is read through ``MaskMetrics``: the counted ones from the class
+table, and each muscle density from its histogram, as the exact mean of
+the float32 HU of its voxels, correctly rounded (``_exact_mean_hu``).
 ``muscle_density`` and ``tissue_area_2d``/``tissue_volume_3d`` keep
 loops of their own: they are the per-metric reference that
 ``measure_subject`` is tested against.
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,7 +45,6 @@ from .errors import (
     NonFiniteHUError,
     UndefinedRatioError,
     UndefinedSMIError,
-    VertebraNotFoundError,
 )
 from .model import (
     METRIC_FIELDS,
@@ -116,27 +114,18 @@ def _codes_of(classes: np.ndarray, column: int) -> list[int]:
     return np.flatnonzero(classes == column).tolist()
 
 
-class Piece(NamedTuple):
-    """Slices ``lo`` onward of one or more masks, and of the CT where it is read.
-
-    ``masks`` holds each mask's uint8 planes over the same slices; ``ct``
-    is the CT volume of those slices, or None where no CT is read.
-    """
-
-    lo: int
-    masks: tuple[np.ndarray, ...]
-    ct: VoxelVolume | None
-
-
 def _pieces(z: slice, ct, masks: list):
     """The pieces of the masks ``masks`` over every slice and of the CT
     ``ct`` over the slab ``z``; with ``ct`` None no CT is given.
 
-    The inputs are all `.bcv` headers or all volumes. Of headers, the
-    pieces are read as they are taken, a chunk of slices at a time
-    (``io.read_in_step``), the CT's chunk first. Of volumes, they are
-    what ``read_in_step`` would give, in three pieces: the slices before
-    ``z``, in it and after it, with the CT's slices in ``z`` alone.
+    Each piece is ``(lo, masks, ct)``: slices ``lo`` onward, as each
+    mask's uint8 planes over the same slices and the CT volume of those
+    slices, or None where no CT is read. The inputs are all `.bcv`
+    headers or all volumes. Of headers, the pieces are read as they are
+    taken, a chunk of slices at a time (``io.read_in_step``), the CT's
+    chunk first. Of volumes, they are what ``read_in_step`` would give,
+    in three pieces: the slices before ``z``, in it and after it, with
+    the CT's slices in ``z`` alone.
     """
     inputs = [ct, *masks] if ct is not None else list(masks)
     if len({isinstance(vol, VolumeHeader) for vol in inputs}) > 1:
@@ -147,11 +136,11 @@ def _pieces(z: slice, ct, masks: list):
                 sl = slice(lo, hi)
                 ct_slab = (replace(ct, values=ct.values[sl], z_positions_mm=ct.geometry.slab(sl).z_positions_mm)
                            if inside and ct is not None else None)
-                yield Piece(lo, tuple(mask.codes[sl] for mask in masks), ct_slab)
+                yield lo, tuple(mask.codes[sl] for mask in masks), ct_slab
         return
     for lo, read in read_in_step(inputs, z):
         ct_piece = read.pop(0) if ct is not None else None
-        yield Piece(lo, tuple(getattr(piece, "codes", piece) for piece in read), ct_piece)
+        yield lo, tuple(getattr(piece, "codes", piece) for piece in read), ct_piece
         del ct_piece, read  # nothing of a chunk stays in this frame while the next is read
 
 
@@ -496,40 +485,20 @@ def measure_subject(
     for vol in (ct, tissue_mask):
         _same_geometry(vol, vol, vertebra_mask)
     picked = measurement_regions(vertebra_mask)
-    pieces = _pieces(picked.counted_slab(), ct, [tissue_mask])
-    return measure_pieces(tissue_mask, pieces, picked, subject, policy)
-
-
-def measure_pieces(
-    tissue,
-    pieces: Iterable[Piece],
-    picked: VertebraRegions,
-    subject: SubjectRecord,
-    policy: MergePolicy = MergePolicy.MUSCLE,
-) -> BodyCompResult:
-    """``measure_subject`` from one pass over the counted slab, a piece at a time.
-
-    ``tissue`` is the tissue mask or its `.bcv` header: only its label
-    map is read. ``pieces`` gives the mask and the CT over the counted
-    slab of ``picked`` (``Piece``), in slice order, and is read once;
-    pieces without a CT are passed over. Each plane's classes are
-    counted, and its muscle voxels binned, with one selection.
-    """
-    if picked.missing:
-        raise VertebraNotFoundError(next(iter(picked.missing.values())))
-
-    wanted = _wanted(code_classes(tissue, policy))
+    slab = picked.counted_slab()  # a missing level raises here, before any piece is read
+    wanted = _wanted(code_classes(tissue_mask, policy))
     muscle = muscle_histograms(picked)
-    # the range and the L3 slice are counted in one pass; rows outside
-    # stay 0 and are never read
+    # the range and the L3 slice are counted in one pass, a piece at a
+    # time, each plane's classes and muscle voxels with one selection;
+    # rows outside stay 0 and are never read
     counts = np.zeros((picked.geometry.nz, N_CLASSES, 1), dtype=np.int64)
-    for lo, masks, ct in pieces:
-        if ct is not None:  # a tissue file's slices outside the slab are only checked
-            counts[lo : lo + len(masks[0])] = _count_planes(masks, wanted, (muscle,), lo, ct)
-        del masks, ct  # nothing of a piece stays in this frame while the next is read
+    for lo, masks, ct_piece in _pieces(slab, ct, [tissue_mask]):
+        if ct_piece is not None:  # a tissue file's slices outside the slab are only checked
+            counts[lo : lo + len(masks[0])] = _count_planes(masks, wanted, (muscle,), lo, ct_piece)
+        del masks, ct_piece  # nothing of a piece stays in this frame while the next is read
     # after the pass, as a volume read before is checked: a code the map
     # lacks is the first fault
-    require_tissue_vocabulary(tissue)
+    require_tissue_vocabulary(tissue_mask)
     metrics = MaskMetrics(picked, counts[:, :, 0], muscle)
     l3, t12_l4 = picked.found["l3"], picked.found["t12_l4"]
     return BodyCompResult(

@@ -136,6 +136,13 @@ MUTANTS = [
     Mutant("src/bodycomp/postprocess.py", "ok &= hu <= hi", "ok &= hu < hi", ("tests/test_postprocess.py",)),
     # a CSV number has 6 significant digits
     Mutant("src/bodycomp/io.py", 'return f"{x:.6g}"', 'return f"{x:.7g}"', ("tests/test_io.py",)),
+    # without a CT no density is attempted, so none is left blank with a reason
+    Mutant(
+        "src/bodycomp/evaluation.py",
+        "truth, predicted = muscle if with_ct else (None, None)",
+        "truth, predicted = muscle if found_all else (None, None)",
+        ("tests/test_evaluation.py",),
+    ),
 ]
 
 
@@ -158,6 +165,13 @@ EQUIVALENT = [
         "chunk = max(1, len(tasks) // (4 * workers))",
         "chunk = 1",
         "the chunk size sets only how tasks travel to the workers; pool.map keeps their order",
+    ),
+    Equivalent(
+        "src/bodycomp/measures.py",
+        "if ct_piece is not None:",
+        "if True:",
+        "a piece without a CT lies outside the counted slab, whose rows are never read: "
+        "counting it costs only CPU",
     ),
 ]
 

@@ -1645,6 +1645,50 @@ def test_cohort_refuses_one_subject_twice_or_two_policies(tmp_path, capsys, clas
     assert not (tmp_path / "out").exists()
 
 
+def _measure_manifest(tmp_path, sids, out):
+    rows = ["ct,tissue,vertebrae,subject_id"]
+    rows += [f"{sid}_ct.bcv,{sid}_tissue.bcv,{sid}_vertebrae.bcv,{sid}" for sid in sids]
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join(rows) + "\n")
+    assert main(["measure", "--manifest", str(manifest), "--out", str(out)]) == 0
+
+
+def test_cohort_pools_only_the_subjects_of_the_last_run(tmp_path):
+    for sid in ("a", "b"):
+        write_phantom(tmp_path, sid=sid, nx=32, ny=32, nz=12)
+    demo = tmp_path / "demo.csv"
+    demo.write_text("subject_id,age_years,sex,race,height_m\na,60,Male,W,1.7\nb,50,Female,W,1.6\n")
+    out = tmp_path / "out"
+    _measure_manifest(tmp_path, ["a", "b"], out)
+    _measure_manifest(tmp_path, ["a"], out)
+    # b.json of the first run is still there, but results.csv lists only a
+    assert sorted(p.name for p in out.iterdir()) == ["a.json", "b.json", "results.csv"]
+    assert main(["cohort", "--results", str(out), "--demographics", str(demo), "--group-by", "sex",
+                 "--min-group", "1", "--out", str(tmp_path / "c")]) == 0
+    groups = {row["group"] for row in read_csv(tmp_path / "c" / "group_stats.csv")}
+    assert groups == {"sex Male"}
+
+
+@pytest.mark.parametrize("listed", ["b", "../a"])
+def test_cohort_refuses_a_listed_subject_without_its_result(tmp_path, capsys, listed):
+    results = tmp_path / "results"
+    results.mkdir()
+    (results / "a.json").write_text(json.dumps(_RESULT))
+    (tmp_path / "a.json").write_text(json.dumps(_RESULT))
+    index = results / "results.csv"
+    index.write_text(f"subject_id\na\n{listed}\n")
+    demo = tmp_path / "demo.csv"
+    demo.write_text("subject_id,age_years,sex,race,height_m\na,60,Male,W,1.7\nb,50,Male,W,1.7\n")
+    code = main(["cohort", "--results", str(results), "--demographics", str(demo), "--min-group", "1",
+                 "--out", str(tmp_path / "out")])
+    if listed == "b":
+        want = f"cohort: {results / 'b.json'}: listed in {index}, but no such file\n"
+    else:  # an id that names a file outside the directory
+        want = f"bodycomp: {index}: subject_id '../a' is not a valid file name\n"
+    assert (code, capsys.readouterr().err) == (1, want)
+    assert not (tmp_path / "out").exists()
+
+
 # ---- evaluate and evaluate_case: one first fault ----------------------------
 
 @pytest.mark.parametrize("fault", ["no vertebrae", "unknown region"])

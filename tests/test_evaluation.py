@@ -40,6 +40,7 @@ from bodycomp import (
 )
 from bodycomp.cli import _csv_row, main
 from bodycomp.evaluation import CaseEvaluation, PairResult
+from bodycomp.io import read_header
 from bodycomp.regions import region_slice
 from conftest import VERT_MAP, make_tissue, random_tissue_codes
 
@@ -386,6 +387,31 @@ def test_evaluate_all_region_survives_vertebrae_without_l3(rng):
     assert report.metric_errors == ()
     with pytest.raises(VertebraNotFoundError):
         evaluate_masks(gt, gt, None, vert, regions=["l3"])
+
+
+@pytest.mark.parametrize("level, region", [("T12", "t12_l4"), ("L3", "l3"), ("L4", "t12_l4")])
+def test_evaluate_case_refuses_a_missing_level_before_reading_a_payload(tmp_path, level, region):
+    ph = build_phantom(nx=24, ny=24, nz=10)
+    codes = ph.vertebrae.codes_for(vertebra_label(level))
+    vertebrae = replace(ph.vertebrae, codes=np.where(np.isin(ph.vertebrae.codes, codes), 0, ph.vertebrae.codes))
+    heads = {}
+    for name, vol in (("gt", ph.tissue), ("pred", ph.tissue), ("ct", ph.ct), ("vertebrae", vertebrae)):
+        write_volume(vol, tmp_path / f"{name}.bcv")
+        heads[name] = read_header(tmp_path / f"{name}.bcv")
+    # no payload of the masks or the CT is left to read
+    for name in ("gt", "pred", "ct"):
+        (tmp_path / f"{name}.bcv").unlink()
+    with pytest.raises(VertebraNotFoundError, match=vertebra_label(level)):
+        evaluate_case(**heads, regions=[region])
+
+
+def test_evaluate_without_ct_gives_no_density_error_or_reason():
+    hu, tissue, vertebrae = _phantom_inputs(nx=32, ny=32, nz=12)
+    case = evaluate_case(tissue, tissue, None, vertebrae)
+    assert case.metric_errors["muscle_density_2d"] is None
+    assert case.metric_errors["muscle_density_3d"] is None
+    assert case.metric_errors["muscle_area_2d"] == 0.0
+    assert case.blank_reasons == {}
 
 
 def test_evaluate_geometry_mismatch(rng):

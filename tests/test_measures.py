@@ -42,9 +42,9 @@ from bodycomp.measures import (
     _codes_of,
     _exact_mean_hu,
     code_classes,
-    measure_pieces,
     tissue_class,
 )
+from bodycomp.io import read_header, write_volume
 from bodycomp.model import select_codes
 from bodycomp.regions import measurement_regions, region_slice
 from conftest import VERT_MAP, make_ct, make_hu, make_tissue, random_tissue_codes
@@ -312,19 +312,19 @@ def test_missing_level_error_keeps_no_volume_alive(subject):
 
 
 @pytest.mark.parametrize("level", ["T12", "L3", "L4"])
-def test_measure_pieces_refuses_a_missing_level_before_taking_a_piece(level, subject):
+def test_measure_subject_refuses_a_missing_level_before_reading_a_payload(tmp_path, level, subject):
     ph = build_phantom(nx=24, ny=24, nz=10)
     codes = ph.vertebrae.codes_for(vertebra_label(level))
-    picked = measurement_regions(
-        replace(ph.vertebrae, codes=np.where(np.isin(ph.vertebrae.codes, codes), 0, ph.vertebrae.codes))
-    )
-
-    def pieces():
-        pytest.fail("a piece was taken")
-        yield
-
+    vertebrae = replace(ph.vertebrae, codes=np.where(np.isin(ph.vertebrae.codes, codes), 0, ph.vertebrae.codes))
+    heads = []
+    for name, vol in (("ct", ph.ct), ("tissue", ph.tissue), ("vertebrae", vertebrae)):
+        write_volume(vol, tmp_path / f"{name}.bcv")
+        heads.append(read_header(tmp_path / f"{name}.bcv"))
+    # no payload of the CT or the tissue mask is left to read
+    (tmp_path / "ct.bcv").unlink()
+    (tmp_path / "tissue.bcv").unlink()
     with pytest.raises(VertebraNotFoundError, match=vertebra_label(level)):
-        measure_pieces(ph.tissue, pieces(), picked, subject)
+        measure_subject(*heads, subject)
 
 
 def test_spacing_scale_invariance(subject):
